@@ -17,7 +17,7 @@ spec = ProblemSpec("heat", {"n": 200}, seed=0)
 op, sigma = spec.build()
 v = starting_vector(spec)
 dec = build_krylov(op, v, KrylovConfig(m_max=10))
-appr = Approximant(dec, sigma, op=op)
+appr = Approximant(dec, sigma)
 
 xg, wg = np.polynomial.legendre.leggauss(64)
 

@@ -33,4 +33,4 @@ while True:
     print(f"{dec.m:3d} {bound:15.4e}")
     if bound <= tol * t or dec.m == 30 or dec.breakdown:
         break
-    dec = extend_krylov(dec, op, 1)
+    dec = extend_krylov(dec, 1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import expm_dense, phi_dense, phi_scalar, symtrid_eig
+from .dense import phi_dense
 from .sparse import validate_prefactor
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -36,65 +36,6 @@ class DefectSample:
     delta_prime: complex
 
 
-class _SmallEval:
-    """Evaluations of e^{sigma t T} e_1 and corner phi entries for one (dec, sigma).
-
-    Lanczos decompositions reuse a single symmetric tridiagonal
-    eigendecomposition across all t; Arnoldi ones pay one Pade call per
-    requested t.
-    """
-
-    def __init__(self, dec, sigma):
-        self.dec = dec
-        self.sigma = sigma
-        self._u_cache = {}
-        if dec.mode == "lanczos":
-            alpha, beta = dec.tridiag()
-            self.lam, self.Q = symtrid_eig(alpha, beta)
-            self.q1 = self.Q[0].copy()
-            self.qm = self.Q[dec.m - 1].copy()
-        else:
-            self.lam = None
-
-    def u(self, t):
-        """e^{sigma t T} e_1 as a length-m complex vector."""
-        hit = self._u_cache.get(t)
-        if hit is not None:
-            return hit
-        if self.lam is not None:
-            val = self.Q @ (np.exp(self.sigma * t * self.lam) * self.q1)
-        else:
-            val = expm_dense(self.dec.T, self.sigma * t)[:, 0]
-        if len(self._u_cache) > 256:
-            self._u_cache.clear()
-        self._u_cache[t] = val
-        return val
-
-    def corner_phi(self, q, t):
-        """e_m^* phi_q(sigma t T) e_1."""
-        if q == 0:
-            return complex(self.u(t)[self.dec.m - 1])
-        if self.lam is not None:
-            return complex(self.qm @ (phi_scalar(self.sigma * t * self.lam, q) * self.q1))
-        return complex(phi_dense(self.dec.T, self.sigma * t, q)[self.dec.m - 1])
-
-    def phi_column(self, p, t):
-        """phi_p(sigma t T) e_1 as a length-m vector (p = 0 gives u)."""
-        if p == 0:
-            return self.u(t)
-        if self.lam is not None:
-            return self.Q @ (phi_scalar(self.sigma * t * self.lam, p) * self.q1)
-        return phi_dense(self.dec.T, self.sigma * t, p)
-
-
-def small_eval(dec, sigma):
-    """Shared per-(decomposition, sigma) evaluation cache."""
-    key = ("small", sigma)
-    if key not in dec._caches:
-        dec._caches[key] = _SmallEval(dec, sigma)
-    return dec._caches[key]
-
-
 def corrected_matrix(dec):
     """The augmented (m+1) x (m+1) matrix [[T, 0], [tau e_m^*, 0]]."""
     m = dec.m
@@ -105,13 +46,9 @@ def corrected_matrix(dec):
 
 
 class Approximant:
-    """Callable wrapper: kind "standard" or "corrected", phi index p >= 0.
+    """Callable wrapper: kind "standard" or "corrected", phi index p >= 0."""
 
-    op is only needed by estimators that touch A v_next (the corrected
-    and improved-quadrature ones); pass it when those will be used.
-    """
-
-    def __init__(self, dec, sigma, kind="standard", p=0, op=None):
+    def __init__(self, dec, sigma, kind="standard", p=0):
         if kind not in ("standard", "corrected"):
             raise ValueError(f"unknown approximant kind: {kind!r}")
         if p < 0:
@@ -120,11 +57,10 @@ class Approximant:
         self.sigma = validate_prefactor(sigma)
         self.kind = kind
         self.p = p
-        self.op = op
 
     @property
     def small(self):
-        return small_eval(self.dec, self.sigma)
+        return self.dec.small_eval(self.sigma)
 
     def apply(self, t):
         """Evaluate the approximant at time t >= 0; returns a length-n vector."""

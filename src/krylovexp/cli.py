@@ -108,8 +108,8 @@ def _sweep_cell(spec, m, section, accuracy):
     v = starting_vector(spec)
     dec = build_krylov(op, v, KrylovConfig(m_max=m))
     kind = "corrected" if corrected else "standard"
-    appr = Approximant(dec, sigma, kind, p, op=op)
-    quad_appr = appr if not corrected else Approximant(dec, sigma, "standard", p, op=op)
+    appr = Approximant(dec, sigma, kind, p)
+    quad_appr = appr if not corrected else Approximant(dec, sigma, "standard", p)
     wide_rows = []
     long_rows = []
     violation = False
@@ -117,8 +117,8 @@ def _sweep_cell(spec, m, section, accuracy):
         ref = _reference(spec, op, sigma, t, v, p, accuracy)
         err = float(np.linalg.norm(appr.apply(t) - ref))
         if corrected:
-            e_era = era_corrected(dec, op, sigma, t, p)
-            e_err1 = err1(dec, sigma, t, p, corrected=True, op=op)
+            e_era = era_corrected(dec, sigma, t, p)
+            e_err1 = err1(dec, sigma, t, p, corrected=True)
         else:
             e_era = era(dec, sigma, t, p)
             e_err1 = err1(dec, sigma, t, p)

@@ -39,54 +39,32 @@ def _pade13(M):
     return np.linalg.solve(V - U, V + U)
 
 
-def _is_real_symmetric_tridiagonal(T):
-    if T.shape[0] != T.shape[1]:
-        return False
-    if np.iscomplexobj(T) and np.any(T.imag != 0.0):
-        return False
-    Tr = T.real
-    m = Tr.shape[0]
-    if m > 2:
-        band = np.tril(Tr, -2)
-        if np.any(band != 0.0) or np.any(np.triu(Tr, 2) != 0.0):
-            return False
-    if m > 1 and not np.array_equal(np.diag(Tr, -1), np.diag(Tr, 1)):
-        return False
-    return True
-
-
 def expm_dense(T, z=1.0):
     """Compute e^{zT} for a small dense matrix T.
 
-    Real symmetric tridiagonal T (the Lanczos case) goes through the
-    eigendecomposition, which is exact up to roundoff for any complex z.
-    Everything else uses degree-13 diagonal Pade with scaling chosen so
-    the scaled 1-norm stays below 5.4, followed by repeated squaring.
+    Degree-13 diagonal Pade with scaling chosen so the scaled 1-norm stays
+    below 5.4, followed by repeated squaring.  zT = 0 returns exactly I,
+    which Pade would miss by an ulp.  (Lanczos decompositions reach e^{zT}
+    through their tridiagonal eigendecomposition instead; see
+    KrylovDecomposition.small_eval.)
     """
     T = np.asarray(T)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError("expm_dense needs a square matrix")
     if not np.all(np.isfinite(T)) or not np.isfinite(z):
         raise ValueError("expm_dense: non-finite input")
-    if _is_real_symmetric_tridiagonal(T):
-        d = np.ascontiguousarray(np.diag(T.real))
-        e = np.ascontiguousarray(np.diag(T.real, -1))
-        lam, Q = symtrid_eig(d, e)
-        with np.errstate(over="ignore", invalid="ignore"):
-            E = (Q * np.exp(z * lam)) @ Q.T
-        if not np.all(np.isfinite(E)):
-            raise OverflowError("expm_dense: result overflowed")
-        return E
-
     M = np.asarray(z * T, dtype=complex)
     nrm = np.linalg.norm(M, 1)
+    if nrm == 0.0:
+        return np.eye(M.shape[0], dtype=complex)
     s = 0
     if nrm > _PADE13_THETA:
         s = int(math.ceil(math.log2(nrm / _PADE13_THETA)))
         M = M / (2.0 ** s)
     E = _pade13(M)
-    for _ in range(s):
-        E = E @ E
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        for _ in range(s):
+            E = E @ E
     if not np.all(np.isfinite(E)):
         raise OverflowError("expm_dense: result overflowed")
     return E

@@ -13,10 +13,13 @@ couple hundred cannot overflow or underflow):
   trapezoid_quad      tau * (t/2) * |delta(t)|
   effective_order_quad   tau * t/(rho(t)+1) * |delta(t)|  (guarded)
 
-is_proven_upper_bound is set exactly when the mathematics guarantees the
-value dominates the true error: always for the era family under the
-nonexpansiveness flag, and for err1 / trapezoid_quad additionally only
-in the hermitian nonexpansive case with real sigma.
+ESTIMATORS holds one row per kind: the function computing the value, the
+extra matvecs it costs a fresh decomposition (the cached A v_next), and
+the rule deciding is_proven_upper_bound.  That flag is set exactly when
+the mathematics guarantees the value dominates the true error: always
+for the era family under the nonexpansiveness flag, and for err1 /
+trapezoid_quad additionally only in the hermitian nonexpansive case with
+real sigma.
 """
 
 import math
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approximant import (Approximant, DefectRoundoffError, effective_order,
-                          small_eval)
+from .approximant import Approximant, DefectRoundoffError, effective_order
 from .sparse import validate_prefactor
 
 
@@ -37,15 +39,20 @@ class ErrorEstimate:
     extra_matvecs: int = 0
 
 
-def _hermitian_real_sigma(dec, sigma):
-    return (dec.symmetry == "hermitian"
+def _proven(rule, dec, sigma):
+    """is_proven_upper_bound under a row's rule: "nonexpansive" needs the
+    operator's nonexpansive flag, "hermitian_real_sigma" additionally a
+    hermitian operator and real sigma, and None is never proven."""
+    if rule is None or not dec.op.nonexpansive:
+        return False
+    if rule == "nonexpansive":
+        return True
+    return (dec.op.symmetry == "hermitian"
             and abs(sigma.imag) <= 1e-12
             and abs(abs(sigma.real) - 1.0) <= 1e-12)
 
 
-def _era_value(dec, t, p, order_shift=0, scale_log=None):
-    if t < 0:
-        raise ValueError("t must be >= 0")
+def _era(dec, sigma, t, p, order_shift=0, scale_log=None):
     if t == 0.0 or dec.tau_next <= 0.0 or scale_log == -math.inf:
         return 0.0
     m = dec.m
@@ -60,58 +67,49 @@ def _era_value(dec, t, p, order_shift=0, scale_log=None):
         return math.inf
 
 
-def era(dec, sigma, t, p=0):
-    """Proven error bound tau*gamma*t^m/(m+p)! for the standard approximant."""
-    validate_prefactor(sigma)
-    kind = "era" if p == 0 else "era_phi"
-    return ErrorEstimate(kind, _era_value(dec, t, p),
-                         is_proven_upper_bound=bool(dec.nonexpansive),
-                         extra_matvecs=0)
-
-
-def era_corrected(dec, op, sigma, t, p=0):
-    """Bound ||A v_next|| * tau*gamma*t^(m+1)/(m+p+1)! for the corrected approximant.
-
-    Costs one extra matvec the first time (cached on the decomposition).
-    """
-    validate_prefactor(sigma)
+def _era_corrected(dec, sigma, t, p):
     if dec.breakdown:
-        return ErrorEstimate("era_corrected", 0.0,
-                             is_proven_upper_bound=bool(dec.nonexpansive),
-                             extra_matvecs=0)
-    avn = float(np.linalg.norm(dec.a_v_next(op)))
+        return 0.0
+    avn = float(np.linalg.norm(dec.a_v_next()))
     scale_log = math.log(avn) if avn > 0.0 else -math.inf
-    return ErrorEstimate("era_corrected",
-                         _era_value(dec, t, p, order_shift=1, scale_log=scale_log),
-                         is_proven_upper_bound=bool(dec.nonexpansive),
-                         extra_matvecs=1)
+    return _era(dec, sigma, t, p, order_shift=1, scale_log=scale_log)
 
 
-def err1(dec, sigma, t, p=0, corrected=False, op=None):
-    """Asymptotically correct estimate from the next phi corner entry.
+def _err1(dec, sigma, t, p):
+    corner = dec.small_eval(sigma).corner_phi(p + 1, t) if t > 0.0 else 0.0
+    return dec.tau_next * t * abs(corner)
 
-    Standard: tau*t*|e_m^* phi_{p+1}(sigma t T) e_1|.  Corrected:
-    ||A v_next|| * tau*t^2*|e_m^* phi_{p+2}(sigma t T) e_1| (needs op for
-    the one cached extra matvec).  A proven upper bound only in the
-    hermitian nonexpansive case with real sigma (and only uncorrected).
-    """
-    s = validate_prefactor(sigma)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if corrected:
-        if dec.breakdown:
-            return ErrorEstimate("err1_corrected", 0.0, False, 0)
-        if op is None and "a_v_next" not in dec._caches:
-            raise ValueError("err1 corrected needs the operator for ||A v_next||")
-        avn = float(np.linalg.norm(dec.a_v_next(op)))
-        corner = small_eval(dec, s).corner_phi(p + 2, t) if t > 0.0 else 0.0
-        value = avn * dec.tau_next * t * t * abs(corner)
-        return ErrorEstimate("err1_corrected", value, False, 1)
-    kind = "err1" if p == 0 else "err1_phi"
-    corner = small_eval(dec, s).corner_phi(p + 1, t) if t > 0.0 else 0.0
-    value = dec.tau_next * t * abs(corner)
-    proven = bool(dec.nonexpansive) and _hermitian_real_sigma(dec, s)
-    return ErrorEstimate(kind, value, proven, 0)
+
+def _err1_corrected(dec, sigma, t, p):
+    if dec.breakdown:
+        return 0.0
+    avn = float(np.linalg.norm(dec.a_v_next()))
+    corner = dec.small_eval(sigma).corner_phi(p + 2, t) if t > 0.0 else 0.0
+    return avn * dec.tau_next * t * t * abs(corner)
+
+
+def _abs_delta(dec, sigma, t):
+    return abs(Approximant(dec, sigma).defect(t).delta)
+
+
+def _hermite(dec, sigma, t, p):
+    return dec.tau_next * (t / dec.m) * _abs_delta(dec, sigma, t)
+
+
+def _improved_hermite(dec, sigma, t, p):
+    if dec.breakdown:
+        return None
+    sample = Approximant(dec, sigma).defect(t)
+    m, tau = dec.m, dec.tau_next
+    av = dec.a_v_next()
+    ddot = np.conj(sigma) * sample.delta_prime  # T[m-1,m-1]u_m + T[m-1,m-2]u_{m-1}
+    vec = (sigma * tau * (2.0 * t / (m + 1)) * sample.delta) * dec.v_next \
+        - (sigma * sigma * tau * (t * t / (m * (m + 1)))) * (ddot * dec.v_next - sample.delta * av)
+    return float(np.linalg.norm(vec))
+
+
+def _trapezoid(dec, sigma, t, p):
+    return dec.tau_next * (t / 2.0) * _abs_delta(dec, sigma, t)
 
 
 def _order_probe(appr, t, factors=(0.5, 0.75, 1.0)):
@@ -138,42 +136,80 @@ def _order_probe(appr, t, factors=(0.5, 0.75, 1.0)):
     return rhos[-1]
 
 
+def _effective_order_quad(dec, sigma, t, p):
+    if t == 0.0 or dec.tau_next <= 0.0:
+        return None
+    rho = _order_probe(Approximant(dec, sigma), t)
+    if rho is None:
+        return None
+    return dec.tau_next * (t / (rho + 1.0)) * _abs_delta(dec, sigma, t)
+
+
+# kind -> (value of (dec, sigma, t, p), or None when unavailable there;
+#          extra matvecs on a fresh decomposition; proven rule)
+ESTIMATORS = {
+    "era": (_era, 0, "nonexpansive"),
+    "era_corrected": (_era_corrected, 1, "nonexpansive"),
+    "err1": (_err1, 0, "hermitian_real_sigma"),
+    "err1_corrected": (_err1_corrected, 1, None),
+    "hermite_quad": (_hermite, 0, None),
+    "improved_hermite_quad": (_improved_hermite, 1, None),
+    "trapezoid_quad": (_trapezoid, 0, "hermitian_real_sigma"),
+    "effective_order_quad": (_effective_order_quad, 0, None),
+}
+
+_QUAD_KINDS = tuple(k for k in ESTIMATORS if k.endswith("_quad"))
+
+
+def _estimate(kind, dec, sigma, t, p):
+    """The ESTIMATORS row for kind, evaluated; None when it is unavailable."""
+    s = validate_prefactor(sigma)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    fn, extra, rule = ESTIMATORS[kind]
+    value = fn(dec, s, t, p)
+    if value is None:
+        return None
+    if p != 0 and kind in ("era", "err1"):
+        kind += "_phi"
+    return ErrorEstimate(kind, value, _proven(rule, dec, s),
+                         0 if dec.breakdown else extra)
+
+
+def era(dec, sigma, t, p=0):
+    """Proven error bound tau*gamma*t^m/(m+p)! for the standard approximant."""
+    return _estimate("era", dec, sigma, t, p)
+
+
+def era_corrected(dec, sigma, t, p=0):
+    """Bound ||A v_next|| * tau*gamma*t^(m+1)/(m+p+1)! for the corrected approximant.
+
+    Costs one extra matvec the first time (cached on the decomposition).
+    """
+    return _estimate("era_corrected", dec, sigma, t, p)
+
+
+def err1(dec, sigma, t, p=0, corrected=False):
+    """Asymptotically correct estimate from the next phi corner entry.
+
+    Standard: tau*t*|e_m^* phi_{p+1}(sigma t T) e_1|.  Corrected:
+    ||A v_next|| * tau*t^2*|e_m^* phi_{p+2}(sigma t T) e_1| (one cached
+    extra matvec).  A proven upper bound only in the hermitian
+    nonexpansive case with real sigma (and only uncorrected).
+    """
+    return _estimate("err1_corrected" if corrected else "err1", dec, sigma, t, p)
+
+
 def quad_estimates(appr, t):
     """Quadrature-style estimates of the defect integral at time t.
 
     Returns hermite_quad and trapezoid_quad always, improved_hermite_quad
-    when the operator is available for the one extra (cached) matvec, and
-    effective_order_quad only when the sampled rho is reliable,
-    nonincreasing, and at least 1.
+    unless the decomposition broke down (it costs the one extra, cached
+    matvec), and effective_order_quad only when the sampled rho is
+    reliable, nonincreasing, and at least 1.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    dec = appr.dec
-    m = dec.m
-    tau = dec.tau_next
-    sigma = appr.sigma
-    sample = appr.defect(t)
-    ad = abs(sample.delta)
-    herm_proven = bool(dec.nonexpansive) and _hermitian_real_sigma(dec, sigma)
-
-    out = [ErrorEstimate("hermite_quad", tau * (t / m) * ad, False, 0)]
-
-    can_improve = (not dec.breakdown) and (appr.op is not None or "a_v_next" in dec._caches)
-    if can_improve:
-        av = dec.a_v_next(appr.op)
-        ddot = np.conj(sigma) * sample.delta_prime  # T[m-1,m-1]u_m + T[m-1,m-2]u_{m-1}
-        vec = (sigma * tau * (2.0 * t / (m + 1)) * sample.delta) * dec.v_next \
-            - (sigma * sigma * tau * (t * t / (m * (m + 1)))) * (ddot * dec.v_next - sample.delta * av)
-        out.append(ErrorEstimate("improved_hermite_quad", float(np.linalg.norm(vec)), False, 1))
-
-    out.append(ErrorEstimate("trapezoid_quad", tau * (t / 2.0) * ad, herm_proven, 0))
-
-    if t > 0.0 and tau > 0.0:
-        rho = _order_probe(appr, t)
-        if rho is not None:
-            out.append(ErrorEstimate("effective_order_quad",
-                                     tau * (t / (rho + 1.0)) * ad, False, 0))
-    return out
+    out = [_estimate(kind, appr.dec, appr.sigma, t, appr.p) for kind in _QUAD_KINDS]
+    return [e for e in out if e is not None]
 
 
 def expokit_first_step(op_norm_inf, m, tol):
@@ -193,37 +229,22 @@ def expokit_first_step(op_norm_inf, m, tol):
     return math.exp(inner / m - math.log(op_norm_inf))
 
 
-_QUAD_KINDS = ("hermite_quad", "improved_hermite_quad", "trapezoid_quad",
-               "effective_order_quad")
-
-
-def evaluate(kind, dec, sigma, t, p=0, op=None):
+def evaluate(kind, dec, sigma, t, p=0):
     """Evaluate one named estimator; the controller loop goes through here.
 
-    For "effective_order_quad" the guarded rho may be unavailable, in
-    which case the trapezoid value (which dominates it) is returned under
-    the same request so the controller always gets a usable number.
+    Only the requested kind is computed.  For "effective_order_quad" the
+    guarded rho may be unavailable, in which case the trapezoid value
+    (which dominates it) is returned under the same request so the
+    controller always gets a usable number.
     """
-    if kind == "era":
-        return era(dec, sigma, t, p)
-    if kind == "era_corrected":
-        return era_corrected(dec, op, sigma, t, p)
-    if kind == "err1":
-        return err1(dec, sigma, t, p)
-    if kind == "err1_corrected":
-        return err1(dec, sigma, t, p, corrected=True, op=op)
-    if kind in _QUAD_KINDS:
-        appr = Approximant(dec, sigma, "standard", p, op=op)
-        if dec.m < 2:
-            raise ValueError("quadrature estimators need m >= 2")
-        wanted = quad_estimates(appr, t)
-        by_kind = {e.kind: e for e in wanted}
-        if kind in by_kind:
-            return by_kind[kind]
-        if kind == "effective_order_quad":
-            return by_kind["trapezoid_quad"]
-        raise ValueError(f"estimator {kind!r} unavailable here (operator not supplied?)")
-    raise ValueError(f"unknown estimator kind: {kind!r}")
+    if kind not in ESTIMATORS:
+        raise ValueError(f"unknown estimator kind: {kind!r}")
+    est = _estimate(kind, dec, sigma, t, p)
+    if est is None and kind == "effective_order_quad":
+        est = _estimate("trapezoid_quad", dec, sigma, t, p)
+    if est is None:
+        raise ValueError(f"estimator {kind!r} unavailable after a breakdown")
+    return est
 
 
 def fmt_float(x):

@@ -1,9 +1,11 @@
 """Arnoldi and Lanczos builds of the Krylov decomposition A V = V T + tau v_next e_m^*.
 
 The decomposition object carries everything the approximants and error
-estimators downstream need: the basis, the projected matrix, the next
-subdiagonal entry tau, the subdiagonal product gamma (also in log form,
-which is what the estimators actually consume), and breakdown state.
+estimators downstream need: the operator it was built from, the basis,
+the projected matrix, the next subdiagonal entry tau, the subdiagonal
+product gamma (also in log form, which is what the estimators actually
+consume), breakdown state, the cached A v_next, and the per-sigma
+evaluator of e^{sigma t T} e_1 and its phi relatives.
 
 Builds are strictly incremental: extending an existing decomposition by
 k steps performs exactly the same floating-point operations as building
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import symtrid_eig
+from .dense import expm_dense, phi_dense, phi_scalar, symtrid_eig
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -52,6 +54,7 @@ class KrylovDecomposition:
 
     Attributes
     ----------
+    op : the operator the decomposition was built from
     m : reached dimension (== m_max unless breakdown ended the build early)
     tau_next : next subdiagonal entry tau_{m+1,m} (0.0 on breakdown)
     v_next : the (m+1)-th basis vector, or None on breakdown
@@ -62,18 +65,15 @@ class KrylovDecomposition:
         exact for every t
     """
 
-    def __init__(self, mode, reorth, m_max, state, symmetry, nonexpansive,
-                 breakdown_tol=None):
+    def __init__(self, op, mode, reorth, m_max, state, breakdown_tol=None):
+        self.op = op
         self.mode = mode
         self.reorth = reorth
         self.m_max = m_max
-        self.symmetry = symmetry
-        self.nonexpansive = nonexpansive
         self._bk_tol = breakdown_tol
         self._state = state
         self.breakdown = state["breakdown"]
         self.m = state["m"]
-        self.matvecs_used = state["matvecs"]
         self.tau_next = state["tau_next"]
         self.v_next = state["vs"][self.m] if not self.breakdown else None
         subdiag = self.subdiag
@@ -81,7 +81,8 @@ class KrylovDecomposition:
         self.log_gamma = float(np.sum(np.log(subdiag))) if subdiag.size else 0.0
         self._V = None
         self._T = None
-        self._caches = {}
+        self._a_v_next = None
+        self._small = {}
 
     @property
     def n(self):
@@ -129,13 +130,26 @@ class KrylovDecomposition:
         return (np.asarray(self._state["alpha"][: self.m], dtype=float),
                 np.asarray(self._state["beta"][: self.m - 1], dtype=float))
 
-    def a_v_next(self, op):
+    @property
+    def matvecs_used(self):
+        """Matvecs spent on this decomposition: the build's, plus one once
+        a_v_next has been computed."""
+        return self._state["matvecs"] + (self._a_v_next is not None)
+
+    def a_v_next(self):
         """A applied to v_next, computed once and cached (one extra matvec)."""
         if self.breakdown:
             raise ValueError("no v_next after breakdown")
-        if "a_v_next" not in self._caches:
-            self._caches["a_v_next"] = op.matvec(self.v_next)
-        return self._caches["a_v_next"]
+        if self._a_v_next is None:
+            self._a_v_next = self.op.matvec(self.v_next)
+        return self._a_v_next
+
+    def small_eval(self, sigma):
+        """The shared evaluator of e^{sigma t T} e_1 and corner phi entries
+        for this decomposition and prefactor sigma."""
+        if sigma not in self._small:
+            self._small[sigma] = _SmallEval(self, sigma)
+        return self._small[sigma]
 
     def dump_csv(self, path):
         """Write T, tau_next, gamma and build diagnostics to a CSV file."""
@@ -154,6 +168,58 @@ class KrylovDecomposition:
         lines.append(f"mode,,,{self.mode}")
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+
+
+class _SmallEval:
+    """Evaluations of e^{sigma t T} e_1 and corner phi entries for one (dec, sigma).
+
+    Every e^{sigma t T} that approximants and estimators need comes from
+    here: Lanczos decompositions reuse a single symmetric tridiagonal
+    eigendecomposition across all t; Arnoldi ones pay one Pade call per
+    requested t.
+    """
+
+    def __init__(self, dec, sigma):
+        self.dec = dec
+        self.sigma = sigma
+        self._u_cache = {}
+        if dec.mode == "lanczos":
+            alpha, beta = dec.tridiag()
+            self.lam, self.Q = symtrid_eig(alpha, beta)
+            self.q1 = self.Q[0].copy()
+            self.qm = self.Q[dec.m - 1].copy()
+        else:
+            self.lam = None
+
+    def u(self, t):
+        """e^{sigma t T} e_1 as a length-m complex vector."""
+        hit = self._u_cache.get(t)
+        if hit is not None:
+            return hit
+        if self.lam is not None:
+            val = self.Q @ (np.exp(self.sigma * t * self.lam) * self.q1)
+        else:
+            val = expm_dense(self.dec.T, self.sigma * t)[:, 0]
+        if len(self._u_cache) > 256:
+            self._u_cache.clear()
+        self._u_cache[t] = val
+        return val
+
+    def corner_phi(self, q, t):
+        """e_m^* phi_q(sigma t T) e_1."""
+        if q == 0:
+            return complex(self.u(t)[self.dec.m - 1])
+        if self.lam is not None:
+            return complex(self.qm @ (phi_scalar(self.sigma * t * self.lam, q) * self.q1))
+        return complex(phi_dense(self.dec.T, self.sigma * t, q)[self.dec.m - 1])
+
+    def phi_column(self, p, t):
+        """phi_p(sigma t T) e_1 as a length-m vector (p = 0 gives u)."""
+        if p == 0:
+            return self.u(t)
+        if self.lam is not None:
+            return self.Q @ (phi_scalar(self.sigma * t * self.lam, p) * self.q1)
+        return phi_dense(self.dec.T, self.sigma * t, p)
 
 
 def _fmt(x):
@@ -258,12 +324,11 @@ def build_krylov(op, v, cfg, steps=None):
     for _ in range(steps):
         if not _step(state, op, mode, reorth, cfg.breakdown_tol):
             break
-    return KrylovDecomposition(mode, reorth, cfg.m_max, state,
-                               op.symmetry, op.nonexpansive,
+    return KrylovDecomposition(op, mode, reorth, cfg.m_max, state,
                                breakdown_tol=cfg.breakdown_tol)
 
 
-def extend_krylov(dec, op, steps):
+def extend_krylov(dec, steps):
     """Grow an existing decomposition by `steps` further columns.
 
     The result is bitwise identical to a fresh build of dimension
@@ -286,8 +351,7 @@ def extend_krylov(dec, op, steps):
         "breakdown": False, "tau_next": old["tau_next"],
     }
     for _ in range(steps):
-        if not _step(state, op, dec.mode, dec.reorth, dec._bk_tol):
+        if not _step(state, dec.op, dec.mode, dec.reorth, dec._bk_tol):
             break
-    return KrylovDecomposition(dec.mode, dec.reorth, dec.m_max, state,
-                               dec.symmetry, dec.nonexpansive,
+    return KrylovDecomposition(dec.op, dec.mode, dec.reorth, dec.m_max, state,
                                breakdown_tol=dec._bk_tol)

@@ -26,7 +26,8 @@ class SparseOperator:
     caller-asserted flag meaning the field of values of sigma*A lies in
     the closed left half-plane for the prefactor this operator is meant
     to be used with; estimators consult it to decide whether a bound is
-    proven.  Leave it None when unknown (log_norm_estimate can help).
+    proven.  Leave it None when unknown.  log_norm_estimate cannot settle
+    it: its value approaches the logarithmic norm from below.
     """
 
     def __init__(self, matrix, symmetry="general", nonexpansive=None):
@@ -89,11 +90,13 @@ class SparseOperator:
 
 
 def log_norm_estimate(op, sigma):
-    """Largest eigenvalue of the hermitian part of sigma*A (the 2-logarithmic norm).
+    """Estimate of the largest eigenvalue of the hermitian part of sigma*A
+    (the 2-logarithmic norm).
 
-    A value <= 0 certifies the nonexpansive case.  Uses a Lanczos
-    eigensolve on the hermitian part; if that fails to converge the
-    conservative answer +inf is returned (nothing is certified).
+    Above n = 8 this is the Ritz value of a Lanczos eigensolve on the
+    hermitian part, which approaches the largest eigenvalue from below:
+    it can underestimate the logarithmic norm, so a value <= 0 certifies
+    nothing.  If the eigensolve fails to converge +inf is returned.
     """
     s = validate_prefactor(sigma)
     A = op.csr

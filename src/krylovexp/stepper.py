@@ -106,7 +106,7 @@ def _log_tau_gamma(dec, m):
 
 
 def step_size_direct(dec, sigma, tol, m=None, model="global_budget", p=0,
-                     corrected=False, op=None):
+                     corrected=False):
     """Invert the era bound (or its corrected variant) for the step size.
 
     Global model solves era(dt) = tol; per-unit-step solves
@@ -128,7 +128,7 @@ def step_size_direct(dec, sigma, tol, m=None, model="global_budget", p=0,
     if log_tg is None:
         return math.inf
     if corrected:
-        avn = float(np.linalg.norm(dec.a_v_next(op)))
+        avn = float(np.linalg.norm(dec.a_v_next()))
         if avn <= 0.0:
             return math.inf
         num = math.log(tol) + math.lgamma(m + p + 2) - log_tg - math.log(avn)
@@ -157,7 +157,7 @@ def step_size_heuristic(prev_dt, prev_estimate, tol, m, model="per_unit_step",
     return safety * prev_dt * math.exp((log_target - math.log(prev_estimate)) / m)
 
 
-def step_size_iterated(dec, sigma, tol, estimator, cap=5, p=0, op=None):
+def step_size_iterated(dec, sigma, tol, estimator, cap=5, p=0):
     """Fixed-point refinement dt <- dt * (dt*tol / est(dt))^(1/m) for the
     per-unit-step target est(dt) = dt * tol, started from the direct era
     inversion.  Returns (dt, iterations) where iterations counts the
@@ -173,7 +173,7 @@ def step_size_iterated(dec, sigma, tol, estimator, cap=5, p=0, op=None):
     m = dec.m
     changes = []
     for l in range(1, cap + 1):
-        est = evaluate(estimator, dec, sigma, dt, p, op).value
+        est = evaluate(estimator, dec, sigma, dt, p).value
         if est <= 0.0:
             # degenerate estimator; the proven inversion is already in hand
             return step_size_direct(dec, sigma, tol, model="per_unit_step", p=p), l
@@ -192,7 +192,7 @@ def step_size_iterated(dec, sigma, tol, estimator, cap=5, p=0, op=None):
     return dt, l
 
 
-def _raw_step(dec, op, sigma, ctrl, estimator_kind, j, prev_dt, prev_est):
+def _raw_step(dec, sigma, ctrl, estimator_kind, j, prev_dt, prev_est):
     """One controller decision: (dt before safety/clipping, iterations,
     apply_safety) for substep j."""
     kind = ctrl.kind
@@ -202,15 +202,15 @@ def _raw_step(dec, op, sigma, ctrl, estimator_kind, j, prev_dt, prev_est):
         return step_size_direct(dec, sigma, ctrl.tol, model="per_unit_step"), 0, True
     if kind == "direct_era_corrected":
         return step_size_direct(dec, sigma, ctrl.tol, model=ctrl.error_model,
-                                corrected=True, op=op), 0, True
+                                corrected=True), 0, True
     if kind == "heuristic_iterated":
         dt, iters = step_size_iterated(dec, sigma, ctrl.tol, estimator_kind,
-                                       cap=ctrl.iteration_cap, op=op)
+                                       cap=ctrl.iteration_cap)
         return dt, iters, True
     # heuristic and expokit_first_step_only differ only in the first step
     if j == 0:
         if kind == "expokit_first_step_only":
-            return expokit_first_step(op.norm_inf, dec.m, ctrl.tol), 0, False
+            return expokit_first_step(dec.op.norm_inf, dec.m, ctrl.tol), 0, False
         return step_size_direct(dec, sigma, ctrl.tol, model=ctrl.error_model), 0, True
     dt = step_size_heuristic(prev_dt, prev_est, ctrl.tol, dec.m,
                              model=ctrl.error_model, safety=ctrl.safety)
@@ -239,7 +239,7 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
         if beta == 0.0:
             raise RuntimeError("propagated vector vanished")
         dec = build_krylov(op, w / beta, cfg)
-        dt, iters, apply_safety = _raw_step(dec, op, s, ctrl, estimator_kind,
+        dt, iters, apply_safety = _raw_step(dec, s, ctrl, estimator_kind,
                                             j, prev_dt, prev_est)
         if apply_safety:
             dt *= ctrl.safety
@@ -251,11 +251,10 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
             raise RuntimeError("unbounded step in a fixed-step run (breakdown)")
         if dt <= 0.0 or t + dt == t:
             raise RuntimeError(f"controller stagnated: dt = {dt} at t = {t}")
-        est = evaluate(estimator_kind, dec, s, dt, 0, op)
-        appr = Approximant(dec, s, "corrected" if corrected else "standard",
-                           0, op=op)
+        est = evaluate(estimator_kind, dec, s, dt, 0)
+        appr = Approximant(dec, s, "corrected" if corrected else "standard", 0)
         w = beta * appr.apply(dt)
-        step_matvecs = dec.matvecs_used + (1 if "a_v_next" in dec._caches else 0)
+        step_matvecs = dec.matvecs_used
         scaled = ErrorEstimate(est.kind, beta * est.value,
                                est.is_proven_upper_bound, est.extra_matvecs)
         records.append(StepRecord(j=j, t_start=t, dt=dt, m_used=dec.m,
@@ -317,7 +316,7 @@ def early_stop_dimension(op, v, t, tol, m_max, sigma, p=0):
         bound = era(dec, s, t, p).value
         if bound <= tol * t or dec.breakdown or dec.m >= m_max:
             break
-        dec = extend_krylov(dec, op, 1)
+        dec = extend_krylov(dec, 1)
     dec.early_stop_satisfied = bool(bound <= tol * t)
     return dec
 

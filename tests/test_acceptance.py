@@ -104,14 +104,14 @@ def tightness_panel(kind, m=10, p=0, corrected=False):
     v = starting_vector(spec)
     dec = build_krylov(op, v, KrylovConfig(m_max=m))
     akind = "corrected" if corrected else "standard"
-    appr = Approximant(dec, sigma, akind, p, op=op)
-    lo = step_size_direct(dec, sigma, 1e-10, p=p, corrected=corrected, op=op)
-    hi = step_size_direct(dec, sigma, 1e-5, p=p, corrected=corrected, op=op)
+    appr = Approximant(dec, sigma, akind, p)
+    lo = step_size_direct(dec, sigma, 1e-10, p=p, corrected=corrected)
+    hi = step_size_direct(dec, sigma, 1e-5, p=p, corrected=corrected)
     pts = []
     for t in np.geomspace(lo, hi, 20):
         err = float(np.linalg.norm(appr.apply(t)
                                    - reference(spec, op, sigma, t, v, p)))
-        est = (era_corrected(dec, op, sigma, t, p) if corrected
+        est = (era_corrected(dec, sigma, t, p) if corrected
                else era(dec, sigma, t, p)).value
         pts.append((t, err, est))
         if err >= VALID_ERR:
@@ -189,7 +189,7 @@ def test_quadrature_family_is_ordered(kind, m, t_lo, t_hi):
     op, sigma = spec.build()
     v = starting_vector(spec)
     dec = build_krylov(op, v, KrylovConfig(m_max=m))
-    appr = Approximant(dec, sigma, op=op)
+    appr = Approximant(dec, sigma)
     for t in np.geomspace(t_lo, t_hi, 12):
         quads = {e.kind: e.value for e in quad_estimates(appr, t)}
         assert "effective_order_quad" in quads, f"guard dropped t={t}"
@@ -203,12 +203,12 @@ def test_quadrature_family_is_ordered(kind, m, t_lo, t_hi):
 
 def test_effective_order_reference_values(hubbard_op, hubbard_vec, heat_pair):
     dec = build_krylov(hubbard_op, hubbard_vec, KrylovConfig(m_max=10))
-    rho = effective_order(Approximant(dec, -1j, op=hubbard_op), 3.9e-2)
+    rho = effective_order(Approximant(dec, -1j), 3.9e-2)
     assert abs(rho - 8.99) <= 0.05
 
     op, sigma, v = heat_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
-    rho = effective_order(Approximant(dec, sigma, op=op), 1.0)
+    rho = effective_order(Approximant(dec, sigma), 1.0)
     assert abs(rho - 8.50) <= 0.05
 
 
@@ -306,6 +306,6 @@ def test_iterated_step_size_converges_quickly(hubbard_op, hubbard_vec, m, cap):
     dec = build_krylov(hubbard_op, hubbard_vec, KrylovConfig(m_max=m))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dt, iters = step_size_iterated(dec, -1j, 1e-8, "err1", op=hubbard_op)
+        dt, iters = step_size_iterated(dec, -1j, 1e-8, "err1")
     assert math.isfinite(dt) and dt > 0
     assert iters <= cap

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import krylovexp as kx
 from krylovexp import (KrylovConfig, SparseOperator, build_krylov, era,
                        era_corrected, err1, expokit_first_step, quad_estimates)
-from krylovexp.approximant import Approximant, effective_order, small_eval
-from krylovexp.estimators import (SWEEP_COLUMNS, evaluate, fmt_float,
-                                  fmt_sigma, write_sweep_csv)
+from krylovexp.approximant import Approximant, effective_order
+from krylovexp.estimators import (ESTIMATORS, SWEEP_COLUMNS, evaluate,
+                                  fmt_float, fmt_sigma, write_sweep_csv)
 
 from conftest import random_unit
 
@@ -66,7 +68,7 @@ def test_era_corrected_formula_literal(hermitian_dec):
     for t in (0.2, 1.0):
         expected = (anorm * dec.tau_next * dec.gamma * t ** (m + 1)
                     / math.factorial(m + 1))
-        got = era_corrected(dec, op, -1j, t)
+        got = era_corrected(dec, -1j, t)
         assert got.value == pytest.approx(expected, rel=1e-12)
         assert got.extra_matvecs == 1
         assert got.kind == "era_corrected"
@@ -80,7 +82,7 @@ def test_era_on_breakdown_is_zero():
     dec = build_krylov(op, v, KrylovConfig(m_max=3))
     assert dec.breakdown
     assert era(dec, -1.0, 5.0).value == 0.0
-    assert era_corrected(dec, op, -1.0, 5.0).value == 0.0
+    assert era_corrected(dec, -1.0, 5.0).value == 0.0
 
 
 def test_err1_formula_via_dense_augmented_corner(hermitian_dec):
@@ -106,11 +108,11 @@ def test_err1_formula_via_dense_augmented_corner(hermitian_dec):
 def test_err1_corrected_formula(hermitian_dec):
     op, dec = hermitian_dec
     sigma = -1.0
-    se = small_eval(dec, sigma)
+    se = dec.small_eval(sigma)
     anorm = float(np.linalg.norm(op.csr @ dec.v_next))
     t = 0.7
     expected = anorm * dec.tau_next * t ** 2 * abs(se.corner_phi(2, t))
-    got = err1(dec, sigma, t, corrected=True, op=op)
+    got = err1(dec, sigma, t, corrected=True)
     assert got.value == pytest.approx(expected, rel=1e-12)
     assert got.extra_matvecs == 1
     assert got.kind == "err1_corrected"
@@ -127,8 +129,8 @@ def test_proven_flag_table(hermitian_dec, hubbard_op, hubbard_vec):
     assert era(dec, -1j, 1.0).is_proven_upper_bound
     assert not err1(dec, -1j, 1.0).is_proven_upper_bound
     # corrected variants are never proven for err1
-    assert not err1(dec, -1.0, 1.0, corrected=True, op=op).is_proven_upper_bound
-    assert era_corrected(dec, op, -1.0, 1.0).is_proven_upper_bound
+    assert not err1(dec, -1.0, 1.0, corrected=True).is_proven_upper_bound
+    assert era_corrected(dec, -1.0, 1.0).is_proven_upper_bound
 
     hdec = build_krylov(hubbard_op, hubbard_vec, KrylovConfig(m_max=6))
     assert era(hdec, -1j, 0.1).is_proven_upper_bound
@@ -146,7 +148,7 @@ def test_proven_flag_table(hermitian_dec, hubbard_op, hubbard_vec):
 def test_quad_formulas_literal(heat_pair):
     op, sigma, v = heat_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
-    appr = Approximant(dec, sigma, "standard", 0, op=op)
+    appr = Approximant(dec, sigma, "standard", 0)
     t = 1.0
     sample = appr.defect(t)
     tau, m = dec.tau_next, dec.m
@@ -161,7 +163,7 @@ def test_quad_formulas_literal(heat_pair):
         tau * t / (rho + 1.0) * abs(sample.delta), rel=1e-12)
 
     # improved variant: norm of the two-term vector combination
-    av = dec.a_v_next(op)
+    av = dec.a_v_next()
     ddot = np.conj(sigma) * sample.delta_prime
     vec = ((sigma * tau * (2 * t / (m + 1)) * sample.delta) * dec.v_next
            - (sigma ** 2 * tau * (t ** 2 / (m * (m + 1))))
@@ -175,21 +177,12 @@ def test_quad_formulas_literal(heat_pair):
     assert not got["hermite_quad"].is_proven_upper_bound
 
 
-def test_quad_skips_improved_without_operator(heat_pair):
-    op, sigma, v = heat_pair
-    dec = build_krylov(op, v, KrylovConfig(m_max=10))
-    appr = Approximant(dec, sigma, "standard", 0)  # no op handle
-    kinds = {e.kind for e in quad_estimates(appr, 1.0)}
-    assert "improved_hermite_quad" not in kinds
-    assert {"hermite_quad", "trapezoid_quad"} <= kinds
-
-
 def test_quad_guard_drops_effective_order_out_of_regime(hubbard_op, hubbard_vec):
     """Once the defect turns oscillatory the sampled rho stops decreasing
     (or leaves [1, inf)); the guarded entry must disappear rather than
     report a bogus value."""
     dec = build_krylov(hubbard_op, hubbard_vec, KrylovConfig(m_max=30))
-    appr = Approximant(dec, -1j, "standard", 0, op=hubbard_op)
+    appr = Approximant(dec, -1j, "standard", 0)
     ok = {e.kind for e in quad_estimates(appr, 1.0)}
     assert "effective_order_quad" in ok
     bad = {e.kind for e in quad_estimates(appr, 2.68)}
@@ -221,8 +214,8 @@ def test_evaluate_dispatch(heat_pair):
     assert evaluate("era", dec, sigma, t).value == era(dec, sigma, t).value
     assert (evaluate("err1", dec, sigma, t).value
             == err1(dec, sigma, t).value)
-    assert (evaluate("era_corrected", dec, sigma, t, op=op).value
-            == era_corrected(dec, op, sigma, t).value)
+    assert (evaluate("era_corrected", dec, sigma, t).value
+            == era_corrected(dec, sigma, t).value)
     appr = Approximant(dec, sigma, "standard", 0)
     quads = {e.kind: e.value for e in quad_estimates(appr, t)}
     assert evaluate("trapezoid_quad", dec, sigma, t).value == quads["trapezoid_quad"]
@@ -238,6 +231,68 @@ def test_evaluate_effective_order_falls_back_to_trapezoid(heat_pair):
     t = 0.05  # below the defect floor: no guarded rho here
     out = evaluate("effective_order_quad", dec, sigma, t)
     assert out.kind == "trapezoid_quad"
+
+
+class CountingOperator(SparseOperator):
+    """SparseOperator that counts the matvecs actually performed."""
+
+    calls = 0
+
+    def matvec(self, x):
+        self.calls += 1
+        return super().matvec(x)
+
+
+def _same_kind_reference(kind, dec, sigma, t, p):
+    """The estimate of `kind` as the per-family entry points report it."""
+    if kind == "era":
+        return era(dec, sigma, t, p)
+    if kind == "era_corrected":
+        return era_corrected(dec, sigma, t, p)
+    if kind in ("err1", "err1_corrected"):
+        return err1(dec, sigma, t, p, corrected=kind == "err1_corrected")
+    quads = {e.kind: e for e in quad_estimates(Approximant(dec, sigma, "standard", p), t)}
+    if kind == "effective_order_quad" and kind not in quads:
+        return quads["trapezoid_quad"]  # evaluate's documented fallback
+    return quads[kind]
+
+
+def _random_dec(seed, hermitian, nonexpansive, n, m):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if hermitian:
+        A = 0.5 * (A + A.conj().T)
+    else:
+        A = A + 3.0 * np.triu(A, 1)  # lopsided: far from normal
+    A = A / np.linalg.norm(A, 2)
+    op = CountingOperator(sp.csr_matrix(A),
+                          symmetry="hermitian" if hermitian else "general",
+                          nonexpansive=nonexpansive)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return op, build_krylov(op, v / np.linalg.norm(v), KrylovConfig(m_max=m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), hermitian=st.booleans(),
+       nonexpansive=st.booleans(), n=st.integers(6, 12), m=st.integers(2, 5),
+       sigma=st.one_of(st.sampled_from([1.0, -1.0, 1j, -1j]),
+                       st.floats(0.0, 2.0 * math.pi).map(lambda a: complex(np.exp(1j * a)))),
+       kind=st.sampled_from(sorted(ESTIMATORS)), t=st.floats(1e-3, 5.0),
+       p=st.integers(0, 1))
+def test_evaluate_matches_family_and_reports_its_cost(seed, hermitian, nonexpansive,
+                                                      n, m, sigma, kind, t, p):
+    """evaluate(kind) returns exactly what era / err1 / quad_estimates
+    report for that kind, and a fresh decomposition spends exactly the
+    reported extra matvecs on it, counted in dec.matvecs_used."""
+    op, dec = _random_dec(seed, hermitian, nonexpansive, n, m)
+    assume(not dec.breakdown)
+    built = op.calls
+    got = evaluate(kind, dec, sigma, t, p)
+    assert op.calls - built == got.extra_matvecs
+    assert dec.matvecs_used == op.calls
+
+    _, fresh = _random_dec(seed, hermitian, nonexpansive, n, m)
+    assert got == _same_kind_reference(kind, fresh, sigma, t, p)
 
 
 def test_expokit_first_step_formula():

@@ -44,8 +44,8 @@ def test_direct_inversion_corrected_round_trip(heat_pair):
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
     tol = 1e-8
     dt = step_size_direct(dec, sigma, tol, model="global_budget",
-                          corrected=True, op=op)
-    assert era_corrected(dec, op, sigma, dt).value == pytest.approx(tol, rel=1e-12)
+                          corrected=True)
+    assert era_corrected(dec, sigma, dt).value == pytest.approx(tol, rel=1e-12)
 
 
 def test_direct_inversion_smaller_m_prefix(heat_pair):
@@ -78,7 +78,7 @@ def test_direct_inversion_validation(heat_pair):
     with pytest.raises(ValueError):
         step_size_direct(dec, sigma, 1e-8, m=9)
     with pytest.raises(ValueError):
-        step_size_direct(dec, sigma, 1e-8, m=3, corrected=True, op=op)
+        step_size_direct(dec, sigma, 1e-8, m=3, corrected=True)
     one = build_krylov(op, v, KrylovConfig(m_max=1))
     with pytest.raises(ValueError):
         step_size_direct(one, sigma, 1e-8, model="per_unit_step")
@@ -119,7 +119,7 @@ def test_iterated_with_era_estimator_converges_immediately(heat_pair):
 def test_iterated_err1_converges_and_respects_budget(hubbard_op, hubbard_vec):
     dec = build_krylov(hubbard_op, hubbard_vec, KrylovConfig(m_max=10))
     tol = 1e-8
-    dt, iters = step_size_iterated(dec, -1j, tol, "err1", op=hubbard_op)
+    dt, iters = step_size_iterated(dec, -1j, tol, "err1")
     assert 1 <= iters <= 5
     assert math.isfinite(dt) and dt > 0
 
