@@ -28,7 +28,7 @@ from .approximant import (Approximant, DefectRoundoffError, effective_order)
 from .estimators import (era, era_corrected, err1, fmt_float, fmt_sigma,
                          quad_estimates, write_sweep_csv)
 from .krylov import KrylovConfig, build_krylov
-from .oracle import oracle_laplacian, oracle_phi, oracle_series
+from .oracle import oracle_reference
 from .problems import ProblemSpec, starting_vector
 from .stepper import (ControllerSpec, propagate, propagate_fixed_steps,
                       write_bench_csv)
@@ -92,14 +92,6 @@ def _t_grid(section):
     return list(np.linspace(start, stop, points))
 
 
-def _reference(spec, op, sigma, t, v, p, accuracy):
-    if p == 0 and spec.kind in ("schrodinger_free", "heat"):
-        return oracle_laplacian(op.n, sigma, t, v)
-    if p == 0:
-        return oracle_series(op, sigma, t, v, accuracy)
-    return oracle_phi(op, sigma, t, v, p, accuracy)
-
-
 def _sweep_cell(spec, m, section, accuracy):
     """All estimator evaluations for one (problem, m) pair."""
     p = int(section.get("p", 0))
@@ -114,7 +106,7 @@ def _sweep_cell(spec, m, section, accuracy):
     long_rows = []
     violation = False
     for t in _t_grid(section):
-        ref = _reference(spec, op, sigma, t, v, p, accuracy)
+        ref = oracle_reference(spec, op, sigma, t, v, p, accuracy)
         err = float(np.linalg.norm(appr.apply(t) - ref))
         if corrected:
             e_era = era_corrected(dec, sigma, t, p)
@@ -262,10 +254,7 @@ def cmd_bench(config, out_dir, seed_override=None):
             _require("t_final" in run, "bench run needs 'n_steps' or 't_final'")
             result = propagate(op, sigma, v, float(run["t_final"]), cfg, ctrl, estimator)
         total_t = result.total_time
-        if spec.kind in ("schrodinger_free", "heat"):
-            ref = oracle_laplacian(op.n, sigma, total_t, v)
-        else:
-            ref = oracle_series(op, sigma, total_t, v, accuracy)
+        ref = oracle_reference(spec, op, sigma, total_t, v, 0, accuracy)
         err = float(np.linalg.norm(result.w_final - ref))
         rows.append({
             "controller": ctrl.kind, "estimator": estimator, "m": m,

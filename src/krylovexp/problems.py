@@ -114,41 +114,33 @@ def build_hubbard(omega, U=5.0):
     Hermitian; the nonexpansive flag is asserted for the unit-modulus
     imaginary prefactors (+/-i) this Hamiltonian is propagated with.
     """
-    states = _hubbard_basis()
-    index = {s: i for i, s in enumerate(states)}
+    states = np.array(_hubbard_basis(), dtype=np.int64)
     nstates = len(states)
+    cols = np.arange(nstates)
     hop = complex(-np.cos(omega) + 1j * np.sin(omega))
     site_pot = np.full(_SITES, -2.0)
     site_pot[0] = site_pot[-1] = -1.75
 
-    rows, cols, vals = [], [], []
-    for a, x in enumerate(states):
-        diag = 0.0
-        for j in range(_SITES):
-            n_up = (x >> j) & 1
-            n_dn = (x >> (_SITES + j)) & 1
-            diag += site_pot[j] * (n_up + n_dn)
-            if n_up and n_dn:
-                diag += U
-        rows.append(a)
-        cols.append(a)
-        vals.append(complex(diag))
-        for base in (0, _SITES):
-            for j in range(_SITES - 1):
-                p = base + j
-                q = p + 1
-                bp = (x >> p) & 1
-                bq = (x >> q) & 1
-                if bp == bq:
-                    continue
-                y = x ^ ((1 << p) | (1 << q))
-                b = index[y]
-                # hop towards lower site carries the amplitude, the
-                # reverse hop its conjugate
-                rows.append(b)
-                cols.append(a)
-                vals.append(hop if bq else np.conj(hop))
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(nstates, nstates)).tocsr()
+    occ = (states[:, None] >> np.arange(2 * _SITES)) & 1
+    n_up, n_dn = occ[:, :_SITES], occ[:, _SITES:]
+    diag = np.zeros(nstates)
+    for j in range(_SITES):
+        diag += site_pot[j] * (n_up[:, j] + n_dn[:, j])
+        diag += np.where(n_up[:, j] & n_dn[:, j], U, 0.0)
+
+    row_parts, col_parts, val_parts = [cols], [cols], [diag.astype(complex)]
+    for base in (0, _SITES):
+        for j in range(_SITES - 1):
+            p = base + j
+            allowed = occ[:, p] != occ[:, p + 1]
+            # the hop towards the lower site carries the amplitude, the
+            # reverse hop its conjugate
+            row_parts.append(np.searchsorted(states, states[allowed] ^ (3 << p)))
+            col_parts.append(cols[allowed])
+            val_parts.append(np.where(occ[allowed, p + 1] == 1, hop, np.conj(hop)))
+    mat = sp.coo_matrix((np.concatenate(val_parts),
+                         (np.concatenate(row_parts), np.concatenate(col_parts))),
+                        shape=(nstates, nstates)).tocsr()
     mat.eliminate_zeros()
     return SparseOperator(mat, symmetry="hermitian", nonexpansive=True)
 

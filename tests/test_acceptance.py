@@ -23,7 +23,7 @@ from krylovexp import (Approximant, ControllerSpec, KrylovConfig, ProblemSpec,
                        starting_vector, step_size_direct, step_size_iterated)
 from krylovexp.approximant import DefectRoundoffError
 from krylovexp.estimators import era, era_corrected, err1
-from krylovexp.oracle import oracle_laplacian, oracle_phi, oracle_series
+from krylovexp.oracle import oracle_laplacian, oracle_reference, oracle_series
 
 BOUND_SLACK = 1e-9     # relative slack on proven bounds
 ORACLE_FLOOR = 1e-13   # absolute slack covering the reference accuracy
@@ -36,14 +36,6 @@ GALLERY = [
     ("convection_diffusion", {"n": 6, "mu1": 0.0, "mu2": 0.0}),
     ("hubbard", {}),
 ]
-
-
-def reference(spec, op, sigma, t, v, p=0):
-    if p == 0 and spec.kind in ("schrodinger_free", "heat"):
-        return oracle_laplacian(op.n, sigma, t, v)
-    if p == 0:
-        return oracle_series(op, sigma, t, v)
-    return oracle_phi(op, sigma, t, v, p)
 
 
 def certified(err, bound):
@@ -74,14 +66,14 @@ def test_upper_bound_certifies_error_across_gallery():
                 # invariant subspace found: the approximant is exact
                 for t in np.geomspace(0.01, 1.0, 10):
                     err = np.linalg.norm(appr.apply(t)
-                                         - reference(spec, op, sigma, t, v))
+                                         - oracle_reference(spec, op, sigma, t, v))
                     assert err <= 1e-12
                 continue
             valid = 0
             peak = 0.0
             for t in inverted_grid(dec, sigma):
                 err = float(np.linalg.norm(appr.apply(t)
-                                           - reference(spec, op, sigma, t, v)))
+                                           - oracle_reference(spec, op, sigma, t, v)))
                 peak = max(peak, err)
                 if err >= VALID_ERR:
                     valid += 1
@@ -110,7 +102,7 @@ def tightness_panel(kind, m=10, p=0, corrected=False):
     pts = []
     for t in np.geomspace(lo, hi, 20):
         err = float(np.linalg.norm(appr.apply(t)
-                                   - reference(spec, op, sigma, t, v, p)))
+                                   - oracle_reference(spec, op, sigma, t, v, p)))
         est = (era_corrected(dec, sigma, t, p) if corrected
                else era(dec, sigma, t, p)).value
         pts.append((t, err, est))

@@ -160,12 +160,12 @@ def test_seed_override_changes_starting_vector(tmp_path):
 
 def test_sweep_detects_bound_violation(tmp_path, monkeypatch):
     """A broken reference makes the proven-bound check fire: exit 1."""
-    import krylovexp.cli as cli
+    import krylovexp.oracle as oracle
 
     def wrong_reference(n, sigma, t, v):
         return v * 1e6
 
-    monkeypatch.setattr(cli, "oracle_laplacian", wrong_reference)
+    monkeypatch.setattr(oracle, "oracle_laplacian", wrong_reference)
     cfg = write_config(tmp_path, SWEEP_CFG)
     out = tmp_path / "viol"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
@@ -189,8 +189,8 @@ def test_bench_outputs(tmp_path):
 
 
 def test_bench_detects_bound_violation(tmp_path, monkeypatch):
-    import krylovexp.cli as cli
-    monkeypatch.setattr(cli, "oracle_laplacian",
+    import krylovexp.oracle as oracle
+    monkeypatch.setattr(oracle, "oracle_laplacian",
                         lambda n, sigma, t, v: v * 1e6)
     cfg = write_config(tmp_path, BENCH_CFG)
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "v")]) == 1

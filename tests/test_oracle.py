@@ -10,8 +10,9 @@ import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 
-from krylovexp import (SparseOperator, oracle_laplacian, oracle_phi,
-                       oracle_series)
+from krylovexp import (SparseOperator, build_convection_diffusion,
+                       oracle_convection_diffusion, oracle_laplacian,
+                       oracle_phi, oracle_series)
 
 from conftest import random_unit
 
@@ -204,3 +205,71 @@ def test_phi_rejects_bad_arguments():
         oracle_phi(op, 1.0, 1.0, v, 1, method="simpson")
     with pytest.raises(ValueError):
         oracle_phi(op, 1.0, 1.0, v, 1, target_accuracy=0.0)
+
+
+CD_SIGMAS = (1.0, -1j, np.exp(0.3j))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("mu", [(0.9, 1.1), (0.0, 0.0), (0.5, 0.0)])
+def test_convection_diffusion_kronecker_matches_series(n, mu):
+    """The Kronecker-product route against the substepped Taylor series
+    on the assembled sparse operator.  With mu != 0, sigma = -i makes the
+    propagation expansive (||u|| reaches 7.7e5 at n = 4, t = 0.5), and
+    round-off then scales with ||u||, so the tolerance is relative to the
+    larger of ||v|| and ||u||."""
+    op, _ = build_convection_diffusion(n, *mu)
+    v = random_unit(n ** 3, seed=16)
+    for sigma in CD_SIGMAS:
+        for t in (1e-3, 0.05, 0.5):
+            got = oracle_convection_diffusion(n, *mu, sigma, t, v)
+            expected = oracle_series(op, sigma, t, v, 1e-14)
+            scale = max(np.linalg.norm(v), np.linalg.norm(expected))
+            assert np.linalg.norm(got - expected) <= 1e-13 * scale
+
+
+def test_convection_diffusion_kronecker_matches_dense_expm():
+    """Against scipy's expm of the whole assembled 64 x 64 matrix, which
+    also pins the index order i n^2 + j n + k with B on axis i."""
+    n, mu1, mu2 = 4, 0.9, 1.1
+    op, _ = build_convection_diffusion(n, mu1, mu2)
+    A = op.csr.toarray()
+    v = random_unit(n ** 3, seed=17)
+    for sigma in CD_SIGMAS:
+        for t in (0.01, 0.2):
+            expected = scipy.linalg.expm(sigma * t * A) @ v
+            got = oracle_convection_diffusion(n, mu1, mu2, sigma, t, v)
+            scale = max(1.0, np.linalg.norm(expected))
+            assert np.linalg.norm(got - expected) < 1e-13 * scale
+
+
+def test_convection_diffusion_kronecker_t_zero_and_bad_arguments():
+    v = random_unit(27, seed=18)
+    out = oracle_convection_diffusion(3, 0.9, 1.1, 1.0, 0.0, v)
+    assert np.array_equal(out, v)
+    assert out is not v
+    with pytest.raises(ValueError):
+        oracle_convection_diffusion(3, 0.9, 1.1, 1.0, 0.1, v[:26])
+    with pytest.raises(ValueError):
+        oracle_convection_diffusion(3, 0.9, 1.1, 1.0, -0.1, v)
+
+
+def test_reference_dispatch_picks_the_route_by_problem_kind():
+    from krylovexp import ProblemSpec, oracle_reference
+    heat = ProblemSpec("heat", {"n": 9})
+    op, sigma = heat.build()
+    v = random_unit(9, seed=19)
+    assert np.array_equal(oracle_reference(heat, op, sigma, 0.4, v),
+                          oracle_laplacian(9, sigma, 0.4, v))
+    cd = ProblemSpec("convection_diffusion", {"n": 3})
+    op, sigma = cd.build()
+    v = random_unit(27, seed=20)
+    assert np.array_equal(oracle_reference(cd, op, sigma, 0.02, v),
+                          oracle_convection_diffusion(3, 0.9, 1.1, sigma, 0.02, v))
+    assert np.array_equal(oracle_reference(cd, op, sigma, 0.02, v, p=1),
+                          oracle_phi(op, sigma, 0.02, v, 1))
+    hub = ProblemSpec("hubbard")
+    small = SparseOperator(sp.identity(4, format="csr") * 0.5)
+    w = random_unit(4, seed=21)
+    assert np.array_equal(oracle_reference(hub, small, -1j, 0.3, w),
+                          oracle_series(small, -1j, 0.3, w))

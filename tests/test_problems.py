@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import krylovexp as kx
 from krylovexp import ProblemSpec, build_convection_diffusion, starting_vector
@@ -83,20 +84,23 @@ def test_hubbard_dimensions(hubbard_op):
 
 
 def test_hubbard_columns_match_independent_reconstruction(hubbard_op):
+    """Every one of the 4900 columns, rebuilt from occupation lists."""
     from krylovexp.problems import _hubbard_basis
     states = _hubbard_basis()
     assert states == sorted(states)
     index = {s: i for i, s in enumerate(states)}
-    rng = np.random.default_rng(90)
-    H = hubbard_op.csr
-    for a in rng.choice(len(states), size=25, replace=False):
-        x = states[a]
-        expected = hubbard_column_by_occupation_lists(x, 0.123, 5.0)
-        colvec = H[:, int(a)].toarray().ravel()
-        got = {states[b]: colvec[b] for b in np.nonzero(colvec)[0]}
-        assert set(got) == set(expected)
-        for y, val in expected.items():
-            assert abs(got[y] - val) < 1e-14
+    rows, cols, vals = [], [], []
+    for a, x in enumerate(states):
+        for y, val in hubbard_column_by_occupation_lists(x, 0.123, 5.0).items():
+            rows.append(index[y])
+            cols.append(a)
+            vals.append(val)
+    expected = sp.csr_matrix((vals, (rows, cols)), shape=(len(states),) * 2)
+    expected.sort_indices()
+    H = hubbard_op.csr.sorted_indices()
+    assert np.array_equal(H.indptr, expected.indptr)
+    assert np.array_equal(H.indices, expected.indices)
+    assert np.max(np.abs(H.data - expected.data)) < 1e-14
 
 
 def test_hubbard_explicit_state():
