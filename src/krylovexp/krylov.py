@@ -7,9 +7,18 @@ product gamma (also in log form, which is what the estimators actually
 consume), breakdown state, the cached A v_next, and the per-sigma
 evaluator of e^{sigma t T} e_1 and its phi relatives.
 
-Builds are strictly incremental: extending an existing decomposition by
-k steps performs exactly the same floating-point operations as building
-to m+k from scratch, so the two results are bitwise identical.
+One build allocates one store of two arrays, sized for m_max: a row-major
+basis of shape (m_max+1, n) and a Hessenberg matrix of shape
+(m_max+1, m_max), complex for Arnoldi and real for Lanczos, which writes
+alpha on the diagonal and beta on both off-diagonals.  A decomposition of
+dimension m exposes read-only views of it: V = basis[:m].T,
+T = hess[:m, :m] and v_next = basis[m].
+
+Builds are strictly incremental.  extend_krylov fills the same store past
+dec.m and copies nothing; every entry it writes lies outside what dec
+exposes and is a deterministic function of the entries before it, so dec
+never changes, two extensions of one decomposition agree, and the result
+is bitwise identical to a build of dimension m+k from scratch.
 """
 
 from dataclasses import dataclass
@@ -19,6 +28,9 @@ import numpy as np
 from .dense import expm_dense, phi_dense, phi_scalar, symtrid_eig
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# Gram-Schmidt sweeps over the whole basis after Lanczos' three-term step
+_LANCZOS_SWEEPS = {"none": 0, "full": 1, "twice": 2}
 
 
 @dataclass(frozen=True)
@@ -31,14 +43,13 @@ class KrylovConfig:
         m_max > 20, else "full").  For Arnoldi, "none" and "full" both
         mean the single modified Gram-Schmidt sweep; "twice" repeats it.
         For Lanczos, "none" is the bare three-term recurrence.
-    breakdown_tol: absolute threshold on tau; None means the running
-        default n * eps * max_j ||A v_j||_2.
+
+    The build stops with a breakdown once tau <= n * eps * max_j ||A v_j||_2.
     """
 
     m_max: int
     mode: str = "auto"
     reorthogonalize: str = "auto"
-    breakdown_tol: float | None = None
 
     def __post_init__(self):
         if self.m_max < 1:
@@ -49,8 +60,14 @@ class KrylovConfig:
             raise ValueError(f"unknown reorthogonalize policy: {self.reorthogonalize!r}")
 
 
+def _read_only(view):
+    view.flags.writeable = False
+    return view
+
+
 class KrylovDecomposition:
-    """Result of build_krylov / extend_krylov.  Treat as immutable.
+    """Result of build_krylov / extend_krylov.  V, T, v_next and subdiag
+    are read-only views of the build's store.
 
     Attributes
     ----------
@@ -65,76 +82,51 @@ class KrylovDecomposition:
         exact for every t
     """
 
-    def __init__(self, op, mode, reorth, m_max, state, breakdown_tol=None):
+    def __init__(self, op, mode, reorth, basis, hess, m, tau_next, amax):
         self.op = op
         self.mode = mode
         self.reorth = reorth
-        self.m_max = m_max
-        self._bk_tol = breakdown_tol
-        self._state = state
-        self.breakdown = state["breakdown"]
-        self.m = state["m"]
-        self.tau_next = state["tau_next"]
-        self.v_next = state["vs"][self.m] if not self.breakdown else None
+        self.m_max = hess.shape[1]
+        self.m = m
+        self.tau_next = tau_next
+        # a build that goes on has tau > n * eps * amax >= 0
+        self.breakdown = tau_next == 0.0
+        self._basis = basis
+        self._hess = hess
+        self._amax = amax
+        self._V = _read_only(basis[:m].T)
+        self._T = _read_only(hess[:m, :m])
+        self.v_next = None if self.breakdown else _read_only(basis[m])
         subdiag = self.subdiag
         self.gamma = float(np.prod(subdiag)) if subdiag.size else 1.0
         self.log_gamma = float(np.sum(np.log(subdiag))) if subdiag.size else 0.0
-        self._V = None
-        self._T = None
         self._a_v_next = None
         self._small = {}
 
     @property
-    def n(self):
-        return self._state["vs"][0].shape[0]
-
-    @property
     def subdiag(self):
         """The m-1 subdiagonal entries of T (all real positive)."""
-        if self.mode == "lanczos":
-            return np.asarray(self._state["beta"][: self.m - 1], dtype=float)
-        return np.asarray([self._state["hcols"][j][j + 1].real for j in range(self.m - 1)],
-                          dtype=float)
+        return np.diagonal(self._T, -1).real
 
     @property
     def V(self):
-        if self._V is None:
-            self._V = np.column_stack(self._state["vs"][: self.m])
         return self._V
 
     @property
     def T(self):
-        if self._T is None:
-            m = self.m
-            if self.mode == "lanczos":
-                T = np.zeros((m, m))
-                alpha = self._state["alpha"]
-                beta = self._state["beta"]
-                for j in range(m):
-                    T[j, j] = alpha[j]
-                for j in range(m - 1):
-                    T[j + 1, j] = beta[j]
-                    T[j, j + 1] = beta[j]
-            else:
-                T = np.zeros((m, m), dtype=complex)
-                for j in range(m):
-                    col = self._state["hcols"][j]
-                    T[: min(j + 2, m), j] = col[: min(j + 2, m)]
-            self._T = T
         return self._T
 
     def tridiag(self):
         """(alpha, beta) of the real symmetric tridiagonal T (Lanczos mode only)."""
         if self.mode != "lanczos":
             raise ValueError("tridiag() is only available in lanczos mode")
-        return (np.asarray(self._state["alpha"][: self.m], dtype=float),
-                np.asarray(self._state["beta"][: self.m - 1], dtype=float))
+        return np.diagonal(self._T), self.subdiag
 
     @property
     def matvecs_used(self):
-        """Matvecs spent on this decomposition: the build's, plus one once
-        a_v_next has been computed."""
-        return self._state["matvecs"] + (self._a_v_next is not None)
+        """Matvecs spent on this decomposition: one per column, plus one
+        once a_v_next has been computed."""
+        return self.m + (self._a_v_next is not None)
 
     def a_v_next(self):
         """A applied to v_next, computed once and cached (one extra matvec)."""
@@ -150,24 +142,6 @@ class KrylovDecomposition:
         if sigma not in self._small:
             self._small[sigma] = _SmallEval(self, sigma)
         return self._small[sigma]
-
-    def dump_csv(self, path):
-        """Write T, tau_next, gamma and build diagnostics to a CSV file."""
-        lines = ["field,i,j,value"]
-        T = self.T
-        for i in range(self.m):
-            for j in range(self.m):
-                if T[i, j] != 0:
-                    lines.append(f"T,{i},{j},{_fmt(T[i, j])}")
-        lines.append(f"tau_next,,,{_fmt(self.tau_next)}")
-        lines.append(f"gamma,,,{_fmt(self.gamma)}")
-        lines.append(f"log_gamma,,,{_fmt(self.log_gamma)}")
-        lines.append(f"m,,,{self.m}")
-        lines.append(f"breakdown,,,{int(self.breakdown)}")
-        lines.append(f"matvecs,,,{self.matvecs_used}")
-        lines.append(f"mode,,,{self.mode}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 class _SmallEval:
@@ -222,15 +196,6 @@ class _SmallEval:
         return phi_dense(self.dec.T, self.sigma * t, p)
 
 
-def _fmt(x):
-    if isinstance(x, complex) or np.iscomplexobj(np.asarray(x)):
-        xc = complex(x)
-        if xc.imag == 0.0:
-            return repr(xc.real)
-        return f"{xc.real!r}{xc.imag:+}j"
-    return repr(float(x))
-
-
 def _resolve(op, cfg):
     mode = cfg.mode
     if mode == "auto":
@@ -243,59 +208,41 @@ def _resolve(op, cfg):
     return mode, reorth
 
 
-def _step(state, op, mode, reorth, breakdown_tol):
-    """Advance the build by one column.  Returns False on breakdown."""
-    vs = state["vs"]
-    j = state["m"]
-    w = op.matvec(vs[j])
-    state["matvecs"] += 1
-    state["amax"] = max(state["amax"], float(np.linalg.norm(w)))
+def _grow(op, mode, reorth, basis, hess, m, amax, steps):
+    """Fill columns m .. m+steps-1 of the store by modified Gram-Schmidt
+    and return the decomposition they reach (earlier at a breakdown).
 
-    if mode == "lanczos":
-        if reorth == "none":
+    Every entry written lies past what a decomposition of dimension m
+    exposes (basis rows > m, hess columns >= m), and its value depends only
+    on the entries before it, so growing one decomposition twice writes the
+    same values twice.
+    """
+    n = basis.shape[1]
+    lanczos = mode == "lanczos"
+    sweeps = _LANCZOS_SWEEPS[reorth] if lanczos else 1 + (reorth == "twice")
+    for j in range(m, m + steps):
+        w = op.matvec(basis[j])
+        amax = max(amax, float(np.linalg.norm(w)))
+        if lanczos:
             if j > 0:
-                w = w - state["beta"][j - 1] * vs[j - 1]
-            a = float(np.vdot(vs[j], w).real)
-            w = w - a * vs[j]
-        else:
-            if j > 0:
-                w = w - state["beta"][j - 1] * vs[j - 1]
-            a = float(np.vdot(vs[j], w).real)
-            w = w - a * vs[j]
-            sweeps = 2 if reorth == "twice" else 1
-            for _ in range(sweeps):
-                for i in range(j + 1):
-                    w = w - np.vdot(vs[i], w) * vs[i]
-        state["alpha"].append(a)
-    else:
-        h = np.zeros(j + 2, dtype=complex)
-        for i in range(j + 1):
-            c = np.vdot(vs[i], w)
-            h[i] = c
-            w = w - c * vs[i]
-        if reorth == "twice":
+                w = w - hess[j, j - 1] * basis[j - 1]
+            a = float(np.vdot(basis[j], w).real)
+            w = w - a * basis[j]
+            hess[j, j] = a
+        for sweep in range(sweeps):
             for i in range(j + 1):
-                c = np.vdot(vs[i], w)
-                h[i] += c
-                w = w - c * vs[i]
-        state["hcols"].append(h)
-
-    tau = float(np.linalg.norm(w))
-    tol = breakdown_tol if breakdown_tol is not None else len(w) * _EPS * state["amax"]
-    state["m"] = j + 1
-    if tau <= tol:
-        state["breakdown"] = True
-        state["tau_next"] = 0.0
-        if mode == "lanczos":
-            state["beta"].append(0.0)
-        return False
-    if mode == "lanczos":
-        state["beta"].append(tau)
-    else:
-        state["hcols"][j][j + 1] = tau
-    state["tau_next"] = tau
-    vs.append(w / tau)
-    return True
+                c = np.vdot(basis[i], w)
+                if not lanczos:
+                    hess[i, j] = c if sweep == 0 else hess[i, j] + c
+                w = w - c * basis[i]
+        tau = float(np.linalg.norm(w))
+        if tau <= n * _EPS * amax:
+            return KrylovDecomposition(op, mode, reorth, basis, hess, j + 1, 0.0, amax)
+        hess[j + 1, j] = tau
+        if lanczos and j + 1 < hess.shape[1]:
+            hess[j, j + 1] = tau
+        basis[j + 1] = w / tau
+    return KrylovDecomposition(op, mode, reorth, basis, hess, m + steps, tau, amax)
 
 
 def build_krylov(op, v, cfg, steps=None):
@@ -315,24 +262,17 @@ def build_krylov(op, v, cfg, steps=None):
     if not 1 <= steps <= cfg.m_max:
         raise ValueError("steps must lie in [1, m_max]")
     mode, reorth = _resolve(op, cfg)
-    state = {
-        "vs": [v.copy()],
-        "alpha": [], "beta": [], "hcols": [],
-        "amax": 0.0, "matvecs": 0, "m": 0,
-        "breakdown": False, "tau_next": 0.0,
-    }
-    for _ in range(steps):
-        if not _step(state, op, mode, reorth, cfg.breakdown_tol):
-            break
-    return KrylovDecomposition(op, mode, reorth, cfg.m_max, state,
-                               breakdown_tol=cfg.breakdown_tol)
+    basis = np.zeros((cfg.m_max + 1, op.n), dtype=complex)
+    basis[0] = v
+    hess = np.zeros((cfg.m_max + 1, cfg.m_max), dtype=float if mode == "lanczos" else complex)
+    return _grow(op, mode, reorth, basis, hess, 0, 0.0, steps)
 
 
 def extend_krylov(dec, steps):
     """Grow an existing decomposition by `steps` further columns.
 
     The result is bitwise identical to a fresh build of dimension
-    dec.m + steps with the same configuration.
+    dec.m + steps with the same configuration; dec itself is unchanged.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -342,16 +282,4 @@ def extend_krylov(dec, steps):
         raise ValueError("cannot extend past a breakdown (the approximation is already exact)")
     if dec.m + steps > dec.m_max:
         raise ValueError(f"extension to m={dec.m + steps} exceeds m_max={dec.m_max}")
-    old = dec._state
-    state = {
-        "vs": list(old["vs"]),
-        "alpha": list(old["alpha"]), "beta": list(old["beta"]),
-        "hcols": list(old["hcols"]),
-        "amax": old["amax"], "matvecs": old["matvecs"], "m": old["m"],
-        "breakdown": False, "tau_next": old["tau_next"],
-    }
-    for _ in range(steps):
-        if not _step(state, dec.op, dec.mode, dec.reorth, dec._bk_tol):
-            break
-    return KrylovDecomposition(dec.op, dec.mode, dec.reorth, dec.m_max, state,
-                               breakdown_tol=dec._bk_tol)
+    return _grow(dec.op, dec.mode, dec.reorth, dec._basis, dec._hess, dec.m, dec._amax, steps)

@@ -154,6 +154,21 @@ def test_effective_order_roundoff_floor(heat_pair):
         effective_order(appr, 1e-4)
 
 
+@pytest.mark.parametrize("t", [1.0, 4.8, 7.0, 10.0])
+def test_effective_order_floor_is_anchored_to_the_start_vector(t):
+    """On convection-diffusion u(t) = e^{tT} e_1 decays by orders of
+    magnitude, so a floor relative to ||u(t)|| shrinks with it and lets
+    round-off through as a negative or NaN rho.  The floor is relative to
+    ||u(0)|| = 1."""
+    spec = kx.ProblemSpec("convection_diffusion")
+    op, sigma = spec.build()
+    dec = build_krylov(op, kx.starting_vector(spec), KrylovConfig(m_max=10))
+    appr = Approximant(dec, sigma, "standard", 0)
+    assert sigma == 1.0 and not appr.has_analytic_order
+    with pytest.raises(DefectRoundoffError):
+        effective_order(appr, t)
+
+
 def test_effective_order_fd_fallback_agrees_with_analytic():
     """The same hermitian operator run through Arnoldi loses the
     analytic-derivative route; the finite-difference fallback must land

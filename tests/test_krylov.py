@@ -4,6 +4,8 @@ breakdown handling, and the incremental-build contract."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import krylovexp as kx
 from krylovexp import KrylovConfig, SparseOperator, build_krylov, extend_krylov
@@ -214,15 +216,44 @@ def test_extend_after_breakdown_rejected():
         dec.a_v_next()
 
 
-def test_dump_csv_is_deterministic(tmp_path):
-    op = random_hermitian_op(18, 54)
-    v = random_unit(18, seed=55)
-    dec = build_krylov(op, v, KrylovConfig(m_max=5))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    dec.dump_csv(p1)
-    dec.dump_csv(p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    text = p1.read_text()
-    assert text.splitlines()[0] == "field,i,j,value"
-    for key in ("tau_next", "gamma", "m,", "breakdown", "matvecs", "mode"):
-        assert key in text
+@pytest.mark.parametrize("make_op", [random_hermitian_op, random_general_op])
+def test_exposed_arrays_are_read_only(make_op):
+    """V, T, v_next and the subdiagonal are views of the build's store,
+    which extensions keep filling; writing through them must fail."""
+    dec = build_krylov(make_op(10, 56), random_unit(10, seed=57), KrylovConfig(m_max=4))
+    for view in (dec.V, dec.T, dec.v_next, dec.subdiag):
+        with pytest.raises(ValueError):
+            view[0] = 0.0
+
+
+def _exposed(dec):
+    """Everything a decomposition exposes, with arrays as raw bytes."""
+    arrays = (dec.V, dec.T, dec.subdiag) + (() if dec.breakdown else (dec.v_next,))
+    return ([a.tobytes() for a in arrays], dec.m, dec.breakdown, dec.tau_next,
+            dec.gamma, dec.log_gamma, dec.matvecs_used)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), hermitian=st.booleans(),
+       reorth=st.sampled_from(["none", "full", "twice"]), m_max=st.integers(2, 10),
+       data=st.data())
+def test_extensions_share_the_store_bitwise(seed, hermitian, reorth, m_max, data):
+    """A partial build grown by extensions at random split points equals a
+    fresh build bit for bit, and growing a decomposition changes neither it
+    nor an earlier extension of it."""
+    n = 14
+    op = (random_hermitian_op if hermitian else random_general_op)(n, seed)
+    v = random_unit(n, seed=seed)
+    cfg = KrylovConfig(m_max=m_max, reorthogonalize=reorth)
+    parent = build_krylov(op, v, cfg, steps=data.draw(st.integers(1, m_max - 1)))
+    before = _exposed(parent)
+    dec, child = parent, None
+    while dec.m < m_max:
+        dec = extend_krylov(dec, data.draw(st.integers(1, m_max - dec.m)))
+        child = child or dec
+    assert _exposed(dec) == _exposed(build_krylov(op, v, cfg))
+    child_before = _exposed(child)
+    sibling = extend_krylov(parent, data.draw(st.integers(1, m_max - parent.m)))
+    assert _exposed(sibling) == _exposed(build_krylov(op, v, cfg, steps=sibling.m))
+    assert _exposed(parent) == before
+    assert _exposed(child) == child_before
