@@ -9,7 +9,7 @@ Hamiltonian (interacting fermion chain).
 
 import numpy as np
 
-from krylovexp import ProblemSpec, log_norm_estimate, starting_vector
+from krylovexp import ProblemSpec, starting_vector
 from krylovexp.estimators import fmt_sigma
 
 SPECS = [
@@ -21,16 +21,18 @@ SPECS = [
 ]
 
 print(f"{'kind':>22s} {'n':>6s} {'nnz':>7s} {'symmetry':>10s} "
-      f"{'sigma':>6s} {'log-norm':>10s}")
+      f"{'sigma':>6s} {'log-norm <=':>11s}")
 for spec in SPECS:
     op, sigma = spec.build()
-    mu = log_norm_estimate(op, sigma)
+    mu = op.log_norm_bound(sigma)
     print(f"{spec.kind:>22s} {op.n:>6d} {op.nnz:>7d} {op.symmetry:>10s} "
-          f"{fmt_sigma(sigma):>6s} {mu:>10.3e}")
+          f"{fmt_sigma(sigma):>6s} {mu:>11.3e}")
 
 print()
-print("log-norm <= 0 certifies that exp(sigma t A) never grows a vector;")
-print("every bundled problem satisfies it, so the proven bounds apply.")
+print("log_norm_bound(sigma) is a Gershgorin upper bound on the logarithmic")
+print("norm of sigma*A; a value <= 0 certifies that exp(sigma t A) never grows")
+print("a vector.  Every bundled problem satisfies it at its own sigma, so the")
+print("proven bounds apply.")
 
 v = starting_vector(SPECS[-1])
 print(f"\nstarting vectors are unit norm: ||v|| = {np.linalg.norm(v):.15f}")

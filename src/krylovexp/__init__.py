@@ -12,7 +12,7 @@ from .oracle import (oracle_convection_diffusion, oracle_laplacian, oracle_phi,
                      oracle_reference, oracle_series)
 from .problems import (ProblemSpec, build_convection_diffusion, build_heat,
                        build_hubbard, build_schrodinger, starting_vector)
-from .sparse import SparseOperator, log_norm_estimate, validate_prefactor
+from .sparse import SparseOperator, validate_prefactor
 from .stepper import (ControllerSpec, PropagationResult, StepRecord,
                       early_stop_dimension, propagate, propagate_fixed_steps,
                       step_size_direct, step_size_heuristic,
@@ -27,7 +27,7 @@ __all__ = [
     "build_convection_diffusion", "build_heat", "build_hubbard",
     "build_krylov", "build_schrodinger", "early_stop_dimension",
     "effective_order", "era", "era_corrected", "err1", "expm_dense",
-    "expokit_first_step", "extend_krylov", "log_norm_estimate",
+    "expokit_first_step", "extend_krylov",
     "oracle_convection_diffusion", "oracle_laplacian", "oracle_phi",
     "oracle_reference", "oracle_series", "phi_dense",
     "phi_scalar", "propagate", "propagate_fixed_steps", "quad_estimates",

@@ -85,20 +85,19 @@ class Approximant:
         delta_prime = self.sigma * (T[m - 1, m - 1] * u[m - 1] + T[m - 1, m - 2] * u[m - 2])
         return DefectSample(t=float(t), delta=delta, delta_prime=complex(delta_prime))
 
-    @property
-    def has_analytic_order(self):
-        """True when rho(t) comes from the exact derivative formula.
 
-        That path covers the hermitian (sigma = +-1) and skew-hermitian
-        (sigma = +-i) Lanczos cases; anything else falls back to a
-        centered log-log finite difference.
-        """
-        s = self.sigma
-        near = any(abs(s - ref) <= 1e-12 for ref in (1.0, -1.0, 1j, -1j))
-        return self.dec.mode == "lanczos" and near
+def effective_order(appr, t):
+    """Local log-log slope rho(t) = t |delta|'(t) / |delta(t)|
+    = t Re(conj(delta) delta') / |delta|^2.
 
-
-def _check_floor(sample):
+    delta' from defect() is exact for any upper Hessenberg T, so this holds
+    for Lanczos and Arnoldi and every sigma.  Tends to m-1 as t -> 0+ and
+    decreases from there.  Raises DefectRoundoffError when |delta| is too
+    close to the round-off floor to differentiate meaningfully.
+    """
+    if t <= 0:
+        raise ValueError("effective_order needs t > 0")
+    sample = appr.defect(t)
     # |delta(t)| is an entry of u(t) = e^{sigma t T} e_1, and the round-off in
     # u is relative to ||u(0)|| = ||e_1|| = 1, not to ||u(t)||, which
     # underflows on dissipative problems.
@@ -106,26 +105,5 @@ def _check_floor(sample):
         raise DefectRoundoffError(
             f"|delta({sample.t})| = {abs(sample.delta):.3e} is below the round-off floor "
             f"{_ROUNDOFF_FLOOR:.3e}")
-
-
-def effective_order(appr, t):
-    """Local log-log slope rho(t) = t |delta|'(t) / |delta(t)|.
-
-    Tends to m-1 as t -> 0+ and decreases from there.  Raises
-    DefectRoundoffError when |delta| is too close to the round-off floor
-    to differentiate meaningfully.
-    """
-    if t <= 0:
-        raise ValueError("effective_order needs t > 0")
-    sample = appr.defect(t)
-    _check_floor(sample)
-    if appr.has_analytic_order:
-        return float(t * np.real(np.conj(sample.delta) * sample.delta_prime)
-                     / abs(sample.delta) ** 2)
-    # general fallback: centered difference of log|delta| against log t
-    h = 5e-3
-    lo = appr.defect(t * np.exp(-h))
-    hi = appr.defect(t * np.exp(h))
-    _check_floor(lo)
-    _check_floor(hi)
-    return float((np.log(abs(hi.delta)) - np.log(abs(lo.delta))) / (2 * h))
+    return float(t * np.real(np.conj(sample.delta) * sample.delta_prime)
+                 / abs(sample.delta) ** 2)

@@ -288,7 +288,7 @@ def cmd_build(config, out_dir, seed_override=None):
             "n": op.n,
             "nnz": op.nnz,
             "symmetry": op.symmetry,
-            "nonexpansive": op.nonexpansive,
+            "nonexpansive": op.log_norm_bound(sigma) <= 0.0,
             "norm_1": op.norm_1,
             "norm_inf": op.norm_inf,
         }

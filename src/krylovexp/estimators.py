@@ -16,10 +16,12 @@ couple hundred cannot overflow or underflow):
 ESTIMATORS holds one row per kind: the function computing the value, the
 extra matvecs it costs a fresh decomposition (the cached A v_next), and
 the rule deciding is_proven_upper_bound.  That flag is set exactly when
-the mathematics guarantees the value dominates the true error: always
-for the era family under the nonexpansiveness flag, and for err1 /
-trapezoid_quad additionally only in the hermitian nonexpansive case with
-real sigma.
+the mathematics guarantees the value dominates the true error: for the
+era family when sigma*A is nonexpansive, which SparseOperator.log_norm_bound
+certifies (a Gershgorin bound <= 0 on the logarithmic norm of sigma*A),
+and for err1 additionally only when the operator is hermitian and sigma
+is real.  The quadratures are estimates: trapezoid_quad falls below the
+error where |delta| is not convex on [0, t], as on heat at m = 2.
 """
 
 import math
@@ -41,15 +43,16 @@ class ErrorEstimate:
 
 def _proven(rule, dec, sigma):
     """is_proven_upper_bound under a row's rule: "nonexpansive" needs the
-    operator's nonexpansive flag, "hermitian_real_sigma" additionally a
-    hermitian operator and real sigma, and None is never proven."""
-    if rule is None or not dec.op.nonexpansive:
+    operator's log-norm bound for sigma to be <= 0, "hermitian_real_sigma"
+    additionally (and checked first) a hermitian operator and real sigma,
+    and None is never proven."""
+    if rule is None:
         return False
-    if rule == "nonexpansive":
-        return True
-    return (dec.op.symmetry == "hermitian"
-            and abs(sigma.imag) <= 1e-12
-            and abs(abs(sigma.real) - 1.0) <= 1e-12)
+    op = dec.op
+    if rule == "hermitian_real_sigma" and not (
+            op.symmetry == "hermitian" and abs(sigma.imag) <= 1e-12):
+        return False
+    return op.log_norm_bound(sigma) <= 0.0
 
 
 def _era(dec, sigma, t, p, order_shift=0, scale_log=None):
@@ -154,7 +157,7 @@ ESTIMATORS = {
     "err1_corrected": (_err1_corrected, 1, None),
     "hermite_quad": (_hermite, 0, None),
     "improved_hermite_quad": (_improved_hermite, 1, None),
-    "trapezoid_quad": (_trapezoid, 0, "hermitian_real_sigma"),
+    "trapezoid_quad": (_trapezoid, 0, None),
     "effective_order_quad": (_effective_order_quad, 0, None),
 }
 

@@ -17,10 +17,11 @@ picks the route for a problem.  The series routes only need matvec /
 norm_1 / norm_inf / n, so any SparseOperator (or compatible object) works.
 
 The series accuracy statements assume ||e^{s sigma A}|| <= 1 over each
-substep.  That holds for each shipped problem at its canonical sigma, not
-for every sigma: heat at sigma = +1 and Hubbard at sigma = +/-1 are
-expansive.  The per-substep tolerances cannot drop below the
-floating-point floor of roughly s * eps.
+substep, which SparseOperator.log_norm_bound(sigma) <= 0 certifies.  That
+holds for each shipped problem at its canonical sigma, not for every
+sigma: heat at sigma = +1 and Hubbard at sigma = +/-1 are expansive.  The
+per-substep tolerances cannot drop below the floating-point floor of
+roughly s * eps.
 """
 
 import math

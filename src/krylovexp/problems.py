@@ -11,7 +11,9 @@ prefactor where one is canonical):
 The Laplacian scaling puts spec(H) inside (0, 1), so -iH generates a
 unitary group and -H a contraction semigroup; the convection-diffusion
 operator has negative-definite Hermitian part for any mu, so sigma = +1
-is nonexpansive as well.
+is nonexpansive as well.  None of this is asserted by the builders:
+SparseOperator.log_norm_bound(sigma) certifies it per (operator, sigma)
+pair, and returns exactly 0.0 for each problem at its canonical sigma.
 """
 
 from dataclasses import dataclass, field
@@ -75,17 +77,13 @@ def build_schrodinger(n):
     Eigenvalues are sin^2(k pi / (2(n+1))), all inside (0, 1), so the
     2-norm approaches 1 from below as n grows.
     """
-    op = SparseOperator(_quarter_laplacian(n), symmetry="hermitian",
-                        nonexpansive=True)
-    return op, -1j
+    return SparseOperator(_quarter_laplacian(n), symmetry="hermitian"), -1j
 
 
 def build_heat(n):
     """The same quarter-scaled Laplacian driven as a contraction: sigma = -1
     against a positive-definite matrix."""
-    op = SparseOperator(_quarter_laplacian(n), symmetry="hermitian",
-                        nonexpansive=True)
-    return op, -1.0
+    return SparseOperator(_quarter_laplacian(n), symmetry="hermitian"), -1.0
 
 
 _SITES = 8
@@ -111,8 +109,9 @@ def build_hubbard(omega, U=5.0):
     over the 16 bit positions; with spin-major bit layout every allowed
     hop swaps adjacent bits, so all string factors are +1.
 
-    Hermitian; the nonexpansive flag is asserted for the unit-modulus
-    imaginary prefactors (+/-i) this Hamiltonian is propagated with.
+    Hermitian, so sigma*A is skew-hermitian and nonexpansive for the
+    imaginary prefactors (+/-i) this Hamiltonian is propagated with; at
+    sigma = +/-1 it is expansive (log_norm_bound 18.5 and 29.5).
     """
     states = np.array(_hubbard_basis(), dtype=np.int64)
     nstates = len(states)
@@ -142,7 +141,7 @@ def build_hubbard(omega, U=5.0):
                          (np.concatenate(row_parts), np.concatenate(col_parts))),
                         shape=(nstates, nstates)).tocsr()
     mat.eliminate_zeros()
-    return SparseOperator(mat, symmetry="hermitian", nonexpansive=True)
+    return SparseOperator(mat, symmetry="hermitian")
 
 
 def build_convection_diffusion(n, mu1, mu2):
@@ -173,9 +172,7 @@ def build_convection_diffusion(n, mu1, mu2):
          + sp.kron(sp.kron(eye, C1), eye)
          + sp.kron(sp.kron(eye, eye), C2)).tocsr()
     symmetric = mu1 == 0.0 and mu2 == 0.0
-    op = SparseOperator(A, symmetry="hermitian" if symmetric else "general",
-                        nonexpansive=True)
-    return op, 1.0
+    return SparseOperator(A, symmetry="hermitian" if symmetric else "general"), 1.0
 
 
 def problem_dimension(spec):

@@ -1,11 +1,10 @@
-"""Sparse operator wrapper, Matrix Market round trip, logarithmic norm estimate."""
+"""Sparse operator wrapper, Matrix Market round trip, logarithmic norm bound."""
 
 import math
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 def validate_prefactor(sigma):
@@ -22,15 +21,12 @@ class SparseOperator:
     """Square complex sparse matrix in CSR form with a bit of metadata.
 
     symmetry is either "hermitian" or "general"; a hermitian claim is
-    verified elementwise at construction.  nonexpansive is a
-    caller-asserted flag meaning the field of values of sigma*A lies in
-    the closed left half-plane for the prefactor this operator is meant
-    to be used with; estimators consult it to decide whether a bound is
-    proven.  Leave it None when unknown.  log_norm_estimate cannot settle
-    it: its value approaches the logarithmic norm from below.
+    verified elementwise (to 1e-12) at construction.  log_norm_bound(sigma)
+    bounds the logarithmic norm of sigma*A from above; estimators consult
+    it to decide whether a bound is proven for that (operator, sigma) pair.
     """
 
-    def __init__(self, matrix, symmetry="general", nonexpansive=None):
+    def __init__(self, matrix, symmetry="general"):
         csr = sp.csr_matrix(matrix, dtype=np.complex128)
         if csr.shape[0] != csr.shape[1]:
             raise ValueError("operator must be square")
@@ -44,9 +40,9 @@ class SparseOperator:
                 raise ValueError("matrix declared hermitian deviates from A == A* by more than 1e-12")
         self.csr = csr
         self.symmetry = symmetry
-        self.nonexpansive = nonexpansive
         self._norm_1 = None
         self._norm_inf = None
+        self._log_norm_bounds = {}
 
     @property
     def n(self):
@@ -68,6 +64,29 @@ class SparseOperator:
             self._norm_inf = float(abs(self.csr).sum(axis=1).max()) if self.nnz else 0.0
         return self._norm_inf
 
+    def log_norm_bound(self, sigma):
+        """Gershgorin upper bound on the 2-logarithmic norm of sigma*A.
+
+        The logarithmic norm is the largest eigenvalue of the hermitian
+        part H = (sigma A + conj(sigma) A^*)/2, and every eigenvalue of H
+        lies in a Gershgorin disc, so max_i (Re H_ii + sum_{j != i} |H_ij|)
+        bounds it from above.  A value <= 0 certifies that e^{t sigma A}
+        never grows a vector for t >= 0.  One sparse pass, cached per sigma.
+        """
+        s = validate_prefactor(sigma)
+        if s not in self._log_norm_bounds:
+            H = ((0.5 * s) * self.csr + (0.5 * np.conj(s)) * self.csr.getH()).tocoo()
+            H.eliminate_zeros()
+            if H.nnz == 0:
+                bound = 0.0
+            else:
+                off = H.row != H.col
+                radius = np.bincount(H.row[off], weights=np.abs(H.data[off]),
+                                     minlength=self.n)
+                bound = float(np.max(H.diagonal().real + radius))
+            self._log_norm_bounds[s] = bound
+        return self._log_norm_bounds[s]
+
     def matvec(self, x):
         x = np.asarray(x)
         if x.shape != (self.n,):
@@ -87,29 +106,3 @@ class SparseOperator:
         symmetry = "hermitian" if info[5] == "hermitian" else "general"
         mat = scipy.io.mmread(str(path))
         return cls(mat, symmetry=symmetry)
-
-
-def log_norm_estimate(op, sigma):
-    """Estimate of the largest eigenvalue of the hermitian part of sigma*A
-    (the 2-logarithmic norm).
-
-    Above n = 8 this is the Ritz value of a Lanczos eigensolve on the
-    hermitian part, which approaches the largest eigenvalue from below:
-    it can underestimate the logarithmic norm, so a value <= 0 certifies
-    nothing.  If the eigensolve fails to converge +inf is returned.
-    """
-    s = validate_prefactor(sigma)
-    A = op.csr
-    AH = A if op.symmetry == "hermitian" else A.getH().tocsr()
-    H = (0.5 * s) * A + (0.5 * np.conj(s)) * AH
-    H.eliminate_zeros()
-    if H.nnz == 0:
-        # sigma*A is exactly skew-hermitian; the logarithmic norm is zero
-        return 0.0
-    if op.n <= 8:
-        return float(np.linalg.eigvalsh(H.toarray())[-1])
-    try:
-        w = spla.eigsh(H, k=1, which="LA", return_eigenvectors=False)
-    except (spla.ArpackNoConvergence, spla.ArpackError):
-        return math.inf
-    return float(w[0])

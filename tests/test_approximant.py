@@ -164,24 +164,21 @@ def test_effective_order_floor_is_anchored_to_the_start_vector(t):
     op, sigma = spec.build()
     dec = build_krylov(op, kx.starting_vector(spec), KrylovConfig(m_max=10))
     appr = Approximant(dec, sigma, "standard", 0)
-    assert sigma == 1.0 and not appr.has_analytic_order
+    assert sigma == 1.0
     with pytest.raises(DefectRoundoffError):
         effective_order(appr, t)
 
 
-def test_effective_order_fd_fallback_agrees_with_analytic():
-    """The same hermitian operator run through Arnoldi loses the
-    analytic-derivative route; the finite-difference fallback must land
-    on the same rho."""
+def test_effective_order_lanczos_and_arnoldi_agree():
+    """delta' is exact for any upper Hessenberg T, so the same hermitian
+    operator run through Lanczos and Arnoldi gives the same rho."""
     _, op, v = small_problem(seed=67)
     lan = build_krylov(op, v, KrylovConfig(m_max=9, mode="lanczos"))
     arn = build_krylov(op, v, KrylovConfig(m_max=9, mode="arnoldi"))
-    analytic = Approximant(lan, -1.0, "standard", 0)
-    fallback = Approximant(arn, -1.0, "standard", 0)
-    assert analytic.has_analytic_order
-    assert not fallback.has_analytic_order
     t = 1.2
-    assert abs(effective_order(fallback, t) - effective_order(analytic, t)) < 1e-3
+    for sigma in (-1.0, -1j, np.exp(0.3j)):
+        assert abs(effective_order(Approximant(arn, sigma), t)
+                   - effective_order(Approximant(lan, sigma), t)) < 1e-8
 
 
 def test_effective_order_input_validation(heat_pair):

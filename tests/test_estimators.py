@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +27,7 @@ def hermitian_dec():
     A = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
     A = 0.5 * (A + A.conj().T)
     A = A / np.linalg.norm(A, 2)
-    op = SparseOperator(sp.csr_matrix(A), symmetry="hermitian",
-                        nonexpansive=True)
+    op = SparseOperator(sp.csr_matrix(A), symmetry="hermitian")
     v = random_unit(40, seed=71)
     return op, build_krylov(op, v, KrylovConfig(m_max=8))
 
@@ -76,8 +76,7 @@ def test_era_corrected_formula_literal(hermitian_dec):
 
 def test_era_on_breakdown_is_zero():
     lam = np.array([1.0, 2.0, 3.0])
-    op = SparseOperator(sp.diags(lam).tocsr(), symmetry="hermitian",
-                        nonexpansive=True)
+    op = SparseOperator(sp.diags(lam).tocsr(), symmetry="hermitian")
     v = np.array([0.6, 0.8, 0.0])
     dec = build_krylov(op, v, KrylovConfig(m_max=3))
     assert dec.breakdown
@@ -118,19 +117,26 @@ def test_err1_corrected_formula(hermitian_dec):
     assert got.kind == "err1_corrected"
 
 
-def test_proven_flag_table(hermitian_dec, hubbard_op, hubbard_vec):
+def test_proven_flag_table(hermitian_dec, heat_pair, hubbard_op, hubbard_vec):
     """Which estimator is a proven upper bound depends on the operator
-    class and prefactor; the flags must match exactly."""
-    op, dec = hermitian_dec
+    class and the (operator, sigma) pair; the flags must match exactly."""
+    op, sigma, v = heat_pair
+    heat_dec = build_krylov(op, v, KrylovConfig(m_max=8))
     # hermitian nonexpansive, real sigma: both era and err1 proven
-    assert era(dec, -1.0, 1.0).is_proven_upper_bound
-    assert err1(dec, -1.0, 1.0).is_proven_upper_bound
+    assert era(heat_dec, sigma, 1.0).is_proven_upper_bound
+    assert err1(heat_dec, sigma, 1.0).is_proven_upper_bound
+    assert era_corrected(heat_dec, sigma, 1.0).is_proven_upper_bound
+    # corrected variants are never proven for err1
+    assert not err1(heat_dec, sigma, 1.0, corrected=True).is_proven_upper_bound
+
+    _, dec = hermitian_dec
     # skew case (imaginary sigma): era proven, err1 not
     assert era(dec, -1j, 1.0).is_proven_upper_bound
     assert not err1(dec, -1j, 1.0).is_proven_upper_bound
-    # corrected variants are never proven for err1
-    assert not err1(dec, -1.0, 1.0, corrected=True).is_proven_upper_bound
-    assert era_corrected(dec, -1.0, 1.0).is_proven_upper_bound
+    # spec(A) = [-0.956, 1.0] is indefinite, so -A is expansive: nothing proven
+    assert not era(dec, -1.0, 1.0).is_proven_upper_bound
+    assert not err1(dec, -1.0, 1.0).is_proven_upper_bound
+    assert not era_corrected(dec, -1.0, 1.0).is_proven_upper_bound
 
     hdec = build_krylov(hubbard_op, hubbard_vec, KrylovConfig(m_max=6))
     assert era(hdec, -1j, 0.1).is_proven_upper_bound
@@ -143,6 +149,51 @@ def test_proven_flag_table(hermitian_dec, hubbard_op, hubbard_vec):
     bv = random_unit(10, seed=73, complex_=False)
     bdec = build_krylov(bop, bv, KrylovConfig(m_max=4))
     assert not era(bdec, 1.0, 0.5).is_proven_upper_bound
+
+
+def test_expansive_pairs_are_not_proven(hermitian_dec, heat_pair, hubbard_op,
+                                        hubbard_vec):
+    """Pairs where sigma*A is expansive: era falls far below the true
+    error, so flagging it proven would be a false statement."""
+    op, _, v = heat_pair
+    dec = build_krylov(op, v, KrylovConfig(m_max=5))
+    t = 20.0
+    err = np.linalg.norm(Approximant(dec, 1.0).apply(t)
+                         - kx.oracle_laplacian(op.n, 1.0, t, v))
+    est = era(dec, 1.0, t)
+    assert est.value < 1e2 and err > 1e7
+    assert not est.is_proven_upper_bound
+
+    dec = build_krylov(hubbard_op, hubbard_vec, KrylovConfig(m_max=10))
+    err = np.linalg.norm(Approximant(dec, -1.0).apply(1.0)
+                         - expm_multiply(-hubbard_op.csr, hubbard_vec))
+    est = era(dec, -1.0, 1.0)
+    assert est.value < 1e2 and err > 1e5
+    assert not est.is_proven_upper_bound
+
+    op, dec = hermitian_dec
+    A = op.csr.toarray()
+    for t in (3.0, 6.0, 10.0):
+        err = np.linalg.norm(Approximant(dec, -1.0).apply(t)
+                             - scipy.linalg.expm(-t * A) @ dec.V[:, 0])
+        est = era(dec, -1.0, t)
+        assert est.value < err
+        assert not est.is_proven_upper_bound
+
+
+def test_trapezoid_is_an_estimate_not_a_bound(heat_pair):
+    """On heat at its canonical sigma |delta| is concave at m = 2 and turns
+    concave at m = 3 by t = 20: the trapezoid value falls below the true
+    error there, while err1 (the exact defect integral) stays above it."""
+    op, sigma, v = heat_pair
+    for m, t in ((2, 1.0), (3, 20.0)):
+        dec = build_krylov(op, v, KrylovConfig(m_max=m))
+        err = np.linalg.norm(Approximant(dec, sigma).apply(t)
+                             - kx.oracle_laplacian(op.n, sigma, t, v))
+        trap = evaluate("trapezoid_quad", dec, sigma, t)
+        assert trap.value < err and not trap.is_proven_upper_bound
+        bound = err1(dec, sigma, t)
+        assert bound.value > err and bound.is_proven_upper_bound
 
 
 def test_quad_formulas_literal(heat_pair):
@@ -172,8 +223,8 @@ def test_quad_formulas_literal(heat_pair):
         float(np.linalg.norm(vec)), rel=1e-12)
     assert got["improved_hermite_quad"].extra_matvecs == 1
 
-    # trapezoid shares err1's proven condition (hermitian, real sigma)
-    assert got["trapezoid_quad"].is_proven_upper_bound
+    # the quadratures are estimates, not proven bounds
+    assert not got["trapezoid_quad"].is_proven_upper_bound
     assert not got["hermite_quad"].is_proven_upper_bound
 
 
@@ -257,7 +308,7 @@ def _same_kind_reference(kind, dec, sigma, t, p):
     return quads[kind]
 
 
-def _random_dec(seed, hermitian, nonexpansive, n, m):
+def _random_dec(seed, hermitian, n, m):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if hermitian:
@@ -266,33 +317,81 @@ def _random_dec(seed, hermitian, nonexpansive, n, m):
         A = A + 3.0 * np.triu(A, 1)  # lopsided: far from normal
     A = A / np.linalg.norm(A, 2)
     op = CountingOperator(sp.csr_matrix(A),
-                          symmetry="hermitian" if hermitian else "general",
-                          nonexpansive=nonexpansive)
+                          symmetry="hermitian" if hermitian else "general")
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return op, build_krylov(op, v / np.linalg.norm(v), KrylovConfig(m_max=m))
 
 
+SIGMAS = st.one_of(st.sampled_from([1.0, -1.0, 1j, -1j]),
+                   st.floats(0.0, 2.0 * math.pi).map(lambda a: complex(np.exp(1j * a))))
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), hermitian=st.booleans(),
-       nonexpansive=st.booleans(), n=st.integers(6, 12), m=st.integers(2, 5),
-       sigma=st.one_of(st.sampled_from([1.0, -1.0, 1j, -1j]),
-                       st.floats(0.0, 2.0 * math.pi).map(lambda a: complex(np.exp(1j * a)))),
+       n=st.integers(6, 12), m=st.integers(2, 5), sigma=SIGMAS,
        kind=st.sampled_from(sorted(ESTIMATORS)), t=st.floats(1e-3, 5.0),
        p=st.integers(0, 1))
-def test_evaluate_matches_family_and_reports_its_cost(seed, hermitian, nonexpansive,
-                                                      n, m, sigma, kind, t, p):
+def test_evaluate_matches_family_and_reports_its_cost(seed, hermitian, n, m,
+                                                      sigma, kind, t, p):
     """evaluate(kind) returns exactly what era / err1 / quad_estimates
     report for that kind, and a fresh decomposition spends exactly the
     reported extra matvecs on it, counted in dec.matvecs_used."""
-    op, dec = _random_dec(seed, hermitian, nonexpansive, n, m)
+    op, dec = _random_dec(seed, hermitian, n, m)
     assume(not dec.breakdown)
     built = op.calls
     got = evaluate(kind, dec, sigma, t, p)
     assert op.calls - built == got.extra_matvecs
     assert dec.matvecs_used == op.calls
 
-    _, fresh = _random_dec(seed, hermitian, nonexpansive, n, m)
+    _, fresh = _random_dec(seed, hermitian, n, m)
     assert got == _same_kind_reference(kind, fresh, sigma, t, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       cls=st.sampled_from(["hermitian", "skew", "nonnormal"]),
+       n=st.integers(6, 12), m=st.integers(2, 5), sigma=SIGMAS,
+       shift=st.one_of(st.none(), st.floats(0.0, 0.5)),
+       t=st.floats(1e-2, 5.0), p=st.integers(0, 1))
+def test_proven_flag_is_a_true_statement(seed, cls, n, m, sigma, shift, t, p):
+    """log_norm_bound never undercuts the logarithmic norm, and whenever an
+    estimate claims to be a proven upper bound it dominates the true error
+    of its approximant, computed with scipy.linalg.expm.
+
+    With shift set, sigma*A is moved left by its Gershgorin bound plus
+    shift, so nonexpansive (proven) pairs occur often."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if cls == "hermitian":
+        A = 0.5 * (A + A.conj().T)
+    elif cls == "skew":
+        A = 0.5 * (A - A.conj().T)
+    else:
+        A = A + 3.0 * np.triu(A, 1)
+    A = A / np.linalg.norm(A, 2)
+    if shift is not None:
+        mu = SparseOperator(sp.csr_matrix(A)).log_norm_bound(sigma)
+        A = A - np.conj(sigma) * (mu + shift) * np.eye(n)
+    symmetry = "hermitian" if np.array_equal(A, A.conj().T) else "general"
+    op = SparseOperator(sp.csr_matrix(A), symmetry=symmetry)
+
+    H = 0.5 * (sigma * A + np.conj(sigma) * A.conj().T)
+    assert op.log_norm_bound(sigma) >= np.linalg.eigvalsh(H)[-1] - 1e-12
+
+    v = random_unit(n, seed=seed % 2 ** 31)
+    dec = build_krylov(op, v, KrylovConfig(m_max=m))
+    # phi_p(sigma t A) v for p <= 1 from expm([[sigma t A, v], [0, 0]])
+    aug = np.zeros((n + 1, n + 1), dtype=complex)
+    aug[:n, :n] = sigma * t * A
+    aug[:n, n] = v
+    E = scipy.linalg.expm(aug)
+    exact = E[:n, n] if p else E[:n, :n] @ v
+    for kind, approx in (("era", "standard"), ("era_corrected", "corrected"),
+                         ("err1", "standard"), ("trapezoid_quad", "standard")):
+        est = evaluate(kind, dec, sigma, t, p)
+        if est.is_proven_upper_bound:
+            err = np.linalg.norm(Approximant(dec, sigma, approx, p).apply(t) - exact)
+            assert err <= est.value * (1 + 1e-9) + 1e-12, (kind, err, est.value)
 
 
 def test_expokit_first_step_formula():

@@ -69,8 +69,7 @@ def test_laplacian_rejects_wrong_length():
 
 
 def test_series_zero_matrix():
-    op = SparseOperator(sp.csr_matrix((5, 5)), symmetry="hermitian",
-                        nonexpansive=True)
+    op = SparseOperator(sp.csr_matrix((5, 5)), symmetry="hermitian")
     v = random_unit(5, seed=6)
     assert np.linalg.norm(oracle_series(op, -1j, 3.0, v) - v) < 1e-14
 
@@ -95,7 +94,7 @@ def test_series_t_zero_is_identity():
 def test_series_matches_laplacian_oracle():
     n = 50
     op = SparseOperator(sp.csr_matrix(quarter_laplacian_dense(n)),
-                        symmetry="hermitian", nonexpansive=True)
+                        symmetry="hermitian")
     v = random_unit(n, seed=9)
     for sigma in (-1j, -1.0):
         for t in (0.3, 2.0, 11.0):
@@ -127,7 +126,7 @@ def test_series_rejects_bad_arguments():
 
 def test_phi_p_zero_is_plain_exponential():
     op = SparseOperator(sp.csr_matrix(quarter_laplacian_dense(9)),
-                        symmetry="hermitian", nonexpansive=True)
+                        symmetry="hermitian")
     v = random_unit(9, seed=12)
     a = oracle_phi(op, -1j, 1.3, v, 0)
     b = oracle_series(op, -1j, 1.3, v)
@@ -175,8 +174,7 @@ def augmented_dense_phi(A, sigma, t, v, p):
 def test_phi_against_dense_augmented_system(p):
     n = 6
     A = quarter_laplacian_dense(n)
-    op = SparseOperator(sp.csr_matrix(A), symmetry="hermitian",
-                        nonexpansive=True)
+    op = SparseOperator(sp.csr_matrix(A), symmetry="hermitian")
     v = random_unit(n, seed=14)
     for sigma, t in ((-1j, 0.8), (-1.0, 2.0)):
         expected = augmented_dense_phi(A, sigma, t, v, p)
@@ -188,7 +186,7 @@ def test_phi_against_dense_augmented_system(p):
 def test_phi_two_routes_agree_on_larger_problem():
     n = 40
     op = SparseOperator(sp.csr_matrix(quarter_laplacian_dense(n)),
-                        symmetry="hermitian", nonexpansive=True)
+                        symmetry="hermitian")
     v = random_unit(n, seed=15)
     for p in (1, 2):
         a = oracle_phi(op, -1j, 3.0, v, p, 1e-14, method="augmented")

@@ -29,7 +29,7 @@ def test_schrodinger_matrix_entries():
     e1 = np.zeros(5)
     e1[0] = 1.0
     assert np.array_equal(op.matvec(e1), np.array([0.5, -0.25, 0, 0, 0], dtype=complex))
-    assert op.symmetry == "hermitian" and op.nonexpansive
+    assert op.symmetry == "hermitian" and op.log_norm_bound(sigma) == 0.0
 
 
 def test_schrodinger_eigenvalues_closed_form():
@@ -80,7 +80,7 @@ def test_hubbard_dimensions(hubbard_op):
     assert hubbard_op.n == math.comb(8, 4) ** 2 == 4900
     assert hubbard_op.nnz == 43980
     assert hubbard_op.symmetry == "hermitian"
-    assert hubbard_op.nonexpansive
+    assert hubbard_op.log_norm_bound(-1j) == 0.0
 
 
 def test_hubbard_columns_match_independent_reconstruction(hubbard_op):
@@ -185,10 +185,10 @@ def test_convection_diffusion_symmetry_flag():
 
 
 def test_convection_diffusion_nonexpansive_certificate():
-    """log_norm_estimate certifies the claimed contraction property."""
+    """log_norm_bound certifies the claimed contraction property."""
     for mu1, mu2 in ((0.9, 1.1), (0.0, 0.0)):
         op, sigma = build_convection_diffusion(5, mu1, mu2)
-        assert kx.log_norm_estimate(op, sigma) < 0.0
+        assert op.log_norm_bound(sigma) <= 0.0
 
 
 def test_problem_dimension_matches_builds(hubbard_op):

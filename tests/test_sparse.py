@@ -1,10 +1,12 @@
-"""Operator wrapper, Matrix Market round trip, logarithmic norm."""
+"""Operator wrapper, Matrix Market round trip, logarithmic norm bound."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from krylovexp import SparseOperator, log_norm_estimate, validate_prefactor
+import krylovexp as kx
+from krylovexp import (KrylovConfig, SparseOperator, build_krylov, era,
+                       validate_prefactor)
 
 from conftest import random_unit
 
@@ -30,7 +32,6 @@ def test_operator_basic_properties():
     assert op.norm_1 == 5.0   # column sums (1, 5)
     assert op.norm_inf == 3.0  # row sums (3, 3)
     assert op.symmetry == "general"
-    assert op.nonexpansive is None
 
 
 def test_operator_matvec_and_matmul():
@@ -82,24 +83,59 @@ def test_matrix_market_round_trip_hermitian(tmp_path, hubbard_op):
     assert dev.nnz == 0 or dev.max() < 1e-15
 
 
-def test_log_norm_dense_small_matches_eigvalsh():
+def test_log_norm_bound_dominates_eigvalsh():
+    """The Gershgorin value bounds the largest eigenvalue of the hermitian
+    part of sigma*A from above, and is exact for a diagonal matrix."""
     rng = np.random.default_rng(23)
     A = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     op = SparseOperator(sp.csr_matrix(A))
-    for sigma in (1.0, -1.0, -1j):
+    for sigma in (1.0, -1.0, -1j, np.exp(0.3j)):
         H = 0.5 * (sigma * A + np.conj(sigma) * A.conj().T)
-        expected = float(np.linalg.eigvalsh(H)[-1])
-        assert log_norm_estimate(op, sigma) == pytest.approx(expected, abs=1e-12)
+        assert op.log_norm_bound(sigma) >= np.linalg.eigvalsh(H)[-1]
+    diag = SparseOperator(sp.diags([-3.0, 1.0 + 2j, -0.5]))
+    assert diag.log_norm_bound(1.0) == 1.0
+    assert diag.log_norm_bound(-1j) == 2.0
+    with pytest.raises(ValueError):
+        op.log_norm_bound(2.0)
 
 
-def test_log_norm_heat_is_negative():
-    """Dissipative generator: the heat semigroup contracts."""
-    import krylovexp as kx
-    op, sigma = kx.ProblemSpec("heat", {"n": 200}, seed=0).build()
-    mu = log_norm_estimate(op, sigma)
-    assert mu < 0.0
+def test_log_norm_bound_is_zero_on_canonical_pairs():
+    """Every shipped problem is certified nonexpansive at its own sigma,
+    with no rounding slack."""
+    for kind in ("schrodinger_free", "heat", "hubbard", "convection_diffusion"):
+        op, sigma = kx.ProblemSpec(kind).build()
+        assert op.log_norm_bound(sigma) == 0.0, kind
 
 
-def test_log_norm_skew_is_near_zero(hubbard_op):
-    mu = log_norm_estimate(hubbard_op, -1j)
-    assert abs(mu) < 1e-8
+def test_log_norm_bound_rejects_expansive_pairs(heat_pair, hubbard_op):
+    op, _, _ = heat_pair
+    assert op.log_norm_bound(1.0) == 1.0
+    assert hubbard_op.log_norm_bound(1.0) == 18.5
+    assert hubbard_op.log_norm_bound(-1.0) == 29.5
+    # a skew-hermitian sigma*A has an all-zero hermitian part
+    assert hubbard_op.log_norm_bound(1j) == 0.0
+    assert SparseOperator(sp.csr_matrix((3, 3))).log_norm_bound(1.0) == 0.0
+
+
+def test_log_norm_bound_is_cached_per_sigma(monkeypatch):
+    op = SparseOperator(sp.csr_matrix(np.array([[-1.0, 2.0], [0.0, -3.0]])))
+    first = op.log_norm_bound(1.0)
+    calls = []
+    original = op.csr.getH
+    monkeypatch.setattr(op.csr, "getH", lambda: calls.append(1) or original())
+    assert op.log_norm_bound(1.0) == first and calls == []
+    op.log_norm_bound(-1.0)
+    assert calls == [1]
+
+
+def test_matrix_market_round_trip_keeps_era_proven(tmp_path, heat_pair):
+    """An operator loaded from a .mtx file is certified from its entries,
+    so its bounds are proven exactly as for the built operator."""
+    op, sigma, v = heat_pair
+    path = tmp_path / "heat.mtx"
+    op.to_matrix_market(path)
+    back = SparseOperator.from_matrix_market(path)
+    assert back.log_norm_bound(sigma) == 0.0
+    dec = build_krylov(back, v, KrylovConfig(m_max=10))
+    assert era(dec, sigma, 1.0).is_proven_upper_bound
+    assert not era(dec, 1.0, 1.0).is_proven_upper_bound

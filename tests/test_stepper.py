@@ -62,8 +62,7 @@ def test_direct_inversion_smaller_m_prefix(heat_pair):
 
 def test_direct_inversion_breakdown_is_unbounded():
     lam = np.array([1.0, 2.0, 3.0])
-    op = SparseOperator(sp.diags(lam).tocsr(), symmetry="hermitian",
-                        nonexpansive=True)
+    op = SparseOperator(sp.diags(lam).tocsr(), symmetry="hermitian")
     v = np.array([0.6, 0.8, 0.0])
     dec = build_krylov(op, v, KrylovConfig(m_max=3))
     assert dec.breakdown
@@ -126,8 +125,7 @@ def test_iterated_err1_converges_and_respects_budget(hubbard_op, hubbard_vec):
 
 def test_iterated_on_breakdown_returns_inf():
     lam = np.array([1.0, 2.0, 3.0])
-    op = SparseOperator(sp.diags(lam).tocsr(), symmetry="hermitian",
-                        nonexpansive=True)
+    op = SparseOperator(sp.diags(lam).tocsr(), symmetry="hermitian")
     v = np.array([0.6, 0.8, 0.0])
     dec = build_krylov(op, v, KrylovConfig(m_max=3))
     dt, iters = step_size_iterated(dec, -1.0, 1e-8, "era")
@@ -271,7 +269,7 @@ def test_propagate_input_validation(heat_pair):
 def test_early_stop_trivial_operator():
     """A scalar multiple of the identity saturates at m = 1."""
     op = SparseOperator(sp.identity(8, format="csr") * 0.3,
-                        symmetry="hermitian", nonexpansive=True)
+                        symmetry="hermitian")
     v = random_unit(8, seed=80)
     dec = early_stop_dimension(op, v, 1.0, 1e-10, 20, -1.0)
     assert dec.m == 1
