@@ -10,7 +10,7 @@ Hamiltonian (interacting fermion chain).
 import numpy as np
 
 from krylovexp import ProblemSpec, starting_vector
-from krylovexp.estimators import fmt_sigma
+from krylovexp.cli import fmt_sigma
 
 SPECS = [
     ProblemSpec("schrodinger_free", {"n": 200}),

@@ -5,7 +5,7 @@ from .approximant import (Approximant, DefectRoundoffError, DefectSample,
                           effective_order)
 from .dense import expm_dense, phi_dense, phi_scalar
 from .estimators import (ErrorEstimate, era, era_corrected, err1,
-                         expokit_first_step, quad_estimates, write_sweep_csv)
+                         expokit_first_step, quad_estimates)
 from .krylov import (KrylovConfig, KrylovDecomposition, build_krylov,
                      extend_krylov)
 from .oracle import (oracle_convection_diffusion, oracle_laplacian, oracle_phi,
@@ -16,7 +16,7 @@ from .sparse import SparseOperator, validate_prefactor
 from .stepper import (ControllerSpec, PropagationResult, StepRecord,
                       early_stop_dimension, propagate, propagate_fixed_steps,
                       step_size_direct, step_size_heuristic,
-                      step_size_iterated, write_bench_csv)
+                      step_size_iterated)
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,5 @@ __all__ = [
     "oracle_reference", "oracle_series", "phi_dense",
     "phi_scalar", "propagate", "propagate_fixed_steps", "quad_estimates",
     "starting_vector", "step_size_direct", "step_size_heuristic",
-    "step_size_iterated", "validate_prefactor", "write_bench_csv",
-    "write_sweep_csv",
+    "step_size_iterated", "validate_prefactor",
 ]

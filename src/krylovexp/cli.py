@@ -13,6 +13,10 @@ section; see the README for a complete example.  Sweep output is one
 wide CSV per (problem, m) with the classic column set, one long-format
 CSV covering every estimator evaluation, and a standalone matplotlib
 script that renders the log-log overlay figures.
+
+This module owns every output format: the column tuples below, the cell
+formatter fmt_cell and the one CSV writer _write_csv.  The estimators and
+the stepper return numbers and records only.
 """
 
 import argparse
@@ -25,13 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .approximant import (Approximant, DefectRoundoffError, effective_order)
-from .estimators import (era, era_corrected, err1, fmt_float, fmt_sigma,
-                         quad_estimates, write_sweep_csv)
+from .estimators import era, era_corrected, err1, quad_estimates
 from .krylov import KrylovConfig, build_krylov
 from .oracle import oracle_reference
 from .problems import ProblemSpec, starting_vector
-from .stepper import (ControllerSpec, propagate, propagate_fixed_steps,
-                      write_bench_csv)
+from .stepper import ControllerSpec, propagate, propagate_fixed_steps
 
 
 class ConfigError(Exception):
@@ -41,6 +43,12 @@ class ConfigError(Exception):
 WIDE_COLUMNS = ("t", "oracle_error", "Era", "Err1", "HermiteQuad",
                 "ImprovedHermiteQuad", "TrapezoidQuad", "EffectiveOrderQuad",
                 "rho")
+LONG_COLUMNS = ("problem", "m", "sigma", "p", "t", "estimator", "value",
+                "extra_matvecs", "oracle_error")
+LONG_KEY = ("problem", "m", "p", "t", "estimator")
+BENCH_COLUMNS = ("controller", "estimator", "m", "tol", "N", "total_t",
+                 "total_matvecs", "accumulated_bound", "oracle_error_per_unit_t")
+BENCH_KEY = ("controller", "estimator", "m", "tol")
 
 _BOUND_SLACK_REL = 1e-9
 
@@ -141,10 +149,32 @@ def _sweep_cell(spec, m, section, accuracy):
     return wide_rows, long_rows, violation
 
 
-def _write_wide_csv(path, rows):
-    lines = [",".join(WIDE_COLUMNS)]
-    for r in sorted(rows, key=lambda r: r["t"]):
-        lines.append(",".join(fmt_float(r[c]) for c in WIDE_COLUMNS))
+def fmt_sigma(sigma):
+    """sigma as "-1.0j", "-1.0" or "0.6-0.8j": a part that is zero is left out."""
+    s = complex(sigma)
+    if s.imag == 0.0:
+        return repr(s.real)
+    if s.real == 0.0:
+        return f"{s.imag!r}j"
+    return f"{s.real!r}{s.imag:+}j"
+
+
+def fmt_cell(x):
+    """One CSV cell: strings and integers as they are, a complex sigma by
+    fmt_sigma, any other number in its shortest round-trip decimal form."""
+    if isinstance(x, (str, int)):
+        return str(x)
+    if isinstance(x, complex):
+        return fmt_sigma(x)
+    return repr(float(x))
+
+
+def _write_csv(path, columns, rows, key):
+    """The header, then the rows sorted by the key columns, so identical
+    inputs give byte-identical files in any row order."""
+    lines = [",".join(columns)]
+    for r in sorted(rows, key=lambda r: tuple(r[c] for c in key)):
+        lines.append(",".join(fmt_cell(r[c]) for c in columns))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -208,11 +238,11 @@ def cmd_sweep(config, out_dir, threads=1, seed_override=None):
     violated = False
     for (spec, m), (wide, long_rows, violation) in zip(cells, results):
         name = f"sweep_{spec.kind}_m{m}.csv"
-        _write_wide_csv(out_dir / name, wide)
+        _write_csv(out_dir / name, WIDE_COLUMNS, wide, ("t",))
         files.append(name)
         all_long.extend(long_rows)
         violated = violated or violation
-    write_sweep_csv(out_dir / "estimates_long.csv", all_long)
+    _write_csv(out_dir / "estimates_long.csv", LONG_COLUMNS, all_long, LONG_KEY)
     (out_dir / "plot_sweeps.py").write_text(_PLOT_SCRIPT.format(files=sorted(files)))
     return 1 if violated else 0
 
@@ -237,8 +267,7 @@ def cmd_bench(config, out_dir, seed_override=None):
             tol = float(run["tol"])
             controller = run["controller"]
             estimator = run.get("estimator", "era")
-            ctrl = ControllerSpec(controller, tol,
-                                  run.get("error_model", "per_unit_step"),
+            ctrl = ControllerSpec(controller, tol, run.get("error_model"),
                                   int(run.get("iteration_cap", 5)),
                                   run.get("safety"))
         except (KeyError, ValueError, TypeError) as exc:
@@ -271,7 +300,7 @@ def cmd_bench(config, out_dir, seed_override=None):
             if (ctrl.error_model == "per_unit_step"
                     and err / total_t > tol * (1.0 + _BOUND_SLACK_REL) + 10.0 * accuracy / total_t):
                 violated = True
-    write_bench_csv(out_dir / "bench.csv", rows)
+    _write_csv(out_dir / "bench.csv", BENCH_COLUMNS, rows, BENCH_KEY)
     return 1 if violated else 0
 
 

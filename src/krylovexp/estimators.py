@@ -22,6 +22,8 @@ certifies (a Gershgorin bound <= 0 on the logarithmic norm of sigma*A),
 and for err1 additionally only when the operator is hermitian and sigma
 is real.  The quadratures are estimates: trapezoid_quad falls below the
 error where |delta| is not convex on [0, t], as on heat at m = 2.
+
+Nothing here formats output: the CLI owns every CSV and JSON format.
 """
 
 import math
@@ -249,39 +251,3 @@ def evaluate(kind, dec, sigma, t, p=0):
         raise ValueError(f"estimator {kind!r} unavailable after a breakdown")
     return est
 
-
-def fmt_float(x):
-    """Shortest round-trip decimal form; used everywhere CSV is written."""
-    return repr(float(x))
-
-
-def fmt_sigma(sigma):
-    s = complex(sigma)
-    if s.imag == 0.0:
-        return repr(s.real)
-    if s.real == 0.0:
-        return f"{s.imag!r}j"
-    return f"{s.real!r}{s.imag:+}j"
-
-
-SWEEP_COLUMNS = ("problem", "m", "sigma", "p", "t", "estimator", "value",
-                 "extra_matvecs", "oracle_error")
-
-
-def write_sweep_csv(path, rows):
-    """Long-format estimator sweep: one row per (problem, m, t, estimator).
-
-    Rows are sorted so identical inputs produce byte-identical files.
-    """
-    def key(r):
-        return (r["problem"], r["m"], r["p"], r["t"], r["estimator"])
-
-    lines = [",".join(SWEEP_COLUMNS)]
-    for r in sorted(rows, key=key):
-        lines.append(",".join([
-            r["problem"], str(r["m"]), fmt_sigma(r["sigma"]), str(r["p"]),
-            fmt_float(r["t"]), r["estimator"], fmt_float(r["value"]),
-            str(r["extra_matvecs"]), fmt_float(r["oracle_error"]),
-        ]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -75,8 +75,8 @@ class KrylovDecomposition:
     m : reached dimension (== m_max unless breakdown ended the build early)
     tau_next : next subdiagonal entry tau_{m+1,m} (0.0 on breakdown)
     v_next : the (m+1)-th basis vector, or None on breakdown
-    gamma : product of the m-1 subdiagonal entries of T (may underflow;
-        log_gamma is the robust form)
+    log_gamma : log of gamma, the product of the m-1 subdiagonal entries
+        of T (kept in log form, because the product itself can underflow)
     breakdown : True when the build stopped with tau at or below the
         breakdown threshold, in which case the Krylov approximation is
         exact for every t
@@ -97,9 +97,7 @@ class KrylovDecomposition:
         self._V = _read_only(basis[:m].T)
         self._T = _read_only(hess[:m, :m])
         self.v_next = None if self.breakdown else _read_only(basis[m])
-        subdiag = self.subdiag
-        self.gamma = float(np.prod(subdiag)) if subdiag.size else 1.0
-        self.log_gamma = float(np.sum(np.log(subdiag))) if subdiag.size else 0.0
+        self.log_gamma = float(np.sum(np.log(self.subdiag)))
         self._a_v_next = None
         self._small = {}
 

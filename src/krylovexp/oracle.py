@@ -82,24 +82,11 @@ def oracle_convection_diffusion(n, mu1, mu2, sigma, t, v):
     return grid.reshape(-1)
 
 
-def _series_exp_apply(matvec, w, tol_abs):
-    """e^M w for ||M||_2 <= 1 by direct Taylor summation.  After adding
-    term k the remaining tail is at most 2 ||term_k|| / (k+1) in 2-norm,
-    so the loop stops once that is below tol_abs."""
-    out = w.astype(complex).copy()
-    term = out.copy()
-    floor = 2.0 * np.finfo(float).eps * float(np.linalg.norm(w))
-    stop = max(tol_abs, floor)
-    for k in range(1, _TERM_CAP + 1):
-        term = matvec(term) / k
-        out += term
-        if 2.0 * float(np.linalg.norm(term)) / (k + 1) <= stop:
-            return out
-    raise RuntimeError("exponential series did not converge within the term cap")
-
-
 def _series_phi_apply(matvec, v, q, tol_abs):
-    """phi_q(M) v for ||M||_2 <= 1: sum of M^j v / (j+q)!."""
+    """phi_q(M) v for ||M||_2 <= 1 by direct Taylor summation of
+    M^j v / (j+q)!; q = 0 gives e^M v.  After adding term j the remaining
+    tail is at most 2 ||term_j|| / (j+q+1) in 2-norm, so the loop stops
+    once that is below tol_abs."""
     term = np.asarray(v, dtype=complex) / math.factorial(q)
     out = term.copy()
     floor = 2.0 * np.finfo(float).eps * float(np.linalg.norm(v))
@@ -109,7 +96,7 @@ def _series_phi_apply(matvec, v, q, tol_abs):
         out += term
         if 2.0 * float(np.linalg.norm(term)) / (j + q + 1) <= stop:
             return out
-    raise RuntimeError("phi series did not converge within the term cap")
+    raise RuntimeError("Taylor series did not converge within the term cap")
 
 
 def _substep_count(sigma, t, norm_1, norm_inf):
@@ -137,7 +124,7 @@ def oracle_series(op, sigma, t, v, target_accuracy=1e-13):
     w = v.copy()
     per_tol = target_accuracy * float(np.linalg.norm(v)) / (2.0 * s)
     for _ in range(s):
-        w = _series_exp_apply(matvec, w, per_tol)
+        w = _series_phi_apply(matvec, w, 0, per_tol)
     return w
 
 
@@ -162,7 +149,7 @@ def _augmented_phi(op, sigma, t, v, p, target_accuracy):
     w[n + p - 1] = 1.0
     per_tol = target_accuracy * max(1.0, float(np.linalg.norm(v))) / (3.0 * s)
     for _ in range(s):
-        w = _series_exp_apply(scaled.dot, w, per_tol)
+        w = _series_phi_apply(scaled.dot, w, 0, per_tol)
     return w[:n]
 
 
@@ -188,7 +175,7 @@ def _recurrence_phi(op, sigma, t, v, p, target_accuracy):
     exp_tol = share * t ** p / s
     for j in range(s):
         tj = j * h
-        u = _series_exp_apply(matvec, u, exp_tol)
+        u = _series_phi_apply(matvec, u, 0, exp_tol)
         for k in range(1, p + 1):
             u += (tj ** (p - k) * h ** k / math.factorial(p - k)) * pieces[k - 1]
     return u / t ** p

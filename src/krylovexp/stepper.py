@@ -18,6 +18,13 @@ Controllers:
                          decomposition using any estimator
   expokit_first_step_only  the classical a-priori first step, then the
                          heuristic update
+
+ControllerSpec.error_model defaults to the model the kind implements:
+global_budget for direct_era_global, per_unit_step for direct_era_local
+and heuristic_iterated, which reject the other model.  The remaining
+kinds take either and default to per_unit_step.
+
+The stepper returns records only; the CLI owns every output format.
 """
 
 import math
@@ -27,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import Approximant
-from .estimators import (ErrorEstimate, era, evaluate, expokit_first_step,
-                         fmt_float)
+from .estimators import ErrorEstimate, era, evaluate, expokit_first_step
 from .krylov import KrylovConfig, build_krylov, extend_krylov
 from .sparse import validate_prefactor
 
@@ -36,6 +42,10 @@ CONTROLLER_KINDS = ("direct_era_global", "direct_era_local",
                     "direct_era_corrected", "heuristic", "heuristic_iterated",
                     "expokit_first_step_only")
 ERROR_MODELS = ("global_budget", "per_unit_step")
+# the one error model a controller kind implements; other kinds take either
+_KIND_MODEL = {"direct_era_global": "global_budget",
+               "direct_era_local": "per_unit_step",
+               "heuristic_iterated": "per_unit_step"}
 
 _MAX_SUBSTEPS = 100_000
 
@@ -44,13 +54,16 @@ _MAX_SUBSTEPS = 100_000
 class ControllerSpec:
     kind: str
     tol: float
-    error_model: str = "per_unit_step"
+    error_model: str = None
     iteration_cap: int = 5
     safety: float = None
 
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind: {self.kind!r}")
+        implied = _KIND_MODEL.get(self.kind)
+        if self.error_model is None:
+            object.__setattr__(self, "error_model", implied or "per_unit_step")
         if self.error_model not in ERROR_MODELS:
             raise ValueError(f"unknown error model: {self.error_model!r}")
         if not self.tol > 0.0:
@@ -62,8 +75,8 @@ class ControllerSpec:
             object.__setattr__(self, "safety", default)
         if not 0.0 < self.safety <= 1.0:
             raise ValueError("safety must lie in (0, 1]")
-        if self.kind == "heuristic_iterated" and self.error_model != "per_unit_step":
-            raise ValueError("heuristic_iterated implements the per-unit-step target only")
+        if implied is not None and self.error_model != implied:
+            raise ValueError(f"{self.kind} implements the {implied} model only")
 
 
 @dataclass(frozen=True)
@@ -196,13 +209,9 @@ def _raw_step(dec, sigma, ctrl, estimator_kind, j, prev_dt, prev_est):
     """One controller decision: (dt before safety/clipping, iterations,
     apply_safety) for substep j."""
     kind = ctrl.kind
-    if kind == "direct_era_global":
-        return step_size_direct(dec, sigma, ctrl.tol, model="global_budget"), 0, True
-    if kind == "direct_era_local":
-        return step_size_direct(dec, sigma, ctrl.tol, model="per_unit_step"), 0, True
-    if kind == "direct_era_corrected":
+    if kind.startswith("direct_era"):
         return step_size_direct(dec, sigma, ctrl.tol, model=ctrl.error_model,
-                                corrected=True), 0, True
+                                corrected=kind == "direct_era_corrected"), 0, True
     if kind == "heuristic_iterated":
         dt, iters = step_size_iterated(dec, sigma, ctrl.tol, estimator_kind,
                                        cap=ctrl.iteration_cap)
@@ -320,24 +329,3 @@ def early_stop_dimension(op, v, t, tol, m_max, sigma, p=0):
     dec.early_stop_satisfied = bool(bound <= tol * t)
     return dec
 
-
-BENCH_COLUMNS = ("controller", "estimator", "m", "tol", "N", "total_t",
-                 "total_matvecs", "accumulated_bound", "oracle_error_per_unit_t")
-
-
-def write_bench_csv(path, rows):
-    """Controller benchmark table, one row per run, sorted for
-    byte-identical output across repeats."""
-    def key(r):
-        return (r["controller"], r["estimator"], r["m"], r["tol"])
-
-    lines = [",".join(BENCH_COLUMNS)]
-    for r in sorted(rows, key=key):
-        lines.append(",".join([
-            r["controller"], r["estimator"], str(r["m"]), fmt_float(r["tol"]),
-            str(r["N"]), fmt_float(r["total_t"]), str(r["total_matvecs"]),
-            fmt_float(r["accumulated_bound"]),
-            fmt_float(r["oracle_error_per_unit_t"]),
-        ]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

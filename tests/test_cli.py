@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.io
 
-from krylovexp.cli import WIDE_COLUMNS, main
+from krylovexp.cli import (BENCH_COLUMNS, BENCH_KEY, LONG_COLUMNS, LONG_KEY,
+                           WIDE_COLUMNS, _write_csv, fmt_cell, fmt_sigma, main)
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -183,9 +184,26 @@ def test_bench_outputs(tmp_path):
     fields = direct.split(",")
     assert int(fields[4]) == 3          # n_steps honoured
     # per-unit-step budget met by construction
-    from krylovexp.stepper import BENCH_COLUMNS
     row = dict(zip(BENCH_COLUMNS, fields))
     assert float(row["oracle_error_per_unit_t"]) <= 1e-6 * (1 + 1e-9) + 1e-11
+
+
+def test_bench_global_budget_run_checks_its_own_model(tmp_path):
+    """direct_era_global targets era = tol per step, so only the
+    accumulated bound applies; err / t may exceed tol."""
+    cfg = write_config(tmp_path, {
+        "problems": [{"kind": "hubbard", "params": {"omega": 0.123}, "seed": 0}],
+        "bench": {"runs": [{"problem": "hubbard", "controller": "direct_era_global",
+                            "m": 10, "tol": 1e-8, "n_steps": 10}]},
+    })
+    out = tmp_path / "global"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "bench.csv").read_text().splitlines()
+    row = dict(zip(BENCH_COLUMNS, lines[1].split(",")))
+    assert row["controller"] == "direct_era_global"
+    err = float(row["oracle_error_per_unit_t"]) * float(row["total_t"])
+    assert err <= float(row["accumulated_bound"]) * (1 + 1e-9) + 1e-12
+    assert float(row["oracle_error_per_unit_t"]) > 1e-8
 
 
 def test_bench_detects_bound_violation(tmp_path, monkeypatch):
@@ -229,3 +247,51 @@ def test_sweep_phi_and_corrected_modes(tmp_path):
     lines = (out / "estimates_long.csv").read_text().splitlines()
     assert any(",era_corrected," in l for l in lines[1:])
     assert any(",err1_corrected," in l for l in lines[1:])
+
+
+def test_write_bench_csv_deterministic(tmp_path):
+    rows = [
+        {"controller": "b", "estimator": "era", "m": 10, "tol": 1e-8, "N": 3,
+         "total_t": 1.0, "total_matvecs": 30, "accumulated_bound": 1e-9,
+         "oracle_error_per_unit_t": 1e-10},
+        {"controller": "a", "estimator": "era", "m": 10, "tol": 1e-8, "N": 2,
+         "total_t": 2.0, "total_matvecs": 20, "accumulated_bound": 2e-9,
+         "oracle_error_per_unit_t": 2e-10},
+    ]
+    p1, p2 = tmp_path / "x.csv", tmp_path / "y.csv"
+    _write_csv(p1, BENCH_COLUMNS, rows, BENCH_KEY)
+    _write_csv(p2, BENCH_COLUMNS, list(reversed(rows)), BENCH_KEY)
+    assert p1.read_bytes() == p2.read_bytes()
+    lines = p1.read_text().splitlines()
+    assert lines[0] == ",".join(BENCH_COLUMNS)
+    assert lines[1].startswith("a,")
+
+
+def test_write_sweep_csv_deterministic_and_sorted(tmp_path):
+    rows = [
+        {"problem": "b", "m": 10, "sigma": -1j, "p": 0, "t": 2.0,
+         "estimator": "era", "value": 1e-3, "extra_matvecs": 0,
+         "oracle_error": 9e-4},
+        {"problem": "a", "m": 10, "sigma": -1j, "p": 0, "t": 1.0,
+         "estimator": "err1", "value": 2e-3, "extra_matvecs": 0,
+         "oracle_error": 8e-4},
+    ]
+    p1, p2 = tmp_path / "x.csv", tmp_path / "y.csv"
+    _write_csv(p1, LONG_COLUMNS, rows, LONG_KEY)
+    _write_csv(p2, LONG_COLUMNS, list(reversed(rows)), LONG_KEY)
+    assert p1.read_bytes() == p2.read_bytes()
+    lines = p1.read_text().splitlines()
+    assert lines[0] == ",".join(LONG_COLUMNS)
+    assert lines[1].startswith("a,")  # sorted by problem first
+
+
+def test_fmt_cell_round_trips_floats():
+    for x in (1.0, 0.1, 1e-300, 12345.6789, 2.0 ** -52):
+        assert float(fmt_cell(x)) == x
+    assert fmt_cell(1.5) == "1.5"
+
+
+def test_fmt_sigma():
+    assert fmt_sigma(-1j) == "-1.0j"
+    assert fmt_sigma(-1.0) == "-1.0"
+    assert fmt_sigma(1.0) == "1.0"

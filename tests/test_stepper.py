@@ -14,7 +14,6 @@ from krylovexp import (ControllerSpec, KrylovConfig, SparseOperator,
                        propagate, propagate_fixed_steps, step_size_direct,
                        step_size_heuristic, step_size_iterated,
                        early_stop_dimension)
-from krylovexp.stepper import BENCH_COLUMNS, write_bench_csv
 
 from conftest import random_unit
 
@@ -250,8 +249,17 @@ def test_expokit_controller_first_step(heat_pair):
 
 
 def test_iterated_controller_rejects_global_model():
-    with pytest.raises(ValueError):
-        ControllerSpec("heuristic_iterated", 1e-7, "global_budget")
+    """A kind that implements one error model rejects the other, and
+    resolves to its own when none is given."""
+    for kind, model in (("heuristic_iterated", "global_budget"),
+                        ("direct_era_local", "global_budget"),
+                        ("direct_era_global", "per_unit_step")):
+        with pytest.raises(ValueError):
+            ControllerSpec(kind, 1e-7, model)
+    assert ControllerSpec("direct_era_global", 1e-7).error_model == "global_budget"
+    assert ControllerSpec("direct_era_local", 1e-7).error_model == "per_unit_step"
+    assert ControllerSpec("heuristic_iterated", 1e-7).error_model == "per_unit_step"
+    assert ControllerSpec("heuristic", 1e-7).error_model == "per_unit_step"
 
 
 def test_propagate_input_validation(heat_pair):
@@ -300,20 +308,3 @@ def test_early_stop_matches_fresh_build_of_same_size(heat_pair):
     assert np.array_equal(dec.T, fresh.T)
     assert dec.matvecs_used == dec.m
 
-
-def test_write_bench_csv_deterministic(tmp_path):
-    rows = [
-        {"controller": "b", "estimator": "era", "m": 10, "tol": 1e-8, "N": 3,
-         "total_t": 1.0, "total_matvecs": 30, "accumulated_bound": 1e-9,
-         "oracle_error_per_unit_t": 1e-10},
-        {"controller": "a", "estimator": "era", "m": 10, "tol": 1e-8, "N": 2,
-         "total_t": 2.0, "total_matvecs": 20, "accumulated_bound": 2e-9,
-         "oracle_error_per_unit_t": 2e-10},
-    ]
-    p1, p2 = tmp_path / "x.csv", tmp_path / "y.csv"
-    write_bench_csv(p1, rows)
-    write_bench_csv(p2, list(reversed(rows)))
-    assert p1.read_bytes() == p2.read_bytes()
-    lines = p1.read_text().splitlines()
-    assert lines[0] == ",".join(BENCH_COLUMNS)
-    assert lines[1].startswith("a,")
