@@ -4,21 +4,22 @@ The standard approximant projects through the m-dimensional decomposition,
 
     S(t) v = V phi_p(sigma t T) e_1,
 
-while the corrected one works with the (m+1) x (m+1) augmented matrix
+while the corrected one adds the last entry of phi_p(sigma t Tbar) e_1 for
+the augmented matrix Tbar = [[T, 0], [tau e_m^*, 0]] along v_next,
 
-    Tbar = [[T, 0], [tau e_m^*, 0]]
+    V phi_p(sigma t T) e_1 + sigma t tau (e_m^* phi_{p+1}(sigma t T) e_1) v_next,
 
-and the extended basis [V, v_next], buying one extra order of accuracy.
-The defect scalar delta(t) = (e^{sigma t T})_{m,1} and its exact time
-derivative feed the quadrature-style error estimates and the effective
-order rho(t) = t |delta|' / |delta|.
+buying one extra order of accuracy.  Both read the decomposition's own
+phi and corner, so no (m+1)-sized matrix is ever formed.  The defect
+scalar delta(t) = (e^{sigma t T})_{m,1} and its exact time derivative
+feed the quadrature-style error estimates and the effective order
+rho(t) = t |delta|' / |delta|.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import phi_dense
 from .sparse import validate_prefactor
 
 _ROUNDOFF_FLOOR = 1e3 * float(np.finfo(np.float64).eps)
@@ -36,15 +37,6 @@ class DefectSample:
     delta_prime: complex
 
 
-def corrected_matrix(dec):
-    """The augmented (m+1) x (m+1) matrix [[T, 0], [tau e_m^*, 0]]."""
-    m = dec.m
-    Tb = np.zeros((m + 1, m + 1), dtype=complex)
-    Tb[:m, :m] = dec.T
-    Tb[m, m - 1] = dec.tau_next
-    return Tb
-
-
 class Approximant:
     """Callable wrapper: kind "standard" or "corrected", phi index p >= 0."""
 
@@ -58,27 +50,24 @@ class Approximant:
         self.kind = kind
         self.p = p
 
-    @property
-    def small(self):
-        return self.dec.small_eval(self.sigma)
-
     def apply(self, t):
         """Evaluate the approximant at time t >= 0; returns a length-n vector."""
         if t < 0:
             raise ValueError("t must be >= 0")
         dec = self.dec
+        out = dec.V @ dec.phi(self.sigma, self.p, t)
         if self.kind == "standard" or dec.breakdown:
             # on breakdown the correction term carries tau = 0 and drops out
-            return dec.V @ self.small.phi_column(self.p, t)
-        col = phi_dense(corrected_matrix(dec), self.sigma * t, self.p)
-        return dec.V @ col[: dec.m] + dec.v_next * col[dec.m]
+            return out
+        coef = self.sigma * t * dec.tau_next * dec.corner(self.sigma, self.p + 1, t)
+        return out + coef * dec.v_next
 
     def defect(self, t):
         """Corner entry delta(t) of e^{sigma t T} and its exact derivative."""
         dec = self.dec
         if dec.m < 2:
             raise ValueError("defect needs m >= 2 (the derivative uses the last two rows of T)")
-        u = self.small.u(t)
+        u = dec.phi(self.sigma, 0, t)
         T = dec.T
         m = dec.m
         delta = complex(u[m - 1])

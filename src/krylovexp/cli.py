@@ -29,9 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .approximant import (Approximant, DefectRoundoffError, effective_order)
-from .estimators import era, era_corrected, err1, quad_estimates
+from .estimators import ESTIMATORS, era, era_corrected, err1, quad_estimates
 from .krylov import KrylovConfig, build_krylov
-from .oracle import oracle_reference
+from .oracle import MIN_TARGET_ACCURACY, oracle_reference
 from .problems import ProblemSpec, starting_vector
 from .stepper import ControllerSpec, propagate, propagate_fixed_steps
 
@@ -58,6 +58,19 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _number(value, what, low, integer=False):
+    """value as an int (integer=True) or a float, when it is a JSON number
+    of that kind, finite and >= low; a bool is neither."""
+    _require(isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+             and math.isfinite(value) and value >= low,
+             f"{what} must be {'an integer' if integer else 'a number'} >= {low}, got {value!r}")
+    return value if integer else float(value)
+
+
+def _accuracy(section):
+    return _number(section.get("oracle_accuracy", 1e-13), "oracle_accuracy", MIN_TARGET_ACCURACY)
+
+
 def _load_config(path):
     try:
         with open(path) as fh:
@@ -74,11 +87,19 @@ def _problem_specs(config, seed_override=None):
     specs = []
     for e in entries:
         _require(isinstance(e, dict) and "kind" in e, "each problem needs a 'kind'")
-        seed = seed_override if seed_override is not None else e.get("seed", 0)
+        kind, params = e["kind"], e.get("params", {})
+        _require(all(s.kind != kind for s in specs),
+                 f"problem kind {kind!r} is listed twice; its output files would collide")
+        _require(isinstance(params, dict), f"{kind} 'params' must be an object")
+        seed = seed_override if seed_override is not None else _number(
+            e.get("seed", 0), f"{kind} seed", 0, True)
         try:
-            specs.append(ProblemSpec(e["kind"], e.get("params", {}), seed))
+            spec = ProblemSpec(kind, params, seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for key, value in spec.params.items():
+            _number(value, f"{kind} parameter {key!r}", 2 if key == "n" else -math.inf, key == "n")
+        specs.append(spec)
     return specs
 
 
@@ -86,24 +107,24 @@ def _t_grid(section):
     grid = section.get("t_grid")
     _require(isinstance(grid, dict), "sweep needs a 't_grid' object")
     if "values" in grid:
-        values = [float(x) for x in grid["values"]]
-        _require(len(values) > 0, "t_grid.values must be nonempty")
+        values = grid["values"]
+        _require(isinstance(values, list) and values, "t_grid.values must be a nonempty list")
+        values = [_number(x, "t value", 0.0) for x in values]
         _require(all(x > 0 for x in values), "t values must be > 0")
         return sorted(values)
     for key in ("start", "stop", "points"):
         _require(key in grid, f"t_grid needs '{key}' (or explicit 'values')")
-    start, stop, points = float(grid["start"]), float(grid["stop"]), int(grid["points"])
+    start, stop = (_number(grid[key], f"t_grid.{key}", 0.0) for key in ("start", "stop"))
+    points = _number(grid["points"], "t_grid.points", 1, True)
     _require(0 < start <= stop, "t_grid needs 0 < start <= stop")
-    _require(points >= 1, "t_grid.points must be >= 1")
-    if grid.get("scale", "log") == "log":
-        return list(np.geomspace(start, stop, points))
-    return list(np.linspace(start, stop, points))
+    scale = grid.get("scale", "log")
+    _require(scale in ("log", "linear"), f"t_grid.scale must be 'log' or 'linear', got {scale!r}")
+    space = np.geomspace if scale == "log" else np.linspace
+    return list(space(start, stop, points))
 
 
-def _sweep_cell(spec, m, section, accuracy):
+def _sweep_cell(spec, m, ts, p, corrected, accuracy):
     """All estimator evaluations for one (problem, m) pair."""
-    p = int(section.get("p", 0))
-    corrected = bool(section.get("corrected", False))
     op, sigma = spec.build()
     v = starting_vector(spec)
     dec = build_krylov(op, v, KrylovConfig(m_max=m))
@@ -113,7 +134,7 @@ def _sweep_cell(spec, m, section, accuracy):
     wide_rows = []
     long_rows = []
     violation = False
-    for t in _t_grid(section):
+    for t in ts:
         ref = oracle_reference(spec, op, sigma, t, v, p, accuracy)
         err = float(np.linalg.norm(appr.apply(t) - ref))
         if corrected:
@@ -221,17 +242,20 @@ def cmd_sweep(config, out_dir, threads=1, seed_override=None):
     _require(isinstance(section, dict), "config needs a 'sweep' section")
     ms = section.get("m")
     _require(isinstance(ms, list) and ms, "sweep needs a nonempty 'm' list")
-    ms = [int(m) for m in ms]
-    _require(all(m >= 2 for m in ms), "sweep m values must be >= 2")
-    accuracy = float(section.get("oracle_accuracy", 1e-13))
+    ms = [_number(m, "sweep m", 2, True) for m in ms]
+    ts = _t_grid(section)
+    p = _number(section.get("p", 0), "sweep p", 0, True)
+    corrected = section.get("corrected", False)
+    _require(isinstance(corrected, bool), f"sweep 'corrected' must be a bool, got {corrected!r}")
+    accuracy = _accuracy(section)
 
     cells = [(spec, m) for spec in specs for m in ms]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(
-                lambda c: _sweep_cell(c[0], c[1], section, accuracy), cells))
+                lambda c: _sweep_cell(c[0], c[1], ts, p, corrected, accuracy), cells))
     else:
-        results = [_sweep_cell(spec, m, section, accuracy) for spec, m in cells]
+        results = [_sweep_cell(spec, m, ts, p, corrected, accuracy) for spec, m in cells]
 
     all_long = []
     files = []
@@ -247,47 +271,56 @@ def cmd_sweep(config, out_dir, threads=1, seed_override=None):
     return 1 if violated else 0
 
 
+def _bench_run(run, specs):
+    """(spec, m, ctrl, estimator, n_steps, t_final) of one bench run, with
+    n_steps None for a run to t_final and t_final None otherwise."""
+    _require(isinstance(run, dict), "each bench run must be an object")
+    kind, estimator = run.get("problem"), run.get("estimator", "era")
+    _require(isinstance(kind, str) and kind in specs, f"unknown bench problem {kind!r}")
+    _require(isinstance(estimator, str) and estimator in ESTIMATORS,
+             f"unknown estimator {estimator!r}")
+    try:
+        m = _number(run["m"], "m", 1, True)
+        safety = run.get("safety")
+        ctrl = ControllerSpec(run["controller"], _number(run["tol"], "tol", 0.0),
+                              run.get("error_model"),
+                              _number(run.get("iteration_cap", 5), "iteration_cap", 1, True),
+                              None if safety is None else _number(safety, "safety", 0.0))
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"bad bench run: {exc}") from exc
+    if "n_steps" in run:
+        return specs[kind], m, ctrl, estimator, _number(run["n_steps"], "n_steps", 1, True), None
+    _require("t_final" in run, "bench run needs 'n_steps' or 't_final'")
+    t_final = _number(run["t_final"], "t_final", 0.0)
+    _require(t_final > 0.0, "t_final must be > 0")
+    return specs[kind], m, ctrl, estimator, None, t_final
+
+
 def cmd_bench(config, out_dir, seed_override=None):
     specs = {s.kind: s for s in _problem_specs(config, seed_override)}
     section = config.get("bench")
     _require(isinstance(section, dict), "config needs a 'bench' section")
     runs = section.get("runs")
     _require(isinstance(runs, list) and runs, "bench needs a nonempty 'runs' list")
-    accuracy = float(section.get("oracle_accuracy", 1e-13))
+    accuracy = _accuracy(section)
+    parsed = [_bench_run(run, specs) for run in runs]
 
     rows = []
     violated = False
-    for run in runs:
-        _require(isinstance(run, dict), "each bench run must be an object")
-        kind = run.get("problem")
-        _require(kind in specs, f"bench run references unknown problem {kind!r}")
-        spec = specs[kind]
-        try:
-            m = int(run["m"])
-            tol = float(run["tol"])
-            controller = run["controller"]
-            estimator = run.get("estimator", "era")
-            ctrl = ControllerSpec(controller, tol, run.get("error_model"),
-                                  int(run.get("iteration_cap", 5)),
-                                  run.get("safety"))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"bad bench run: {exc}") from exc
+    for spec, m, ctrl, estimator, n_steps, t_final in parsed:
         op, sigma = spec.build()
         v = starting_vector(spec)
         cfg = KrylovConfig(m_max=m)
-        if "n_steps" in run:
-            n_steps = int(run["n_steps"])
-            _require(n_steps >= 1, "n_steps must be >= 1")
+        if n_steps is not None:
             result = propagate_fixed_steps(op, sigma, v, n_steps, cfg, ctrl, estimator)
         else:
-            _require("t_final" in run, "bench run needs 'n_steps' or 't_final'")
-            result = propagate(op, sigma, v, float(run["t_final"]), cfg, ctrl, estimator)
+            result = propagate(op, sigma, v, t_final, cfg, ctrl, estimator)
         total_t = result.total_time
         ref = oracle_reference(spec, op, sigma, total_t, v, 0, accuracy)
         err = float(np.linalg.norm(result.w_final - ref))
         rows.append({
             "controller": ctrl.kind, "estimator": estimator, "m": m,
-            "tol": tol, "N": len(result.records), "total_t": total_t,
+            "tol": ctrl.tol, "N": len(result.records), "total_t": total_t,
             "total_matvecs": result.total_matvecs,
             "accumulated_bound": result.accumulated_bound,
             "oracle_error_per_unit_t": err / total_t,
@@ -298,7 +331,7 @@ def cmd_bench(config, out_dir, seed_override=None):
             if err > result.accumulated_bound + slack:
                 violated = True
             if (ctrl.error_model == "per_unit_step"
-                    and err / total_t > tol * (1.0 + _BOUND_SLACK_REL) + 10.0 * accuracy / total_t):
+                    and err / total_t > ctrl.tol * (1.0 + _BOUND_SLACK_REL) + 10.0 * accuracy / total_t):
                 violated = True
     _write_csv(out_dir / "bench.csv", BENCH_COLUMNS, rows, BENCH_KEY)
     return 1 if violated else 0

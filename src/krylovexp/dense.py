@@ -46,7 +46,7 @@ def expm_dense(T, z=1.0):
     below 5.4, followed by repeated squaring.  zT = 0 returns exactly I,
     which Pade would miss by an ulp.  (Lanczos decompositions reach e^{zT}
     through their tridiagonal eigendecomposition instead; see
-    KrylovDecomposition.small_eval.)
+    KrylovDecomposition.phi.)
     """
     T = np.asarray(T)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:

@@ -81,7 +81,7 @@ def _era_corrected(dec, sigma, t, p):
 
 
 def _err1(dec, sigma, t, p):
-    corner = dec.small_eval(sigma).corner_phi(p + 1, t) if t > 0.0 else 0.0
+    corner = dec.corner(sigma, p + 1, t) if t > 0.0 else 0.0
     return dec.tau_next * t * abs(corner)
 
 
@@ -89,7 +89,7 @@ def _err1_corrected(dec, sigma, t, p):
     if dec.breakdown:
         return 0.0
     avn = float(np.linalg.norm(dec.a_v_next()))
-    corner = dec.small_eval(sigma).corner_phi(p + 2, t) if t > 0.0 else 0.0
+    corner = dec.corner(sigma, p + 2, t) if t > 0.0 else 0.0
     return avn * dec.tau_next * t * t * abs(corner)
 
 

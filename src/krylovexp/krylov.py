@@ -4,8 +4,13 @@ The decomposition object carries everything the approximants and error
 estimators downstream need: the operator it was built from, the basis,
 the projected matrix, the next subdiagonal entry tau, the subdiagonal
 product gamma (also in log form, which is what the estimators actually
-consume), breakdown state, the cached A v_next, and the per-sigma
-evaluator of e^{sigma t T} e_1 and its phi relatives.
+consume), breakdown state and the cached A v_next.
+
+It is also the one owner of the small-matrix functions that every
+approximant and estimator reads: phi(sigma, q, t) = phi_q(sigma t T) e_1
+and its last entry corner(sigma, q, t).  A Lanczos decomposition
+eigendecomposes T once and serves every sigma, q and t from it; an
+Arnoldi one pays one Pade call per (sigma, q, t).
 
 One build allocates one store of two arrays, sized for m_max: a row-major
 basis of shape (m_max+1, n) and a Hessenberg matrix of shape
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import expm_dense, phi_dense, phi_scalar, symtrid_eig
+from .dense import phi_dense, phi_scalar, symtrid_eig
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -99,7 +104,8 @@ class KrylovDecomposition:
         self.v_next = None if self.breakdown else _read_only(basis[m])
         self.log_gamma = float(np.sum(np.log(self.subdiag)))
         self._a_v_next = None
-        self._small = {}
+        self._eigh = None
+        self._phi = {}
 
     @property
     def subdiag(self):
@@ -113,12 +119,6 @@ class KrylovDecomposition:
     @property
     def T(self):
         return self._T
-
-    def tridiag(self):
-        """(alpha, beta) of the real symmetric tridiagonal T (Lanczos mode only)."""
-        if self.mode != "lanczos":
-            raise ValueError("tridiag() is only available in lanczos mode")
-        return np.diagonal(self._T), self.subdiag
 
     @property
     def matvecs_used(self):
@@ -134,64 +134,39 @@ class KrylovDecomposition:
             self._a_v_next = self.op.matvec(self.v_next)
         return self._a_v_next
 
-    def small_eval(self, sigma):
-        """The shared evaluator of e^{sigma t T} e_1 and corner phi entries
-        for this decomposition and prefactor sigma."""
-        if sigma not in self._small:
-            self._small[sigma] = _SmallEval(self, sigma)
-        return self._small[sigma]
+    def _eig(self):
+        """(lam, Q, Q[0], Q[m-1]) of the Lanczos tridiagonal T, computed
+        once and shared by every sigma, q and t."""
+        if self._eigh is None:
+            lam, Q = symtrid_eig(np.diagonal(self._T), self.subdiag)
+            self._eigh = (lam, Q, Q[0].copy(), Q[self.m - 1].copy())
+        return self._eigh
 
-
-class _SmallEval:
-    """Evaluations of e^{sigma t T} e_1 and corner phi entries for one (dec, sigma).
-
-    Every e^{sigma t T} that approximants and estimators need comes from
-    here: Lanczos decompositions reuse a single symmetric tridiagonal
-    eigendecomposition across all t; Arnoldi ones pay one Pade call per
-    requested t.
-    """
-
-    def __init__(self, dec, sigma):
-        self.dec = dec
-        self.sigma = sigma
-        self._u_cache = {}
-        if dec.mode == "lanczos":
-            alpha, beta = dec.tridiag()
-            self.lam, self.Q = symtrid_eig(alpha, beta)
-            self.q1 = self.Q[0].copy()
-            self.qm = self.Q[dec.m - 1].copy()
-        else:
-            self.lam = None
-
-    def u(self, t):
-        """e^{sigma t T} e_1 as a length-m complex vector."""
-        hit = self._u_cache.get(t)
+    def phi(self, sigma, q, t):
+        """phi_q(sigma t T) e_1 as a read-only length-m complex vector
+        (q = 0 gives e^{sigma t T} e_1), cached per (sigma, q, t)."""
+        key = (sigma, q, t)
+        hit = self._phi.get(key)
         if hit is not None:
             return hit
-        if self.lam is not None:
-            val = self.Q @ (np.exp(self.sigma * t * self.lam) * self.q1)
+        if self.mode == "lanczos":
+            lam, Q, q1, _ = self._eig()
+            val = Q @ (phi_scalar(sigma * t * lam, q) * q1)
         else:
-            val = expm_dense(self.dec.T, self.sigma * t)[:, 0]
-        if len(self._u_cache) > 256:
-            self._u_cache.clear()
-        self._u_cache[t] = val
+            val = phi_dense(self._T, sigma * t, q)
+        if len(self._phi) > 256:
+            self._phi.clear()
+        self._phi[key] = _read_only(val)
         return val
 
-    def corner_phi(self, q, t):
-        """e_m^* phi_q(sigma t T) e_1."""
-        if q == 0:
-            return complex(self.u(t)[self.dec.m - 1])
-        if self.lam is not None:
-            return complex(self.qm @ (phi_scalar(self.sigma * t * self.lam, q) * self.q1))
-        return complex(phi_dense(self.dec.T, self.sigma * t, q)[self.dec.m - 1])
-
-    def phi_column(self, p, t):
-        """phi_p(sigma t T) e_1 as a length-m vector (p = 0 gives u)."""
-        if p == 0:
-            return self.u(t)
-        if self.lam is not None:
-            return self.Q @ (phi_scalar(self.sigma * t * self.lam, p) * self.q1)
-        return phi_dense(self.dec.T, self.sigma * t, p)
+    def corner(self, sigma, q, t):
+        """e_m^* phi_q(sigma t T) e_1.  For q >= 1 a Lanczos decomposition
+        dots the last eigenvector row instead of reading phi's last entry,
+        which rounds differently where the corner sits at round-off level."""
+        if q == 0 or self.mode != "lanczos":
+            return complex(self.phi(sigma, q, t)[self.m - 1])
+        lam, _, q1, qm = self._eig()
+        return complex(qm @ (phi_scalar(sigma * t * lam, q) * q1))
 
 
 def _resolve(op, cfg):

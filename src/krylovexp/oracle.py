@@ -32,7 +32,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 _TERM_CAP = 400
-_MIN_TARGET = 1e-14
+MIN_TARGET_ACCURACY = 1e-14
 
 
 def oracle_laplacian(n, sigma, t, v):
@@ -108,8 +108,8 @@ def _substep_count(sigma, t, norm_1, norm_inf):
 
 def oracle_series(op, sigma, t, v, target_accuracy=1e-13):
     """e^{sigma t A} v by s equal substeps of scaled Taylor summation."""
-    if target_accuracy < _MIN_TARGET:
-        raise ValueError(f"target_accuracy must be >= {_MIN_TARGET}")
+    if target_accuracy < MIN_TARGET_ACCURACY:
+        raise ValueError(f"target_accuracy must be >= {MIN_TARGET_ACCURACY}")
     if t < 0:
         raise ValueError("t must be >= 0")
     v = np.asarray(v, dtype=complex)
@@ -191,8 +191,8 @@ def oracle_phi(op, sigma, t, v, p, target_accuracy=1e-13, method=None):
     """
     if p < 0:
         raise ValueError("p must be >= 0")
-    if target_accuracy < _MIN_TARGET:
-        raise ValueError(f"target_accuracy must be >= {_MIN_TARGET}")
+    if target_accuracy < MIN_TARGET_ACCURACY:
+        raise ValueError(f"target_accuracy must be >= {MIN_TARGET_ACCURACY}")
     if t < 0:
         raise ValueError("t must be >= 0")
     v = np.asarray(v, dtype=complex)

@@ -1,8 +1,11 @@
 """Shared fixtures.  The Hubbard operator is the only expensive build
 (4900 basis states), so it is constructed once per session."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import krylovexp as kx
 
@@ -37,3 +40,8 @@ def random_unit(n, seed, complex_=True):
     if complex_:
         v = v + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+# unit prefactors: the four canonical ones and any point of the unit circle
+SIGMAS = st.one_of(st.sampled_from([1.0, -1.0, 1j, -1j]),
+                   st.floats(0.0, 2.0 * math.pi).map(lambda a: complex(np.exp(1j * a))))

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import krylovexp as kx
-from krylovexp import KrylovConfig, SparseOperator, build_krylov
+from krylovexp import KrylovConfig, SparseOperator, build_krylov, krylov, phi_dense
 from krylovexp.approximant import (Approximant, DefectRoundoffError,
-                                   corrected_matrix, effective_order)
+                                   effective_order)
 
-from conftest import random_unit
+from conftest import SIGMAS, random_unit
 
 
 def small_problem(n=30, seed=60, hermitian=True):
@@ -56,6 +58,16 @@ def test_phi_approximant_matches_oracle():
             assert np.linalg.norm(appr.apply(t) - expected) < 1e-11
 
 
+def augmented_matrix(dec):
+    """Tbar = [[T, 0], [tau e_m^*, 0]], the (m+1) x (m+1) matrix of the
+    corrected approximant."""
+    m = dec.m
+    Tbar = np.zeros((m + 1, m + 1), dtype=complex)
+    Tbar[:m, :m] = dec.T
+    Tbar[m, m - 1] = dec.tau_next
+    return Tbar
+
+
 def test_corrected_corner_identity():
     """The bottom entry of e^{sigma t Tbar} e_1 equals
     sigma t tau (e_m^* phi_1(sigma t T) e_1): the correction only feeds
@@ -63,12 +75,11 @@ def test_corrected_corner_identity():
     _, op, v = small_problem(seed=64)
     dec = build_krylov(op, v, KrylovConfig(m_max=9))
     sigma = -1j
-    se = dec.small_eval(sigma)
-    Tbar = corrected_matrix(dec)
+    Tbar = augmented_matrix(dec)
     for t in (0.4, 1.7):
         full = scipy.linalg.expm(sigma * t * Tbar)
         bottom = full[dec.m, 0]
-        expected = sigma * t * dec.tau_next * se.corner_phi(1, t)
+        expected = sigma * t * dec.tau_next * dec.corner(sigma, 1, t)
         assert abs(bottom - expected) < 1e-13 * max(1.0, abs(bottom))
 
 
@@ -84,15 +95,21 @@ def test_corrected_apply_matches_oracle(schrodinger_pair):
 
 
 def test_corrected_beats_standard_at_same_dimension(schrodinger_pair):
+    """Where truncation dominates (t = 2) the corrected approximant is the
+    more accurate one.  At t = 0.05 both errors are round-off (era_corrected
+    is about 1e-28 there), so only their size is asserted."""
     op, sigma, v = schrodinger_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
     std = Approximant(dec, sigma, "standard", 0)
     cor = Approximant(dec, sigma, "corrected", 0)
-    t = 0.05
-    ref = kx.oracle_laplacian(op.n, sigma, t, v)
-    err_std = np.linalg.norm(std.apply(t) - ref)
-    err_cor = np.linalg.norm(cor.apply(t) - ref)
-    assert err_cor < err_std
+    errs = {}
+    for t in (0.05, 2.0):
+        ref = kx.oracle_laplacian(op.n, sigma, t, v)
+        errs[t] = (np.linalg.norm(std.apply(t) - ref), np.linalg.norm(cor.apply(t) - ref))
+    assert max(errs[0.05]) < 1e-14
+    err_std, err_cor = errs[2.0]
+    assert err_std > 1e-12
+    assert err_cor < 0.5 * err_std
 
 
 def test_defect_matches_dense_corner():
@@ -201,11 +218,66 @@ def test_approximant_validation(heat_pair):
         appr.apply(-0.5)
 
 
-def test_small_eval_is_shared_per_sigma(heat_pair):
+def test_one_symtrid_eig_per_decomposition(heat_pair, monkeypatch):
+    """A Lanczos decomposition eigendecomposes T once and serves every
+    sigma and q from it."""
+    calls = []
+    original = krylov.symtrid_eig
+    monkeypatch.setattr(krylov, "symtrid_eig",
+                        lambda d, e: calls.append(1) or original(d, e))
     op, sigma, v = heat_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=5))
-    a = Approximant(dec, sigma, "standard", 0)
-    b = Approximant(dec, sigma, "standard", 1)
-    assert a.small is b.small
-    c = Approximant(dec, -1j, "standard", 0)
-    assert c.small is not a.small
+    assert dec.mode == "lanczos"
+    for s in (sigma, -1j):
+        for q in (0, 1, 2):
+            dec.phi(s, q, 0.7)
+            dec.corner(s, q, 1.3)
+            Approximant(dec, s, "corrected", q).apply(0.9)
+    assert len(calls) == 1
+    other = build_krylov(op, v, KrylovConfig(m_max=4))
+    other.corner(sigma, 1, 0.7)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["lanczos", "arnoldi"])
+def test_phi_is_cached_and_read_only(mode):
+    _, op, v = small_problem(seed=68)
+    dec = build_krylov(op, v, KrylovConfig(m_max=6, mode=mode))
+    col = dec.phi(-1j, 1, 0.5)
+    assert dec.phi(-1j, 1, 0.5) is col
+    with pytest.raises(ValueError):
+        col[0] = 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 12),
+       m=st.integers(2, 5), sigma=SIGMAS, t=st.floats(1e-3, 5.0))
+def test_lanczos_and_arnoldi_agree_on_phi_and_corner(seed, n, m, sigma, t):
+    """The eigendecomposition route (Lanczos) and the Pade route (the same
+    hermitian operator forced through Arnoldi) give the same phi_q and
+    corner for q = 0, 1, 2."""
+    _, op, v = small_problem(n, seed)
+    lan = build_krylov(op, v, KrylovConfig(m_max=m, mode="lanczos"))
+    arn = build_krylov(op, v, KrylovConfig(m_max=m, mode="arnoldi"))
+    assume(lan.m == arn.m)
+    for q in (0, 1, 2):
+        ref = arn.phi(sigma, q, t)
+        scale = max(1.0, float(np.linalg.norm(ref)))
+        assert np.linalg.norm(lan.phi(sigma, q, t) - ref) < 1e-10 * scale
+        assert abs(lan.corner(sigma, q, t) - arn.corner(sigma, q, t)) < 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 12),
+       m=st.integers(2, 5), sigma=SIGMAS, t=st.floats(1e-3, 5.0),
+       p=st.integers(0, 2), mode=st.sampled_from(["lanczos", "arnoldi"]))
+def test_corrected_apply_is_the_augmented_phi(seed, n, m, sigma, t, p, mode):
+    """The corrected approximant equals [V, v_next] phi_p(sigma t Tbar) e_1
+    with Tbar = [[T, 0], [tau e_m^*, 0]] evaluated densely."""
+    _, op, v = small_problem(n, seed)
+    dec = build_krylov(op, v, KrylovConfig(m_max=m, mode=mode))
+    assume(not dec.breakdown)
+    col = phi_dense(augmented_matrix(dec), sigma * t, p)
+    expected = dec.V @ col[:dec.m] + dec.v_next * col[dec.m]
+    got = Approximant(dec, sigma, "corrected", p).apply(t)
+    assert np.linalg.norm(got - expected) < 1e-10 * max(1.0, float(np.linalg.norm(expected)))

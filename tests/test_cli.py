@@ -50,6 +50,17 @@ BENCH_CFG = {
           "sweep": {"m": [4], "t_grid": {"start": 2.0, "stop": 1.0, "points": 3}}}),
     (["--threads", "0"], SWEEP_CFG),
     (["--seed", "-1"], SWEEP_CFG),
+    ([], {**SWEEP_CFG, "sweep": {**SWEEP_CFG["sweep"], "p": -1}}),
+    ([], {**SWEEP_CFG, "sweep": {**SWEEP_CFG["sweep"], "m": ["a"]}}),
+    ([], {**SWEEP_CFG, "sweep": {**SWEEP_CFG["sweep"], "t_grid": {"values": ["x"]}}}),
+    ([], {"problems": [{"kind": "hubbard"}],
+          "sweep": {**SWEEP_CFG["sweep"], "oracle_accuracy": 1e-15}}),
+    ([], {**SWEEP_CFG, "problems": [{"kind": "heat", "params": {"n": "x"}}]}),
+    ([], {**SWEEP_CFG, "sweep": {**SWEEP_CFG["sweep"], "corrected": "no"}}),
+    ([], {"problems": [{"kind": "heat"}],
+          "sweep": {"m": [4], "t_grid": {"start": 1.0, "stop": 2.0, "points": 3,
+                                         "scale": "lg"}}}),
+    ([], {**SWEEP_CFG, "problems": [{"kind": "heat", "seed": "x"}]}),
 ])
 def test_sweep_config_errors_exit_2(tmp_path, capsys, argv_extra, payload):
     cfg = write_config(tmp_path, payload)
@@ -79,11 +90,29 @@ def test_malformed_json_exits_2(tmp_path):
      "tol": 1e-6, "n_steps": 2},
     {"problem": "heat", "controller": "heuristic_iterated", "m": 8,
      "tol": 1e-6, "n_steps": 2, "error_model": "global_budget"},
+    {"problem": "heat", "controller": "direct_era_local", "m": 8, "tol": 1e-6,
+     "t_final": "x"},
+    {"problem": "heat", "controller": "heuristic_iterated", "estimator": "bogus",
+     "m": 8, "tol": 1e-6, "n_steps": 2},
 ])
 def test_bench_config_errors_exit_2(tmp_path, run):
     cfg = write_config(tmp_path, {"problems": [{"kind": "heat"}],
                                   "bench": {"runs": [run]}})
     assert main(["bench", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["build", "sweep", "bench"])
+def test_repeated_problem_kind_exits_2(tmp_path, capsys, command):
+    """Outputs are named by problem kind, so a second entry of one kind
+    would overwrite the first one's files."""
+    cfg = write_config(tmp_path, {
+        "problems": [{"kind": "heat", "params": {"n": 200}},
+                     {"kind": "heat", "params": {"n": 50}}],
+        "sweep": SWEEP_CFG["sweep"], "bench": BENCH_CFG["bench"]})
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "listed twice" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_build_writes_matrix_and_metadata(tmp_path):

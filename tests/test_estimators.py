@@ -17,7 +17,7 @@ from krylovexp import (KrylovConfig, SparseOperator, build_krylov, era,
 from krylovexp.approximant import Approximant, effective_order
 from krylovexp.estimators import ESTIMATORS, evaluate
 
-from conftest import random_unit
+from conftest import SIGMAS, random_unit
 
 
 @pytest.fixture(scope="module")
@@ -106,10 +106,9 @@ def test_err1_formula_via_dense_augmented_corner(hermitian_dec):
 def test_err1_corrected_formula(hermitian_dec):
     op, dec = hermitian_dec
     sigma = -1.0
-    se = dec.small_eval(sigma)
     anorm = float(np.linalg.norm(op.csr @ dec.v_next))
     t = 0.7
-    expected = anorm * dec.tau_next * t ** 2 * abs(se.corner_phi(2, t))
+    expected = anorm * dec.tau_next * t ** 2 * abs(dec.corner(sigma, 2, t))
     got = err1(dec, sigma, t, corrected=True)
     assert got.value == pytest.approx(expected, rel=1e-12)
     assert got.extra_matvecs == 1
@@ -319,10 +318,6 @@ def _random_dec(seed, hermitian, n, m):
                           symmetry="hermitian" if hermitian else "general")
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return op, build_krylov(op, v / np.linalg.norm(v), KrylovConfig(m_max=m))
-
-
-SIGMAS = st.one_of(st.sampled_from([1.0, -1.0, 1j, -1j]),
-                   st.floats(0.0, 2.0 * math.pi).map(lambda a: complex(np.exp(1j * a))))
 
 
 @settings(max_examples=80, deadline=None)

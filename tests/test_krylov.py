@@ -146,19 +146,6 @@ def test_lanczos_and_arnoldi_agree_on_hermitian_input():
     assert np.linalg.norm(np.abs(lan.V) - np.abs(arn.V)) < 1e-9
 
 
-def test_tridiag_only_in_lanczos_mode():
-    op = random_hermitian_op(20, 44)
-    v = random_unit(20, seed=45)
-    lan = build_krylov(op, v, KrylovConfig(m_max=6))
-    d, e = lan.tridiag()
-    T = lan.T
-    assert np.array_equal(d, np.diag(T).real)
-    assert np.array_equal(e, np.diag(T, -1).real)
-    arn = build_krylov(random_general_op(20, 46), v, KrylovConfig(m_max=6))
-    with pytest.raises(ValueError):
-        arn.tridiag()
-
-
 def test_a_v_next_is_cached():
     op = random_general_op(22, 47)
     v = random_unit(22, seed=48)
