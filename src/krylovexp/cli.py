@@ -280,7 +280,7 @@ def _bench_run(run, specs):
     _require(isinstance(estimator, str) and estimator in ESTIMATORS,
              f"unknown estimator {estimator!r}")
     try:
-        m = _number(run["m"], "m", 1, True)
+        m = _number(run["m"], "m", 2, True)
         safety = run.get("safety")
         ctrl = ControllerSpec(run["controller"], _number(run["tol"], "tol", 0.0),
                               run.get("error_model"),

@@ -1,5 +1,11 @@
 """Arnoldi and Lanczos builds of the Krylov decomposition A V = V T + tau v_next e_m^*.
 
+The operator picks the algorithm: Lanczos when it is flagged hermitian,
+Arnoldi otherwise.  Each new column is orthogonalized against the whole
+basis by modified Gram-Schmidt, in one sweep, or two when m_max > 20
+(Lanczos runs them after its three-term step).  Nothing else is
+configurable.
+
 The decomposition object carries everything the approximants and error
 estimators downstream need: the operator it was built from, the basis,
 the projected matrix, the next subdiagonal entry tau, the subdiagonal
@@ -34,35 +40,23 @@ from .dense import phi_dense, phi_scalar, symtrid_eig
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Gram-Schmidt sweeps over the whole basis after Lanczos' three-term step
-_LANCZOS_SWEEPS = {"none": 0, "full": 1, "twice": 2}
-
 
 @dataclass(frozen=True)
 class KrylovConfig:
-    """Build configuration.
+    """Build configuration: the largest dimension m_max.
 
-    mode: "arnoldi", "lanczos", or "auto" (lanczos iff the operator is
-        flagged hermitian).
-    reorthogonalize: "none", "full", "twice", or "auto" ("twice" when
-        m_max > 20, else "full").  For Arnoldi, "none" and "full" both
-        mean the single modified Gram-Schmidt sweep; "twice" repeats it.
-        For Lanczos, "none" is the bare three-term recurrence.
+    The operator picks the algorithm: Lanczos iff it is flagged hermitian,
+    else Arnoldi.  m_max picks the modified Gram-Schmidt sweeps over the
+    whole basis, for both: one, or two when m_max > 20.
 
     The build stops with a breakdown once tau <= n * eps * max_j ||A v_j||_2.
     """
 
     m_max: int
-    mode: str = "auto"
-    reorthogonalize: str = "auto"
 
     def __post_init__(self):
         if self.m_max < 1:
             raise ValueError("m_max must be >= 1")
-        if self.mode not in ("arnoldi", "lanczos", "auto"):
-            raise ValueError(f"unknown mode: {self.mode!r}")
-        if self.reorthogonalize not in ("none", "full", "twice", "auto"):
-            raise ValueError(f"unknown reorthogonalize policy: {self.reorthogonalize!r}")
 
 
 def _read_only(view):
@@ -87,10 +81,10 @@ class KrylovDecomposition:
         exact for every t
     """
 
-    def __init__(self, op, mode, reorth, basis, hess, m, tau_next, amax):
+    def __init__(self, op, basis, hess, m, tau_next, amax):
         self.op = op
-        self.mode = mode
-        self.reorth = reorth
+        # Lanczos keeps its tridiagonal T real
+        self.mode = "arnoldi" if np.iscomplexobj(hess) else "lanczos"
         self.m_max = hess.shape[1]
         self.m = m
         self.tau_next = tau_next
@@ -169,19 +163,7 @@ class KrylovDecomposition:
         return complex(qm @ (phi_scalar(sigma * t * lam, q) * q1))
 
 
-def _resolve(op, cfg):
-    mode = cfg.mode
-    if mode == "auto":
-        mode = "lanczos" if op.symmetry == "hermitian" else "arnoldi"
-    if mode == "lanczos" and op.symmetry != "hermitian":
-        raise ValueError("lanczos mode requires an operator flagged hermitian")
-    reorth = cfg.reorthogonalize
-    if reorth == "auto":
-        reorth = "twice" if cfg.m_max > 20 else "full"
-    return mode, reorth
-
-
-def _grow(op, mode, reorth, basis, hess, m, amax, steps):
+def _grow(op, basis, hess, m, amax, steps):
     """Fill columns m .. m+steps-1 of the store by modified Gram-Schmidt
     and return the decomposition they reach (earlier at a breakdown).
 
@@ -191,8 +173,8 @@ def _grow(op, mode, reorth, basis, hess, m, amax, steps):
     same values twice.
     """
     n = basis.shape[1]
-    lanczos = mode == "lanczos"
-    sweeps = _LANCZOS_SWEEPS[reorth] if lanczos else 1 + (reorth == "twice")
+    lanczos = not np.iscomplexobj(hess)
+    sweeps = 2 if hess.shape[1] > 20 else 1
     for j in range(m, m + steps):
         w = op.matvec(basis[j])
         amax = max(amax, float(np.linalg.norm(w)))
@@ -210,12 +192,12 @@ def _grow(op, mode, reorth, basis, hess, m, amax, steps):
                 w = w - c * basis[i]
         tau = float(np.linalg.norm(w))
         if tau <= n * _EPS * amax:
-            return KrylovDecomposition(op, mode, reorth, basis, hess, j + 1, 0.0, amax)
+            return KrylovDecomposition(op, basis, hess, j + 1, 0.0, amax)
         hess[j + 1, j] = tau
         if lanczos and j + 1 < hess.shape[1]:
             hess[j, j + 1] = tau
         basis[j + 1] = w / tau
-    return KrylovDecomposition(op, mode, reorth, basis, hess, m + steps, tau, amax)
+    return KrylovDecomposition(op, basis, hess, m + steps, tau, amax)
 
 
 def build_krylov(op, v, cfg, steps=None):
@@ -234,11 +216,11 @@ def build_krylov(op, v, cfg, steps=None):
         steps = cfg.m_max
     if not 1 <= steps <= cfg.m_max:
         raise ValueError("steps must lie in [1, m_max]")
-    mode, reorth = _resolve(op, cfg)
     basis = np.zeros((cfg.m_max + 1, op.n), dtype=complex)
     basis[0] = v
-    hess = np.zeros((cfg.m_max + 1, cfg.m_max), dtype=float if mode == "lanczos" else complex)
-    return _grow(op, mode, reorth, basis, hess, 0, 0.0, steps)
+    hess = np.zeros((cfg.m_max + 1, cfg.m_max),
+                    dtype=float if op.symmetry == "hermitian" else complex)
+    return _grow(op, basis, hess, 0, 0.0, steps)
 
 
 def extend_krylov(dec, steps):
@@ -255,4 +237,4 @@ def extend_krylov(dec, steps):
         raise ValueError("cannot extend past a breakdown (the approximation is already exact)")
     if dec.m + steps > dec.m_max:
         raise ValueError(f"extension to m={dec.m + steps} exceeds m_max={dec.m_max}")
-    return _grow(dec.op, dec.mode, dec.reorth, dec._basis, dec._hess, dec.m, dec._amax, steps)
+    return _grow(dec.op, dec._basis, dec._hess, dec.m, dec._amax, steps)

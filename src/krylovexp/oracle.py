@@ -181,13 +181,12 @@ def _recurrence_phi(op, sigma, t, v, p, target_accuracy):
     return u / t ** p
 
 
-def oracle_phi(op, sigma, t, v, p, target_accuracy=1e-13, method=None):
+def oracle_phi(op, sigma, t, v, p, target_accuracy=1e-13):
     """phi_p(sigma t A) v, independent of the projection code.
 
-    Two routes that cross-check each other: the augmented-system
-    exponential (default for n <= 500) and the substepped integral
-    recurrence (default above).  method forces "augmented" or
-    "recurrence".
+    The size of A picks the route: the augmented-system exponential for
+    n <= 500, the substepped integral recurrence above.  The two routes
+    cross-check each other in the tests.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
@@ -200,13 +199,8 @@ def oracle_phi(op, sigma, t, v, p, target_accuracy=1e-13, method=None):
         return oracle_series(op, sigma, t, v, target_accuracy)
     if t == 0.0:
         return v / math.factorial(p)
-    if method is None:
-        method = "augmented" if op.n <= 500 else "recurrence"
-    if method == "augmented":
-        return _augmented_phi(op, sigma, t, v, p, target_accuracy)
-    if method == "recurrence":
-        return _recurrence_phi(op, sigma, t, v, p, target_accuracy)
-    raise ValueError(f"unknown method: {method!r}")
+    route = _augmented_phi if op.n <= 500 else _recurrence_phi
+    return route(op, sigma, t, v, p, target_accuracy)
 
 
 def oracle_reference(spec, op, sigma, t, v, p=0, target_accuracy=1e-13):

@@ -183,16 +183,15 @@ def problem_dimension(spec):
     return spec.params["n"]
 
 
-def starting_vector(spec, seed=None):
+def starting_vector(spec):
     """Problem-conventional start vector of unit 2-norm.
 
     Convection-diffusion uses the all-ones vector; the others draw a
-    complex standard-normal vector from the given seed (defaulting to
-    spec.seed) and normalize it.
+    complex standard-normal vector from spec.seed and normalize it.
     """
     n = problem_dimension(spec)
     if spec.kind == "convection_diffusion":
         return np.full(n, 1.0 + 0.0j) / np.sqrt(n)
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(spec.seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)

@@ -68,6 +68,8 @@ class ControllerSpec:
             raise ValueError(f"unknown error model: {self.error_model!r}")
         if not self.tol > 0.0:
             raise ValueError("tol must be > 0")
+        if self.kind == "expokit_first_step_only" and not self.tol < 1.0:
+            raise ValueError("expokit_first_step_only needs tol in (0, 1)")
         if self.iteration_cap < 1:
             raise ValueError("iteration_cap must be >= 1")
         if self.safety is None:
@@ -118,9 +120,10 @@ def _log_tau_gamma(dec, m):
     return math.log(tau) + float(np.sum(np.log(pre)))
 
 
-def step_size_direct(dec, sigma, tol, m=None, model="global_budget", p=0,
+def step_size_direct(dec, sigma, tol, m=None, model="global_budget",
                      corrected=False):
-    """Invert the era bound (or its corrected variant) for the step size.
+    """Invert the era bound of the exponential (or its corrected variant)
+    for the step size.
 
     Global model solves era(dt) = tol; per-unit-step solves
     era(dt) = dt * tol.  Breakdown means the bound is identically zero
@@ -144,10 +147,10 @@ def step_size_direct(dec, sigma, tol, m=None, model="global_budget", p=0,
         avn = float(np.linalg.norm(dec.a_v_next()))
         if avn <= 0.0:
             return math.inf
-        num = math.log(tol) + math.lgamma(m + p + 2) - log_tg - math.log(avn)
+        num = math.log(tol) + math.lgamma(m + 2) - log_tg - math.log(avn)
         exponent = m + 1 if model == "global_budget" else m
     else:
-        num = math.log(tol) + math.lgamma(m + p + 1) - log_tg
+        num = math.log(tol) + math.lgamma(m + 1) - log_tg
         exponent = m if model == "global_budget" else m - 1
     if exponent < 1:
         raise ValueError("per-unit-step inversion needs m >= 2")
@@ -170,7 +173,7 @@ def step_size_heuristic(prev_dt, prev_estimate, tol, m, model="per_unit_step",
     return safety * prev_dt * math.exp((log_target - math.log(prev_estimate)) / m)
 
 
-def step_size_iterated(dec, sigma, tol, estimator, cap=5, p=0):
+def step_size_iterated(dec, sigma, tol, estimator, cap=5):
     """Fixed-point refinement dt <- dt * (dt*tol / est(dt))^(1/m) for the
     per-unit-step target est(dt) = dt * tol, started from the direct era
     inversion.  Returns (dt, iterations) where iterations counts the
@@ -180,16 +183,16 @@ def step_size_iterated(dec, sigma, tol, estimator, cap=5, p=0):
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    dt = step_size_direct(dec, sigma, tol, model="per_unit_step", p=p)
+    dt = step_size_direct(dec, sigma, tol, model="per_unit_step")
     if not math.isfinite(dt):
         return dt, 0
     m = dec.m
     changes = []
     for l in range(1, cap + 1):
-        est = evaluate(estimator, dec, sigma, dt, p).value
+        est = evaluate(estimator, dec, sigma, dt).value
         if est <= 0.0:
             # degenerate estimator; the proven inversion is already in hand
-            return step_size_direct(dec, sigma, tol, model="per_unit_step", p=p), l
+            return step_size_direct(dec, sigma, tol, model="per_unit_step"), l
         new = dt * math.exp((math.log(dt) + math.log(tol) - math.log(est)) / m)
         rel = abs(new - dt) / dt
         changes.append(new - dt)
@@ -229,6 +232,8 @@ def _raw_step(dec, sigma, ctrl, estimator_kind, j, prev_dt, prev_est):
 def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
     s = validate_prefactor(sigma)
     w = np.asarray(v, dtype=complex).copy()
+    if abs(np.linalg.norm(w) - 1.0) > 1e-12:
+        raise ValueError("start vector must have unit 2-norm")
     corrected = (estimator_kind in ("era_corrected", "err1_corrected")
                  or ctrl.kind == "direct_era_corrected")
     records = []
@@ -287,9 +292,6 @@ def propagate(op, sigma, v, t_final, cfg, ctrl, estimator_kind="era"):
     2-norm; intermediate vectors are re-normalized before each build and
     the recorded estimates carry the norm factor.
     """
-    v = np.asarray(v, dtype=complex)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise ValueError("start vector must have unit 2-norm")
     if not t_final > 0.0:
         raise ValueError("t_final must be > 0")
     return _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=t_final)
@@ -298,15 +300,12 @@ def propagate(op, sigma, v, t_final, cfg, ctrl, estimator_kind="era"):
 def propagate_fixed_steps(op, sigma, v, n_steps, cfg, ctrl, estimator_kind="era"):
     """Run exactly n_steps substeps with no target time (the benchmark
     protocol: the reached total time is the figure of merit)."""
-    v = np.asarray(v, dtype=complex)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise ValueError("start vector must have unit 2-norm")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     return _run(op, sigma, v, cfg, ctrl, estimator_kind, n_steps=n_steps)
 
 
-def early_stop_dimension(op, v, t, tol, m_max, sigma, p=0):
+def early_stop_dimension(op, v, t, tol, m_max, sigma):
     """Grow the Krylov space one column at a time until the era bound
     satisfies era(m, t) <= tol * t, then stop.
 
@@ -322,7 +321,7 @@ def early_stop_dimension(op, v, t, tol, m_max, sigma, p=0):
     cfg = KrylovConfig(m_max=m_max)
     dec = build_krylov(op, v, cfg, steps=1)
     while True:
-        bound = era(dec, s, t, p).value
+        bound = era(dec, s, t).value
         if bound <= tol * t or dec.breakdown or dec.m >= m_max:
             break
         dec = extend_krylov(dec, 1)

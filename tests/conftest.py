@@ -34,6 +34,11 @@ def schrodinger_pair():
     return op, sigma, kx.starting_vector(spec)
 
 
+def as_general(op):
+    """The same matrix without the hermitian flag, so builds run Arnoldi."""
+    return kx.SparseOperator(op.csr, symmetry="general")
+
+
 def random_unit(n, seed, complex_=True):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)

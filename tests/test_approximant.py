@@ -13,7 +13,7 @@ from krylovexp import KrylovConfig, SparseOperator, build_krylov, krylov, phi_de
 from krylovexp.approximant import (Approximant, DefectRoundoffError,
                                    effective_order)
 
-from conftest import SIGMAS, random_unit
+from conftest import SIGMAS, as_general, random_unit
 
 
 def small_problem(n=30, seed=60, hermitian=True):
@@ -34,7 +34,7 @@ def test_standard_apply_matches_dense_exponential():
     """V e^{sigma t T} e_1 against scipy's expm on the full matrix, in the
     regime where m = n so the projection is exact."""
     A, op, v = small_problem(n=12, seed=61)
-    dec = build_krylov(op, v, KrylovConfig(m_max=12, reorthogonalize="full"))
+    dec = build_krylov(op, v, KrylovConfig(m_max=12))
     appr = Approximant(dec, -1j, "standard", 0)
     for t in (0.3, 1.0, 4.0):
         expected = scipy.linalg.expm(-1j * t * A) @ v
@@ -50,7 +50,7 @@ def test_standard_apply_at_t_zero():
 
 def test_phi_approximant_matches_oracle():
     A, op, v = small_problem(n=40, seed=63)
-    dec = build_krylov(op, v, KrylovConfig(m_max=40, reorthogonalize="full"))
+    dec = build_krylov(op, v, KrylovConfig(m_max=40))
     for p in (1, 2):
         appr = Approximant(dec, -1j, "standard", p)
         for t in (0.5, 2.0):
@@ -190,8 +190,8 @@ def test_effective_order_lanczos_and_arnoldi_agree():
     """delta' is exact for any upper Hessenberg T, so the same hermitian
     operator run through Lanczos and Arnoldi gives the same rho."""
     _, op, v = small_problem(seed=67)
-    lan = build_krylov(op, v, KrylovConfig(m_max=9, mode="lanczos"))
-    arn = build_krylov(op, v, KrylovConfig(m_max=9, mode="arnoldi"))
+    lan = build_krylov(op, v, KrylovConfig(m_max=9))
+    arn = build_krylov(as_general(op), v, KrylovConfig(m_max=9))
     t = 1.2
     for sigma in (-1.0, -1j, np.exp(0.3j)):
         assert abs(effective_order(Approximant(arn, sigma), t)
@@ -242,7 +242,8 @@ def test_one_symtrid_eig_per_decomposition(heat_pair, monkeypatch):
 @pytest.mark.parametrize("mode", ["lanczos", "arnoldi"])
 def test_phi_is_cached_and_read_only(mode):
     _, op, v = small_problem(seed=68)
-    dec = build_krylov(op, v, KrylovConfig(m_max=6, mode=mode))
+    dec = build_krylov(op if mode == "lanczos" else as_general(op), v, KrylovConfig(m_max=6))
+    assert dec.mode == mode
     col = dec.phi(-1j, 1, 0.5)
     assert dec.phi(-1j, 1, 0.5) is col
     with pytest.raises(ValueError):
@@ -254,11 +255,11 @@ def test_phi_is_cached_and_read_only(mode):
        m=st.integers(2, 5), sigma=SIGMAS, t=st.floats(1e-3, 5.0))
 def test_lanczos_and_arnoldi_agree_on_phi_and_corner(seed, n, m, sigma, t):
     """The eigendecomposition route (Lanczos) and the Pade route (the same
-    hermitian operator forced through Arnoldi) give the same phi_q and
+    hermitian matrix flagged general, so Arnoldi) give the same phi_q and
     corner for q = 0, 1, 2."""
     _, op, v = small_problem(n, seed)
-    lan = build_krylov(op, v, KrylovConfig(m_max=m, mode="lanczos"))
-    arn = build_krylov(op, v, KrylovConfig(m_max=m, mode="arnoldi"))
+    lan = build_krylov(op, v, KrylovConfig(m_max=m))
+    arn = build_krylov(as_general(op), v, KrylovConfig(m_max=m))
     assume(lan.m == arn.m)
     for q in (0, 1, 2):
         ref = arn.phi(sigma, q, t)
@@ -275,7 +276,7 @@ def test_corrected_apply_is_the_augmented_phi(seed, n, m, sigma, t, p, mode):
     """The corrected approximant equals [V, v_next] phi_p(sigma t Tbar) e_1
     with Tbar = [[T, 0], [tau e_m^*, 0]] evaluated densely."""
     _, op, v = small_problem(n, seed)
-    dec = build_krylov(op, v, KrylovConfig(m_max=m, mode=mode))
+    dec = build_krylov(op if mode == "lanczos" else as_general(op), v, KrylovConfig(m_max=m))
     assume(not dec.breakdown)
     col = phi_dense(augmented_matrix(dec), sigma * t, p)
     expected = dec.V @ col[:dec.m] + dec.v_next * col[dec.m]

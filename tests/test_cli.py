@@ -94,6 +94,14 @@ def test_malformed_json_exits_2(tmp_path):
      "t_final": "x"},
     {"problem": "heat", "controller": "heuristic_iterated", "estimator": "bogus",
      "m": 8, "tol": 1e-6, "n_steps": 2},
+    # m = 1 has no per-unit-step inversion and no defect
+    {"problem": "heat", "controller": "direct_era_local", "m": 1, "tol": 1e-6,
+     "n_steps": 2},
+    {"problem": "heat", "controller": "heuristic", "error_model": "global_budget",
+     "estimator": "trapezoid_quad", "m": 1, "tol": 1e-6, "n_steps": 2},
+    # the a-priori first step needs tol < 1
+    {"problem": "heat", "controller": "expokit_first_step_only", "m": 8, "tol": 2.0,
+     "n_steps": 2},
 ])
 def test_bench_config_errors_exit_2(tmp_path, run):
     cfg = write_config(tmp_path, {"problems": [{"kind": "heat"}],

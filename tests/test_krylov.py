@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import krylovexp as kx
 from krylovexp import KrylovConfig, SparseOperator, build_krylov, extend_krylov
 
-from conftest import random_unit
+from conftest import as_general, random_unit
 
 
 def random_hermitian_op(n, seed):
@@ -50,13 +50,15 @@ def test_factorization_identity(make_op, mode):
 
 
 def test_orthonormality_with_reorthogonalization():
+    """One Gram-Schmidt sweep up to m_max = 20, two above."""
     op = random_hermitian_op(60, 32)
     v = random_unit(60, seed=33)
-    dec = build_krylov(op, v, KrylovConfig(m_max=25, reorthogonalize="full"))
-    V = dec.V
-    G = V.conj().T @ V
-    assert np.linalg.norm(G - np.eye(25)) < 1e-13
-    assert abs(np.linalg.norm(dec.v_next) - 1.0) < 1e-13
+    for m_max in (20, 25):
+        dec = build_krylov(op, v, KrylovConfig(m_max=m_max))
+        V = dec.V
+        G = V.conj().T @ V
+        assert np.linalg.norm(G - np.eye(m_max)) < 1e-13
+        assert abs(np.linalg.norm(dec.v_next) - 1.0) < 1e-13
 
 
 def test_gamma_equals_product_and_matrix_power():
@@ -140,8 +142,9 @@ def test_lanczos_and_arnoldi_agree_on_hermitian_input():
     n = 35
     op = random_hermitian_op(n, 42)
     v = random_unit(n, seed=43)
-    lan = build_krylov(op, v, KrylovConfig(m_max=10, mode="lanczos"))
-    arn = build_krylov(op, v, KrylovConfig(m_max=10, mode="arnoldi"))
+    lan = build_krylov(op, v, KrylovConfig(m_max=10))
+    arn = build_krylov(as_general(op), v, KrylovConfig(m_max=10))
+    assert (lan.mode, arn.mode) == ("lanczos", "arnoldi")
     assert np.linalg.norm(lan.T - arn.T) < 1e-10 * np.linalg.norm(arn.T)
     assert np.linalg.norm(np.abs(lan.V) - np.abs(arn.V)) < 1e-9
 
@@ -161,10 +164,6 @@ def test_a_v_next_is_cached():
 def test_config_validation():
     with pytest.raises(ValueError):
         KrylovConfig(m_max=0)
-    with pytest.raises(ValueError):
-        KrylovConfig(m_max=5, mode="gmres")
-    with pytest.raises(ValueError):
-        KrylovConfig(m_max=5, reorthogonalize="sometimes")
 
 
 def test_build_input_validation():
@@ -179,9 +178,6 @@ def test_build_input_validation():
         build_krylov(op, v, cfg, steps=0)
     with pytest.raises(ValueError):
         build_krylov(op, v, cfg, steps=5)
-    with pytest.raises(ValueError):
-        lancfg = KrylovConfig(m_max=4, mode="lanczos")
-        build_krylov(op, v, lancfg)                  # general op, lanczos forced
 
 
 def test_extend_validation():
@@ -225,16 +221,16 @@ def _exposed(dec):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), hermitian=st.booleans(),
-       reorth=st.sampled_from(["none", "full", "twice"]), m_max=st.integers(2, 10),
-       data=st.data())
-def test_extensions_share_the_store_bitwise(seed, hermitian, reorth, m_max, data):
+       m_max=st.integers(2, 24), data=st.data())
+def test_extensions_share_the_store_bitwise(seed, hermitian, m_max, data):
     """A partial build grown by extensions at random split points equals a
     fresh build bit for bit, and growing a decomposition changes neither it
-    nor an earlier extension of it."""
-    n = 14
+    nor an earlier extension of it.  m_max on both sides of 20 covers one
+    and two Gram-Schmidt sweeps."""
+    n = 30
     op = (random_hermitian_op if hermitian else random_general_op)(n, seed)
     v = random_unit(n, seed=seed)
-    cfg = KrylovConfig(m_max=m_max, reorthogonalize=reorth)
+    cfg = KrylovConfig(m_max=m_max)
     parent = build_krylov(op, v, cfg, steps=data.draw(st.integers(1, m_max - 1)))
     before = _exposed(parent)
     dec, child = parent, None

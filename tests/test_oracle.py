@@ -10,7 +10,7 @@ import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 
-from krylovexp import (SparseOperator, build_convection_diffusion,
+from krylovexp import (SparseOperator, build_convection_diffusion, oracle,
                        oracle_convection_diffusion, oracle_laplacian,
                        oracle_phi, oracle_series)
 
@@ -178,8 +178,8 @@ def test_phi_against_dense_augmented_system(p):
     v = random_unit(n, seed=14)
     for sigma, t in ((-1j, 0.8), (-1.0, 2.0)):
         expected = augmented_dense_phi(A, sigma, t, v, p)
-        for method in ("augmented", "recurrence"):
-            got = oracle_phi(op, sigma, t, v, p, 1e-14, method=method)
+        for route in (oracle._augmented_phi, oracle._recurrence_phi):
+            got = route(op, sigma, t, v, p, 1e-14)
             assert np.linalg.norm(got - expected) < 1e-12
 
 
@@ -189,8 +189,8 @@ def test_phi_two_routes_agree_on_larger_problem():
                         symmetry="hermitian")
     v = random_unit(n, seed=15)
     for p in (1, 2):
-        a = oracle_phi(op, -1j, 3.0, v, p, 1e-14, method="augmented")
-        b = oracle_phi(op, -1j, 3.0, v, p, 1e-14, method="recurrence")
+        a = oracle._augmented_phi(op, -1j, 3.0, v, p, 1e-14)
+        b = oracle._recurrence_phi(op, -1j, 3.0, v, p, 1e-14)
         assert np.linalg.norm(a - b) < 1e-12
 
 
@@ -199,8 +199,6 @@ def test_phi_rejects_bad_arguments():
     v = np.ones(3)
     with pytest.raises(ValueError):
         oracle_phi(op, 1.0, 1.0, v, -1)
-    with pytest.raises(ValueError):
-        oracle_phi(op, 1.0, 1.0, v, 1, method="simpson")
     with pytest.raises(ValueError):
         oracle_phi(op, 1.0, 1.0, v, 1, target_accuracy=0.0)
 

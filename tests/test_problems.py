@@ -207,5 +207,3 @@ def test_starting_vector_conventions():
     assert not np.array_equal(a, c)
     assert abs(np.linalg.norm(a) - 1.0) < 1e-13
     assert np.iscomplexobj(a)
-    d = starting_vector(ProblemSpec("heat", {"n": 40}, seed=1), seed=2)
-    assert np.array_equal(d, c)

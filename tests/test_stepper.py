@@ -144,6 +144,7 @@ def test_controller_spec_defaults_and_validation():
         dict(kind="heuristic", tol=1e-8, error_model="rms"),
         dict(kind="heuristic", tol=1e-8, iteration_cap=0),
         dict(kind="heuristic", tol=1e-8, safety=1.5),
+        dict(kind="expokit_first_step_only", tol=2.0),  # its first step needs tol < 1
     ):
         with pytest.raises(ValueError):
             ControllerSpec(**bad)
@@ -266,8 +267,9 @@ def test_propagate_input_validation(heat_pair):
     op, sigma, v = heat_pair
     ctrl = ControllerSpec("direct_era_local", 1e-8)
     cfg = KrylovConfig(m_max=10)
-    with pytest.raises(ValueError):
-        propagate(op, sigma, 2.0 * v, 1.0, cfg, ctrl)
+    for run in (propagate, propagate_fixed_steps):
+        with pytest.raises(ValueError, match="unit 2-norm"):
+            run(op, sigma, 2.0 * v, 1, cfg, ctrl)
     with pytest.raises(ValueError):
         propagate(op, sigma, v, 0.0, cfg, ctrl)
     with pytest.raises(ValueError):
@@ -300,7 +302,7 @@ def test_early_stop_unreachable_tolerance_reports_failure(heat_pair):
 
 
 def test_early_stop_matches_fresh_build_of_same_size(heat_pair):
-    """Same m_max cap, so the auto-resolved policies agree and the
+    """Same m_max cap, so the same Gram-Schmidt sweep count, and the
     incremental growth is bitwise reproducible."""
     op, sigma, v = heat_pair
     dec = early_stop_dimension(op, v, 1.0, 1e-8, 30, sigma)
