@@ -11,7 +11,7 @@ import numpy as np
 
 from krylovexp import (ControllerSpec, KrylovConfig, ProblemSpec,
                        propagate_fixed_steps, starting_vector)
-from krylovexp.oracle import oracle_series
+from krylovexp.oracle import oracle_reference
 
 spec = ProblemSpec("hubbard", seed=0)
 op, sigma = spec.build()
@@ -28,7 +28,7 @@ for ctrl_kind, estimator in RUNS:
     ctrl = ControllerSpec(ctrl_kind, 1e-8, "per_unit_step")
     res = propagate_fixed_steps(op, sigma, v, 10, KrylovConfig(m_max=10),
                                 ctrl, estimator)
-    ref = oracle_series(op, sigma, res.total_time, v)
+    ref = oracle_reference(spec, op, sigma, [res.total_time], v)[0]
     err = np.linalg.norm(res.w_final - ref)
     print(f"{ctrl_kind:>20s} {estimator:>20s} {res.total_time:9.4f} "
           f"{res.total_matvecs:8d} {err / res.total_time:10.2e}")

@@ -11,7 +11,7 @@ import numpy as np
 from krylovexp import (Approximant, KrylovConfig, ProblemSpec, build_krylov,
                        early_stop_dimension, era, extend_krylov,
                        starting_vector)
-from krylovexp.oracle import oracle_series
+from krylovexp.oracle import oracle_reference
 
 spec = ProblemSpec("hubbard", seed=0)
 op, sigma = spec.build()
@@ -20,7 +20,7 @@ v = starting_vector(spec)
 t, tol = 0.3, 1e-8
 dec = early_stop_dimension(op, v, t, tol, 30, sigma)
 err = np.linalg.norm(Approximant(dec, sigma).apply(t)
-                     - oracle_series(op, sigma, t, v))
+                     - oracle_reference(spec, op, sigma, [t], v)[0])
 print(f"target: t = {t}, tol = {tol}")
 print(f"stopped at m = {dec.m} ({dec.matvecs_used} matvecs), "
       f"bound = {era(dec, sigma, t).value:.3e}, error/t = {err / t:.3e}")

@@ -8,8 +8,9 @@ from .estimators import (ErrorEstimate, era, era_corrected, err1,
                          expokit_first_step, quad_estimates)
 from .krylov import (KrylovConfig, KrylovDecomposition, build_krylov,
                      extend_krylov)
-from .oracle import (oracle_convection_diffusion, oracle_laplacian, oracle_phi,
-                     oracle_reference, oracle_series)
+from .oracle import (oracle_chebyshev, oracle_convection_diffusion,
+                     oracle_laplacian, oracle_phi, oracle_reference,
+                     oracle_series)
 from .problems import (ProblemSpec, build_convection_diffusion, build_heat,
                        build_hubbard, build_schrodinger, starting_vector)
 from .sparse import SparseOperator, validate_prefactor
@@ -28,7 +29,8 @@ __all__ = [
     "build_krylov", "build_schrodinger", "early_stop_dimension",
     "effective_order", "era", "era_corrected", "err1", "expm_dense",
     "expokit_first_step", "extend_krylov",
-    "oracle_convection_diffusion", "oracle_laplacian", "oracle_phi",
+    "oracle_chebyshev", "oracle_convection_diffusion", "oracle_laplacian",
+    "oracle_phi",
     "oracle_reference", "oracle_series", "phi_dense",
     "phi_scalar", "propagate", "propagate_fixed_steps", "quad_estimates",
     "starting_vector", "step_size_direct", "step_size_heuristic",

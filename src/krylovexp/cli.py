@@ -134,8 +134,8 @@ def _sweep_cell(spec, m, ts, p, corrected, accuracy):
     wide_rows = []
     long_rows = []
     violation = False
-    for t in ts:
-        ref = oracle_reference(spec, op, sigma, t, v, p, accuracy)
+    refs = oracle_reference(spec, op, sigma, ts, v, p, accuracy)
+    for t, ref in zip(ts, refs):
         err = float(np.linalg.norm(appr.apply(t) - ref))
         if corrected:
             e_era = era_corrected(dec, sigma, t, p)
@@ -316,7 +316,7 @@ def cmd_bench(config, out_dir, seed_override=None):
         else:
             result = propagate(op, sigma, v, t_final, cfg, ctrl, estimator)
         total_t = result.total_time
-        ref = oracle_reference(spec, op, sigma, total_t, v, 0, accuracy)
+        ref = oracle_reference(spec, op, sigma, [total_t], v, 0, accuracy)[0]
         err = float(np.linalg.norm(result.w_final - ref))
         rows.append({
             "controller": ctrl.kind, "estimator": estimator, "m": m,

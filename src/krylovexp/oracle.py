@@ -1,6 +1,6 @@
 """Independent reference solutions used to validate the Krylov results.
 
-Nothing here touches the Krylov or small-matrix code paths.  Three
+Nothing here touches the Krylov or small-matrix code paths.  Four
 routes compute the exponential action from scratch:
 
   oracle_laplacian             the quarter-scaled Laplacian, through its
@@ -9,12 +9,36 @@ routes compute the exponential action from scratch:
   oracle_convection_diffusion  the 3D convection-diffusion operator, a
                                Kronecker sum, as the Kronecker product of
                                three n x n scipy.linalg.expm factors
+  oracle_chebyshev             a Hermitian operator at sigma = +/-i, for a
+                               whole grid of t from one Chebyshev
+                               recurrence with Bessel coefficients
+                               (Tal-Ezer & Kosloff 1984)
   oracle_series                any operator, by scaled Taylor summation
                                with a rigorous remainder bound
 
 oracle_phi adds two independent phi-function routes, and oracle_reference
-picks the route for a problem.  The series routes only need matvec /
-norm_1 / norm_inf / n, so any SparseOperator (or compatible object) works.
+picks the route for a problem and a grid of t.  The series routes only
+need matvec / norm_1 / norm_inf / n, so any SparseOperator (or compatible
+object) works.
+
+The Chebyshev route maps the spectrum interval [a, b] to [-1, 1] with
+centre c and radius r and sums
+
+    e^{sigma t A} v = e^{sigma t c} sum_k eps_k sigma^k J_k(t r) T_k(A') v,
+
+A' = (A - c I) / r, eps_0 = 1 and eps_k = 2 otherwise.  [a, b] comes from
+the oracle's own Gershgorin pass over op.csr, padded by a relative 1e-12,
+not from SparseOperator.log_norm_bound, so a wrong interval in either
+shows up as a disagreement.  With ||T_k(A')||_2 <= 1 and
+|J_k(x)| <= (x/2)^k / k!, the terms after K sum to at most
+2 sum_{k>K} (t r / 2)^k / k! ||v||.  Once K + 2 > t r / 2 the ratio of
+consecutive tail terms stays below q = t r / (2 (K + 2)) < 1, so the tail
+is at most its first term over 1 - q.  Each t stops at the first K where
+that bound, taken in log space, is at most half the target times ||v||,
+and its coefficients past K are zero, so a row does not depend on the
+rest of the grid.  The round-off of the recurrence is not in the bound.
+The vectors T_k(A') v do not depend on t, so the grid shares one
+recurrence and pays max_t K(t) matvecs.
 
 The series accuracy statements assume ||e^{s sigma A}|| <= 1 over each
 substep, which SparseOperator.log_norm_bound(sigma) <= 0 certifies.  That
@@ -30,15 +54,29 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.special
 
 _TERM_CAP = 400
 MIN_TARGET_ACCURACY = 1e-14
+
+
+def _check_time(t):
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+
+
+def _check_grid(ts):
+    if np.ndim(ts) != 1 or len(ts) == 0:
+        raise ValueError("ts must be a nonempty list of t values")
+    for t in ts:
+        _check_time(t)
 
 
 def oracle_laplacian(n, sigma, t, v):
     """exp(sigma t H) v for H = (1/4) tridiag(-1, 2, -1) via the type-I
     discrete sine transform (orthonormal, self-inverse).  Eigenvalues are
     sin^2(k pi / (2(n+1)))."""
+    _check_time(t)
     v = np.asarray(v, dtype=complex)
     if v.shape != (n,):
         raise ValueError("vector length does not match n")
@@ -60,8 +98,7 @@ def oracle_convection_diffusion(n, mu1, mu2, sigma, t, v):
     2009), so nothing is shared with the package's Pade path, and the cost
     does not grow with t.  Entry i n^2 + j n + k of v is entry (i, j, k)
     of the grid, and B acts on axis i."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     v = np.asarray(v, dtype=complex)
     if v.shape != (n ** 3,):
         raise ValueError("vector length does not match n^3")
@@ -80,6 +117,88 @@ def oracle_convection_diffusion(n, mu1, mu2, sigma, t, v):
                      factor(1.0 + mu1, 1.0 - mu1), factor(1.0 + mu2, 1.0 - mu2),
                      v.reshape(n, n, n), optimize=True)
     return grid.reshape(-1)
+
+
+def _gershgorin_interval(csr):
+    """[a, b] holding every eigenvalue of the Hermitian matrix csr: the
+    real centres of its Gershgorin discs, minus and plus their radii."""
+    coo = csr.tocoo()
+    off = coo.row != coo.col
+    radius = np.bincount(coo.row[off], weights=np.abs(coo.data[off]),
+                         minlength=csr.shape[0])
+    centre = csr.diagonal().real
+    return float(np.min(centre - radius)), float(np.max(centre + radius))
+
+
+def _chebyshev_terms(x, target):
+    """The first K at which 2 sum_{k>K} (x/2)^k / k! is certified to be
+    at most target / 2, by bounding the sum with its first term over
+    1 - q, q = x / (2 (K + 2)) < 1.  Log space keeps large x finite."""
+    if x == 0.0:
+        return 0
+    log_half = math.log(x) - math.log(2.0)   # 0.5 * x underflows for subnormal x
+    goal = math.log(0.25 * target)
+    K = max(0, math.floor(0.5 * x) - 1)
+    while True:
+        q = 0.5 * x / (K + 2)
+        if (K + 1) * log_half - math.lgamma(K + 2) - math.log1p(-q) <= goal:
+            return K
+        K += 1
+
+
+def oracle_chebyshev(op, sigma, ts, v, target_accuracy=1e-13):
+    """e^{sigma t A} v for every t of ts, one row per t, for a Hermitian
+    operator and Re sigma = 0, from one Chebyshev recurrence (see the
+    module docstring).  Each row stops at its own K(t), so it is the same
+    whatever else is in ts.  Every matvec goes through op.matvec."""
+    if target_accuracy < MIN_TARGET_ACCURACY:
+        raise ValueError(f"target_accuracy must be >= {MIN_TARGET_ACCURACY}")
+    if op.symmetry != "hermitian":
+        raise ValueError("the Chebyshev oracle needs a hermitian operator")
+    sigma = complex(sigma)
+    if sigma.real != 0.0:
+        raise ValueError(f"the Chebyshev oracle needs Re sigma = 0, got {sigma!r}")
+    _check_grid(ts)
+    v = np.asarray(v, dtype=complex)
+    if v.shape != (op.n,):
+        raise ValueError("vector length does not match n")
+    out = np.empty((len(ts), op.n), dtype=complex)
+    a, b = _gershgorin_interval(op.csr)
+    if a == b:
+        # every disc is the point a: A = a I
+        for i, t in enumerate(ts):
+            out[i] = np.exp(sigma * t * a) * v
+        return out
+    pad = 1e-12 * max(abs(a), abs(b))
+    a, b = a - pad, b + pad
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    # e^{i w t r x} = sum_k eps_k (i sgn w)^k J_k(|w| t r) T_k(x), w = Im sigma
+    unit = 1j if sigma.imag >= 0.0 else -1j
+    powers = np.array([1.0, unit, -1.0, -unit])
+    xs = [abs(sigma.imag) * t * r for t in ts]
+    terms = [_chebyshev_terms(x, target_accuracy) for x in xs]
+    order = sorted(range(len(ts)), key=lambda i: -terms[i])
+    coef = np.zeros((len(ts), max(terms) + 1), dtype=complex)
+    for row, i in enumerate(order):
+        k = np.arange(terms[i] + 1)
+        coef[row, :k.size] = (np.where(k == 0, 1.0, 2.0) * scipy.special.jv(k, xs[i])
+                              * powers[k % 4])
+
+    def shifted(x):
+        return (op.matvec(x) - c * x) / r
+
+    acc = np.zeros((len(ts), op.n), dtype=complex)
+    t_prev = t_cur = v
+    for k in range(coef.shape[1]):
+        if k == 1:
+            t_prev, t_cur = v, shifted(v)
+        elif k > 1:
+            t_prev, t_cur = t_cur, 2.0 * shifted(t_cur) - t_prev
+        live = sum(1 for i in order if terms[i] >= k)
+        acc[:live] += coef[:live, k, None] * t_cur
+    for row, i in enumerate(order):
+        out[i] = np.exp(sigma * ts[i] * c) * acc[row]
+    return out
 
 
 def _series_phi_apply(matvec, v, q, tol_abs):
@@ -110,8 +229,7 @@ def oracle_series(op, sigma, t, v, target_accuracy=1e-13):
     """e^{sigma t A} v by s equal substeps of scaled Taylor summation."""
     if target_accuracy < MIN_TARGET_ACCURACY:
         raise ValueError(f"target_accuracy must be >= {MIN_TARGET_ACCURACY}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     v = np.asarray(v, dtype=complex)
     if t == 0.0:
         return v.copy()
@@ -192,8 +310,7 @@ def oracle_phi(op, sigma, t, v, p, target_accuracy=1e-13):
         raise ValueError("p must be >= 0")
     if target_accuracy < MIN_TARGET_ACCURACY:
         raise ValueError(f"target_accuracy must be >= {MIN_TARGET_ACCURACY}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_time(t)
     v = np.asarray(v, dtype=complex)
     if p == 0:
         return oracle_series(op, sigma, t, v, target_accuracy)
@@ -203,18 +320,25 @@ def oracle_phi(op, sigma, t, v, p, target_accuracy=1e-13):
     return route(op, sigma, t, v, p, target_accuracy)
 
 
-def oracle_reference(spec, op, sigma, t, v, p=0, target_accuracy=1e-13):
-    """phi_p(sigma t A) v for the operator op built from spec, by the
-    fastest independent route: the sine transform for the Laplacian
-    problems and the Kronecker product for convection-diffusion (p = 0
-    only; p > 0 on convection-diffusion stays on oracle_phi), else the
-    series or oracle_phi.  target_accuracy reaches the series routes."""
+def oracle_reference(spec, op, sigma, ts, v, p=0, target_accuracy=1e-13):
+    """phi_p(sigma t A) v for each t of the grid ts, one row per t, for
+    the operator op built from spec, by the fastest independent route:
+    the sine transform for the Laplacian problems, the Kronecker product
+    for convection-diffusion, one Chebyshev recurrence for a hermitian
+    operator at Re sigma = 0 (all three p = 0 only), else the series or
+    oracle_phi.  target_accuracy reaches the Chebyshev and series routes.
+    ts must be a nonempty sequence of finite values >= 0."""
+    _check_grid(ts)
     if p == 0 and spec.kind in ("schrodinger_free", "heat"):
-        return oracle_laplacian(op.n, sigma, t, v)
-    if p == 0 and spec.kind == "convection_diffusion":
+        rows = [oracle_laplacian(op.n, sigma, t, v) for t in ts]
+    elif p == 0 and spec.kind == "convection_diffusion":
         params = spec.params
-        return oracle_convection_diffusion(params["n"], params["mu1"], params["mu2"],
-                                           sigma, t, v)
-    if p == 0:
-        return oracle_series(op, sigma, t, v, target_accuracy)
-    return oracle_phi(op, sigma, t, v, p, target_accuracy)
+        rows = [oracle_convection_diffusion(params["n"], params["mu1"], params["mu2"],
+                                            sigma, t, v) for t in ts]
+    elif p == 0 and op.symmetry == "hermitian" and complex(sigma).real == 0.0:
+        return oracle_chebyshev(op, sigma, ts, v, target_accuracy)
+    elif p == 0:
+        rows = [oracle_series(op, sigma, t, v, target_accuracy) for t in ts]
+    else:
+        rows = [oracle_phi(op, sigma, t, v, p, target_accuracy) for t in ts]
+    return np.array(rows)

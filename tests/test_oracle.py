@@ -10,9 +10,13 @@ import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
 
-from krylovexp import (SparseOperator, build_convection_diffusion, oracle,
-                       oracle_convection_diffusion, oracle_laplacian,
-                       oracle_phi, oracle_series)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from krylovexp import (ProblemSpec, SparseOperator, build_convection_diffusion,
+                       oracle, oracle_chebyshev, oracle_convection_diffusion,
+                       oracle_laplacian, oracle_phi, oracle_reference,
+                       oracle_series)
 
 from conftest import random_unit
 
@@ -24,6 +28,12 @@ def quarter_laplacian_dense(n):
         if i + 1 < n:
             H[i, i + 1] = H[i + 1, i] = -0.25
     return H
+
+
+def random_hermitian(n, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return scale * (B + B.conj().T) / 2.0
 
 
 def test_dst_is_self_inverse():
@@ -251,21 +261,148 @@ def test_convection_diffusion_kronecker_t_zero_and_bad_arguments():
 
 
 def test_reference_dispatch_picks_the_route_by_problem_kind():
-    from krylovexp import ProblemSpec, oracle_reference
     heat = ProblemSpec("heat", {"n": 9})
     op, sigma = heat.build()
     v = random_unit(9, seed=19)
-    assert np.array_equal(oracle_reference(heat, op, sigma, 0.4, v),
-                          oracle_laplacian(9, sigma, 0.4, v))
+    assert np.array_equal(oracle_reference(heat, op, sigma, [0.4, 0.1], v),
+                          [oracle_laplacian(9, sigma, t, v) for t in (0.4, 0.1)])
     cd = ProblemSpec("convection_diffusion", {"n": 3})
     op, sigma = cd.build()
     v = random_unit(27, seed=20)
-    assert np.array_equal(oracle_reference(cd, op, sigma, 0.02, v),
-                          oracle_convection_diffusion(3, 0.9, 1.1, sigma, 0.02, v))
-    assert np.array_equal(oracle_reference(cd, op, sigma, 0.02, v, p=1),
-                          oracle_phi(op, sigma, 0.02, v, 1))
+    assert np.array_equal(oracle_reference(cd, op, sigma, [0.02], v),
+                          [oracle_convection_diffusion(3, 0.9, 1.1, sigma, 0.02, v)])
+    assert np.array_equal(oracle_reference(cd, op, sigma, [0.02], v, p=1),
+                          [oracle_phi(op, sigma, 0.02, v, 1)])
+    # with no closed form, the operator and sigma decide, not the name
     hub = ProblemSpec("hubbard")
-    small = SparseOperator(sp.identity(4, format="csr") * 0.5)
-    w = random_unit(4, seed=21)
-    assert np.array_equal(oracle_reference(hub, small, -1j, 0.3, w),
-                          oracle_series(small, -1j, 0.3, w))
+    w = random_unit(6, seed=21)
+    herm = SparseOperator(sp.csr_matrix(random_hermitian(6, seed=22)),
+                          symmetry="hermitian")
+    general = SparseOperator(herm.csr)
+    ts = [0.3, 1.2]
+    assert np.array_equal(oracle_reference(hub, herm, -1j, ts, w),
+                          oracle_chebyshev(herm, -1j, ts, w))
+    for op, sigma in ((herm, -1.0), (general, -1j)):
+        assert np.array_equal(oracle_reference(hub, op, sigma, ts, w),
+                              [oracle_series(op, sigma, t, w) for t in ts])
+
+
+@pytest.mark.parametrize("kind, p", [("heat", 0), ("convection_diffusion", 0),
+                                     ("hubbard", 0), ("general", 0), ("heat", 1)])
+def test_reference_rejects_a_bad_t_grid(kind, p):
+    """One case per route: Laplacian, Kronecker, Chebyshev, series and
+    oracle_phi.  A negative t would run time backwards and NaN would
+    poison the result, so both raise before any route runs."""
+    if kind == "general":
+        spec, op, sigma = ProblemSpec("hubbard"), SparseOperator(sp.identity(4)), -1j
+    elif kind == "hubbard":
+        spec = ProblemSpec("hubbard")
+        op, sigma = SparseOperator(sp.identity(4), symmetry="hermitian"), -1j
+    else:
+        spec = ProblemSpec(kind, {"n": 3})
+        op, sigma = spec.build()
+    v = random_unit(op.n, seed=23)
+    for ts in ([-1.0], [0.5, math.nan], [math.inf], [], 0.5):
+        with pytest.raises(ValueError):
+            oracle_reference(spec, op, sigma, ts, v, p)
+
+
+def test_closed_forms_reject_negative_and_non_finite_t():
+    v = random_unit(10, seed=24)
+    for t in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            oracle_laplacian(10, -1.0, t, v)
+        with pytest.raises(ValueError):
+            oracle_convection_diffusion(2, 0.9, 1.1, 1.0, t, v[:8])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 40),
+       sigma=st.sampled_from([1j, -1j]),
+       ts=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=4))
+def test_chebyshev_matches_eigendecomposition(seed, n, sigma, ts):
+    """Random dense Hermitian matrices scaled to spectral radius near
+    sqrt(2), so t r reaches a few hundred: every row matches the
+    eigendecomposition to 1e-12 ||v||, and the padded Gershgorin interval
+    holds the whole spectrum."""
+    H = random_hermitian(n, seed, 1.0 / math.sqrt(2.0 * n))
+    op = SparseOperator(sp.csr_matrix(H), symmetry="hermitian")
+    v = 3.0 * random_unit(n, seed=seed % 1000)
+    lam, Q = scipy.linalg.eigh(H)
+    a, b = oracle._gershgorin_interval(op.csr)
+    pad = 1e-12 * max(abs(a), abs(b))
+    spectrum = scipy.linalg.eigvalsh(H)
+    assert a - pad <= spectrum[0] and spectrum[-1] <= b + pad
+    got = oracle_chebyshev(op, sigma, ts, v)
+    assert got.shape == (len(ts), n)
+    for t, row in zip(ts, got):
+        expected = Q @ (np.exp(sigma * t * lam) * (Q.conj().T @ v))
+        assert np.linalg.norm(row - expected) <= 1e-12 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("t", [0.1, 3.0])
+def test_chebyshev_matches_series_on_hubbard(hubbard_op, hubbard_vec, t):
+    """The series is the cross-check: small t, and a t with dozens of
+    substeps and about 120 Chebyshev terms."""
+    got = oracle_chebyshev(hubbard_op, -1j, [t], hubbard_vec)[0]
+    assert np.linalg.norm(got - oracle_series(hubbard_op, -1j, t, hubbard_vec)) < 1e-13
+
+
+def test_chebyshev_batch_rows_equal_single_calls(hubbard_op, hubbard_vec):
+    """Each t stops at its own term count, so a row does not depend on the
+    rest of the batch, nor on its order."""
+    ts = [2.0, 1e-3, 0.0, 0.05, 0.4, 0.05]
+    batch = oracle_chebyshev(hubbard_op, -1j, ts, hubbard_vec)
+    for t, row in zip(ts, batch):
+        assert np.array_equal(row, oracle_chebyshev(hubbard_op, -1j, [t], hubbard_vec)[0])
+    assert np.array_equal(oracle_chebyshev(hubbard_op, -1j, ts[::-1], hubbard_vec),
+                          batch[::-1])
+
+
+def test_chebyshev_t_zero_and_multiple_of_identity():
+    v = random_unit(5, seed=25)
+    herm = SparseOperator(sp.csr_matrix(random_hermitian(5, seed=26)),
+                          symmetry="hermitian")
+    out = oracle_chebyshev(herm, 1j, [0.0, 5e-324], v)
+    assert np.array_equal(out[0], v)
+    assert not np.shares_memory(out, v)
+    assert np.linalg.norm(out[1] - v) < 1e-15
+    alpha = -0.37
+    scalar = SparseOperator(sp.identity(5, format="csr") * alpha, symmetry="hermitian")
+    for sigma in (1j, -1j):
+        got = oracle_chebyshev(scalar, sigma, [0.0, 2.0, 40.0], v)
+        for t, row in zip((0.0, 2.0, 40.0), got):
+            assert np.linalg.norm(row - np.exp(sigma * t * alpha) * v) < 1e-14
+    zero = SparseOperator(sp.csr_matrix((5, 5)), symmetry="hermitian")
+    assert np.array_equal(oracle_chebyshev(zero, -1j, [3.0], v)[0], v)
+
+
+def test_chebyshev_rejects_bad_arguments():
+    H = random_hermitian(4, seed=27)
+    herm = SparseOperator(sp.csr_matrix(H), symmetry="hermitian")
+    v = random_unit(4, seed=28)
+    bad = [(SparseOperator(H), -1j, [1.0], v, 1e-13),
+           (herm, -1.0, [1.0], v, 1e-13),
+           (herm, np.exp(0.3j), [1.0], v, 1e-13),
+           (herm, -1j, [-1.0], v, 1e-13),
+           (herm, -1j, [math.nan], v, 1e-13),
+           (herm, -1j, [], v, 1e-13),
+           (herm, -1j, [1.0], v[:3], 1e-13),
+           (herm, -1j, [1.0], v, 1e-16)]
+    for args in bad:
+        with pytest.raises(ValueError):
+            oracle_chebyshev(*args)
+
+
+def test_chebyshev_term_count_grows_with_t():
+    xs = np.concatenate([[0.0, 5e-324], np.geomspace(1e-6, 1e3, 400)])
+    for target in (1e-14, 1e-13, 1e-8):
+        terms = [oracle._chebyshev_terms(x, target) for x in xs]
+        assert terms[0] == 0
+        assert all(a <= b for a, b in zip(terms, terms[1:]))
+    # the bound the count certifies, summed directly, is below target / 2
+    for x in (0.05, 2.4, 30.0, 240.0):
+        K = oracle._chebyshev_terms(x, 1e-13)
+        tail = 2.0 * sum(math.exp(k * math.log(x / 2) - math.lgamma(k + 1))
+                         for k in range(K + 1, K + 400))
+        assert tail <= 0.5e-13
