@@ -1,10 +1,9 @@
 """Arnoldi and Lanczos builds of the Krylov decomposition A V = V T + tau v_next e_m^*.
 
 The operator picks the algorithm: Lanczos when it is flagged hermitian,
-Arnoldi otherwise.  Each new column is orthogonalized against the whole
-basis by modified Gram-Schmidt, in one sweep, or two when m_max > 20
-(Lanczos runs them after its three-term step).  Nothing else is
-configurable.
+Arnoldi otherwise.  Both orthogonalize each new column against the whole
+basis by classical Gram-Schmidt run twice, two matrix-vector products
+per pass, whatever m_max is.  Nothing else is configurable.
 
 The decomposition object carries everything the approximants and error
 estimators downstream need: the operator it was built from, the basis,
@@ -46,8 +45,8 @@ class KrylovConfig:
     """Build configuration: the largest dimension m_max.
 
     The operator picks the algorithm: Lanczos iff it is flagged hermitian,
-    else Arnoldi.  m_max picks the modified Gram-Schmidt sweeps over the
-    whole basis, for both: one, or two when m_max > 20.
+    else Arnoldi.  m_max sizes the store only: a build capped at m_max
+    agrees bit for bit, over its first k columns, with one capped at k.
 
     The build stops with a breakdown once tau <= n * eps * max_j ||A v_j||_2.
     """
@@ -164,8 +163,12 @@ class KrylovDecomposition:
 
 
 def _grow(op, basis, hess, m, amax, steps):
-    """Fill columns m .. m+steps-1 of the store by modified Gram-Schmidt
-    and return the decomposition they reach (earlier at a breakdown).
+    """Fill columns m .. m+steps-1 of the store by classical Gram-Schmidt
+    run twice ("twice is enough": Giraud, Langou & Rozloznik, 2005) and
+    return the decomposition they reach (earlier at a breakdown).
+
+    h sums the coefficients of both passes.  Lanczos keeps Re h_j as
+    alpha_j and drops the rest: beta_{j-1}, stored already, and round-off.
 
     Every entry written lies past what a decomposition of dimension m
     exposes (basis rows > m, hess columns >= m), and its value depends only
@@ -174,22 +177,20 @@ def _grow(op, basis, hess, m, amax, steps):
     """
     n = basis.shape[1]
     lanczos = not np.iscomplexobj(hess)
-    sweeps = 2 if hess.shape[1] > 20 else 1
     for j in range(m, m + steps):
         w = op.matvec(basis[j])
         amax = max(amax, float(np.linalg.norm(w)))
+        Vj = basis[:j + 1]
+        h = 0.0
+        for _ in range(2):
+            # conj(Vj @ conj(w)) = Vj^* w without copying the conjugated basis
+            c = np.conj(Vj @ np.conj(w))
+            w = w - c @ Vj
+            h = h + c
         if lanczos:
-            if j > 0:
-                w = w - hess[j, j - 1] * basis[j - 1]
-            a = float(np.vdot(basis[j], w).real)
-            w = w - a * basis[j]
-            hess[j, j] = a
-        for sweep in range(sweeps):
-            for i in range(j + 1):
-                c = np.vdot(basis[i], w)
-                if not lanczos:
-                    hess[i, j] = c if sweep == 0 else hess[i, j] + c
-                w = w - c * basis[i]
+            hess[j, j] = h[j].real
+        else:
+            hess[:j + 1, j] = h
         tau = float(np.linalg.norm(w))
         if tau <= n * _EPS * amax:
             return KrylovDecomposition(op, basis, hess, j + 1, 0.0, amax)
