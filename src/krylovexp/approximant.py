@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import validate_prefactor
+from .sparse import validate_prefactor, validate_time
 
 _ROUNDOFF_FLOOR = 1e3 * float(np.finfo(np.float64).eps)
 
@@ -51,9 +51,8 @@ class Approximant:
         self.p = p
 
     def apply(self, t):
-        """Evaluate the approximant at time t >= 0; returns a length-n vector."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
+        """Evaluate the approximant at a finite time t >= 0; returns a length-n vector."""
+        validate_time(t)
         dec = self.dec
         out = dec.V @ dec.phi(self.sigma, self.p, t)
         if self.kind == "standard" or dec.breakdown:
@@ -63,7 +62,9 @@ class Approximant:
         return out + coef * dec.v_next
 
     def defect(self, t):
-        """Corner entry delta(t) of e^{sigma t T} and its exact derivative."""
+        """Corner entry delta(t) of e^{sigma t T} and its exact derivative
+        at a finite time t >= 0."""
+        validate_time(t)
         dec = self.dec
         if dec.m < 2:
             raise ValueError("defect needs m >= 2 (the derivative uses the last two rows of T)")
@@ -84,7 +85,7 @@ def effective_order(appr, t):
     decreases from there.  Raises DefectRoundoffError when |delta| is too
     close to the round-off floor to differentiate meaningfully.
     """
-    if t <= 0:
+    if validate_time(t) == 0.0:
         raise ValueError("effective_order needs t > 0")
     sample = appr.defect(t)
     # |delta(t)| is an entry of u(t) = e^{sigma t T} e_1, and the round-off in

@@ -53,6 +53,13 @@ BENCH_KEY = ("controller", "estimator", "m", "tol")
 _BOUND_SLACK_REL = 1e-9
 
 
+def _breaks_bound(err, bound, accuracy):
+    """True when an oracle error err exceeds a proven bound by more than
+    the slack: 1e-9 relative to the bound, plus ten times the accuracy the
+    oracle was asked for."""
+    return err > bound * (1.0 + _BOUND_SLACK_REL) + 10.0 * accuracy
+
+
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
@@ -137,12 +144,8 @@ def _sweep_cell(spec, m, ts, p, corrected, accuracy):
     refs = oracle_reference(spec, op, sigma, ts, v, p, accuracy)
     for t, ref in zip(ts, refs):
         err = float(np.linalg.norm(appr.apply(t) - ref))
-        if corrected:
-            e_era = era_corrected(dec, sigma, t, p)
-            e_err1 = err1(dec, sigma, t, p, corrected=True)
-        else:
-            e_era = era(dec, sigma, t, p)
-            e_err1 = err1(dec, sigma, t, p)
+        e_era = (era_corrected if corrected else era)(dec, sigma, t, p)
+        e_err1 = err1(dec, sigma, t, p, corrected=corrected)
         quad_list = quad_estimates(quad_appr, t)
         quads = {e.kind: e.value for e in quad_list}
         try:
@@ -164,9 +167,8 @@ def _sweep_cell(spec, m, ts, p, corrected, accuracy):
                 "t": t, "estimator": est.kind, "value": est.value,
                 "extra_matvecs": est.extra_matvecs, "oracle_error": err,
             })
-            if (est.is_proven_upper_bound
-                    and err > est.value * (1.0 + _BOUND_SLACK_REL) + 10.0 * accuracy):
-                violation = True
+            violation = violation or (est.is_proven_upper_bound
+                                      and _breaks_bound(err, est.value, accuracy))
     return wide_rows, long_rows, violation
 
 
@@ -325,14 +327,11 @@ def cmd_bench(config, out_dir, seed_override=None):
             "accumulated_bound": result.accumulated_bound,
             "oracle_error_per_unit_t": err / total_t,
         })
-        proven_run = all(r.estimate.is_proven_upper_bound for r in result.records)
-        if proven_run:
-            slack = result.accumulated_bound * _BOUND_SLACK_REL + 10.0 * accuracy
-            if err > result.accumulated_bound + slack:
-                violated = True
-            if (ctrl.error_model == "per_unit_step"
-                    and err / total_t > ctrl.tol * (1.0 + _BOUND_SLACK_REL) + 10.0 * accuracy / total_t):
-                violated = True
+        if all(r.estimate.is_proven_upper_bound for r in result.records):
+            # the accumulated bound, and for per-unit-step runs tol * total_t
+            violated = (violated or _breaks_bound(err, result.accumulated_bound, accuracy)
+                        or (ctrl.error_model == "per_unit_step"
+                            and _breaks_bound(err, ctrl.tol * total_t, accuracy)))
     _write_csv(out_dir / "bench.csv", BENCH_COLUMNS, rows, BENCH_KEY)
     return 1 if violated else 0
 

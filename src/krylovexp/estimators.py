@@ -28,11 +28,12 @@ Nothing here formats output: the CLI owns every CSV and JSON format.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .approximant import Approximant, DefectRoundoffError, effective_order
-from .sparse import validate_prefactor
+from .sparse import validate_prefactor, validate_time
 
 
 @dataclass(frozen=True)
@@ -57,40 +58,43 @@ def _proven(rule, dec, sigma):
     return op.log_norm_bound(sigma) <= 0.0
 
 
-def _era(dec, sigma, t, p, order_shift=0, scale_log=None):
-    if t == 0.0 or dec.tau_next <= 0.0 or scale_log == -math.inf:
+def log_era_factor(dec, m, p, corrected):
+    """The one era formula, log(tau_{m+1} gamma_m / (m+p)!) at dimension
+    m <= dec.m, or with corrected (m = dec.m only) log(||A v_next|| tau_{m+1}
+    gamma_m / (m+p+1)!): era(t) = exp(factor + (m + corrected) log t).  The
+    era estimators evaluate it and the step-size controller inverts it.
+    None where era vanishes identically (breakdown at m, or A v_next = 0)."""
+    if corrected and m != dec.m:
+        raise ValueError("the corrected bound exists at the built dimension only")
+    tau = dec.tau_next if m == dec.m else float(dec.subdiag[m - 1])
+    log_gamma = dec.log_gamma if m == dec.m else float(np.sum(np.log(dec.subdiag[:m - 1])))
+    if tau <= 0.0:
+        return None
+    factor = math.log(tau) + log_gamma - math.lgamma(m + p + 1 + corrected)
+    if corrected:
+        avn = float(np.linalg.norm(dec.a_v_next()))
+        if avn <= 0.0:
+            return None
+        factor += math.log(avn)
+    return factor
+
+
+def _era(dec, sigma, t, p, corrected=False):
+    factor = log_era_factor(dec, dec.m, p, corrected)
+    if t == 0.0 or factor is None:
         return 0.0
-    m = dec.m
-    arg = (math.log(dec.tau_next) + dec.log_gamma
-           + (m + order_shift) * math.log(t)
-           - math.lgamma(m + p + 1 + order_shift))
-    if scale_log is not None:
-        arg += scale_log
     try:
-        return math.exp(arg)
+        return math.exp(factor + (dec.m + corrected) * math.log(t))
     except OverflowError:
         return math.inf
 
 
-def _era_corrected(dec, sigma, t, p):
+def _err1(dec, sigma, t, p, corrected=False):
     if dec.breakdown:
         return 0.0
-    avn = float(np.linalg.norm(dec.a_v_next()))
-    scale_log = math.log(avn) if avn > 0.0 else -math.inf
-    return _era(dec, sigma, t, p, order_shift=1, scale_log=scale_log)
-
-
-def _err1(dec, sigma, t, p):
-    corner = dec.corner(sigma, p + 1, t) if t > 0.0 else 0.0
-    return dec.tau_next * t * abs(corner)
-
-
-def _err1_corrected(dec, sigma, t, p):
-    if dec.breakdown:
-        return 0.0
-    avn = float(np.linalg.norm(dec.a_v_next()))
-    corner = dec.corner(sigma, p + 2, t) if t > 0.0 else 0.0
-    return avn * dec.tau_next * t * t * abs(corner)
+    lead = float(np.linalg.norm(dec.a_v_next())) if corrected else 1.0
+    corner = dec.corner(sigma, p + 1 + corrected, t)
+    return lead * dec.tau_next * t * t ** corrected * abs(corner)
 
 
 def _abs_delta(dec, sigma, t):
@@ -154,9 +158,9 @@ def _effective_order_quad(dec, sigma, t, p):
 #          extra matvecs on a fresh decomposition; proven rule)
 ESTIMATORS = {
     "era": (_era, 0, "nonexpansive"),
-    "era_corrected": (_era_corrected, 1, "nonexpansive"),
+    "era_corrected": (partial(_era, corrected=True), 1, "nonexpansive"),
     "err1": (_err1, 0, "hermitian_real_sigma"),
-    "err1_corrected": (_err1_corrected, 1, None),
+    "err1_corrected": (partial(_err1, corrected=True), 1, None),
     "hermite_quad": (_hermite, 0, None),
     "improved_hermite_quad": (_improved_hermite, 1, None),
     "trapezoid_quad": (_trapezoid, 0, None),
@@ -169,8 +173,7 @@ _QUAD_KINDS = tuple(k for k in ESTIMATORS if k.endswith("_quad"))
 def _estimate(kind, dec, sigma, t, p):
     """The ESTIMATORS row for kind, evaluated; None when it is unavailable."""
     s = validate_prefactor(sigma)
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    validate_time(t)
     fn, extra, rule = ESTIMATORS[kind]
     value = fn(dec, s, t, p)
     if value is None:

@@ -127,14 +127,6 @@ class KrylovDecomposition:
             self._a_v_next = self.op.matvec(self.v_next)
         return self._a_v_next
 
-    def _eig(self):
-        """(lam, Q, Q[0], Q[m-1]) of the Lanczos tridiagonal T, computed
-        once and shared by every sigma, q and t."""
-        if self._eigh is None:
-            lam, Q = symtrid_eig(np.diagonal(self._T), self.subdiag)
-            self._eigh = (lam, Q, Q[0].copy(), Q[self.m - 1].copy())
-        return self._eigh
-
     def phi(self, sigma, q, t):
         """phi_q(sigma t T) e_1 as a read-only length-m complex vector
         (q = 0 gives e^{sigma t T} e_1), cached per (sigma, q, t)."""
@@ -143,8 +135,11 @@ class KrylovDecomposition:
         if hit is not None:
             return hit
         if self.mode == "lanczos":
-            lam, Q, q1, _ = self._eig()
-            val = Q @ (phi_scalar(sigma * t * lam, q) * q1)
+            if self._eigh is None:
+                # T = Q diag(lam) Q^T, computed once for every sigma, q and t
+                self._eigh = symtrid_eig(np.diagonal(self._T), self.subdiag)
+            lam, Q = self._eigh
+            val = Q @ (phi_scalar(sigma * t * lam, q) * Q[0])
         else:
             val = phi_dense(self._T, sigma * t, q)
         if len(self._phi) > 256:
@@ -153,13 +148,10 @@ class KrylovDecomposition:
         return val
 
     def corner(self, sigma, q, t):
-        """e_m^* phi_q(sigma t T) e_1.  For q >= 1 a Lanczos decomposition
-        dots the last eigenvector row instead of reading phi's last entry,
-        which rounds differently where the corner sits at round-off level."""
-        if q == 0 or self.mode != "lanczos":
-            return complex(self.phi(sigma, q, t)[self.m - 1])
-        lam, _, q1, qm = self._eig()
-        return complex(qm @ (phi_scalar(sigma * t * lam, q) * q1))
+        """e_m^* phi_q(sigma t T) e_1: the last entry of phi(sigma, q, t),
+        for both algorithms and every q, so it shares phi's cache and its
+        rounding."""
+        return complex(self.phi(sigma, q, t)[self.m - 1])
 
 
 def _grow(op, basis, hess, m, amax, steps):

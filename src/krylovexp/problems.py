@@ -16,8 +16,8 @@ SparseOperator.log_norm_bound(sigma) certifies it per (operator, sigma)
 pair, and returns exactly 0.0 for each problem at its canonical sigma.
 """
 
+import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,12 +92,12 @@ _FILL = 4
 
 def _hubbard_basis():
     """All occupation states with 4 up and 4 down fermions on 8 sites,
-    encoded as 16-bit integers (bits 0..7 up, bits 8..15 down), sorted
-    ascending by the packed integer value."""
-    singles = [sum(1 << b for b in bits)
-               for bits in combinations(range(_SITES), _FILL)]
-    states = sorted(u | (d << _SITES) for u in singles for d in singles)
-    return states
+    encoded as 16-bit integers (bits 0..7 up, bits 8..15 down), in
+    ascending order of the packed integer value: the down byte major, the
+    up byte minor, each byte running through its 4-bit patterns in
+    ascending order."""
+    singles = [x for x in range(1 << _SITES) if x.bit_count() == _FILL]
+    return [u | (d << _SITES) for d in singles for u in singles]
 
 
 def build_hubbard(omega, U=5.0):
@@ -175,23 +175,17 @@ def build_convection_diffusion(n, mu1, mu2):
     return SparseOperator(A, symmetry="hermitian" if symmetric else "general"), 1.0
 
 
-def problem_dimension(spec):
-    if spec.kind == "hubbard":
-        return len(_hubbard_basis())
-    if spec.kind == "convection_diffusion":
-        return spec.params["n"] ** 3
-    return spec.params["n"]
-
-
 def starting_vector(spec):
     """Problem-conventional start vector of unit 2-norm.
 
     Convection-diffusion uses the all-ones vector; the others draw a
     complex standard-normal vector from spec.seed and normalize it.
     """
-    n = problem_dimension(spec)
     if spec.kind == "convection_diffusion":
+        n = spec.params["n"] ** 3
         return np.full(n, 1.0 + 0.0j) / np.sqrt(n)
+    # the hubbard sector pairs every up pattern with every down pattern
+    n = math.comb(_SITES, _FILL) ** 2 if spec.kind == "hubbard" else spec.params["n"]
     rng = np.random.default_rng(spec.seed)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)

@@ -17,6 +17,14 @@ def validate_prefactor(sigma):
     return s
 
 
+def validate_time(t):
+    """t as a float, checked finite and >= 0."""
+    t = float(t)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    return t
+
+
 class SparseOperator:
     """Square complex sparse matrix in CSR form with a bit of metadata.
 

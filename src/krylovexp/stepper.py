@@ -34,9 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import Approximant
-from .estimators import ErrorEstimate, era, evaluate, expokit_first_step
+from .estimators import (ErrorEstimate, era, evaluate, expokit_first_step,
+                         log_era_factor)
 from .krylov import KrylovConfig, build_krylov, extend_krylov
-from .sparse import validate_prefactor
+from .sparse import validate_prefactor, validate_time
 
 CONTROLLER_KINDS = ("direct_era_global", "direct_era_local",
                     "direct_era_corrected", "heuristic", "heuristic_iterated",
@@ -104,30 +105,15 @@ class PropagationResult:
         return float(sum(r.dt for r in self.records))
 
 
-def _log_tau_gamma(dec, m):
-    """log(tau_{m+1} * gamma_m) at dimension m <= dec.m, or None when the
-    product is exactly zero (breakdown inside the prefix: the approximant
-    is exact there)."""
-    if m == dec.m:
-        if dec.tau_next <= 0.0:
-            return None
-        return math.log(dec.tau_next) + dec.log_gamma
-    sub = dec.subdiag
-    pre = sub[: m - 1]
-    tau = sub[m - 1]
-    if tau <= 0.0 or (pre <= 0.0).any():
-        return None
-    return math.log(tau) + float(np.sum(np.log(pre)))
-
-
 def step_size_direct(dec, sigma, tol, m=None, model="global_budget",
                      corrected=False):
     """Invert the era bound of the exponential (or its corrected variant)
-    for the step size.
+    at dimension m <= dec.m (default dec.m) for the step size.
 
     Global model solves era(dt) = tol; per-unit-step solves
-    era(dt) = dt * tol.  Breakdown means the bound is identically zero
-    and the step is unbounded: +inf is returned.
+    era(dt) = dt * tol, both through estimators.log_era_factor, the
+    formula the era estimators evaluate.  Where the bound vanishes
+    identically (breakdown) the step is unbounded: +inf is returned.
     """
     validate_prefactor(sigma)
     if model not in ERROR_MODELS:
@@ -138,23 +124,13 @@ def step_size_direct(dec, sigma, tol, m=None, model="global_budget",
         m = dec.m
     if not 1 <= m <= dec.m:
         raise ValueError("m must lie in [1, dec.m]")
-    if corrected and m != dec.m:
-        raise ValueError("corrected inversion only at the built dimension")
-    log_tg = _log_tau_gamma(dec, m)
-    if log_tg is None:
+    factor = log_era_factor(dec, m, 0, corrected)
+    if factor is None:
         return math.inf
-    if corrected:
-        avn = float(np.linalg.norm(dec.a_v_next()))
-        if avn <= 0.0:
-            return math.inf
-        num = math.log(tol) + math.lgamma(m + 2) - log_tg - math.log(avn)
-        exponent = m + 1 if model == "global_budget" else m
-    else:
-        num = math.log(tol) + math.lgamma(m + 1) - log_tg
-        exponent = m if model == "global_budget" else m - 1
+    exponent = m + corrected - (model == "per_unit_step")
     if exponent < 1:
         raise ValueError("per-unit-step inversion needs m >= 2")
-    return math.exp(num / exponent)
+    return math.exp((math.log(tol) - factor) / exponent)
 
 
 def step_size_heuristic(prev_dt, prev_estimate, tol, m, model="per_unit_step",
@@ -174,26 +150,27 @@ def step_size_heuristic(prev_dt, prev_estimate, tol, m, model="per_unit_step",
 
 
 def step_size_iterated(dec, sigma, tol, estimator, cap=5):
-    """Fixed-point refinement dt <- dt * (dt*tol / est(dt))^(1/m) for the
-    per-unit-step target est(dt) = dt * tol, started from the direct era
-    inversion.  Returns (dt, iterations) where iterations counts the
-    updates performed; convergence means successive relative change
-    <= 1e-3.  Lanczos mode keeps re-evaluation cheap; with Arnoldi every
-    pass re-exponentiates the Hessenberg matrix.
+    """Fixed-point refinement dt <- dt * (dt*tol / est(dt))^(1/m), the
+    per-unit-step update of step_size_heuristic re-applied on one
+    decomposition, for the target est(dt) = dt * tol, started from the
+    direct era inversion (returned as it is where est(dt) <= 0).
+    Returns (dt, iterations) where iterations counts the updates
+    performed; convergence means successive relative change <= 1e-3.
+    Lanczos mode keeps re-evaluation cheap; with Arnoldi every pass
+    re-exponentiates the Hessenberg matrix.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    dt = step_size_direct(dec, sigma, tol, model="per_unit_step")
+    start = dt = step_size_direct(dec, sigma, tol, model="per_unit_step")
     if not math.isfinite(dt):
         return dt, 0
-    m = dec.m
     changes = []
     for l in range(1, cap + 1):
         est = evaluate(estimator, dec, sigma, dt).value
         if est <= 0.0:
             # degenerate estimator; the proven inversion is already in hand
-            return step_size_direct(dec, sigma, tol, model="per_unit_step"), l
-        new = dt * math.exp((math.log(dt) + math.log(tol) - math.log(est)) / m)
+            return start, l
+        new = step_size_heuristic(dt, est, tol, dec.m)
         rel = abs(new - dt) / dt
         changes.append(new - dt)
         dt = new
@@ -316,8 +293,7 @@ def early_stop_dimension(op, v, t, tol, m_max, sigma):
     s = validate_prefactor(sigma)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    if t < 0.0:
-        raise ValueError("t must be >= 0")
+    validate_time(t)
     cfg = KrylovConfig(m_max=m_max)
     dec = build_krylov(op, v, cfg, steps=1)
     while True:

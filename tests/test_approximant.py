@@ -252,6 +252,19 @@ def test_phi_is_cached_and_read_only(mode):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 12),
+       m=st.integers(2, 8), sigma=SIGMAS, q=st.integers(0, 2),
+       t=st.floats(0.0, 3.0), mode=st.sampled_from(["lanczos", "arnoldi"]))
+def test_corner_is_the_last_entry_of_phi(seed, n, m, sigma, q, t, mode):
+    """corner(sigma, q, t) is phi(sigma, q, t)[m-1] bit for bit, for both
+    algorithms and every q: one formula, one rounding."""
+    _, op, v = small_problem(n, seed)
+    dec = build_krylov(op if mode == "lanczos" else as_general(op), v,
+                       KrylovConfig(m_max=m))
+    assert dec.corner(sigma, q, t) == complex(dec.phi(sigma, q, t)[-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 12),
        m=st.integers(2, 5), sigma=SIGMAS, t=st.floats(1e-3, 5.0))
 def test_lanczos_and_arnoldi_agree_on_phi_and_corner(seed, n, m, sigma, t):
     """The eigendecomposition route (Lanczos) and the Pade route (the same

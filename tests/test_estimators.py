@@ -17,7 +17,7 @@ from krylovexp import (KrylovConfig, SparseOperator, build_krylov, era,
 from krylovexp.approximant import Approximant, effective_order
 from krylovexp.estimators import ESTIMATORS, evaluate
 
-from conftest import SIGMAS, random_unit
+from conftest import SIGMAS, as_general, random_unit
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +51,28 @@ def test_era_at_t_zero_and_validation(hermitian_dec):
     assert era(dec, -1j, 0.0).value == 0.0
     with pytest.raises(ValueError):
         era(dec, -1j, -1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("mode", ["lanczos", "arnoldi"])
+def test_non_finite_t_is_rejected(hermitian_dec, mode, t):
+    """Every estimator kind, the quadrature family, the approximant and
+    the defect diagnostics raise on a time that is not finite, rather than
+    return NaN (flagged proven, for era) or a warning."""
+    op, lan = hermitian_dec
+    dec = lan if mode == "lanczos" else build_krylov(as_general(op), lan.V[:, 0],
+                                                     KrylovConfig(m_max=lan.m))
+    assert dec.mode == mode
+    appr = Approximant(dec, -1j)
+    calls = [lambda kind=kind: evaluate(kind, dec, -1j, t) for kind in ESTIMATORS]
+    calls += [lambda: era(dec, -1j, t), lambda: era_corrected(dec, -1j, t),
+              lambda: err1(dec, -1j, t), lambda: err1(dec, -1j, t, corrected=True),
+              lambda: quad_estimates(appr, t), lambda: appr.apply(t),
+              lambda: Approximant(dec, -1j, "corrected", 1).apply(t),
+              lambda: appr.defect(t), lambda: effective_order(appr, t)]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 def test_era_no_overflow_at_huge_t(hermitian_dec):

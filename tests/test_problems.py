@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import krylovexp as kx
 from krylovexp import ProblemSpec, build_convection_diffusion, starting_vector
-from krylovexp.problems import problem_dimension
+from krylovexp.problems import PROBLEM_KINDS
 
 
 def test_spec_merges_defaults_and_rejects_unknown():
@@ -191,10 +191,12 @@ def test_convection_diffusion_nonexpansive_certificate():
         assert op.log_norm_bound(sigma) <= 0.0
 
 
-def test_problem_dimension_matches_builds(hubbard_op):
-    assert problem_dimension(ProblemSpec("heat", {"n": 123})) == 123
-    assert problem_dimension(ProblemSpec("convection_diffusion", {"n": 3})) == 27
-    assert problem_dimension(ProblemSpec("hubbard")) == hubbard_op.n
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_starting_vector_length_matches_build(kind):
+    """starting_vector sizes its vector without building the operator; the
+    size must be the built operator's."""
+    spec = ProblemSpec(kind)
+    assert len(starting_vector(spec)) == spec.build()[0].n
 
 
 def test_starting_vector_conventions():

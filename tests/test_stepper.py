@@ -9,23 +9,31 @@ import pytest
 import scipy.sparse as sp
 
 import krylovexp as kx
+from krylovexp import stepper
 from krylovexp import (ControllerSpec, KrylovConfig, SparseOperator,
                        build_krylov, era, era_corrected, expokit_first_step,
                        propagate, propagate_fixed_steps, step_size_direct,
                        step_size_heuristic, step_size_iterated,
                        early_stop_dimension)
 
-from conftest import random_unit
+from conftest import as_general, random_unit
 
 
-def test_direct_inversion_round_trip(heat_pair):
+@pytest.mark.parametrize("corrected", [False, True])
+@pytest.mark.parametrize("model", ["global_budget", "per_unit_step"])
+@pytest.mark.parametrize("mode", ["lanczos", "arnoldi"])
+def test_direct_inversion_round_trip(heat_pair, mode, model, corrected):
+    """The inverted step meets its target: era(dt) = tol (global) or
+    dt * tol (per unit step), for the bound and its corrected variant."""
     op, sigma, v = heat_pair
-    dec = build_krylov(op, v, KrylovConfig(m_max=10))
+    dec = build_krylov(op if mode == "lanczos" else as_general(op), v,
+                       KrylovConfig(m_max=10))
+    assert dec.mode == mode
     tol = 1e-8
-    dt_g = step_size_direct(dec, sigma, tol, model="global_budget")
-    assert era(dec, sigma, dt_g).value == pytest.approx(tol, rel=1e-12)
-    dt_l = step_size_direct(dec, sigma, tol, model="per_unit_step")
-    assert era(dec, sigma, dt_l).value == pytest.approx(dt_l * tol, rel=1e-12)
+    dt = step_size_direct(dec, sigma, tol, model=model, corrected=corrected)
+    bound = (era_corrected if corrected else era)(dec, sigma, dt).value
+    target = tol if model == "global_budget" else dt * tol
+    assert bound == pytest.approx(target, rel=1e-12)
 
 
 def test_direct_inversion_tol_scaling(heat_pair):
@@ -36,15 +44,6 @@ def test_direct_inversion_tol_scaling(heat_pair):
     dt1 = step_size_direct(dec, sigma, tol, model="global_budget")
     dt2 = step_size_direct(dec, sigma, tol * 2.0 ** dec.m, model="global_budget")
     assert dt2 == pytest.approx(2.0 * dt1, rel=1e-13)
-
-
-def test_direct_inversion_corrected_round_trip(heat_pair):
-    op, sigma, v = heat_pair
-    dec = build_krylov(op, v, KrylovConfig(m_max=10))
-    tol = 1e-8
-    dt = step_size_direct(dec, sigma, tol, model="global_budget",
-                          corrected=True)
-    assert era_corrected(dec, sigma, dt).value == pytest.approx(tol, rel=1e-12)
 
 
 def test_direct_inversion_smaller_m_prefix(heat_pair):
@@ -129,6 +128,21 @@ def test_iterated_on_breakdown_returns_inf():
     dec = build_krylov(op, v, KrylovConfig(m_max=3))
     dt, iters = step_size_iterated(dec, -1.0, 1e-8, "era")
     assert dt == math.inf and iters == 0
+
+
+def test_iterated_returns_its_start_on_a_vanishing_estimate(heat_pair, monkeypatch):
+    """An estimate <= 0 hands back the direct era inversion it started
+    from, without inverting a second time."""
+    op, sigma, v = heat_pair
+    dec = build_krylov(op, v, KrylovConfig(m_max=10))
+    direct = step_size_direct(dec, sigma, 1e-8, model="per_unit_step")
+    calls = []
+    monkeypatch.setattr(stepper, "step_size_direct",
+                        lambda *a, **k: calls.append(1) or step_size_direct(*a, **k))
+    monkeypatch.setattr(stepper, "evaluate",
+                        lambda *a: kx.ErrorEstimate("trapezoid_quad", 0.0, False))
+    assert step_size_iterated(dec, sigma, 1e-8, "trapezoid_quad") == (direct, 1)
+    assert len(calls) == 1
 
 
 def test_controller_spec_defaults_and_validation():
