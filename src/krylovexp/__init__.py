@@ -1,11 +1,9 @@
 """Krylov subspace approximation of exp(sigma t A) v and phi_p(sigma t A) v
 with a-posteriori error bounds, estimates, and restarted step-size control."""
 
-from .approximant import (Approximant, DefectRoundoffError, DefectSample,
-                          effective_order)
+from .approximant import Approximant, DefectRoundoffError, effective_order
 from .dense import expm_dense, phi_dense, phi_scalar
-from .estimators import (ErrorEstimate, era, era_corrected, err1,
-                         expokit_first_step, quad_estimates)
+from .estimators import ErrorEstimate, era, era_corrected, err1, quad_estimates
 from .krylov import (KrylovConfig, KrylovDecomposition, build_krylov,
                      extend_krylov)
 from .oracle import (oracle_chebyshev, oracle_convection_diffusion,
@@ -15,14 +13,14 @@ from .problems import (ProblemSpec, build_convection_diffusion, build_heat,
                        build_hubbard, build_schrodinger, starting_vector)
 from .sparse import SparseOperator, validate_prefactor
 from .stepper import (ControllerSpec, PropagationResult, StepRecord,
-                      early_stop_dimension, propagate, propagate_fixed_steps,
-                      step_size_direct, step_size_heuristic,
-                      step_size_iterated)
+                      early_stop_dimension, expokit_first_step, propagate,
+                      propagate_fixed_steps, step_size_direct,
+                      step_size_heuristic, step_size_iterated)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Approximant", "ControllerSpec", "DefectRoundoffError", "DefectSample",
+    "Approximant", "ControllerSpec", "DefectRoundoffError",
     "ErrorEstimate", "KrylovConfig", "KrylovDecomposition",
     "PropagationResult", "ProblemSpec", "SparseOperator", "StepRecord",
     "build_convection_diffusion", "build_heat", "build_hubbard",

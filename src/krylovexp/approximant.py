@@ -1,4 +1,4 @@
-"""Krylov approximants for exp(sigma*t*A)v and phi_p(sigma*t*A)v, plus defect diagnostics.
+"""Krylov approximants for exp(sigma*t*A)v and phi_p(sigma*t*A)v, plus the effective order.
 
 The standard approximant projects through the m-dimensional decomposition,
 
@@ -10,13 +10,10 @@ the augmented matrix Tbar = [[T, 0], [tau e_m^*, 0]] along v_next,
     V phi_p(sigma t T) e_1 + sigma t tau (e_m^* phi_{p+1}(sigma t T) e_1) v_next,
 
 buying one extra order of accuracy.  Both read the decomposition's own
-phi and corner, so no (m+1)-sized matrix is ever formed.  The defect
-scalar delta(t) = (e^{sigma t T})_{m,1} and its exact time derivative
-feed the quadrature-style error estimates and the effective order
-rho(t) = t |delta|' / |delta|.
+phi and corner, so no (m+1)-sized matrix is ever formed.  The effective
+order rho(t) = t |delta|' / |delta| reads the decomposition's defect,
+the scalar delta(t) = (e^{sigma t T})_{m,1} and its exact time derivative.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +24,6 @@ _ROUNDOFF_FLOOR = 1e3 * float(np.finfo(np.float64).eps)
 
 class DefectRoundoffError(ValueError):
     """The defect magnitude sits at the round-off floor; derived quantities are unreliable."""
-
-
-@dataclass(frozen=True)
-class DefectSample:
-    """Defect corner entry and its exact t-derivative at one time point."""
-    t: float
-    delta: complex
-    delta_prime: complex
 
 
 class Approximant:
@@ -61,39 +50,24 @@ class Approximant:
         coef = self.sigma * t * dec.tau_next * dec.corner(self.sigma, self.p + 1, t)
         return out + coef * dec.v_next
 
-    def defect(self, t):
-        """Corner entry delta(t) of e^{sigma t T} and its exact derivative
-        at a finite time t >= 0."""
-        validate_time(t)
-        dec = self.dec
-        if dec.m < 2:
-            raise ValueError("defect needs m >= 2 (the derivative uses the last two rows of T)")
-        u = dec.phi(self.sigma, 0, t)
-        T = dec.T
-        m = dec.m
-        delta = complex(u[m - 1])
-        delta_prime = self.sigma * (T[m - 1, m - 1] * u[m - 1] + T[m - 1, m - 2] * u[m - 2])
-        return DefectSample(t=float(t), delta=delta, delta_prime=complex(delta_prime))
 
-
-def effective_order(appr, t):
+def effective_order(dec, sigma, t):
     """Local log-log slope rho(t) = t |delta|'(t) / |delta(t)|
-    = t Re(conj(delta) delta') / |delta|^2.
+    = t Re(conj(delta) delta') / |delta|^2 of the decomposition's defect.
 
-    delta' from defect() is exact for any upper Hessenberg T, so this holds
-    for Lanczos and Arnoldi and every sigma.  Tends to m-1 as t -> 0+ and
-    decreases from there.  Raises DefectRoundoffError when |delta| is too
-    close to the round-off floor to differentiate meaningfully.
+    delta' from dec.defect is exact for any upper Hessenberg T, so this
+    holds for Lanczos and Arnoldi and every sigma.  Tends to m-1 as t -> 0+
+    and decreases from there.  Raises DefectRoundoffError when |delta| is
+    too close to the round-off floor to differentiate meaningfully.
     """
     if validate_time(t) == 0.0:
         raise ValueError("effective_order needs t > 0")
-    sample = appr.defect(t)
+    delta, delta_prime = dec.defect(validate_prefactor(sigma), t)
     # |delta(t)| is an entry of u(t) = e^{sigma t T} e_1, and the round-off in
     # u is relative to ||u(0)|| = ||e_1|| = 1, not to ||u(t)||, which
     # underflows on dissipative problems.
-    if abs(sample.delta) < _ROUNDOFF_FLOOR:
+    if abs(delta) < _ROUNDOFF_FLOOR:
         raise DefectRoundoffError(
-            f"|delta({sample.t})| = {abs(sample.delta):.3e} is below the round-off floor "
+            f"|delta({float(t)})| = {abs(delta):.3e} is below the round-off floor "
             f"{_ROUNDOFF_FLOOR:.3e}")
-    return float(t * np.real(np.conj(sample.delta) * sample.delta_prime)
-                 / abs(sample.delta) ** 2)
+    return float(t * np.real(np.conj(delta) * delta_prime) / abs(delta) ** 2)

@@ -135,9 +135,7 @@ def _sweep_cell(spec, m, ts, p, corrected, accuracy):
     op, sigma = spec.build()
     v = starting_vector(spec)
     dec = build_krylov(op, v, KrylovConfig(m_max=m))
-    kind = "corrected" if corrected else "standard"
-    appr = Approximant(dec, sigma, kind, p)
-    quad_appr = appr if not corrected else Approximant(dec, sigma, "standard", p)
+    appr = Approximant(dec, sigma, "corrected" if corrected else "standard", p)
     wide_rows = []
     long_rows = []
     violation = False
@@ -146,17 +144,17 @@ def _sweep_cell(spec, m, ts, p, corrected, accuracy):
         err = float(np.linalg.norm(appr.apply(t) - ref))
         e_era = (era_corrected if corrected else era)(dec, sigma, t, p)
         e_err1 = err1(dec, sigma, t, p, corrected=corrected)
-        quad_list = quad_estimates(quad_appr, t)
+        quad_list = quad_estimates(dec, sigma, t, p)
         quads = {e.kind: e.value for e in quad_list}
         try:
-            rho = effective_order(quad_appr, t)
+            rho = effective_order(dec, sigma, t)
         except DefectRoundoffError:
             rho = math.nan
         wide_rows.append({
             "t": t, "oracle_error": err,
             "Era": e_era.value, "Err1": e_err1.value,
             "HermiteQuad": quads["hermite_quad"],
-            "ImprovedHermiteQuad": quads.get("improved_hermite_quad", math.nan),
+            "ImprovedHermiteQuad": quads["improved_hermite_quad"],
             "TrapezoidQuad": quads["trapezoid_quad"],
             "EffectiveOrderQuad": quads.get("effective_order_quad", math.nan),
             "rho": rho,
@@ -273,21 +271,25 @@ def cmd_sweep(config, out_dir, threads=1, seed_override=None):
     return 1 if violated else 0
 
 
+_BENCH_RUN_KEYS = frozenset({"problem", "controller", "estimator", "error_model", "m",
+                             "tol", "n_steps", "t_final"})
+
+
 def _bench_run(run, specs):
     """(spec, m, ctrl, estimator, n_steps, t_final) of one bench run, with
-    n_steps None for a run to t_final and t_final None otherwise."""
+    n_steps None for a run to t_final and t_final None otherwise.  A key
+    outside _BENCH_RUN_KEYS is an error, so no setting is silently ignored."""
     _require(isinstance(run, dict), "each bench run must be an object")
+    unknown = sorted(set(run) - _BENCH_RUN_KEYS)
+    _require(not unknown, f"unknown bench run keys {unknown}")
     kind, estimator = run.get("problem"), run.get("estimator", "era")
     _require(isinstance(kind, str) and kind in specs, f"unknown bench problem {kind!r}")
     _require(isinstance(estimator, str) and estimator in ESTIMATORS,
              f"unknown estimator {estimator!r}")
     try:
         m = _number(run["m"], "m", 2, True)
-        safety = run.get("safety")
         ctrl = ControllerSpec(run["controller"], _number(run["tol"], "tol", 0.0),
-                              run.get("error_model"),
-                              _number(run.get("iteration_cap", 5), "iteration_cap", 1, True),
-                              None if safety is None else _number(safety, "safety", 0.0))
+                              run.get("error_model"))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad bench run: {exc}") from exc
     if "n_steps" in run:

@@ -11,7 +11,14 @@ couple hundred cannot overflow or underflow):
   hermite_quad        tau * (t/m) * |delta(t)|
   improved_hermite_quad  two-point Hermite rule using the defect derivative
   trapezoid_quad      tau * (t/2) * |delta(t)|
-  effective_order_quad   tau * t/(rho(t)+1) * |delta(t)|  (guarded)
+  effective_order_quad   tau * (t/(rho(t)+1)) * |delta(t)|  (guarded)
+
+Every estimator takes the decomposition dec, sigma, t and p, and reads
+the small-matrix quantities from dec alone: phi and corner, and the defect
+pair (delta, delta') = dec.defect(sigma, t).  The three plain quadratures
+are one formula, tau * (t/w) * |delta(t)|, with weights w = m, 2 and
+rho(t)+1.  After a breakdown the projection is exact, so every kind is
+0.0 there.
 
 ESTIMATORS holds one row per kind: the function computing the value, the
 extra matvecs it costs a fresh decomposition (the cached A v_next), and
@@ -32,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .approximant import Approximant, DefectRoundoffError, effective_order
+from .approximant import DefectRoundoffError, effective_order
 from .sparse import validate_prefactor, validate_time
 
 
@@ -90,38 +97,31 @@ def _era(dec, sigma, t, p, corrected=False):
 
 
 def _err1(dec, sigma, t, p, corrected=False):
-    if dec.breakdown:
-        return 0.0
     lead = float(np.linalg.norm(dec.a_v_next())) if corrected else 1.0
     corner = dec.corner(sigma, p + 1 + corrected, t)
     return lead * dec.tau_next * t * t ** corrected * abs(corner)
 
 
-def _abs_delta(dec, sigma, t):
-    return abs(Approximant(dec, sigma).defect(t).delta)
-
-
-def _hermite(dec, sigma, t, p):
-    return dec.tau_next * (t / dec.m) * _abs_delta(dec, sigma, t)
+def _quad(weight, dec, sigma, t, p):
+    """tau * (t/w) * |delta(t)| with w = weight(dec, sigma, t), or None
+    where the weight is unavailable."""
+    w = weight(dec, sigma, t)
+    if w is None:
+        return None
+    return dec.tau_next * (t / w) * abs(dec.defect(sigma, t)[0])
 
 
 def _improved_hermite(dec, sigma, t, p):
-    if dec.breakdown:
-        return None
-    sample = Approximant(dec, sigma).defect(t)
+    delta, delta_prime = dec.defect(sigma, t)
     m, tau = dec.m, dec.tau_next
     av = dec.a_v_next()
-    ddot = np.conj(sigma) * sample.delta_prime  # T[m-1,m-1]u_m + T[m-1,m-2]u_{m-1}
-    vec = (sigma * tau * (2.0 * t / (m + 1)) * sample.delta) * dec.v_next \
-        - (sigma * sigma * tau * (t * t / (m * (m + 1)))) * (ddot * dec.v_next - sample.delta * av)
+    ddot = np.conj(sigma) * delta_prime  # T[m-1,m-1]u_m + T[m-1,m-2]u_{m-1}
+    vec = (sigma * tau * (2.0 * t / (m + 1)) * delta) * dec.v_next \
+        - (sigma * sigma * tau * (t * t / (m * (m + 1)))) * (ddot * dec.v_next - delta * av)
     return float(np.linalg.norm(vec))
 
 
-def _trapezoid(dec, sigma, t, p):
-    return dec.tau_next * (t / 2.0) * _abs_delta(dec, sigma, t)
-
-
-def _order_probe(appr, t, factors=(0.5, 0.75, 1.0)):
+def _order_probe(dec, sigma, t, factors=(0.5, 0.75, 1.0)):
     """rho sampled on a short grid ending at t, or None when rho(t) is
     unreliable, the resolvable samples are not nonincreasing, or
     rho(t) < 1 (outside the rule's assumptions).
@@ -133,7 +133,7 @@ def _order_probe(appr, t, factors=(0.5, 0.75, 1.0)):
     rhos = []
     for f in factors:
         try:
-            rhos.append(effective_order(appr, t * f))
+            rhos.append(effective_order(dec, sigma, t * f))
         except DefectRoundoffError:
             if f == factors[-1]:
                 return None
@@ -145,13 +145,12 @@ def _order_probe(appr, t, factors=(0.5, 0.75, 1.0)):
     return rhos[-1]
 
 
-def _effective_order_quad(dec, sigma, t, p):
-    if t == 0.0 or dec.tau_next <= 0.0:
+def _order_weight(dec, sigma, t):
+    """rho(t) + 1 from the guarded probe, or None where rho is unavailable."""
+    if t == 0.0:
         return None
-    rho = _order_probe(Approximant(dec, sigma), t)
-    if rho is None:
-        return None
-    return dec.tau_next * (t / (rho + 1.0)) * _abs_delta(dec, sigma, t)
+    rho = _order_probe(dec, sigma, t)
+    return None if rho is None else rho + 1.0
 
 
 # kind -> (value of (dec, sigma, t, p), or None when unavailable there;
@@ -161,21 +160,23 @@ ESTIMATORS = {
     "era_corrected": (partial(_era, corrected=True), 1, "nonexpansive"),
     "err1": (_err1, 0, "hermitian_real_sigma"),
     "err1_corrected": (partial(_err1, corrected=True), 1, None),
-    "hermite_quad": (_hermite, 0, None),
+    "hermite_quad": (partial(_quad, lambda dec, sigma, t: dec.m), 0, None),
     "improved_hermite_quad": (_improved_hermite, 1, None),
-    "trapezoid_quad": (_trapezoid, 0, None),
-    "effective_order_quad": (_effective_order_quad, 0, None),
+    "trapezoid_quad": (partial(_quad, lambda dec, sigma, t: 2.0), 0, None),
+    "effective_order_quad": (partial(_quad, _order_weight), 0, None),
 }
 
 _QUAD_KINDS = tuple(k for k in ESTIMATORS if k.endswith("_quad"))
 
 
 def _estimate(kind, dec, sigma, t, p):
-    """The ESTIMATORS row for kind, evaluated; None when it is unavailable."""
+    """The ESTIMATORS row for kind, evaluated; None when it is unavailable.
+    After a breakdown the projection is exact: every kind is 0.0 there and
+    costs no matvec."""
     s = validate_prefactor(sigma)
     validate_time(t)
     fn, extra, rule = ESTIMATORS[kind]
-    value = fn(dec, s, t, p)
+    value = 0.0 if dec.breakdown else fn(dec, s, t, p)
     if value is None:
         return None
     if p != 0 and kind in ("era", "err1"):
@@ -208,33 +209,15 @@ def err1(dec, sigma, t, p=0, corrected=False):
     return _estimate("err1_corrected" if corrected else "err1", dec, sigma, t, p)
 
 
-def quad_estimates(appr, t):
+def quad_estimates(dec, sigma, t, p=0):
     """Quadrature-style estimates of the defect integral at time t.
 
-    Returns hermite_quad and trapezoid_quad always, improved_hermite_quad
-    unless the decomposition broke down (it costs the one extra, cached
-    matvec), and effective_order_quad only when the sampled rho is
-    reliable, nonincreasing, and at least 1.
+    Returns hermite_quad, improved_hermite_quad (it costs the one extra,
+    cached matvec) and trapezoid_quad always, and effective_order_quad
+    only when the sampled rho is reliable, nonincreasing, and at least 1.
     """
-    out = [_estimate(kind, appr.dec, appr.sigma, t, appr.p) for kind in _QUAD_KINDS]
+    out = [_estimate(kind, dec, sigma, t, p) for kind in _QUAD_KINDS]
     return [e for e in out if e is not None]
-
-
-def expokit_first_step(op_norm_inf, m, tol):
-    """A-priori first step size, the rule historically shipped with phipade codes:
-
-        dt = (1/||A||_inf) * (tol * ((m+1)/e)^(m+1) * sqrt(2 pi (m+1))
-              / (4 ||A||_inf))^(1/m)
-    """
-    if op_norm_inf <= 0.0:
-        raise ValueError("op_norm_inf must be > 0")
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must be in (0, 1)")
-    mp1 = m + 1
-    inner = (math.log(tol) + mp1 * (math.log(mp1) - 1.0)
-             + 0.5 * math.log(2.0 * math.pi * mp1)
-             - math.log(4.0 * op_norm_inf))
-    return math.exp(inner / m - math.log(op_norm_inf))
 
 
 def evaluate(kind, dec, sigma, t, p=0):
@@ -248,9 +231,7 @@ def evaluate(kind, dec, sigma, t, p=0):
     if kind not in ESTIMATORS:
         raise ValueError(f"unknown estimator kind: {kind!r}")
     est = _estimate(kind, dec, sigma, t, p)
-    if est is None and kind == "effective_order_quad":
+    if est is None:  # only effective_order_quad is ever unavailable
         est = _estimate("trapezoid_quad", dec, sigma, t, p)
-    if est is None:
-        raise ValueError(f"estimator {kind!r} unavailable after a breakdown")
     return est
 

@@ -12,10 +12,12 @@ product gamma (also in log form, which is what the estimators actually
 consume), breakdown state and the cached A v_next.
 
 It is also the one owner of the small-matrix functions that every
-approximant and estimator reads: phi(sigma, q, t) = phi_q(sigma t T) e_1
-and its last entry corner(sigma, q, t).  A Lanczos decomposition
-eigendecomposes T once and serves every sigma, q and t from it; an
-Arnoldi one pays one Pade call per (sigma, q, t).
+approximant and estimator reads: phi(sigma, q, t) = phi_q(sigma t T) e_1,
+its last entry corner(sigma, q, t), and the defect(sigma, t) pair
+(delta, delta') that the quadrature estimates and the effective order
+read.  A Lanczos decomposition eigendecomposes T once and serves every
+sigma, q and t from it; an Arnoldi one pays one Pade call per
+(sigma, q, t).
 
 One build allocates one store of two arrays, sized for m_max: a row-major
 basis of shape (m_max+1, n) and a Hessenberg matrix of shape
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import phi_dense, phi_scalar, symtrid_eig
+from .sparse import validate_time
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -152,6 +155,21 @@ class KrylovDecomposition:
         for both algorithms and every q, so it shares phi's cache and its
         rounding."""
         return complex(self.phi(sigma, q, t)[self.m - 1])
+
+    def defect(self, sigma, t):
+        """(delta, delta_prime) at a finite time t >= 0: the corner entry
+        delta(t) = e_m^* e^{sigma t T} e_1, read from phi(sigma, 0, t) like
+        corner, and its exact t-derivative
+        sigma (T[m-1, m-1] u_m + T[m-1, m-2] u_{m-1}) with u = phi(sigma, 0, t),
+        which holds for any upper Hessenberg T."""
+        validate_time(t)
+        m = self.m
+        if m < 2:
+            raise ValueError("defect needs m >= 2 (the derivative uses the last two rows of T)")
+        u = self.phi(sigma, 0, t)
+        T = self.T
+        delta_prime = sigma * (T[m - 1, m - 1] * u[m - 1] + T[m - 1, m - 2] * u[m - 2])
+        return complex(u[m - 1]), complex(delta_prime)
 
 
 def _grow(op, basis, hess, m, amax, steps):

@@ -101,9 +101,6 @@ class SparseOperator:
             raise ValueError(f"matvec: expected vector of length {self.n}, got shape {x.shape}")
         return self.csr @ x
 
-    def __matmul__(self, x):
-        return self.matvec(x)
-
     def to_matrix_market(self, path):
         sym = "hermitian" if self.symmetry == "hermitian" else "general"
         scipy.io.mmwrite(str(path), self.csr, field="complex", symmetry=sym)

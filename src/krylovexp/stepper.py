@@ -13,11 +13,12 @@ Controllers:
   direct_era_local       invert for era(dt) = dt * tol
   direct_era_corrected   same inversions for the corrected bound
   heuristic              first step by direct era inversion, then
-                         dt_j = safety * dt_{j-1} * (target/est_{j-1})^(1/m)
+                         dt_j = 0.9 * dt_{j-1} * (target/est_{j-1})^(1/m)
   heuristic_iterated     fixed-point refinement of dt on the current
-                         decomposition using any estimator
-  expokit_first_step_only  the classical a-priori first step, then the
-                         heuristic update
+                         decomposition using any estimator, at most 5
+                         passes
+  expokit_first_step_only  the classical a-priori first step
+                         (expokit_first_step), then the heuristic update
 
 ControllerSpec.error_model defaults to the model the kind implements:
 global_budget for direct_era_global, per_unit_step for direct_era_local
@@ -34,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import Approximant
-from .estimators import (ErrorEstimate, era, evaluate, expokit_first_step,
-                         log_era_factor)
+from .estimators import ErrorEstimate, era, evaluate, log_era_factor
 from .krylov import KrylovConfig, build_krylov, extend_krylov
 from .sparse import validate_prefactor, validate_time
 
@@ -49,6 +49,9 @@ _KIND_MODEL = {"direct_era_global": "global_budget",
                "heuristic_iterated": "per_unit_step"}
 
 _MAX_SUBSTEPS = 100_000
+# the heuristic kinds aim 10 % short of their target; the direct era
+# inversions land on it, since era is a proven bound
+_SAFETY = 0.9
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,6 @@ class ControllerSpec:
     kind: str
     tol: float
     error_model: str = None
-    iteration_cap: int = 5
-    safety: float = None
 
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
@@ -71,13 +72,6 @@ class ControllerSpec:
             raise ValueError("tol must be > 0")
         if self.kind == "expokit_first_step_only" and not self.tol < 1.0:
             raise ValueError("expokit_first_step_only needs tol in (0, 1)")
-        if self.iteration_cap < 1:
-            raise ValueError("iteration_cap must be >= 1")
-        if self.safety is None:
-            default = 1.0 if self.kind.startswith("direct_era") else 0.9
-            object.__setattr__(self, "safety", default)
-        if not 0.0 < self.safety <= 1.0:
-            raise ValueError("safety must lie in (0, 1]")
         if implied is not None and self.error_model != implied:
             raise ValueError(f"{self.kind} implements the {implied} model only")
 
@@ -133,6 +127,23 @@ def step_size_direct(dec, sigma, tol, m=None, model="global_budget",
     return math.exp((math.log(tol) - factor) / exponent)
 
 
+def expokit_first_step(op_norm_inf, m, tol):
+    """A-priori first step size, the rule historically shipped with phipade codes:
+
+        dt = (1/||A||_inf) * (tol * ((m+1)/e)^(m+1) * sqrt(2 pi (m+1))
+              / (4 ||A||_inf))^(1/m)
+    """
+    if op_norm_inf <= 0.0:
+        raise ValueError("op_norm_inf must be > 0")
+    if not (0.0 < tol < 1.0):
+        raise ValueError("tol must be in (0, 1)")
+    mp1 = m + 1
+    inner = (math.log(tol) + mp1 * (math.log(mp1) - 1.0)
+             + 0.5 * math.log(2.0 * math.pi * mp1)
+             - math.log(4.0 * op_norm_inf))
+    return math.exp(inner / m - math.log(op_norm_inf))
+
+
 def step_size_heuristic(prev_dt, prev_estimate, tol, m, model="per_unit_step",
                         safety=1.0):
     """dt_j = safety * dt_{j-1} * (target / est_{j-1})^(1/m) with
@@ -186,24 +197,22 @@ def step_size_iterated(dec, sigma, tol, estimator, cap=5):
 
 
 def _raw_step(dec, sigma, ctrl, estimator_kind, j, prev_dt, prev_est):
-    """One controller decision: (dt before safety/clipping, iterations,
-    apply_safety) for substep j."""
+    """One controller decision: (dt before clipping, iterations) for
+    substep j."""
     kind = ctrl.kind
     if kind.startswith("direct_era"):
         return step_size_direct(dec, sigma, ctrl.tol, model=ctrl.error_model,
-                                corrected=kind == "direct_era_corrected"), 0, True
+                                corrected=kind == "direct_era_corrected"), 0
     if kind == "heuristic_iterated":
-        dt, iters = step_size_iterated(dec, sigma, ctrl.tol, estimator_kind,
-                                       cap=ctrl.iteration_cap)
-        return dt, iters, True
+        dt, iters = step_size_iterated(dec, sigma, ctrl.tol, estimator_kind)
+        return _SAFETY * dt, iters
     # heuristic and expokit_first_step_only differ only in the first step
     if j == 0:
         if kind == "expokit_first_step_only":
-            return expokit_first_step(dec.op.norm_inf, dec.m, ctrl.tol), 0, False
-        return step_size_direct(dec, sigma, ctrl.tol, model=ctrl.error_model), 0, True
-    dt = step_size_heuristic(prev_dt, prev_est, ctrl.tol, dec.m,
-                             model=ctrl.error_model, safety=ctrl.safety)
-    return dt, 0, False
+            return expokit_first_step(dec.op.norm_inf, dec.m, ctrl.tol), 0
+        return _SAFETY * step_size_direct(dec, sigma, ctrl.tol, model=ctrl.error_model), 0
+    return step_size_heuristic(prev_dt, prev_est, ctrl.tol, dec.m,
+                               model=ctrl.error_model, safety=_SAFETY), 0
 
 
 def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
@@ -230,10 +239,7 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
         if beta == 0.0:
             raise RuntimeError("propagated vector vanished")
         dec = build_krylov(op, w / beta, cfg)
-        dt, iters, apply_safety = _raw_step(dec, s, ctrl, estimator_kind,
-                                            j, prev_dt, prev_est)
-        if apply_safety:
-            dt *= ctrl.safety
+        dt, iters = _raw_step(dec, s, ctrl, estimator_kind, j, prev_dt, prev_est)
         clipped = False
         if t_final is not None and (not math.isfinite(dt) or t + dt >= t_final):
             dt = t_final - t

@@ -1,5 +1,5 @@
-"""Projected approximants: standard and corrected evaluation, the defect
-corner entry, and the effective order."""
+"""Projected approximants: standard and corrected evaluation, the
+decomposition's defect corner entry, and the effective order."""
 
 import numpy as np
 import pytest
@@ -116,21 +116,19 @@ def test_defect_matches_dense_corner():
     _, op, v = small_problem(seed=65, hermitian=False)
     dec = build_krylov(op, v, KrylovConfig(m_max=7))
     sigma = 1.0
-    appr = Approximant(dec, sigma, "standard", 0)
     for t in (0.2, 1.1):
-        sample = appr.defect(t)
+        delta, _ = dec.defect(sigma, t)
         dense = scipy.linalg.expm(sigma * t * dec.T)
-        assert abs(sample.delta - dense[dec.m - 1, 0]) < 1e-13
+        assert abs(delta - dense[dec.m - 1, 0]) < 1e-13
 
 
 def test_defect_derivative_matches_finite_difference():
     _, op, v = small_problem(seed=66)
     dec = build_krylov(op, v, KrylovConfig(m_max=8))
-    appr = Approximant(dec, -1j, "standard", 0)
     t, h = 0.9, 1e-6
-    sample = appr.defect(t)
-    fd = (appr.defect(t + h).delta - appr.defect(t - h).delta) / (2 * h)
-    assert abs(sample.delta_prime - fd) < 1e-7 * max(1.0, abs(fd))
+    _, delta_prime = dec.defect(-1j, t)
+    fd = (dec.defect(-1j, t + h)[0] - dec.defect(-1j, t - h)[0]) / (2 * h)
+    assert abs(delta_prime - fd) < 1e-7 * max(1.0, abs(fd))
 
 
 def test_defect_requires_two_rows():
@@ -139,9 +137,8 @@ def test_defect_requires_two_rows():
     v = np.array([1.0, 0.0])
     dec = build_krylov(op, v, KrylovConfig(m_max=2))
     assert dec.m == 1  # eigenvector start: immediate breakdown
-    appr = Approximant(dec, -1.0, "standard", 0)
     with pytest.raises(ValueError):
-        appr.defect(1.0)
+        dec.defect(-1.0, 1.0)
 
 
 def test_effective_order_limit_is_m_minus_one(schrodinger_pair):
@@ -149,16 +146,14 @@ def test_effective_order_limit_is_m_minus_one(schrodinger_pair):
     round-off floor at t small enough to see the limit."""
     op, sigma, v = schrodinger_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=4))
-    appr = Approximant(dec, sigma, "standard", 0)
-    rho = effective_order(appr, 1e-2)
+    rho = effective_order(dec, sigma, 1e-2)
     assert abs(rho - 3.0) < 1e-2
 
 
 def test_effective_order_decreases_from_the_limit(heat_pair):
     op, sigma, v = heat_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
-    appr = Approximant(dec, sigma, "standard", 0)
-    rhos = [effective_order(appr, t) for t in (0.8, 1.5, 3.0)]
+    rhos = [effective_order(dec, sigma, t) for t in (0.8, 1.5, 3.0)]
     assert all(b < a for a, b in zip(rhos, rhos[1:]))
     assert rhos[0] < 9.0
 
@@ -166,9 +161,8 @@ def test_effective_order_decreases_from_the_limit(heat_pair):
 def test_effective_order_roundoff_floor(heat_pair):
     op, sigma, v = heat_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
-    appr = Approximant(dec, sigma, "standard", 0)
     with pytest.raises(DefectRoundoffError):
-        effective_order(appr, 1e-4)
+        effective_order(dec, sigma, 1e-4)
 
 
 @pytest.mark.parametrize("t", [1.0, 4.8, 7.0, 10.0])
@@ -180,10 +174,9 @@ def test_effective_order_floor_is_anchored_to_the_start_vector(t):
     spec = kx.ProblemSpec("convection_diffusion")
     op, sigma = spec.build()
     dec = build_krylov(op, kx.starting_vector(spec), KrylovConfig(m_max=10))
-    appr = Approximant(dec, sigma, "standard", 0)
     assert sigma == 1.0
     with pytest.raises(DefectRoundoffError):
-        effective_order(appr, t)
+        effective_order(dec, sigma, t)
 
 
 def test_effective_order_lanczos_and_arnoldi_agree():
@@ -194,16 +187,15 @@ def test_effective_order_lanczos_and_arnoldi_agree():
     arn = build_krylov(as_general(op), v, KrylovConfig(m_max=9))
     t = 1.2
     for sigma in (-1.0, -1j, np.exp(0.3j)):
-        assert abs(effective_order(Approximant(arn, sigma), t)
-                   - effective_order(Approximant(lan, sigma), t)) < 1e-8
+        assert abs(effective_order(arn, sigma, t)
+                   - effective_order(lan, sigma, t)) < 1e-8
 
 
 def test_effective_order_input_validation(heat_pair):
     op, sigma, v = heat_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=6))
-    appr = Approximant(dec, sigma, "standard", 0)
     with pytest.raises(ValueError):
-        effective_order(appr, 0.0)
+        effective_order(dec, sigma, 0.0)
 
 
 def test_approximant_validation(heat_pair):

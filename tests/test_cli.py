@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.io
 
+from krylovexp.estimators import ESTIMATORS
 from krylovexp.cli import (BENCH_COLUMNS, BENCH_KEY, LONG_COLUMNS, LONG_KEY,
                            WIDE_COLUMNS, _write_csv, fmt_cell, fmt_sigma, main)
 
@@ -102,6 +103,11 @@ def test_malformed_json_exits_2(tmp_path):
     # the a-priori first step needs tol < 1
     {"problem": "heat", "controller": "expokit_first_step_only", "m": 8, "tol": 2.0,
      "n_steps": 2},
+    # keys the bench does not know, once controller settings, are not ignored
+    {"problem": "heat", "controller": "heuristic", "m": 8, "tol": 1e-6,
+     "n_steps": 2, "safety": 0.8},
+    {"problem": "heat", "controller": "heuristic_iterated", "m": 8, "tol": 1e-6,
+     "n_steps": 2, "iteration_cap": 3},
 ])
 def test_bench_config_errors_exit_2(tmp_path, run):
     cfg = write_config(tmp_path, {"problems": [{"kind": "heat"}],
@@ -241,6 +247,23 @@ def test_bench_global_budget_run_checks_its_own_model(tmp_path):
     err = float(row["oracle_error_per_unit_t"]) * float(row["total_t"])
     assert err <= float(row["accumulated_bound"]) * (1 + 1e-9) + 1e-12
     assert float(row["oracle_error_per_unit_t"]) > 1e-8
+
+
+def test_bench_through_a_breakdown_exits_0(tmp_path):
+    """heat at n = 6 breaks down before m = 10, where the projection is
+    exact: every estimator kind reads 0.0 and the run covers t_final in one
+    step, instead of dying with exit 1, which means a bound was exceeded."""
+    runs = [{"problem": "heat", "controller": "direct_era_local", "estimator": kind,
+             "m": 10, "tol": 1e-8, "t_final": 1.0} for kind in sorted(ESTIMATORS)]
+    cfg = write_config(tmp_path, {"problems": [{"kind": "heat", "params": {"n": 6}}],
+                                  "bench": {"runs": runs}})
+    out = tmp_path / "breakdown"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "bench.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(ESTIMATORS)
+    for line in lines:
+        row = dict(zip(BENCH_COLUMNS, line.split(",")))
+        assert (row["N"], row["accumulated_bound"]) == ("1", "0.0")
 
 
 def test_bench_detects_bound_violation(tmp_path, monkeypatch):

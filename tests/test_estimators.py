@@ -63,13 +63,12 @@ def test_non_finite_t_is_rejected(hermitian_dec, mode, t):
     dec = lan if mode == "lanczos" else build_krylov(as_general(op), lan.V[:, 0],
                                                      KrylovConfig(m_max=lan.m))
     assert dec.mode == mode
-    appr = Approximant(dec, -1j)
     calls = [lambda kind=kind: evaluate(kind, dec, -1j, t) for kind in ESTIMATORS]
     calls += [lambda: era(dec, -1j, t), lambda: era_corrected(dec, -1j, t),
               lambda: err1(dec, -1j, t), lambda: err1(dec, -1j, t, corrected=True),
-              lambda: quad_estimates(appr, t), lambda: appr.apply(t),
+              lambda: quad_estimates(dec, -1j, t), lambda: Approximant(dec, -1j).apply(t),
               lambda: Approximant(dec, -1j, "corrected", 1).apply(t),
-              lambda: appr.defect(t), lambda: effective_order(appr, t)]
+              lambda: dec.defect(-1j, t), lambda: effective_order(dec, -1j, t)]
     for call in calls:
         with pytest.raises(ValueError, match="finite"):
             call()
@@ -96,13 +95,26 @@ def test_era_corrected_formula_literal(hermitian_dec):
 
 
 def test_era_on_breakdown_is_zero():
-    lam = np.array([1.0, 2.0, 3.0])
-    op = SparseOperator(sp.diags(lam).tocsr(), symmetry="hermitian")
-    v = np.array([0.6, 0.8, 0.0])
-    dec = build_krylov(op, v, KrylovConfig(m_max=3))
-    assert dec.breakdown
-    assert era(dec, -1.0, 5.0).value == 0.0
-    assert era_corrected(dec, -1.0, 5.0).value == 0.0
+    """After a breakdown the projection is exact, so every estimator kind
+    is 0.0 at no extra matvec: at m = 2 (a start vector in a 2-dimensional
+    invariant subspace) and at m = 1 (a multiple of the identity, where
+    the defect itself does not exist)."""
+    cases = ((np.array([1.0, 2.0, 3.0]), np.array([0.6, 0.8, 0.0]), 2),
+             (np.full(3, 0.3), np.array([0.6, 0.0, 0.8]), 1))
+    for lam, v, m in cases:
+        op = SparseOperator(sp.diags(lam).tocsr(), symmetry="hermitian")
+        dec = build_krylov(op, v, KrylovConfig(m_max=3))
+        assert dec.breakdown and dec.m == m
+        assert era(dec, -1.0, 5.0).value == 0.0
+        assert era_corrected(dec, -1.0, 5.0).value == 0.0
+        for p in (0, 1):
+            for kind in ESTIMATORS:
+                est = evaluate(kind, dec, -1.0, 5.0, p)
+                assert (est.value, est.extra_matvecs) == (0.0, 0), (m, kind)
+            quads = quad_estimates(dec, -1.0, 5.0, p)
+            assert sorted(e.kind for e in quads) == sorted(
+                k for k in ESTIMATORS if k.endswith("_quad"))
+            assert all(e.value == 0.0 for e in quads)
 
 
 def test_err1_formula_via_dense_augmented_corner(hermitian_dec):
@@ -219,26 +231,23 @@ def test_trapezoid_is_an_estimate_not_a_bound(heat_pair):
 def test_quad_formulas_literal(heat_pair):
     op, sigma, v = heat_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
-    appr = Approximant(dec, sigma, "standard", 0)
     t = 1.0
-    sample = appr.defect(t)
+    delta, delta_prime = dec.defect(sigma, t)
     tau, m = dec.tau_next, dec.m
-    got = {e.kind: e for e in quad_estimates(appr, t)}
+    got = {e.kind: e for e in quad_estimates(dec, sigma, t)}
 
-    assert got["hermite_quad"].value == pytest.approx(
-        tau * (t / m) * abs(sample.delta), rel=1e-12)
-    assert got["trapezoid_quad"].value == pytest.approx(
-        tau * (t / 2) * abs(sample.delta), rel=1e-12)
-    rho = effective_order(appr, t)
-    assert got["effective_order_quad"].value == pytest.approx(
-        tau * t / (rho + 1.0) * abs(sample.delta), rel=1e-12)
+    # the plain rules are one formula, tau * (t/w) * |delta|, bit for bit
+    rho = effective_order(dec, sigma, t)
+    for kind, w in (("hermite_quad", m), ("trapezoid_quad", 2.0),
+                    ("effective_order_quad", rho + 1.0)):
+        assert got[kind].value == tau * (t / w) * abs(delta), kind
 
     # improved variant: norm of the two-term vector combination
     av = dec.a_v_next()
-    ddot = np.conj(sigma) * sample.delta_prime
-    vec = ((sigma * tau * (2 * t / (m + 1)) * sample.delta) * dec.v_next
+    ddot = np.conj(sigma) * delta_prime
+    vec = ((sigma * tau * (2 * t / (m + 1)) * delta) * dec.v_next
            - (sigma ** 2 * tau * (t ** 2 / (m * (m + 1))))
-           * (ddot * dec.v_next - sample.delta * av))
+           * (ddot * dec.v_next - delta * av))
     assert got["improved_hermite_quad"].value == pytest.approx(
         float(np.linalg.norm(vec)), rel=1e-12)
     assert got["improved_hermite_quad"].extra_matvecs == 1
@@ -253,18 +262,16 @@ def test_quad_guard_drops_effective_order_out_of_regime(hubbard_op, hubbard_vec)
     (or leaves [1, inf)); the guarded entry must disappear rather than
     report a bogus value."""
     dec = build_krylov(hubbard_op, hubbard_vec, KrylovConfig(m_max=30))
-    appr = Approximant(dec, -1j, "standard", 0)
-    ok = {e.kind for e in quad_estimates(appr, 1.0)}
+    ok = {e.kind for e in quad_estimates(dec, -1j, 1.0)}
     assert "effective_order_quad" in ok
-    bad = {e.kind for e in quad_estimates(appr, 2.68)}
+    bad = {e.kind for e in quad_estimates(dec, -1j, 2.68)}
     assert "effective_order_quad" not in bad
 
 
 def test_quad_guard_requires_resolvable_defect(heat_pair):
     op, sigma, v = heat_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
-    appr = Approximant(dec, sigma, "standard", 0)
-    kinds = {e.kind for e in quad_estimates(appr, 0.05)}
+    kinds = {e.kind for e in quad_estimates(dec, sigma, 0.05)}
     assert "effective_order_quad" not in kinds
 
 
@@ -272,9 +279,8 @@ def test_trapezoid_dominates_hermite(heat_pair):
     """t/2 >= t/m for m >= 2, with equality only at m = 2."""
     op, sigma, v = heat_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
-    appr = Approximant(dec, sigma, "standard", 0)
     for t in (0.8, 1.5, 3.0):
-        got = {e.kind: e.value for e in quad_estimates(appr, t)}
+        got = {e.kind: e.value for e in quad_estimates(dec, sigma, t)}
         assert got["trapezoid_quad"] >= got["hermite_quad"]
 
 
@@ -287,8 +293,7 @@ def test_evaluate_dispatch(heat_pair):
             == err1(dec, sigma, t).value)
     assert (evaluate("era_corrected", dec, sigma, t).value
             == era_corrected(dec, sigma, t).value)
-    appr = Approximant(dec, sigma, "standard", 0)
-    quads = {e.kind: e.value for e in quad_estimates(appr, t)}
+    quads = {e.kind: e.value for e in quad_estimates(dec, sigma, t)}
     assert evaluate("trapezoid_quad", dec, sigma, t).value == quads["trapezoid_quad"]
     with pytest.raises(ValueError):
         evaluate("magic", dec, sigma, t)
@@ -322,7 +327,7 @@ def _same_kind_reference(kind, dec, sigma, t, p):
         return era_corrected(dec, sigma, t, p)
     if kind in ("err1", "err1_corrected"):
         return err1(dec, sigma, t, p, corrected=kind == "err1_corrected")
-    quads = {e.kind: e for e in quad_estimates(Approximant(dec, sigma, "standard", p), t)}
+    quads = {e.kind: e for e in quad_estimates(dec, sigma, t, p)}
     if kind == "effective_order_quad" and kind not in quads:
         return quads["trapezoid_quad"]  # evaluate's documented fallback
     return quads[kind]

@@ -13,7 +13,7 @@ import krylovexp as kx
 from krylovexp import KrylovConfig, SparseOperator, build_krylov, extend_krylov
 from krylovexp.problems import ProblemSpec, starting_vector
 
-from conftest import as_general, random_unit
+from conftest import SIGMAS, as_general, random_unit
 
 
 def random_hermitian_op(n, seed):
@@ -271,3 +271,29 @@ def test_m_max_does_not_change_the_prefix(seed, hermitian, m_max, data):
     k = data.draw(st.integers(1, m_max - 1))
     prefix = build_krylov(op, v, KrylovConfig(m_max=m_max), steps=k)
     assert _exposed(prefix) == _exposed(build_krylov(op, v, KrylovConfig(m_max=k)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["lanczos", "as_general", "general"]),
+       m=st.integers(2, 8), sigma=SIGMAS, t=st.floats(0.0, 3.0))
+def test_defect_is_the_corner_and_its_derivative(seed, kind, m, sigma, t):
+    """dec.defect(sigma, t) = (delta, delta'): delta is corner(sigma, 0, t)
+    bit for bit, on Lanczos, on Arnoldi over the same hermitian matrix and
+    on Arnoldi over a general one, and delta' matches a central difference
+    of delta around t + h.  With ||A||_2 = 1 and t <= 3 the difference is
+    good to about h^2 e^3 + eps e^3 / h, below 1e-8."""
+    make_op = random_general_op if kind == "general" else random_hermitian_op
+    op = make_op(12, seed)
+    op = SparseOperator(op.csr / np.linalg.norm(op.csr.toarray(), 2), symmetry=op.symmetry)
+    if kind == "as_general":
+        op = as_general(op)
+    dec = build_krylov(op, random_unit(12, seed=seed % 2 ** 31), KrylovConfig(m_max=m))
+    assert dec.mode == ("lanczos" if kind == "lanczos" else "arnoldi") and dec.m == m
+
+    delta, _ = dec.defect(sigma, t)
+    assert delta == dec.corner(sigma, 0, t)
+    h = 1e-5
+    _, delta_prime = dec.defect(sigma, t + h)
+    fd = (dec.defect(sigma, t + 2 * h)[0] - delta) / (2 * h)
+    assert abs(delta_prime - fd) <= 1e-8, (delta_prime, fd)

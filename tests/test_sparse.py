@@ -34,12 +34,11 @@ def test_operator_basic_properties():
     assert op.symmetry == "general"
 
 
-def test_operator_matvec_and_matmul():
+def test_operator_matvec():
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     op = SparseOperator(A, symmetry="hermitian")
     v = np.array([2.0, -1.0])
     assert np.array_equal(op.matvec(v), np.array([-1.0, 2.0]))
-    assert np.array_equal(op @ v, np.array([-1.0, 2.0]))
     with pytest.raises(ValueError):
         op.matvec(np.ones(3))
 

@@ -2,6 +2,7 @@
 heuristic update rule on paper examples, the iterated controller, the
 propagation loop accounting, and early stopping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -146,18 +147,15 @@ def test_iterated_returns_its_start_on_a_vanishing_estimate(heat_pair, monkeypat
 
 
 def test_controller_spec_defaults_and_validation():
-    direct = ControllerSpec("direct_era_local", 1e-8)
-    assert direct.safety == 1.0
-    heur = ControllerSpec("heuristic", 1e-8)
-    assert heur.safety == 0.9
-    explicit = ControllerSpec("heuristic", 1e-8, safety=0.8)
-    assert explicit.safety == 0.8
+    """A controller is its kind, tol and error model; the safety factor and
+    the iteration cap are constants of the stepper."""
+    assert [f.name for f in dataclasses.fields(ControllerSpec)] == [
+        "kind", "tol", "error_model"]
+    assert ControllerSpec("heuristic", 1e-8).error_model == "per_unit_step"
     for bad in (
         dict(kind="pid", tol=1e-8),
         dict(kind="heuristic", tol=0.0),
         dict(kind="heuristic", tol=1e-8, error_model="rms"),
-        dict(kind="heuristic", tol=1e-8, iteration_cap=0),
-        dict(kind="heuristic", tol=1e-8, safety=1.5),
         dict(kind="expokit_first_step_only", tol=2.0),  # its first step needs tol < 1
     ):
         with pytest.raises(ValueError):
@@ -247,8 +245,8 @@ def test_heuristic_controller_first_step_is_direct(heat_pair):
     ctrl = ControllerSpec("heuristic", tol)
     res = propagate_fixed_steps(op, sigma, v, 3, KrylovConfig(m_max=10), ctrl)
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
-    expected_first = ctrl.safety * step_size_direct(dec, sigma, tol,
-                                                    model="per_unit_step")
+    # the heuristic kinds take 0.9 of the direct inversion
+    expected_first = 0.9 * step_size_direct(dec, sigma, tol, model="per_unit_step")
     assert res.records[0].dt == pytest.approx(expected_first, rel=1e-12)
 
 
