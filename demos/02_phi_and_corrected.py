@@ -20,7 +20,7 @@ dec = build_krylov(op, v, KrylovConfig(m_max=10))
 
 plain = Approximant(dec, sigma)
 phi1 = Approximant(dec, sigma, p=1)
-corrected = Approximant(dec, sigma, "corrected")
+corrected = Approximant(dec, sigma, corrected=True)
 
 print(f"{'t':>8s} {'exp error':>12s} {'phi_1 error':>12s} {'corrected':>12s}")
 for t in np.geomspace(0.2, 3.0, 10):

@@ -39,10 +39,5 @@ for t in (0.75, 1.5, 3.0):
     print(f"  rho({t}) = {effective_order(dec, sigma, t):.4f}")
 
 # below the round-off floor the defect is pure noise and the library
-# refuses to fit an order to it
-from krylovexp import DefectRoundoffError
-
-try:
-    effective_order(dec, sigma, 0.3)
-except DefectRoundoffError as exc:
-    print(f"rho(0.3) raises DefectRoundoffError: {exc}")
+# refuses to fit an order to it: rho is NaN there
+print(f"  rho(0.3) = {effective_order(dec, sigma, 0.3)} (below the round-off floor)")

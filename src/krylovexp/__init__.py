@@ -1,9 +1,9 @@
 """Krylov subspace approximation of exp(sigma t A) v and phi_p(sigma t A) v
 with a-posteriori error bounds, estimates, and restarted step-size control."""
 
-from .approximant import Approximant, DefectRoundoffError, effective_order
+from .approximant import Approximant, effective_order
 from .dense import expm_dense, phi_dense, phi_scalar
-from .estimators import ErrorEstimate, era, era_corrected, err1, quad_estimates
+from .estimators import ErrorEstimate, era, err1, quad_estimates
 from .krylov import (KrylovConfig, KrylovDecomposition, build_krylov,
                      extend_krylov)
 from .oracle import (oracle_chebyshev, oracle_convection_diffusion,
@@ -20,12 +20,12 @@ from .stepper import (ControllerSpec, PropagationResult, StepRecord,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Approximant", "ControllerSpec", "DefectRoundoffError",
-    "ErrorEstimate", "KrylovConfig", "KrylovDecomposition",
-    "PropagationResult", "ProblemSpec", "SparseOperator", "StepRecord",
+    "Approximant", "ControllerSpec", "ErrorEstimate", "KrylovConfig",
+    "KrylovDecomposition", "PropagationResult", "ProblemSpec",
+    "SparseOperator", "StepRecord",
     "build_convection_diffusion", "build_heat", "build_hubbard",
     "build_krylov", "build_schrodinger", "early_stop_dimension",
-    "effective_order", "era", "era_corrected", "err1", "expm_dense",
+    "effective_order", "era", "err1", "expm_dense",
     "expokit_first_step", "extend_krylov",
     "oracle_chebyshev", "oracle_convection_diffusion", "oracle_laplacian",
     "oracle_phi",

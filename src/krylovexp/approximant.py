@@ -12,8 +12,11 @@ the augmented matrix Tbar = [[T, 0], [tau e_m^*, 0]] along v_next,
 buying one extra order of accuracy.  Both read the decomposition's own
 phi and corner, so no (m+1)-sized matrix is ever formed.  The effective
 order rho(t) = t |delta|' / |delta| reads the decomposition's defect,
-the scalar delta(t) = (e^{sigma t T})_{m,1} and its exact time derivative.
+the scalar delta(t) = (e^{sigma t T})_{m,1} and its exact time derivative,
+and is NaN where |delta| sits below the round-off floor.
 """
+
+import math
 
 import numpy as np
 
@@ -22,29 +25,24 @@ from .sparse import validate_prefactor, validate_time
 _ROUNDOFF_FLOOR = 1e3 * float(np.finfo(np.float64).eps)
 
 
-class DefectRoundoffError(ValueError):
-    """The defect magnitude sits at the round-off floor; derived quantities are unreliable."""
-
-
 class Approximant:
-    """Callable wrapper: kind "standard" or "corrected", phi index p >= 0."""
+    """Callable wrapper: phi index p >= 0, standard or (corrected=True)
+    corrected."""
 
-    def __init__(self, dec, sigma, kind="standard", p=0):
-        if kind not in ("standard", "corrected"):
-            raise ValueError(f"unknown approximant kind: {kind!r}")
+    def __init__(self, dec, sigma, p=0, *, corrected=False):
         if p < 0:
             raise ValueError("p must be >= 0")
         self.dec = dec
         self.sigma = validate_prefactor(sigma)
-        self.kind = kind
         self.p = p
+        self.corrected = corrected
 
     def apply(self, t):
         """Evaluate the approximant at a finite time t >= 0; returns a length-n vector."""
         validate_time(t)
         dec = self.dec
         out = dec.V @ dec.phi(self.sigma, self.p, t)
-        if self.kind == "standard" or dec.breakdown:
+        if not self.corrected or dec.breakdown:
             # on breakdown the correction term carries tau = 0 and drops out
             return out
         coef = self.sigma * t * dec.tau_next * dec.corner(self.sigma, self.p + 1, t)
@@ -57,8 +55,8 @@ def effective_order(dec, sigma, t):
 
     delta' from dec.defect is exact for any upper Hessenberg T, so this
     holds for Lanczos and Arnoldi and every sigma.  Tends to m-1 as t -> 0+
-    and decreases from there.  Raises DefectRoundoffError when |delta| is
-    too close to the round-off floor to differentiate meaningfully.
+    and decreases from there.  NaN when |delta| is too close to the
+    round-off floor to differentiate meaningfully; t = 0 raises ValueError.
     """
     if validate_time(t) == 0.0:
         raise ValueError("effective_order needs t > 0")
@@ -67,7 +65,5 @@ def effective_order(dec, sigma, t):
     # u is relative to ||u(0)|| = ||e_1|| = 1, not to ||u(t)||, which
     # underflows on dissipative problems.
     if abs(delta) < _ROUNDOFF_FLOOR:
-        raise DefectRoundoffError(
-            f"|delta({float(t)})| = {abs(delta):.3e} is below the round-off floor "
-            f"{_ROUNDOFF_FLOOR:.3e}")
+        return math.nan
     return float(t * np.real(np.conj(delta) * delta_prime) / abs(delta) ** 2)

@@ -6,7 +6,8 @@ estimators over time grids, and benchmarks the step-size controllers.
     krylovexp bench --config cfg.json --out results/
 
 Exit codes: 0 ok, 1 a proven upper bound was exceeded by the oracle
-error, 2 configuration problem.
+error, 2 configuration problem, or a bench run the stepper cannot
+finish (say, a fixed-step run whose Krylov build breaks down).
 
 The JSON config holds a "problems" list plus a "sweep" and/or "bench"
 section; see the README for a complete example.  Sweep output is one
@@ -28,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .approximant import (Approximant, DefectRoundoffError, effective_order)
-from .estimators import ESTIMATORS, era, era_corrected, err1, quad_estimates
+from .approximant import Approximant, effective_order
+from .estimators import ESTIMATORS, era, err1, quad_estimates
 from .krylov import KrylovConfig, build_krylov
 from .oracle import MIN_TARGET_ACCURACY, oracle_reference
 from .problems import ProblemSpec, starting_vector
@@ -135,21 +136,17 @@ def _sweep_cell(spec, m, ts, p, corrected, accuracy):
     op, sigma = spec.build()
     v = starting_vector(spec)
     dec = build_krylov(op, v, KrylovConfig(m_max=m))
-    appr = Approximant(dec, sigma, "corrected" if corrected else "standard", p)
+    appr = Approximant(dec, sigma, p, corrected=corrected)
     wide_rows = []
     long_rows = []
     violation = False
     refs = oracle_reference(spec, op, sigma, ts, v, p, accuracy)
     for t, ref in zip(ts, refs):
         err = float(np.linalg.norm(appr.apply(t) - ref))
-        e_era = (era_corrected if corrected else era)(dec, sigma, t, p)
-        e_err1 = err1(dec, sigma, t, p, corrected=corrected)
+        e_era = era(dec, sigma, t, p, corrected)
+        e_err1 = err1(dec, sigma, t, p, corrected)
         quad_list = quad_estimates(dec, sigma, t, p)
         quads = {e.kind: e.value for e in quad_list}
-        try:
-            rho = effective_order(dec, sigma, t)
-        except DefectRoundoffError:
-            rho = math.nan
         wide_rows.append({
             "t": t, "oracle_error": err,
             "Era": e_era.value, "Err1": e_err1.value,
@@ -157,7 +154,7 @@ def _sweep_cell(spec, m, ts, p, corrected, accuracy):
             "ImprovedHermiteQuad": quads["improved_hermite_quad"],
             "TrapezoidQuad": quads["trapezoid_quad"],
             "EffectiveOrderQuad": quads.get("effective_order_quad", math.nan),
-            "rho": rho,
+            "rho": effective_order(dec, sigma, t),
         })
         for est in [e_era, e_err1] + quad_list:
             long_rows.append({
@@ -292,9 +289,10 @@ def _bench_run(run, specs):
                               run.get("error_model"))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad bench run: {exc}") from exc
+    _require(("n_steps" in run) != ("t_final" in run),
+             "bench run needs exactly one of 'n_steps' and 't_final'")
     if "n_steps" in run:
         return specs[kind], m, ctrl, estimator, _number(run["n_steps"], "n_steps", 1, True), None
-    _require("t_final" in run, "bench run needs 'n_steps' or 't_final'")
     t_final = _number(run["t_final"], "t_final", 0.0)
     _require(t_final > 0.0, "t_final must be > 0")
     return specs[kind], m, ctrl, estimator, None, t_final
@@ -315,10 +313,13 @@ def cmd_bench(config, out_dir, seed_override=None):
         op, sigma = spec.build()
         v = starting_vector(spec)
         cfg = KrylovConfig(m_max=m)
-        if n_steps is not None:
-            result = propagate_fixed_steps(op, sigma, v, n_steps, cfg, ctrl, estimator)
-        else:
-            result = propagate(op, sigma, v, t_final, cfg, ctrl, estimator)
+        try:
+            if n_steps is not None:
+                result = propagate_fixed_steps(op, sigma, v, n_steps, cfg, ctrl, estimator)
+            else:
+                result = propagate(op, sigma, v, t_final, cfg, ctrl, estimator)
+        except RuntimeError as exc:
+            raise ConfigError(f"bench run {spec.kind}, {ctrl.kind}, m = {m}: {exc}") from exc
         total_t = result.total_time
         ref = oracle_reference(spec, op, sigma, [total_t], v, 0, accuracy)[0]
         err = float(np.linalg.norm(result.w_final - ref))

@@ -17,8 +17,8 @@ Every estimator takes the decomposition dec, sigma, t and p, and reads
 the small-matrix quantities from dec alone: phi and corner, and the defect
 pair (delta, delta') = dec.defect(sigma, t).  The three plain quadratures
 are one formula, tau * (t/w) * |delta(t)|, with weights w = m, 2 and
-rho(t)+1.  After a breakdown the projection is exact, so every kind is
-0.0 there.
+rho(t)+1.  era and err1 return the corrected rows with corrected=True.
+After a breakdown the projection is exact, so every kind is 0.0 there.
 
 ESTIMATORS holds one row per kind: the function computing the value, the
 extra matvecs it costs a fresh decomposition (the cached A v_next), and
@@ -39,7 +39,7 @@ from functools import partial
 
 import numpy as np
 
-from .approximant import DefectRoundoffError, effective_order
+from .approximant import effective_order
 from .sparse import validate_prefactor, validate_time
 
 
@@ -121,36 +121,23 @@ def _improved_hermite(dec, sigma, t, p):
     return float(np.linalg.norm(vec))
 
 
-def _order_probe(dec, sigma, t, factors=(0.5, 0.75, 1.0)):
-    """rho sampled on a short grid ending at t, or None when rho(t) is
-    unreliable, the resolvable samples are not nonincreasing, or
-    rho(t) < 1 (outside the rule's assumptions).
+def _order_weight(dec, sigma, t):
+    """rho(t) + 1 from rho sampled at t/2, 3t/4 and t, or None
+    where rho(t) is NaN or below 1, or the resolved samples are not
+    nonincreasing (outside the rule's assumptions).
 
-    Probe points below the defect round-off floor are skipped: there the
+    Samples below the defect round-off floor (NaN) are skipped: there the
     defect is far inside the asymptotic regime and carries no slope
     information (rho(t) itself must still resolve).
     """
-    rhos = []
-    for f in factors:
-        try:
-            rhos.append(effective_order(dec, sigma, t * f))
-        except DefectRoundoffError:
-            if f == factors[-1]:
-                return None
-    for a, b in zip(rhos, rhos[1:]):
-        if b > a + 1e-9 * (1.0 + abs(a)):
-            return None
-    if rhos[-1] < 1.0 - 1e-12:
-        return None
-    return rhos[-1]
-
-
-def _order_weight(dec, sigma, t):
-    """rho(t) + 1 from the guarded probe, or None where rho is unavailable."""
     if t == 0.0:
         return None
-    rho = _order_probe(dec, sigma, t)
-    return None if rho is None else rho + 1.0
+    rhos = [effective_order(dec, sigma, t * f) for f in (0.5, 0.75, 1.0)]
+    resolved = [r for r in rhos if not math.isnan(r)]
+    if not rhos[-1] >= 1.0 - 1e-12 or any(
+            b > a + 1e-9 * (1.0 + abs(a)) for a, b in zip(resolved, resolved[1:])):
+        return None
+    return rhos[-1] + 1.0
 
 
 # kind -> (value of (dec, sigma, t, p), or None when unavailable there;
@@ -185,17 +172,14 @@ def _estimate(kind, dec, sigma, t, p):
                          0 if dec.breakdown else extra)
 
 
-def era(dec, sigma, t, p=0):
-    """Proven error bound tau*gamma*t^m/(m+p)! for the standard approximant."""
-    return _estimate("era", dec, sigma, t, p)
+def era(dec, sigma, t, p=0, corrected=False):
+    """Proven error bound tau*gamma*t^m/(m+p)! for the standard approximant.
 
-
-def era_corrected(dec, sigma, t, p=0):
-    """Bound ||A v_next|| * tau*gamma*t^(m+1)/(m+p+1)! for the corrected approximant.
-
-    Costs one extra matvec the first time (cached on the decomposition).
+    Corrected: ||A v_next|| * tau*gamma*t^(m+1)/(m+p+1)! for the corrected
+    approximant (one extra matvec the first time, cached on the
+    decomposition).
     """
-    return _estimate("era_corrected", dec, sigma, t, p)
+    return _estimate("era_corrected" if corrected else "era", dec, sigma, t, p)
 
 
 def err1(dec, sigma, t, p=0, corrected=False):

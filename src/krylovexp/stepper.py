@@ -20,6 +20,10 @@ Controllers:
   expokit_first_step_only  the classical a-priori first step
                          (expokit_first_step), then the heuristic update
 
+After a Krylov breakdown the projection is exact, so every kind takes
+the unbounded step, clipped to t_final; a fixed-step run has nothing to
+clip it to and raises RuntimeError.
+
 ControllerSpec.error_model defaults to the model the kind implements:
 global_budget for direct_era_global, per_unit_step for direct_era_local
 and heuristic_iterated, which reject the other model.  The remaining
@@ -52,6 +56,8 @@ _MAX_SUBSTEPS = 100_000
 # the heuristic kinds aim 10 % short of their target; the direct era
 # inversions land on it, since era is a proven bound
 _SAFETY = 0.9
+# passes of heuristic_iterated's fixed-point refinement per step
+_ITERATION_CAP = 5
 
 
 @dataclass(frozen=True)
@@ -160,23 +166,22 @@ def step_size_heuristic(prev_dt, prev_estimate, tol, m, model="per_unit_step",
     return safety * prev_dt * math.exp((log_target - math.log(prev_estimate)) / m)
 
 
-def step_size_iterated(dec, sigma, tol, estimator, cap=5):
+def step_size_iterated(dec, sigma, tol, estimator):
     """Fixed-point refinement dt <- dt * (dt*tol / est(dt))^(1/m), the
     per-unit-step update of step_size_heuristic re-applied on one
     decomposition, for the target est(dt) = dt * tol, started from the
     direct era inversion (returned as it is where est(dt) <= 0).
     Returns (dt, iterations) where iterations counts the updates
-    performed; convergence means successive relative change <= 1e-3.
+    performed, at most _ITERATION_CAP; convergence means successive
+    relative change <= 1e-3.
     Lanczos mode keeps re-evaluation cheap; with Arnoldi every pass
     re-exponentiates the Hessenberg matrix.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     start = dt = step_size_direct(dec, sigma, tol, model="per_unit_step")
     if not math.isfinite(dt):
         return dt, 0
     changes = []
-    for l in range(1, cap + 1):
+    for l in range(1, _ITERATION_CAP + 1):
         est = evaluate(estimator, dec, sigma, dt).value
         if est <= 0.0:
             # degenerate estimator; the proven inversion is already in hand
@@ -188,9 +193,8 @@ def step_size_iterated(dec, sigma, tol, estimator, cap=5):
         if rel <= 1e-3:
             break
     else:
-        warnings.warn(f"step-size iteration did not converge within {cap} passes",
+        warnings.warn(f"step-size iteration did not converge within {_ITERATION_CAP} passes",
                       stacklevel=2)
-        l = cap
     if any(a * b < 0.0 for a, b in zip(changes, changes[1:])):
         warnings.warn("step-size iteration was not monotone", stacklevel=2)
     return dt, l
@@ -198,7 +202,10 @@ def step_size_iterated(dec, sigma, tol, estimator, cap=5):
 
 def _raw_step(dec, sigma, ctrl, estimator_kind, j, prev_dt, prev_est):
     """One controller decision: (dt before clipping, iterations) for
-    substep j."""
+    substep j.  After a breakdown the projection is exact, so every kind
+    takes the unbounded step."""
+    if dec.breakdown:
+        return math.inf, 0
     kind = ctrl.kind
     if kind.startswith("direct_era"):
         return step_size_direct(dec, sigma, ctrl.tol, model=ctrl.error_model,
@@ -249,8 +256,7 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
         if dt <= 0.0 or t + dt == t:
             raise RuntimeError(f"controller stagnated: dt = {dt} at t = {t}")
         est = evaluate(estimator_kind, dec, s, dt, 0)
-        appr = Approximant(dec, s, "corrected" if corrected else "standard", 0)
-        w = beta * appr.apply(dt)
+        w = beta * Approximant(dec, s, corrected=corrected).apply(dt)
         step_matvecs = dec.matvecs_used
         scaled = ErrorEstimate(est.kind, beta * est.value,
                                est.is_proven_upper_bound, est.extra_matvecs)
@@ -292,9 +298,9 @@ def early_stop_dimension(op, v, t, tol, m_max, sigma):
     """Grow the Krylov space one column at a time until the era bound
     satisfies era(m, t) <= tol * t, then stop.
 
-    Returns the decomposition at the smallest such m (or at m_max with
-    the attribute early_stop_satisfied set False when the tolerance was
-    not met).  Costs exactly m matvecs.
+    Returns the decomposition at the smallest such m, or at m_max (or a
+    breakdown) when the tolerance was not met; era(dec, sigma, t).value
+    <= tol * t tells the two apart.  Costs exactly m matvecs.
     """
     s = validate_prefactor(sigma)
     if m_max < 1:
@@ -302,11 +308,7 @@ def early_stop_dimension(op, v, t, tol, m_max, sigma):
     validate_time(t)
     cfg = KrylovConfig(m_max=m_max)
     dec = build_krylov(op, v, cfg, steps=1)
-    while True:
-        bound = era(dec, s, t).value
-        if bound <= tol * t or dec.breakdown or dec.m >= m_max:
-            break
+    while not (era(dec, s, t).value <= tol * t or dec.breakdown or dec.m >= m_max):
         dec = extend_krylov(dec, 1)
-    dec.early_stop_satisfied = bool(bound <= tol * t)
     return dec
 

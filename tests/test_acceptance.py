@@ -21,8 +21,7 @@ from krylovexp import (Approximant, ControllerSpec, KrylovConfig, ProblemSpec,
                        build_hubbard, build_krylov, early_stop_dimension,
                        effective_order, propagate_fixed_steps, quad_estimates,
                        starting_vector, step_size_direct, step_size_iterated)
-from krylovexp.approximant import DefectRoundoffError
-from krylovexp.estimators import era, era_corrected, err1
+from krylovexp.estimators import era, err1
 from krylovexp.oracle import oracle_laplacian, oracle_reference
 
 BOUND_SLACK = 1e-9     # relative slack on proven bounds
@@ -94,8 +93,7 @@ def tightness_panel(kind, m=10, p=0, corrected=False):
     op, sigma = spec.build()
     v = starting_vector(spec)
     dec = build_krylov(op, v, KrylovConfig(m_max=m))
-    akind = "corrected" if corrected else "standard"
-    appr = Approximant(dec, sigma, akind, p)
+    appr = Approximant(dec, sigma, p, corrected=corrected)
     # era for phi_p is m!/(m+p)! times era for the exponential, so the
     # phi_p inversion at tol is the exponential's at tol * (m+p)!/m!
     scale = math.perm(m + p, p)
@@ -105,8 +103,7 @@ def tightness_panel(kind, m=10, p=0, corrected=False):
     ts = np.geomspace(lo, hi, 20)
     for t, ref in zip(ts, oracle_reference(spec, op, sigma, ts, v, p)):
         err = float(np.linalg.norm(appr.apply(t) - ref))
-        est = (era_corrected(dec, sigma, t, p) if corrected
-               else era(dec, sigma, t, p)).value
+        est = era(dec, sigma, t, p, corrected=corrected).value
         pts.append((t, err, est))
         if err >= VALID_ERR:
             assert certified(err, est)

@@ -108,6 +108,9 @@ def test_malformed_json_exits_2(tmp_path):
      "n_steps": 2, "safety": 0.8},
     {"problem": "heat", "controller": "heuristic_iterated", "m": 8, "tol": 1e-6,
      "n_steps": 2, "iteration_cap": 3},
+    # a run ends at a step count or at a time, not both
+    {"problem": "heat", "controller": "direct_era_local", "m": 8, "tol": 1e-6,
+     "n_steps": 2, "t_final": 5.0},
 ])
 def test_bench_config_errors_exit_2(tmp_path, run):
     cfg = write_config(tmp_path, {"problems": [{"kind": "heat"}],
@@ -264,6 +267,20 @@ def test_bench_through_a_breakdown_exits_0(tmp_path):
     for line in lines:
         row = dict(zip(BENCH_COLUMNS, line.split(",")))
         assert (row["N"], row["accumulated_bound"]) == ("1", "0.0")
+
+
+def test_bench_fixed_steps_through_a_breakdown_exits_2(tmp_path, capsys):
+    """A fixed-step run cannot take the unbounded step a breakdown allows:
+    the run is reported as one error line naming it (exit 2), since exit 1
+    means a proven bound was exceeded."""
+    run = {"problem": "heat", "controller": "heuristic_iterated",
+           "estimator": "improved_hermite_quad", "m": 10, "tol": 1e-8, "n_steps": 3}
+    cfg = write_config(tmp_path, {"problems": [{"kind": "heat", "params": {"n": 6}}],
+                                  "bench": {"runs": [run]}})
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "heat" in err[0] and "heuristic_iterated" in err[0] and "m = 10" in err[0]
 
 
 def test_bench_detects_bound_violation(tmp_path, monkeypatch):

@@ -12,8 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import krylovexp as kx
-from krylovexp import (KrylovConfig, SparseOperator, build_krylov, era,
-                       era_corrected, err1, expokit_first_step, quad_estimates)
+from krylovexp import (KrylovConfig, SparseOperator, build_krylov, era, err1,
+                       expokit_first_step, quad_estimates)
 from krylovexp.approximant import Approximant, effective_order
 from krylovexp.estimators import ESTIMATORS, evaluate
 
@@ -64,10 +64,10 @@ def test_non_finite_t_is_rejected(hermitian_dec, mode, t):
                                                      KrylovConfig(m_max=lan.m))
     assert dec.mode == mode
     calls = [lambda kind=kind: evaluate(kind, dec, -1j, t) for kind in ESTIMATORS]
-    calls += [lambda: era(dec, -1j, t), lambda: era_corrected(dec, -1j, t),
+    calls += [lambda: era(dec, -1j, t), lambda: era(dec, -1j, t, corrected=True),
               lambda: err1(dec, -1j, t), lambda: err1(dec, -1j, t, corrected=True),
               lambda: quad_estimates(dec, -1j, t), lambda: Approximant(dec, -1j).apply(t),
-              lambda: Approximant(dec, -1j, "corrected", 1).apply(t),
+              lambda: Approximant(dec, -1j, 1, corrected=True).apply(t),
               lambda: dec.defect(-1j, t), lambda: effective_order(dec, -1j, t)]
     for call in calls:
         with pytest.raises(ValueError, match="finite"):
@@ -88,7 +88,7 @@ def test_era_corrected_formula_literal(hermitian_dec):
     for t in (0.2, 1.0):
         expected = (anorm * dec.tau_next * math.exp(dec.log_gamma) * t ** (m + 1)
                     / math.factorial(m + 1))
-        got = era_corrected(dec, -1j, t)
+        got = era(dec, -1j, t, corrected=True)
         assert got.value == pytest.approx(expected, rel=1e-12)
         assert got.extra_matvecs == 1
         assert got.kind == "era_corrected"
@@ -106,7 +106,7 @@ def test_era_on_breakdown_is_zero():
         dec = build_krylov(op, v, KrylovConfig(m_max=3))
         assert dec.breakdown and dec.m == m
         assert era(dec, -1.0, 5.0).value == 0.0
-        assert era_corrected(dec, -1.0, 5.0).value == 0.0
+        assert era(dec, -1.0, 5.0, corrected=True).value == 0.0
         for p in (0, 1):
             for kind in ESTIMATORS:
                 est = evaluate(kind, dec, -1.0, 5.0, p)
@@ -157,7 +157,7 @@ def test_proven_flag_table(hermitian_dec, heat_pair, hubbard_op, hubbard_vec):
     # hermitian nonexpansive, real sigma: both era and err1 proven
     assert era(heat_dec, sigma, 1.0).is_proven_upper_bound
     assert err1(heat_dec, sigma, 1.0).is_proven_upper_bound
-    assert era_corrected(heat_dec, sigma, 1.0).is_proven_upper_bound
+    assert era(heat_dec, sigma, 1.0, corrected=True).is_proven_upper_bound
     # corrected variants are never proven for err1
     assert not err1(heat_dec, sigma, 1.0, corrected=True).is_proven_upper_bound
 
@@ -168,7 +168,7 @@ def test_proven_flag_table(hermitian_dec, heat_pair, hubbard_op, hubbard_vec):
     # spec(A) = [-0.956, 1.0] is indefinite, so -A is expansive: nothing proven
     assert not era(dec, -1.0, 1.0).is_proven_upper_bound
     assert not err1(dec, -1.0, 1.0).is_proven_upper_bound
-    assert not era_corrected(dec, -1.0, 1.0).is_proven_upper_bound
+    assert not era(dec, -1.0, 1.0, corrected=True).is_proven_upper_bound
 
     hdec = build_krylov(hubbard_op, hubbard_vec, KrylovConfig(m_max=6))
     assert era(hdec, -1j, 0.1).is_proven_upper_bound
@@ -292,7 +292,7 @@ def test_evaluate_dispatch(heat_pair):
     assert (evaluate("err1", dec, sigma, t).value
             == err1(dec, sigma, t).value)
     assert (evaluate("era_corrected", dec, sigma, t).value
-            == era_corrected(dec, sigma, t).value)
+            == era(dec, sigma, t, corrected=True).value)
     quads = {e.kind: e.value for e in quad_estimates(dec, sigma, t)}
     assert evaluate("trapezoid_quad", dec, sigma, t).value == quads["trapezoid_quad"]
     with pytest.raises(ValueError):
@@ -321,10 +321,8 @@ class CountingOperator(SparseOperator):
 
 def _same_kind_reference(kind, dec, sigma, t, p):
     """The estimate of `kind` as the per-family entry points report it."""
-    if kind == "era":
-        return era(dec, sigma, t, p)
-    if kind == "era_corrected":
-        return era_corrected(dec, sigma, t, p)
+    if kind in ("era", "era_corrected"):
+        return era(dec, sigma, t, p, corrected=kind == "era_corrected")
     if kind in ("err1", "err1_corrected"):
         return err1(dec, sigma, t, p, corrected=kind == "err1_corrected")
     quads = {e.kind: e for e in quad_estimates(dec, sigma, t, p)}
@@ -407,11 +405,11 @@ def test_proven_flag_is_a_true_statement(seed, cls, n, m, sigma, shift, t, p):
     aug[:n, n] = v
     E = scipy.linalg.expm(aug)
     exact = E[:n, n] if p else E[:n, :n] @ v
-    for kind, approx in (("era", "standard"), ("era_corrected", "corrected"),
-                         ("err1", "standard"), ("trapezoid_quad", "standard")):
+    for kind, corrected in (("era", False), ("era_corrected", True),
+                            ("err1", False), ("trapezoid_quad", False)):
         est = evaluate(kind, dec, sigma, t, p)
         if est.is_proven_upper_bound:
-            err = np.linalg.norm(Approximant(dec, sigma, approx, p).apply(t) - exact)
+            err = np.linalg.norm(Approximant(dec, sigma, p, corrected=corrected).apply(t) - exact)
             assert err <= est.value * (1 + 1e-9) + 1e-12, (kind, err, est.value)
 
 

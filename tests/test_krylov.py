@@ -111,7 +111,7 @@ def test_breakdown_makes_projection_exact(heat_pair):
     dec = build_krylov(dop, v, KrylovConfig(m_max=3))
     assert dec.breakdown and dec.m == 2
     from krylovexp.approximant import Approximant
-    appr = Approximant(dec, -1.0, "standard", 0)
+    appr = Approximant(dec, -1.0)
     for t in (0.1, 1.0, 10.0):
         expected = np.exp(-t * lam) * v
         assert np.linalg.norm(appr.apply(t) - expected) < 1e-14

@@ -5,6 +5,10 @@ on anything but ``self`` / ``cls`` only when a class of its own declares
 ``_name``.  Private caches then have a single owner: the decomposition's
 A v_next and small-matrix evaluators are reached through its public
 methods, never through its private attributes.
+
+No module stores an attribute on a name other than ``self`` / ``cls``
+either: an object's attributes are set by its own class, so a result
+never carries a field its class does not document.
 """
 
 import ast
@@ -54,8 +58,25 @@ def foreign_private_accesses(package=PACKAGE):
     return found
 
 
+def foreign_attribute_stores(package=PACKAGE):
+    """'module.py:line: name.attr' for every attribute stored on a name
+    other than self / cls."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id not in ("self", "cls")):
+                found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
 def test_no_module_touches_another_modules_private_attributes():
     assert foreign_private_accesses() == []
+
+
+def test_no_module_stores_an_attribute_on_a_foreign_object():
+    assert foreign_attribute_stores() == []
 
 
 def test_lint_sees_a_foreign_private_read(tmp_path):
@@ -64,3 +85,12 @@ def test_lint_sees_a_foreign_private_read(tmp_path):
     (tmp_path / "user.py").write_text(
         "def peek(obj):\n    return obj._cache, obj.__dict__, obj._unknown\n")
     assert foreign_private_accesses(tmp_path) == ["user.py:2: ._cache"]
+
+
+def test_lint_sees_a_foreign_attribute_store(tmp_path):
+    (tmp_path / "owner.py").write_text(
+        "class Owner:\n    def __init__(self):\n        self.cache = {}\n")
+    (tmp_path / "user.py").write_text(
+        "def tag(obj, view):\n    view.flags.writeable = False\n"
+        "    obj.tagged = True\n    return obj.tagged\n")
+    assert foreign_attribute_stores(tmp_path) == ["user.py:3: obj.tagged"]

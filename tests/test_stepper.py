@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import krylovexp as kx
 from krylovexp import stepper
 from krylovexp import (ControllerSpec, KrylovConfig, SparseOperator,
-                       build_krylov, era, era_corrected, expokit_first_step,
+                       build_krylov, era, expokit_first_step,
                        propagate, propagate_fixed_steps, step_size_direct,
                        step_size_heuristic, step_size_iterated,
                        early_stop_dimension)
@@ -32,7 +32,7 @@ def test_direct_inversion_round_trip(heat_pair, mode, model, corrected):
     assert dec.mode == mode
     tol = 1e-8
     dt = step_size_direct(dec, sigma, tol, model=model, corrected=corrected)
-    bound = (era_corrected if corrected else era)(dec, sigma, dt).value
+    bound = era(dec, sigma, dt, corrected=corrected).value
     target = tol if model == "global_budget" else dt * tol
     assert bound == pytest.approx(target, rel=1e-12)
 
@@ -231,6 +231,20 @@ def test_corrected_controller_costs_one_extra_matvec(heat_pair):
     assert all(r.m_used == m - 1 for r in res.records)
 
 
+@pytest.mark.parametrize("kind", stepper.CONTROLLER_KINDS)
+def test_every_controller_takes_one_step_through_a_breakdown(kind):
+    """heat at n = 6 breaks down before m = 10, where the projection is
+    exact: every controller kind covers t_final in one step with a zero
+    estimate, the a-priori first step included."""
+    spec = kx.ProblemSpec("heat", {"n": 6})
+    op, sigma = spec.build()
+    res = propagate(op, sigma, kx.starting_vector(spec), 5.0, KrylovConfig(m_max=10),
+                    ControllerSpec(kind, 1e-8), "trapezoid_quad")
+    assert len(res.records) == 1
+    assert res.total_time == 5.0
+    assert res.accumulated_bound == 0.0
+
+
 def test_propagate_fixed_steps_runs_exact_count(heat_pair):
     op, sigma, v = heat_pair
     ctrl = ControllerSpec("direct_era_local", 1e-8)
@@ -296,21 +310,21 @@ def test_early_stop_trivial_operator():
     dec = early_stop_dimension(op, v, 1.0, 1e-10, 20, -1.0)
     assert dec.m == 1
     assert dec.breakdown
-    assert dec.early_stop_satisfied
+    assert era(dec, -1.0, 1.0).value <= 1e-10 * 1.0
 
 
 def test_early_stop_loose_tolerance_stops_at_one(heat_pair):
     op, sigma, v = heat_pair
     dec = early_stop_dimension(op, v, 1e-3, 1e6, 20, sigma)
     assert dec.m == 1
-    assert dec.early_stop_satisfied
+    assert era(dec, sigma, 1e-3).value <= 1e6 * 1e-3
 
 
 def test_early_stop_unreachable_tolerance_reports_failure(heat_pair):
     op, sigma, v = heat_pair
     dec = early_stop_dimension(op, v, 50.0, 1e-14, 5, sigma)
     assert dec.m == 5
-    assert not dec.early_stop_satisfied
+    assert not era(dec, sigma, 50.0).value <= 1e-14 * 50.0
 
 
 def test_early_stop_matches_fresh_build_of_same_size(heat_pair):
