@@ -25,7 +25,7 @@ RUNS = [("direct_era_local", "era"),
 print(f"{'controller':>20s} {'estimator':>20s} {'total t':>9s} "
       f"{'matvecs':>8s} {'err/t':>10s}")
 for ctrl_kind, estimator in RUNS:
-    ctrl = ControllerSpec(ctrl_kind, 1e-8, "per_unit_step")
+    ctrl = ControllerSpec(ctrl_kind, 1e-8)
     res = propagate_fixed_steps(op, sigma, v, 10, KrylovConfig(m_max=10),
                                 ctrl, estimator)
     ref = oracle_reference(spec, op, sigma, [res.total_time], v)[0]
@@ -35,6 +35,6 @@ for ctrl_kind, estimator in RUNS:
 
 print()
 print("per-step dt chosen by the direct controller:")
-ctrl = ControllerSpec("direct_era_local", 1e-8, "per_unit_step")
+ctrl = ControllerSpec("direct_era_local", 1e-8)
 res = propagate_fixed_steps(op, sigma, v, 10, KrylovConfig(m_max=10), ctrl)
 print("  " + " ".join(f"{r.dt:.4f}" for r in res.records))

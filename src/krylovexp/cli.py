@@ -7,7 +7,8 @@ estimators over time grids, and benchmarks the step-size controllers.
 
 Exit codes: 0 ok, 1 a proven upper bound was exceeded by the oracle
 error, 2 configuration problem, or a bench run the stepper cannot
-finish (say, a fixed-step run whose Krylov build breaks down).
+finish (say, a fixed-step run whose Krylov build breaks down, or a run
+whose propagated vector underflows to 0).
 
 The JSON config holds a "problems" list plus a "sweep" and/or "bench"
 section; see the README for a complete example.  Sweep output is one
@@ -268,8 +269,8 @@ def cmd_sweep(config, out_dir, threads=1, seed_override=None):
     return 1 if violated else 0
 
 
-_BENCH_RUN_KEYS = frozenset({"problem", "controller", "estimator", "error_model", "m",
-                             "tol", "n_steps", "t_final"})
+_BENCH_RUN_KEYS = frozenset({"problem", "controller", "estimator", "m", "tol",
+                             "n_steps", "t_final"})
 
 
 def _bench_run(run, specs):
@@ -285,8 +286,7 @@ def _bench_run(run, specs):
              f"unknown estimator {estimator!r}")
     try:
         m = _number(run["m"], "m", 2, True)
-        ctrl = ControllerSpec(run["controller"], _number(run["tol"], "tol", 0.0),
-                              run.get("error_model"))
+        ctrl = ControllerSpec(run["controller"], _number(run["tol"], "tol", 0.0))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad bench run: {exc}") from exc
     _require(("n_steps" in run) != ("t_final" in run),

@@ -7,27 +7,28 @@ per-substep estimates into a running budget.  With a proven upper bound
 and the per-unit-step error model the accumulated budget is <= tol * t by
 construction.
 
-Controllers:
+Controllers, each a kind and a tolerance (ControllerSpec(kind, tol)):
 
   direct_era_global      invert the era bound for era(dt) = tol
   direct_era_local       invert for era(dt) = dt * tol
-  direct_era_corrected   same inversions for the corrected bound
   heuristic              first step by direct era inversion, then
-                         dt_j = 0.9 * dt_{j-1} * (target/est_{j-1})^(1/m)
+                         dt_j = 0.9 * dt_{j-1} * (dt_{j-1} tol/est_{j-1})^(1/m)
   heuristic_iterated     fixed-point refinement of dt on the current
                          decomposition using any estimator, at most 5
                          passes
   expokit_first_step_only  the classical a-priori first step
                          (expokit_first_step), then the heuristic update
 
+The estimator picks the approximant: era_corrected and err1_corrected
+propagate the corrected one, every other estimator the standard one, and
+both direct kinds invert the era bound of the approximant propagated.
+
 After a Krylov breakdown the projection is exact, so every kind takes
 the unbounded step, clipped to t_final; a fixed-step run has nothing to
 clip it to and raises RuntimeError.
 
-ControllerSpec.error_model defaults to the model the kind implements:
-global_budget for direct_era_global, per_unit_step for direct_era_local
-and heuristic_iterated, which reject the other model.  The remaining
-kinds take either and default to per_unit_step.
+The kind fixes the error model (ControllerSpec.error_model):
+global_budget for direct_era_global, per_unit_step for every other kind.
 
 The stepper returns records only; the CLI owns every output format.
 """
@@ -43,14 +44,9 @@ from .estimators import ErrorEstimate, era, evaluate, log_era_factor
 from .krylov import KrylovConfig, build_krylov, extend_krylov
 from .sparse import validate_prefactor, validate_time
 
-CONTROLLER_KINDS = ("direct_era_global", "direct_era_local",
-                    "direct_era_corrected", "heuristic", "heuristic_iterated",
-                    "expokit_first_step_only")
+CONTROLLER_KINDS = ("direct_era_global", "direct_era_local", "heuristic",
+                    "heuristic_iterated", "expokit_first_step_only")
 ERROR_MODELS = ("global_budget", "per_unit_step")
-# the one error model a controller kind implements; other kinds take either
-_KIND_MODEL = {"direct_era_global": "global_budget",
-               "direct_era_local": "per_unit_step",
-               "heuristic_iterated": "per_unit_step"}
 
 _MAX_SUBSTEPS = 100_000
 # the heuristic kinds aim 10 % short of their target; the direct era
@@ -64,22 +60,20 @@ _ITERATION_CAP = 5
 class ControllerSpec:
     kind: str
     tol: float
-    error_model: str = None
 
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind: {self.kind!r}")
-        implied = _KIND_MODEL.get(self.kind)
-        if self.error_model is None:
-            object.__setattr__(self, "error_model", implied or "per_unit_step")
-        if self.error_model not in ERROR_MODELS:
-            raise ValueError(f"unknown error model: {self.error_model!r}")
         if not self.tol > 0.0:
             raise ValueError("tol must be > 0")
         if self.kind == "expokit_first_step_only" and not self.tol < 1.0:
             raise ValueError("expokit_first_step_only needs tol in (0, 1)")
-        if implied is not None and self.error_model != implied:
-            raise ValueError(f"{self.kind} implements the {implied} model only")
+
+    @property
+    def error_model(self):
+        """global_budget (era = tol per step) for direct_era_global,
+        per_unit_step (era = dt * tol) for every other kind."""
+        return "global_budget" if self.kind == "direct_era_global" else "per_unit_step"
 
 
 @dataclass(frozen=True)
@@ -150,19 +144,14 @@ def expokit_first_step(op_norm_inf, m, tol):
     return math.exp(inner / m - math.log(op_norm_inf))
 
 
-def step_size_heuristic(prev_dt, prev_estimate, tol, m, model="per_unit_step",
-                        safety=1.0):
-    """dt_j = safety * dt_{j-1} * (target / est_{j-1})^(1/m) with
-    target = tol (global) or dt_{j-1} * tol (per-unit-step)."""
+def step_size_heuristic(prev_dt, prev_estimate, tol, m, safety=1.0):
+    """dt_j = safety * dt_{j-1} * (dt_{j-1} * tol / est_{j-1})^(1/m), the
+    per-unit-step target."""
     if not prev_estimate > 0.0:
         raise ValueError("prev_estimate must be > 0")
     if not prev_dt > 0.0:
         raise ValueError("prev_dt must be > 0")
-    if model not in ERROR_MODELS:
-        raise ValueError(f"unknown error model: {model!r}")
-    log_target = math.log(tol)
-    if model == "per_unit_step":
-        log_target += math.log(prev_dt)
+    log_target = math.log(tol) + math.log(prev_dt)
     return safety * prev_dt * math.exp((log_target - math.log(prev_estimate)) / m)
 
 
@@ -200,16 +189,17 @@ def step_size_iterated(dec, sigma, tol, estimator):
     return dt, l
 
 
-def _raw_step(dec, sigma, ctrl, estimator_kind, j, prev_dt, prev_est):
+def _raw_step(dec, sigma, ctrl, estimator_kind, corrected, j, prev_dt, prev_est):
     """One controller decision: (dt before clipping, iterations) for
-    substep j.  After a breakdown the projection is exact, so every kind
-    takes the unbounded step."""
+    substep j; the direct kinds invert the era bound of the approximant
+    propagated (corrected or standard).  After a breakdown the projection
+    is exact, so every kind takes the unbounded step."""
     if dec.breakdown:
         return math.inf, 0
     kind = ctrl.kind
     if kind.startswith("direct_era"):
         return step_size_direct(dec, sigma, ctrl.tol, model=ctrl.error_model,
-                                corrected=kind == "direct_era_corrected"), 0
+                                corrected=corrected), 0
     if kind == "heuristic_iterated":
         dt, iters = step_size_iterated(dec, sigma, ctrl.tol, estimator_kind)
         return _SAFETY * dt, iters
@@ -218,8 +208,7 @@ def _raw_step(dec, sigma, ctrl, estimator_kind, j, prev_dt, prev_est):
         if kind == "expokit_first_step_only":
             return expokit_first_step(dec.op.norm_inf, dec.m, ctrl.tol), 0
         return _SAFETY * step_size_direct(dec, sigma, ctrl.tol, model=ctrl.error_model), 0
-    return step_size_heuristic(prev_dt, prev_est, ctrl.tol, dec.m,
-                               model=ctrl.error_model, safety=_SAFETY), 0
+    return step_size_heuristic(prev_dt, prev_est, ctrl.tol, dec.m, safety=_SAFETY), 0
 
 
 def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
@@ -227,8 +216,7 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
     w = np.asarray(v, dtype=complex).copy()
     if abs(np.linalg.norm(w) - 1.0) > 1e-12:
         raise ValueError("start vector must have unit 2-norm")
-    corrected = (estimator_kind in ("era_corrected", "err1_corrected")
-                 or ctrl.kind == "direct_era_corrected")
+    corrected = estimator_kind in ("era_corrected", "err1_corrected")
     records = []
     accumulated = 0.0
     total_matvecs = 0
@@ -242,11 +230,19 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
             break
         if j >= _MAX_SUBSTEPS:
             raise RuntimeError(f"controller stagnated: {j} substeps, t = {t}")
-        beta = float(np.linalg.norm(w))
+        beta, e = float(np.linalg.norm(w)), 0
+        if beta < 1e-150:
+            # the norm squares the entries, losing digits below ~1e-150 (all of
+            # them below ~1e-162): scale by an exact power of two first; that
+            # also avoids complex division by a subnormal beta, which overflows
+            e = int(np.frexp(max(np.abs(w.real).max(), np.abs(w.imag).max()))[1])
+            w = np.ldexp(w.real, -e) + 1j * np.ldexp(w.imag, -e)
+            beta = float(np.linalg.norm(w))
         if beta == 0.0:
             raise RuntimeError("propagated vector vanished")
         dec = build_krylov(op, w / beta, cfg)
-        dt, iters = _raw_step(dec, s, ctrl, estimator_kind, j, prev_dt, prev_est)
+        beta = math.ldexp(beta, e)
+        dt, iters = _raw_step(dec, s, ctrl, estimator_kind, corrected, j, prev_dt, prev_est)
         clipped = False
         if t_final is not None and (not math.isfinite(dt) or t + dt >= t_final):
             dt = t_final - t
@@ -278,8 +274,9 @@ def propagate(op, sigma, v, t_final, cfg, ctrl, estimator_kind="era"):
 
     The last step is clipped to land on t_final exactly and its estimate
     is evaluated at the clipped size.  The start vector must have unit
-    2-norm; intermediate vectors are re-normalized before each build and
-    the recorded estimates carry the norm factor.
+    2-norm; intermediate vectors are re-normalized before each build (a
+    vector that underflows to 0 raises RuntimeError) and the recorded
+    estimates carry the norm factor.
     """
     if not t_final > 0.0:
         raise ValueError("t_final must be > 0")

@@ -246,7 +246,7 @@ def test_controllers_meet_per_step_budget(hubbard_op, hubbard_vec, m):
     controller's total time lands near the reference value."""
     tol = 1e-8
     for ctrl_kind, estimator in CONTROLLER_RUNS:
-        ctrl = ControllerSpec(ctrl_kind, tol, "per_unit_step")
+        ctrl = ControllerSpec(ctrl_kind, tol)
         res = propagate_fixed_steps(hubbard_op, -1j, hubbard_vec, 10,
                                     KrylovConfig(m_max=m), ctrl, estimator)
         ref = oracle_reference(HUBBARD, hubbard_op, -1j, [res.total_time],

@@ -89,6 +89,7 @@ def test_malformed_json_exits_2(tmp_path):
     {"problem": "heat", "controller": "direct_era", "tol": 1e-6, "n_steps": 2},
     {"problem": "heat", "controller": "no_such_controller", "m": 8,
      "tol": 1e-6, "n_steps": 2},
+    # the kind fixes the error model, so a run cannot set one
     {"problem": "heat", "controller": "heuristic_iterated", "m": 8,
      "tol": 1e-6, "n_steps": 2, "error_model": "global_budget"},
     {"problem": "heat", "controller": "direct_era_local", "m": 8, "tol": 1e-6,
@@ -98,8 +99,8 @@ def test_malformed_json_exits_2(tmp_path):
     # m = 1 has no per-unit-step inversion and no defect
     {"problem": "heat", "controller": "direct_era_local", "m": 1, "tol": 1e-6,
      "n_steps": 2},
-    {"problem": "heat", "controller": "heuristic", "error_model": "global_budget",
-     "estimator": "trapezoid_quad", "m": 1, "tol": 1e-6, "n_steps": 2},
+    {"problem": "heat", "controller": "heuristic", "estimator": "trapezoid_quad",
+     "m": 1, "tol": 1e-6, "n_steps": 2},
     # the a-priori first step needs tol < 1
     {"problem": "heat", "controller": "expokit_first_step_only", "m": 8, "tol": 2.0,
      "n_steps": 2},
@@ -111,6 +112,13 @@ def test_malformed_json_exits_2(tmp_path):
     # a run ends at a step count or at a time, not both
     {"problem": "heat", "controller": "direct_era_local", "m": 8, "tol": 1e-6,
      "n_steps": 2, "t_final": 5.0},
+    # not even the model the kind implements
+    {"problem": "heat", "controller": "direct_era_local", "m": 8, "tol": 1e-6,
+     "n_steps": 2, "error_model": "per_unit_step"},
+    # the estimator picks the corrected approximant: direct_era_local with
+    # era_corrected is that run
+    {"problem": "heat", "controller": "direct_era_corrected", "m": 8, "tol": 1e-6,
+     "n_steps": 2},
 ])
 def test_bench_config_errors_exit_2(tmp_path, run):
     cfg = write_config(tmp_path, {"problems": [{"kind": "heat"}],
@@ -281,6 +289,32 @@ def test_bench_fixed_steps_through_a_breakdown_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "heat" in err[0] and "heuristic_iterated" in err[0] and "m = 10" in err[0]
+
+
+CD_RUN = {"problem": "convection_diffusion", "controller": "direct_era_local",
+          "m": 30, "tol": 1e-6}
+
+
+def test_bench_below_1e150_exits_0(tmp_path):
+    """On convection-diffusion |w| falls to 4e-159 by t = 0.489, where
+    np.linalg.norm loses digits; the run still reaches t_final."""
+    cfg = write_config(tmp_path, {"problems": [{"kind": "convection_diffusion"}],
+                                  "bench": {"runs": [{**CD_RUN, "t_final": 0.6}]}})
+    out = tmp_path / "cd"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    row = dict(zip(BENCH_COLUMNS, (out / "bench.csv").read_text().splitlines()[1].split(",")))
+    assert row["total_t"] == "0.6"
+
+
+def test_bench_vanished_vector_exits_2(tmp_path, capsys):
+    """By t = 2 the convection-diffusion solution underflows to exactly 0:
+    one error line naming the run (exit 2), not a traceback."""
+    cfg = write_config(tmp_path, {"problems": [{"kind": "convection_diffusion"}],
+                                  "bench": {"runs": [{**CD_RUN, "t_final": 2.0}]}})
+    assert main(["bench", "--config", cfg, "--out", str(tmp_path / "cd")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "direct_era_local" in err[0] and "propagated vector vanished" in err[0]
 
 
 def test_bench_detects_bound_violation(tmp_path, monkeypatch):

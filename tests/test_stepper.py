@@ -1,13 +1,17 @@
 """Step-size control: the direct inversions and their round trips, the
 heuristic update rule on paper examples, the iterated controller, the
-propagation loop accounting, and early stopping."""
+propagation loop accounting, the certificate of a whole trajectory, and
+early stopping."""
 
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import krylovexp as kx
 from krylovexp import stepper
@@ -83,23 +87,22 @@ def test_direct_inversion_validation(heat_pair):
 
 
 def test_heuristic_update_rule():
-    """The two pencil-and-paper cases: an estimate exactly on target keeps
-    the step (times safety); an estimate 2^m over target halves it."""
+    """The pencil-and-paper cases of the per-unit-step target
+    prev_dt * tol: an estimate exactly on target keeps the step (times
+    safety); an estimate 2^m over target halves it."""
     tol, m = 1e-6, 10
-    # global target: tol itself
-    dt = step_size_heuristic(0.5, tol, tol, m, model="global_budget", safety=1.0)
+    dt = step_size_heuristic(0.5, 0.5 * tol, tol, m)
     assert dt == pytest.approx(0.5, rel=1e-13)
-    dt = step_size_heuristic(0.5, tol * 2.0 ** m, tol, m,
-                             model="global_budget", safety=1.0)
+    dt = step_size_heuristic(0.5, 0.5 * tol * 2.0 ** m, tol, m)
     assert dt == pytest.approx(0.25, rel=1e-13)
-    # per-unit-step target: prev_dt * tol
-    dt = step_size_heuristic(0.5, 0.5 * tol, tol, m, model="per_unit_step",
-                             safety=0.9)
+    dt = step_size_heuristic(0.5, 0.5 * tol, tol, m, safety=0.9)
     assert dt == pytest.approx(0.45, rel=1e-13)
     with pytest.raises(ValueError):
         step_size_heuristic(0.5, 0.0, tol, m)
     with pytest.raises(ValueError):
         step_size_heuristic(0.0, tol, tol, m)
+    with pytest.raises(TypeError):
+        step_size_heuristic(0.5, tol, tol, m, model="global_budget")
 
 
 def test_iterated_with_era_estimator_converges_immediately(heat_pair):
@@ -147,19 +150,36 @@ def test_iterated_returns_its_start_on_a_vanishing_estimate(heat_pair, monkeypat
 
 
 def test_controller_spec_defaults_and_validation():
-    """A controller is its kind, tol and error model; the safety factor and
-    the iteration cap are constants of the stepper."""
-    assert [f.name for f in dataclasses.fields(ControllerSpec)] == [
-        "kind", "tol", "error_model"]
-    assert ControllerSpec("heuristic", 1e-8).error_model == "per_unit_step"
+    """A controller is its kind and tol; the kind fixes the error model,
+    and the safety factor and the iteration cap are constants of the
+    stepper."""
+    assert [f.name for f in dataclasses.fields(ControllerSpec)] == ["kind", "tol"]
+    assert ControllerSpec("heuristic_iterated", 1e-8).error_model == "per_unit_step"
     for bad in (
         dict(kind="pid", tol=1e-8),
         dict(kind="heuristic", tol=0.0),
-        dict(kind="heuristic", tol=1e-8, error_model="rms"),
         dict(kind="expokit_first_step_only", tol=2.0),  # its first step needs tol < 1
+        # the estimator picks the corrected approximant, not the kind
+        dict(kind="direct_era_corrected", tol=1e-7),
     ):
         with pytest.raises(ValueError):
             ControllerSpec(**bad)
+
+
+@pytest.mark.parametrize("kind", ["direct_era_local", "direct_era_global"])
+def test_direct_kinds_invert_the_corrected_bound_of_a_corrected_run(heat_pair, kind):
+    """With era_corrected the corrected approximant is propagated, so the
+    direct kinds invert its bound, and the proven record is that bound."""
+    op, sigma, v = heat_pair
+    tol = 1e-7
+    ctrl = ControllerSpec(kind, tol)
+    res = propagate_fixed_steps(op, sigma, v, 1, KrylovConfig(m_max=10), ctrl,
+                                "era_corrected")
+    dec = build_krylov(op, v, KrylovConfig(m_max=10))
+    assert res.records[0].dt == step_size_direct(dec, sigma, tol, model=ctrl.error_model,
+                                                 corrected=True)
+    assert res.records[0].estimate.kind == "era_corrected"
+    assert res.records[0].estimate.is_proven_upper_bound
 
 
 def test_propagate_reaches_t_final_exactly(heat_pair):
@@ -224,7 +244,7 @@ def test_corrected_controller_costs_one_extra_matvec(heat_pair):
     one extra product: the accounting must show exactly m per substep."""
     op, sigma, v = heat_pair
     m = 12
-    ctrl = ControllerSpec("direct_era_corrected", 1e-7)
+    ctrl = ControllerSpec("direct_era_local", 1e-7)
     res = propagate(op, sigma, v, 0.5, KrylovConfig(m_max=m - 1), ctrl,
                     estimator_kind="era_corrected")
     assert all(r.matvecs == m for r in res.records)
@@ -243,6 +263,62 @@ def test_every_controller_takes_one_step_through_a_breakdown(kind):
     assert len(res.records) == 1
     assert res.total_time == 5.0
     assert res.accumulated_bound == 0.0
+
+
+def _scaled(x, e):
+    return np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e)
+
+
+def test_propagate_below_1e150_reaches_t_final():
+    """On convection-diffusion |w| falls to 4e-159 by t = 0.489 and to
+    2e-270 by t = 0.8, where np.linalg.norm squares the entries into
+    subnormals: the run still reaches t_final, proven, along the oracle's
+    direction (compared after an exact power-of-two scaling)."""
+    spec = kx.ProblemSpec("convection_diffusion")
+    op, sigma = spec.build()
+    v = kx.starting_vector(spec)
+    res = propagate(op, sigma, v, 0.8, KrylovConfig(m_max=30),
+                    ControllerSpec("direct_era_local", 1e-6))
+    assert res.total_time == 0.8
+    assert all(r.estimate.is_proven_upper_bound for r in res.records)
+    ref = kx.oracle_reference(spec, op, sigma, [0.8], v)[0]
+    e = int(np.frexp(np.abs(ref).max())[1])
+    assert e < -850
+    w, ref = _scaled(res.w_final, e), _scaled(ref, e)
+    assert np.linalg.norm(w - ref) <= 1e-2 * np.linalg.norm(ref)
+
+
+@pytest.mark.filterwarnings("ignore:step-size iteration")
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 20),
+       family=st.sampled_from([("hermitian", 1j), ("hermitian", -1j), ("dissipative", 1.0)]),
+       shift=st.floats(0.01, 1.0),
+       kind=st.sampled_from(stepper.CONTROLLER_KINDS),
+       estimator=st.sampled_from(["era", "era_corrected"]), m=st.integers(3, 8),
+       log_tol=st.floats(-8.0, -3.0), t_final=st.floats(0.1, 3.0))
+def test_propagate_certificate_holds(seed, n, family, shift, kind, estimator, m,
+                                     log_tol, t_final):
+    """When every step is proven, the accumulated bound dominates the
+    error of the whole restarted trajectory against scipy.linalg.expm,
+    with the CLI's slack and nothing looser.  The operators are random
+    Hermitian ones at sigma = +/-i and general ones shifted past their
+    Gershgorin log-norm bound at sigma = 1, so every pair is nonexpansive."""
+    structure, sigma = family
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if structure == "hermitian":
+        A = 0.5 * (A + A.conj().T)
+    A = A / np.linalg.norm(A, 2)
+    if structure == "dissipative":
+        A = A - (SparseOperator(sp.csr_matrix(A)).log_norm_bound(sigma) + shift) * np.eye(n)
+    op = SparseOperator(sp.csr_matrix(A),
+                        symmetry="hermitian" if structure == "hermitian" else "general")
+    v = random_unit(n, seed=seed % 2 ** 31)
+    res = propagate(op, sigma, v, t_final, KrylovConfig(m_max=m),
+                    ControllerSpec(kind, 10.0 ** log_tol), estimator)
+    assert all(r.estimate.is_proven_upper_bound for r in res.records)
+    err = np.linalg.norm(res.w_final - scipy.linalg.expm(sigma * t_final * A) @ v)
+    assert err <= res.accumulated_bound * (1 + 1e-9) + 1e-12, (err, res.accumulated_bound)
 
 
 def test_propagate_fixed_steps_runs_exact_count(heat_pair):
@@ -276,17 +352,20 @@ def test_expokit_controller_first_step(heat_pair):
 
 
 def test_iterated_controller_rejects_global_model():
-    """A kind that implements one error model rejects the other, and
-    resolves to its own when none is given."""
-    for kind, model in (("heuristic_iterated", "global_budget"),
-                        ("direct_era_local", "global_budget"),
-                        ("direct_era_global", "per_unit_step")):
-        with pytest.raises(ValueError):
-            ControllerSpec(kind, 1e-7, model)
-    assert ControllerSpec("direct_era_global", 1e-7).error_model == "global_budget"
-    assert ControllerSpec("direct_era_local", 1e-7).error_model == "per_unit_step"
-    assert ControllerSpec("heuristic_iterated", 1e-7).error_model == "per_unit_step"
-    assert ControllerSpec("heuristic", 1e-7).error_model == "per_unit_step"
+    """The kind fixes the error model: a read-only property, not a field,
+    so no controller can be given the other one."""
+    models = {kind: ControllerSpec(kind, 1e-7).error_model
+              for kind in stepper.CONTROLLER_KINDS}
+    assert models == {"direct_era_global": "global_budget",
+                      "direct_era_local": "per_unit_step",
+                      "heuristic": "per_unit_step",
+                      "heuristic_iterated": "per_unit_step",
+                      "expokit_first_step_only": "per_unit_step"}
+    with pytest.raises(TypeError):
+        ControllerSpec("heuristic_iterated", 1e-7, "global_budget")
+    ctrl = ControllerSpec("heuristic_iterated", 1e-7)
+    with pytest.raises(AttributeError):
+        ctrl.error_model = "global_budget"
 
 
 def test_propagate_input_validation(heat_pair):
