@@ -10,9 +10,11 @@ the augmented matrix Tbar = [[T, 0], [tau e_m^*, 0]] along v_next,
     V phi_p(sigma t T) e_1 + sigma t tau (e_m^* phi_{p+1}(sigma t T) e_1) v_next,
 
 buying one extra order of accuracy.  Both read the decomposition's own
-phi and corner, so no (m+1)-sized matrix is ever formed.  The effective
-order rho(t) = t |delta|' / |delta| reads the decomposition's defect,
-the scalar delta(t) = (e^{sigma t T})_{m,1} and its exact time derivative,
+phi and corner, so no (m+1)-sized matrix is ever formed.  On a real
+basis with complex coefficients c, V c is taken as V Re c + i V Im c, so
+V is never cast to complex.  The effective order
+rho(t) = t |delta|' / |delta| reads the decomposition's defect, the
+scalar delta(t) = (e^{sigma t T})_{m,1} and its exact time derivative,
 and is NaN where |delta| sits below the round-off floor.
 """
 
@@ -38,14 +40,22 @@ class Approximant:
         self.corrected = corrected
 
     def apply(self, t):
-        """Evaluate the approximant at a finite time t >= 0; returns a length-n vector."""
+        """Evaluate the approximant at a finite time t >= 0; returns a
+        length-n vector, float64 when the basis is real and sigma t T
+        is too."""
         validate_time(t)
         dec = self.dec
-        out = dec.V @ dec.phi(self.sigma, self.p, t)
+        V, c = dec.V, dec.phi(self.sigma, self.p, t)
+        if np.iscomplexobj(c) and not np.iscomplexobj(V):
+            out = V @ c.real + 1j * (V @ c.imag)
+        else:
+            out = V @ c
         if not self.corrected or dec.breakdown:
             # on breakdown the correction term carries tau = 0 and drops out
             return out
         coef = self.sigma * t * dec.tau_next * dec.corner(self.sigma, self.p + 1, t)
+        if not np.iscomplexobj(out):
+            coef = coef.real  # out is real only where sigma t T is, and so is the corner
         return out + coef * dec.v_next
 
 

@@ -5,7 +5,8 @@ m <= a few hundred), not on the large sparse operator: the matrix
 exponential via diagonal Pade with scaling and squaring, phi-function
 actions on the first unit vector through an augmented matrix, scalar
 phi evaluation, and the symmetric tridiagonal eigensolve used by the
-Lanczos fast path.
+Lanczos fast path.  expm_dense and phi_dense compute in the field of zT:
+float64 when T and z are both real, complex128 otherwise.
 """
 
 import math
@@ -43,20 +44,20 @@ def expm_dense(T, z=1.0):
     """Compute e^{zT} for a small dense matrix T.
 
     Degree-13 diagonal Pade with scaling chosen so the scaled 1-norm stays
-    below 5.4, followed by repeated squaring.  zT = 0 returns exactly I,
-    which Pade would miss by an ulp.  (Lanczos decompositions reach e^{zT}
-    through their tridiagonal eigendecomposition instead; see
-    KrylovDecomposition.phi.)
+    below 5.4, followed by repeated squaring, in the field of zT (float64
+    or complex128).  zT = 0 returns exactly I, which Pade would miss by an
+    ulp.  (Lanczos decompositions reach e^{zT} through their tridiagonal
+    eigendecomposition instead; see KrylovDecomposition.phi.)
     """
     T = np.asarray(T)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError("expm_dense needs a square matrix")
     if not np.all(np.isfinite(T)) or not np.isfinite(z):
         raise ValueError("expm_dense: non-finite input")
-    M = np.asarray(z * T, dtype=complex)
+    M = np.asarray(z * T, dtype=np.result_type(z, T, float))
     nrm = np.linalg.norm(M, 1)
     if nrm == 0.0:
-        return np.eye(M.shape[0], dtype=complex)
+        return np.eye(M.shape[0], dtype=M.dtype)
     s = 0
     if nrm > _PADE13_THETA:
         s = int(math.ceil(math.log2(nrm / _PADE13_THETA)))
@@ -91,8 +92,9 @@ def phi_dense(T, z, p):
     m = T.shape[0]
     if p == 0:
         return expm_dense(T, z)[:, 0]
-    aug = np.zeros((m + p, m + p), dtype=complex)
-    aug[:m, :m] = z * T
+    zT = np.asarray(z * T, dtype=np.result_type(z, T, float))
+    aug = np.zeros((m + p, m + p), dtype=zT.dtype)
+    aug[:m, :m] = zT
     aug[0, m] = 1.0
     for k in range(p - 1):
         aug[m + k, m + k + 1] = 1.0

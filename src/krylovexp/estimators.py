@@ -128,9 +128,10 @@ def _order_weight(dec, sigma, t):
 
     Samples below the defect round-off floor (NaN) are skipped: there the
     defect is far inside the asymptotic regime and carries no slope
-    information (rho(t) itself must still resolve).
+    information (rho(t) itself must still resolve).  At t = 0, and at the
+    smallest subnormal, whose half rounds to 0, there is no sample.
     """
-    if t == 0.0:
+    if t * 0.5 == 0.0:
         return None
     rhos = [effective_order(dec, sigma, t * f) for f in (0.5, 0.75, 1.0)]
     resolved = [r for r in rhos if not math.isnan(r)]

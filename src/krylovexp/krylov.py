@@ -21,8 +21,12 @@ sigma, q and t from it; an Arnoldi one pays one Pade call per
 
 One build allocates one store of two arrays, sized for m_max: a row-major
 basis of shape (m_max+1, n) and a Hessenberg matrix of shape
-(m_max+1, m_max), complex for Arnoldi and real for Lanczos, which writes
-alpha on the diagonal and beta on both off-diagonals.  A decomposition of
+(m_max+1, m_max); Lanczos writes alpha on the diagonal and beta on both
+off-diagonals.  The arithmetic follows the inputs: when the operator is
+real (SparseOperator.is_real) and so is the start vector, both arrays are
+float64 and every matvec, Gram-Schmidt pass and Pade runs in real
+arithmetic.  Otherwise the basis is complex, and so is the Arnoldi
+Hessenberg matrix, while the Lanczos one stays real.  A decomposition of
 dimension m exposes read-only views of it: V = basis[:m].T,
 T = hess[:m, :m] and v_next = basis[m].
 
@@ -85,8 +89,7 @@ class KrylovDecomposition:
 
     def __init__(self, op, basis, hess, m, tau_next, amax):
         self.op = op
-        # Lanczos keeps its tridiagonal T real
-        self.mode = "arnoldi" if np.iscomplexobj(hess) else "lanczos"
+        self.mode = "lanczos" if op.symmetry == "hermitian" else "arnoldi"
         self.m_max = hess.shape[1]
         self.m = m
         self.tau_next = tau_next
@@ -131,8 +134,9 @@ class KrylovDecomposition:
         return self._a_v_next
 
     def phi(self, sigma, q, t):
-        """phi_q(sigma t T) e_1 as a read-only length-m complex vector
-        (q = 0 gives e^{sigma t T} e_1), cached per (sigma, q, t)."""
+        """phi_q(sigma t T) e_1 as a read-only length-m vector (q = 0 gives
+        e^{sigma t T} e_1), cached per (sigma, q, t).  Complex, except on an
+        Arnoldi decomposition with real T and real sigma, where it is float64."""
         key = (sigma, q, t)
         hit = self._phi.get(key)
         if hit is not None:
@@ -144,7 +148,10 @@ class KrylovDecomposition:
             lam, Q = self._eigh
             val = Q @ (phi_scalar(sigma * t * lam, q) * Q[0])
         else:
-            val = phi_dense(self._T, sigma * t, q)
+            z = sigma * t
+            if z.imag == 0.0 and not np.iscomplexobj(self._T):
+                z = z.real
+            val = phi_dense(self._T, z, q)
         if len(self._phi) > 256:
             self._phi.clear()
         self._phi[key] = _read_only(val)
@@ -179,6 +186,8 @@ def _grow(op, basis, hess, m, amax, steps):
 
     h sums the coefficients of both passes.  Lanczos keeps Re h_j as
     alpha_j and drops the rest: beta_{j-1}, stored already, and round-off.
+    The operator's symmetry flag picks Lanczos, never the dtype of hess:
+    a real Arnoldi store is float64 too.
 
     Every entry written lies past what a decomposition of dimension m
     exposes (basis rows > m, hess columns >= m), and its value depends only
@@ -186,7 +195,8 @@ def _grow(op, basis, hess, m, amax, steps):
     same values twice.
     """
     n = basis.shape[1]
-    lanczos = not np.iscomplexobj(hess)
+    lanczos = op.symmetry == "hermitian"
+    real = not np.iscomplexobj(basis)
     for j in range(m, m + steps):
         w = op.matvec(basis[j])
         amax = max(amax, float(np.linalg.norm(w)))
@@ -194,7 +204,7 @@ def _grow(op, basis, hess, m, amax, steps):
         h = 0.0
         for _ in range(2):
             # conj(Vj @ conj(w)) = Vj^* w without copying the conjugated basis
-            c = np.conj(Vj @ np.conj(w))
+            c = Vj @ w if real else np.conj(Vj @ np.conj(w))
             w = w - c @ Vj
             h = h + c
         if lanczos:
@@ -216,7 +226,8 @@ def build_krylov(op, v, cfg, steps=None):
 
     With steps=k (1 <= k <= cfg.m_max) only the first k columns are
     produced; the result can be grown later with extend_krylov and is
-    bitwise identical to a single full build.
+    bitwise identical to a single full build.  The store is float64 when
+    op.is_real and v has no nonzero imaginary part, complex otherwise.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (op.n,):
@@ -227,10 +238,15 @@ def build_krylov(op, v, cfg, steps=None):
         steps = cfg.m_max
     if not 1 <= steps <= cfg.m_max:
         raise ValueError("steps must lie in [1, m_max]")
-    basis = np.zeros((cfg.m_max + 1, op.n), dtype=complex)
+    if op.is_real and not np.any(v.imag):
+        field = float
+        v = v.real
+    else:
+        field = complex
+    basis = np.zeros((cfg.m_max + 1, op.n), dtype=field)
     basis[0] = v
     hess = np.zeros((cfg.m_max + 1, cfg.m_max),
-                    dtype=float if op.symmetry == "hermitian" else complex)
+                    dtype=float if op.symmetry == "hermitian" else field)
     return _grow(op, basis, hess, 0, 0.0, steps)
 
 

@@ -1,4 +1,11 @@
-"""Sparse operator wrapper, Matrix Market round trip, logarithmic norm bound."""
+"""Sparse operator wrapper, Matrix Market round trip, logarithmic norm bound.
+
+The operator keeps its matrix as complex128 CSR; the norms, the log-norm
+bound and Matrix Market I/O read it.  When no entry has a nonzero
+imaginary part it also keeps a float64 copy of the values on the same
+index arrays, and matvec sends a real vector through that copy, so a real
+problem runs in real arithmetic.
+"""
 
 import math
 
@@ -32,6 +39,9 @@ class SparseOperator:
     verified elementwise (to 1e-12) at construction.  log_norm_bound(sigma)
     bounds the logarithmic norm of sigma*A from above; estimators consult
     it to decide whether a bound is proven for that (operator, sigma) pair.
+    is_real is True when every entry has a zero imaginary part (by value,
+    whatever dtype the matrix came in); matvec then multiplies a real
+    vector in float64 and returns a float64 vector.
     """
 
     def __init__(self, matrix, symmetry="general"):
@@ -47,6 +57,10 @@ class SparseOperator:
             if dev.nnz and dev.max() > 1e-12:
                 raise ValueError("matrix declared hermitian deviates from A == A* by more than 1e-12")
         self.csr = csr
+        # float64 values on csr's own index arrays: scipy would upcast a
+        # float64-only matrix on every complex product
+        self._csr_real = None if np.any(csr.data.imag) else sp.csr_matrix(
+            (np.ascontiguousarray(csr.data.real), csr.indices, csr.indptr), shape=csr.shape)
         self.symmetry = symmetry
         self._norm_1 = None
         self._norm_inf = None
@@ -55,6 +69,10 @@ class SparseOperator:
     @property
     def n(self):
         return self.csr.shape[0]
+
+    @property
+    def is_real(self):
+        return self._csr_real is not None
 
     @property
     def nnz(self):
@@ -99,6 +117,8 @@ class SparseOperator:
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ValueError(f"matvec: expected vector of length {self.n}, got shape {x.shape}")
+        if self._csr_real is not None and not np.iscomplexobj(x):
+            return self._csr_real @ x
         return self.csr @ x
 
     def to_matrix_market(self, path):

@@ -42,6 +42,20 @@ def test_standard_apply_matches_dense_exponential():
         assert np.linalg.norm(appr.apply(t) - expected) < 1e-11
 
 
+def test_real_basis_times_complex_coefficients(heat_pair):
+    """Heat from a real start vector builds a float64 Lanczos store, whose
+    eigen route (and sigma = -i) gives complex coefficients: apply takes
+    V Re c + i V Im c, which is the complex product V c."""
+    op, sigma, _ = heat_pair
+    dec = build_krylov(op, random_unit(op.n, seed=9, complex_=False), KrylovConfig(m_max=10))
+    assert dec.V.dtype == np.float64
+    for s in (sigma, -1j):
+        out = Approximant(dec, s).apply(0.7)
+        ref = dec.V.astype(complex) @ dec.phi(s, 0, 0.7)
+        assert out.dtype == np.complex128
+        assert np.linalg.norm(out - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
 def test_standard_apply_at_t_zero():
     _, op, v = small_problem(seed=62)
     dec = build_krylov(op, v, KrylovConfig(m_max=8))

@@ -35,6 +35,21 @@ def test_expm_matches_scipy(A):
         assert np.linalg.norm(got - ref) < 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_dense_kernels_compute_in_the_field_of_zT(p):
+    """Real T with real z stays float64, with the zero shortcut's identity;
+    a complex z, even with a zero imaginary part, takes the complex path,
+    and the two agree."""
+    T = random_matrix(6, 7, complex_=False)
+    real = phi_dense(T, 0.7, p)
+    cplx = phi_dense(T, 0.7 + 0j, p)
+    assert real.dtype == np.float64 and cplx.dtype == np.complex128
+    assert np.linalg.norm(real - cplx) <= 1e-14 * np.linalg.norm(cplx)
+    assert expm_dense(T, 0.0).dtype == np.float64
+    assert expm_dense(T, 0.0j).dtype == np.complex128
+    assert expm_dense(random_matrix(4, 8), 0.5).dtype == np.complex128
+
+
 def test_expm_large_norm_scaling_path():
     A = 40.0 * random_matrix(6, 3)
     ref = scipy.linalg.expm(A)

@@ -309,6 +309,15 @@ def test_evaluate_effective_order_falls_back_to_trapezoid(heat_pair):
     assert out.kind == "trapezoid_quad"
 
 
+def test_effective_order_quad_at_the_smallest_subnormal_t(heat_pair):
+    """Half of t = 5e-324 rounds to 0, where rho has no sample: the guard
+    drops the entry and the dispatcher falls back instead of raising."""
+    op, sigma, v = heat_pair
+    dec = build_krylov(op, v, KrylovConfig(m_max=10))
+    assert "effective_order_quad" not in {e.kind for e in quad_estimates(dec, sigma, 5e-324)}
+    assert evaluate("effective_order_quad", dec, sigma, 5e-324).kind == "trapezoid_quad"
+
+
 class CountingOperator(SparseOperator):
     """SparseOperator that counts the matvecs actually performed."""
 

@@ -11,21 +11,22 @@ from hypothesis import strategies as st
 
 import krylovexp as kx
 from krylovexp import KrylovConfig, SparseOperator, build_krylov, extend_krylov
+from krylovexp.estimators import ESTIMATORS, evaluate
 from krylovexp.problems import ProblemSpec, starting_vector
 
 from conftest import SIGMAS, as_general, random_unit
 
 
-def random_hermitian_op(n, seed):
+def random_hermitian_op(n, seed, real=False):
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
     A = 0.5 * (A + A.conj().T)
     return SparseOperator(sp.csr_matrix(A), symmetry="hermitian")
 
 
-def random_general_op(n, seed):
+def random_general_op(n, seed, real=False):
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
     return SparseOperator(sp.csr_matrix(A))
 
 
@@ -234,17 +235,19 @@ def _exposed(dec):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), hermitian=st.booleans(),
+@given(seed=st.integers(0, 2 ** 32 - 1), hermitian=st.booleans(), real=st.booleans(),
        m_max=st.integers(2, 24), data=st.data())
-def test_extensions_share_the_store_bitwise(seed, hermitian, m_max, data):
+def test_extensions_share_the_store_bitwise(seed, hermitian, real, m_max, data):
     """A partial build grown by extensions at random split points equals a
     fresh build bit for bit, and growing a decomposition changes neither it
-    nor an earlier extension of it."""
+    nor an earlier extension of it, in the float64 store of a real operator
+    and real start vector as in the complex one."""
     n = 30
-    op = (random_hermitian_op if hermitian else random_general_op)(n, seed)
-    v = random_unit(n, seed=seed)
+    op = (random_hermitian_op if hermitian else random_general_op)(n, seed, real)
+    v = random_unit(n, seed=seed, complex_=not real)
     cfg = KrylovConfig(m_max=m_max)
     parent = build_krylov(op, v, cfg, steps=data.draw(st.integers(1, m_max - 1)))
+    assert parent.V.dtype == (np.float64 if real else np.complex128)
     before = _exposed(parent)
     dec, child = parent, None
     while dec.m < m_max:
@@ -297,3 +300,90 @@ def test_defect_is_the_corner_and_its_derivative(seed, kind, m, sigma, t):
     _, delta_prime = dec.defect(sigma, t + h)
     fd = (dec.defect(sigma, t + 2 * h)[0] - delta) / (2 * h)
     assert abs(delta_prime - fd) <= 1e-8, (delta_prime, fd)
+
+
+def test_the_arithmetic_follows_the_inputs(hubbard_op, hubbard_vec, heat_pair):
+    """Convection-diffusion (real operator, real all-ones start vector)
+    builds a float64 Arnoldi store and propagates a float64 vector;
+    Hubbard (complex entries) and heat from its complex start vector stay
+    complex, and a Lanczos T is real in both fields."""
+    spec = ProblemSpec("convection_diffusion")
+    op, sigma = spec.build()
+    v = starting_vector(spec)
+    dec = build_krylov(op, v, KrylovConfig(m_max=10))
+    assert (dec.V.dtype, dec.T.dtype, dec.mode) == (np.float64, np.float64, "arnoldi")
+    assert kx.Approximant(dec, sigma).apply(1e-3).dtype == np.float64
+    assert kx.Approximant(dec, sigma, corrected=True).apply(1e-3).dtype == np.float64
+    res = kx.propagate(op, sigma, v, 1e-3, KrylovConfig(m_max=10),
+                       kx.ControllerSpec("direct_era_local", 1e-8))
+    assert res.w_final.dtype == np.float64
+    hub = build_krylov(hubbard_op, hubbard_vec, KrylovConfig(m_max=5))
+    assert (hub.V.dtype, hub.T.dtype, hub.mode) == (np.complex128, np.float64, "lanczos")
+    heat_op, _, heat_v = heat_pair
+    assert heat_op.is_real
+    heat = build_krylov(heat_op, heat_v, KrylovConfig(m_max=5))
+    assert (heat.V.dtype, heat.T.dtype, heat.mode) == (np.complex128, np.float64, "lanczos")
+
+
+def test_a_real_arnoldi_store_never_takes_the_eigen_route(monkeypatch):
+    """The symmetry flag picks Lanczos, not the dtype of T: a float64
+    Arnoldi decomposition of a real symmetric matrix still reaches e^{zT}
+    through Pade."""
+    op = as_general(random_hermitian_op(12, 60, real=True))
+    dec = build_krylov(op, random_unit(12, seed=61, complex_=False), KrylovConfig(m_max=6))
+    assert dec.mode == "arnoldi" and dec.T.dtype == np.float64
+    monkeypatch.setattr(kx.krylov, "symtrid_eig", None)
+    assert dec.phi(-1.0, 0, 0.5).dtype == np.float64
+    assert dec.phi(-1j, 1, 0.5).dtype == np.complex128
+
+
+_ROUNDOFF = 1e3 * np.finfo(np.float64).eps
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), hermitian=st.booleans(), m=st.integers(2, 8),
+       sigma=SIGMAS, t=st.floats(0.0, 3.0), phase=st.floats(0.1, 6.2))
+def test_real_and_complex_fields_agree(seed, hermitian, m, sigma, t, phase):
+    """A real operator with a real start vector v builds in float64; the
+    same operator from e^{i phase} v is forced onto the complex path.  T
+    agrees to 1e-13 ||T||, V and apply(t) agree up to the phase, and
+    every ESTIMATORS row gives the same proven flag and the same value to
+    1e-12 relative (1e-300 floor).
+
+    On Lanczos the rows that read a corner of phi_q(sigma t T) e_1 take it
+    from the eigendecomposition of T, which resolves it only to an
+    absolute round-off of the row's prefactor (ROADMAP item 1), so there
+    the two fields agree to 1e3 eps tau max(1, t)^2 absolute; and the
+    effective-order guard, a yes/no decision on rho near that round-off,
+    may fall back to the trapezoid value on one side only."""
+    n = 12
+    op = (random_hermitian_op if hermitian else random_general_op)(n, seed, real=True)
+    op = SparseOperator(op.csr / np.linalg.norm(op.csr.toarray(), 2), symmetry=op.symmetry)
+    v = random_unit(n, seed=seed % 2 ** 31, complex_=False)
+    z = np.exp(1j * phase)
+    cfg = KrylovConfig(m_max=m)
+    real, cplx = build_krylov(op, v, cfg), build_krylov(op, z * v, cfg)
+    assert (real.V.dtype, real.T.dtype, cplx.V.dtype) == (np.float64, np.float64, np.complex128)
+    assert real.mode == cplx.mode == ("lanczos" if hermitian else "arnoldi")
+    assert (real.m, real.breakdown) == (cplx.m, cplx.breakdown)
+    assert np.linalg.norm(real.T - cplx.T) <= 1e-13 * np.linalg.norm(real.T)
+    assert np.linalg.norm(z * real.V - cplx.V) <= 1e-12
+    for corrected in (False, True):
+        a = kx.Approximant(real, sigma, corrected=corrected).apply(t)
+        b = kx.Approximant(cplx, sigma, corrected=corrected).apply(t)
+        assert np.linalg.norm(z * a - b) <= 1e-12 * np.linalg.norm(b)
+
+    floor = 1e-300
+    if hermitian and not real.breakdown:
+        floor += _ROUNDOFF * real.tau_next * max(1.0, t) ** 2
+    got = {}
+    for kind in ESTIMATORS:
+        a, b = evaluate(kind, real, sigma, t), evaluate(kind, cplx, sigma, t)
+        assert a.is_proven_upper_bound == b.is_proven_upper_bound, kind
+        got[kind] = (a, b)
+        if hermitian and kind == "effective_order_quad" and a.kind != b.kind:
+            trapezoid = got["trapezoid_quad"][0].value
+            assert max(a.value, b.value) <= trapezoid * (1 + 1e-12) + floor
+            continue
+        tol = 1e-12 * abs(a.value) + (1e-300 if kind.startswith("era") else floor)
+        assert a.kind == b.kind and abs(a.value - b.value) <= tol, (kind, a.value, b.value)

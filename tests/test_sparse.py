@@ -43,6 +43,21 @@ def test_operator_matvec():
         op.matvec(np.ones(3))
 
 
+def test_real_operator_multiplies_real_vectors_in_float64():
+    """is_real goes by value, so a complex-typed Laplacian counts as real;
+    csr stays complex128, and the float64 copy shares its index arrays."""
+    op, _ = kx.build_heat(6)
+    assert op.is_real and op.csr.dtype == np.complex128
+    x = random_unit(6, seed=5, complex_=False)
+    y = op.matvec(x)
+    assert y.dtype == np.float64
+    assert np.array_equal(y, (op.csr @ x).real)
+    assert op.matvec(x + 0j).dtype == np.complex128
+    hub = SparseOperator(sp.csr_matrix(np.array([[1.0, 1j], [-1j, 2.0]])), symmetry="hermitian")
+    assert not hub.is_real
+    assert hub.matvec(np.ones(2)).dtype == np.complex128
+
+
 def test_operator_rejects_bad_matrices():
     with pytest.raises(ValueError):
         SparseOperator(sp.csr_matrix((2, 3)))

@@ -291,7 +291,8 @@ def test_propagate_below_1e150_reaches_t_final():
 @pytest.mark.filterwarnings("ignore:step-size iteration")
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 20),
-       family=st.sampled_from([("hermitian", 1j), ("hermitian", -1j), ("dissipative", 1.0)]),
+       family=st.sampled_from([("hermitian", 1j), ("hermitian", -1j), ("dissipative", 1.0),
+                               ("real_dissipative", 1.0)]),
        shift=st.floats(0.01, 1.0),
        kind=st.sampled_from(stepper.CONTROLLER_KINDS),
        estimator=st.sampled_from(["era", "era_corrected"]), m=st.integers(3, 8),
@@ -302,20 +303,24 @@ def test_propagate_certificate_holds(seed, n, family, shift, kind, estimator, m,
     error of the whole restarted trajectory against scipy.linalg.expm,
     with the CLI's slack and nothing looser.  The operators are random
     Hermitian ones at sigma = +/-i and general ones shifted past their
-    Gershgorin log-norm bound at sigma = 1, so every pair is nonexpansive."""
+    Gershgorin log-norm bound at sigma = 1, so every pair is nonexpansive.
+    The real_dissipative family draws a real A and a real v, so the whole
+    run is in float64."""
     structure, sigma = family
+    real = structure == "real_dissipative"
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    A = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
     if structure == "hermitian":
         A = 0.5 * (A + A.conj().T)
     A = A / np.linalg.norm(A, 2)
-    if structure == "dissipative":
+    if structure != "hermitian":
         A = A - (SparseOperator(sp.csr_matrix(A)).log_norm_bound(sigma) + shift) * np.eye(n)
     op = SparseOperator(sp.csr_matrix(A),
                         symmetry="hermitian" if structure == "hermitian" else "general")
-    v = random_unit(n, seed=seed % 2 ** 31)
+    v = random_unit(n, seed=seed % 2 ** 31, complex_=not real)
     res = propagate(op, sigma, v, t_final, KrylovConfig(m_max=m),
                     ControllerSpec(kind, 10.0 ** log_tol), estimator)
+    assert res.w_final.dtype == (np.float64 if real else np.complex128)
     assert all(r.estimate.is_proven_upper_bound for r in res.records)
     err = np.linalg.norm(res.w_final - scipy.linalg.expm(sigma * t_final * A) @ v)
     assert err <= res.accumulated_bound * (1 + 1e-9) + 1e-12, (err, res.accumulated_bound)
