@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .sparse import validate_prefactor, validate_time
+from .sparse import validate_phi_index, validate_prefactor, validate_time
 
 _ROUNDOFF_FLOOR = 1e3 * float(np.finfo(np.float64).eps)
 
@@ -32,11 +32,9 @@ class Approximant:
     corrected."""
 
     def __init__(self, dec, sigma, p=0, *, corrected=False):
-        if p < 0:
-            raise ValueError("p must be >= 0")
         self.dec = dec
         self.sigma = validate_prefactor(sigma)
-        self.p = p
+        self.p = validate_phi_index(p)
         self.corrected = corrected
 
     def apply(self, t):

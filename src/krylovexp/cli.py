@@ -45,6 +45,9 @@ class ConfigError(Exception):
 WIDE_COLUMNS = ("t", "oracle_error", "Era", "Err1", "HermiteQuad",
                 "ImprovedHermiteQuad", "TrapezoidQuad", "EffectiveOrderQuad",
                 "rho")
+# the wide column of each quadrature kind, NaN where the kind has no value
+_QUAD_COLUMNS = (("HermiteQuad", "hermite_quad"), ("ImprovedHermiteQuad", "improved_hermite_quad"),
+                 ("TrapezoidQuad", "trapezoid_quad"), ("EffectiveOrderQuad", "effective_order_quad"))
 LONG_COLUMNS = ("problem", "m", "sigma", "p", "t", "estimator", "value",
                 "extra_matvecs", "oracle_error")
 LONG_KEY = ("problem", "m", "p", "t", "estimator")
@@ -133,28 +136,22 @@ def _t_grid(section):
 
 
 def _sweep_cell(spec, m, ts, p, corrected, accuracy):
-    """All estimator evaluations for one (problem, m) pair."""
+    """All estimator evaluations for one (problem, m) pair; quadratures at p = 0 only."""
     op, sigma = spec.build()
     v = starting_vector(spec)
     dec = build_krylov(op, v, KrylovConfig(m_max=m))
     appr = Approximant(dec, sigma, p, corrected=corrected)
-    wide_rows = []
-    long_rows = []
-    violation = False
+    wide_rows, long_rows, violation = [], [], False
     refs = oracle_reference(spec, op, sigma, ts, v, p, accuracy)
     for t, ref in zip(ts, refs):
         err = float(np.linalg.norm(appr.apply(t) - ref))
         e_era = era(dec, sigma, t, p, corrected)
         e_err1 = err1(dec, sigma, t, p, corrected)
-        quad_list = quad_estimates(dec, sigma, t, p)
+        quad_list = quad_estimates(dec, sigma, t) if p == 0 else []
         quads = {e.kind: e.value for e in quad_list}
         wide_rows.append({
-            "t": t, "oracle_error": err,
-            "Era": e_era.value, "Err1": e_err1.value,
-            "HermiteQuad": quads["hermite_quad"],
-            "ImprovedHermiteQuad": quads["improved_hermite_quad"],
-            "TrapezoidQuad": quads["trapezoid_quad"],
-            "EffectiveOrderQuad": quads.get("effective_order_quad", math.nan),
+            "t": t, "oracle_error": err, "Era": e_era.value, "Err1": e_err1.value,
+            **{col: quads.get(kind, math.nan) for col, kind in _QUAD_COLUMNS},
             "rho": effective_order(dec, sigma, t),
         })
         for est in [e_era, e_err1] + quad_list:

@@ -14,6 +14,8 @@ import math
 import numpy as np
 import scipy.linalg
 
+from .sparse import validate_phi_index
+
 
 # degree-13 diagonal Pade coefficients (numerator; denominator uses the
 # alternating signs) and the matching 1-norm scaling threshold
@@ -40,6 +42,14 @@ def _pade13(M):
     return np.linalg.solve(V - U, V + U)
 
 
+# Why not scipy.linalg.expm: accuracy, not speed (scipy is faster, about 160
+# against 215 us on the real m = 30 T of default convection-diffusion, on a
+# 2-core x86 VM).  At small norm scipy picks a low Pade degree and loses the
+# tiny corner e_m^T e^{zT} e_1 ~ gamma z^{m-1}/(m-1)! that the defect and err1
+# read: at ||zT||_1 = 1e-6 its corner is off by +1.9 (relative) at m = 10 and by
+# 5.3e12 at m = 30.  Degree 13 matches Taylor through order 26, so the corner
+# holds wherever m - 1 + q <= 26; past that it too loses digits until
+# ||zT||_1 exceeds _PADE13_THETA and scaling starts.
 def expm_dense(T, z=1.0):
     """Compute e^{zT} for a small dense matrix T.
 
@@ -87,8 +97,7 @@ def phi_dense(T, z, p):
     T = np.asarray(T)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError("phi_dense needs a square matrix")
-    if p < 0:
-        raise ValueError("phi_dense: p must be >= 0")
+    validate_phi_index(p)
     m = T.shape[0]
     if p == 0:
         return expm_dense(T, z)[:, 0]
@@ -109,6 +118,7 @@ def phi_scalar(z, p):
     phi_q(z) = (phi_{q-1}(z) - 1/(q-1)!) / z up from phi_0 = exp, where
     the cancellation is harmless.
     """
+    validate_phi_index(p)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if p == 0:
         return np.exp(z)

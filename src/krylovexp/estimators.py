@@ -13,12 +13,12 @@ couple hundred cannot overflow or underflow):
   trapezoid_quad      tau * (t/2) * |delta(t)|
   effective_order_quad   tau * (t/(rho(t)+1)) * |delta(t)|  (guarded)
 
-Every estimator takes the decomposition dec, sigma, t and p, and reads
-the small-matrix quantities from dec alone: phi and corner, and the defect
-pair (delta, delta') = dec.defect(sigma, t).  The three plain quadratures
-are one formula, tau * (t/w) * |delta(t)|, with weights w = m, 2 and
-rho(t)+1.  era and err1 return the corrected rows with corrected=True.
-After a breakdown the projection is exact, so every kind is 0.0 there.
+Every estimator takes dec, sigma and t and reads phi, corner and the
+defect pair (delta, delta') = dec.defect(sigma, t) from dec alone; era and
+err1 also take the phi index p >= 0, and the quadratures and evaluate are
+the exponential's.  The plain quadratures are tau * (t/w) * |delta(t)| with
+w = m, 2 and rho(t)+1.  era and err1 return the corrected rows with
+corrected=True.  After a breakdown every kind is 0.0 (the projection is exact).
 
 ESTIMATORS holds one row per kind: the function computing the value, the
 extra matvecs it costs a fresh decomposition (the cached A v_next), and
@@ -40,7 +40,7 @@ from functools import partial
 import numpy as np
 
 from .approximant import effective_order
-from .sparse import validate_prefactor, validate_time
+from .sparse import validate_phi_index, validate_prefactor, validate_time
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,7 @@ def log_era_factor(dec, m, p, corrected):
     gamma_m / (m+p+1)!): era(t) = exp(factor + (m + corrected) log t).  The
     era estimators evaluate it and the step-size controller inverts it.
     None where era vanishes identically (breakdown at m, or A v_next = 0)."""
+    validate_phi_index(p)
     if corrected and m != dec.m:
         raise ValueError("the corrected bound exists at the built dimension only")
     tau = dec.tau_next if m == dec.m else float(dec.subdiag[m - 1])
@@ -86,7 +87,7 @@ def log_era_factor(dec, m, p, corrected):
     return factor
 
 
-def _era(dec, sigma, t, p, corrected=False):
+def _era(dec, sigma, t, p=0, corrected=False):
     factor = log_era_factor(dec, dec.m, p, corrected)
     if t == 0.0 or factor is None:
         return 0.0
@@ -96,13 +97,13 @@ def _era(dec, sigma, t, p, corrected=False):
         return math.inf
 
 
-def _err1(dec, sigma, t, p, corrected=False):
+def _err1(dec, sigma, t, p=0, corrected=False):
     lead = float(np.linalg.norm(dec.a_v_next())) if corrected else 1.0
     corner = dec.corner(sigma, p + 1 + corrected, t)
     return lead * dec.tau_next * t * t ** corrected * abs(corner)
 
 
-def _quad(weight, dec, sigma, t, p):
+def _quad(weight, dec, sigma, t):
     """tau * (t/w) * |delta(t)| with w = weight(dec, sigma, t), or None
     where the weight is unavailable."""
     w = weight(dec, sigma, t)
@@ -111,7 +112,7 @@ def _quad(weight, dec, sigma, t, p):
     return dec.tau_next * (t / w) * abs(dec.defect(sigma, t)[0])
 
 
-def _improved_hermite(dec, sigma, t, p):
+def _improved_hermite(dec, sigma, t):
     delta, delta_prime = dec.defect(sigma, t)
     m, tau = dec.m, dec.tau_next
     av = dec.a_v_next()
@@ -141,8 +142,9 @@ def _order_weight(dec, sigma, t):
     return rhos[-1] + 1.0
 
 
-# kind -> (value of (dec, sigma, t, p), or None when unavailable there;
-#          extra matvecs on a fresh decomposition; proven rule)
+# kind -> (value of (dec, sigma, t) -- the era and err1 rows also take p --
+#          or None when unavailable there; extra matvecs on a fresh
+#          decomposition; proven rule)
 ESTIMATORS = {
     "era": (_era, 0, "nonexpansive"),
     "era_corrected": (partial(_era, corrected=True), 1, "nonexpansive"),
@@ -157,18 +159,17 @@ ESTIMATORS = {
 _QUAD_KINDS = tuple(k for k in ESTIMATORS if k.endswith("_quad"))
 
 
-def _estimate(kind, dec, sigma, t, p):
-    """The ESTIMATORS row for kind, evaluated; None when it is unavailable.
-    After a breakdown the projection is exact: every kind is 0.0 there and
-    costs no matvec."""
+def _estimate(kind, dec, sigma, t, *p):
+    """The ESTIMATORS row for kind, evaluated at the phi index p of era and
+    err1; None when it is unavailable.  After a breakdown the projection is
+    exact: every kind is 0.0 there and costs no matvec."""
+    p = [validate_phi_index(q) for q in p]
     s = validate_prefactor(sigma)
     validate_time(t)
     fn, extra, rule = ESTIMATORS[kind]
-    value = 0.0 if dec.breakdown else fn(dec, s, t, p)
+    value = 0.0 if dec.breakdown else fn(dec, s, t, *p)
     if value is None:
         return None
-    if p != 0 and kind in ("era", "err1"):
-        kind += "_phi"
     return ErrorEstimate(kind, value, _proven(rule, dec, s),
                          0 if dec.breakdown else extra)
 
@@ -194,19 +195,20 @@ def err1(dec, sigma, t, p=0, corrected=False):
     return _estimate("err1_corrected" if corrected else "err1", dec, sigma, t, p)
 
 
-def quad_estimates(dec, sigma, t, p=0):
-    """Quadrature-style estimates of the defect integral at time t.
+def quad_estimates(dec, sigma, t):
+    """Quadrature-style estimates of the defect integral at time t (p = 0).
 
     Returns hermite_quad, improved_hermite_quad (it costs the one extra,
     cached matvec) and trapezoid_quad always, and effective_order_quad
     only when the sampled rho is reliable, nonincreasing, and at least 1.
     """
-    out = [_estimate(kind, dec, sigma, t, p) for kind in _QUAD_KINDS]
+    out = [_estimate(kind, dec, sigma, t) for kind in _QUAD_KINDS]
     return [e for e in out if e is not None]
 
 
-def evaluate(kind, dec, sigma, t, p=0):
-    """Evaluate one named estimator; the controller loop goes through here.
+def evaluate(kind, dec, sigma, t):
+    """Evaluate one named estimator at p = 0; the controller loop goes
+    through here.
 
     Only the requested kind is computed.  For "effective_order_quad" the
     guarded rho may be unavailable, in which case the trapezoid value
@@ -215,8 +217,8 @@ def evaluate(kind, dec, sigma, t, p=0):
     """
     if kind not in ESTIMATORS:
         raise ValueError(f"unknown estimator kind: {kind!r}")
-    est = _estimate(kind, dec, sigma, t, p)
+    est = _estimate(kind, dec, sigma, t)
     if est is None:  # only effective_order_quad is ever unavailable
-        est = _estimate("trapezoid_quad", dec, sigma, t, p)
+        est = _estimate("trapezoid_quad", dec, sigma, t)
     return est
 

@@ -325,9 +325,9 @@ def oracle_reference(spec, op, sigma, ts, v, p=0, target_accuracy=1e-13):
     the operator op built from spec, by the fastest independent route:
     the sine transform for the Laplacian problems, the Kronecker product
     for convection-diffusion, one Chebyshev recurrence for a hermitian
-    operator at Re sigma = 0 (all three p = 0 only), else the series or
-    oracle_phi.  target_accuracy reaches the Chebyshev and series routes.
-    ts must be a nonempty sequence of finite values >= 0."""
+    operator at Re sigma = 0 (all three p = 0 only), else oracle_phi (the
+    series at p = 0).  target_accuracy reaches the Chebyshev and series
+    routes.  ts must be a nonempty sequence of finite values >= 0."""
     _check_grid(ts)
     if p == 0 and spec.kind in ("schrodinger_free", "heat"):
         rows = [oracle_laplacian(op.n, sigma, t, v) for t in ts]
@@ -337,8 +337,6 @@ def oracle_reference(spec, op, sigma, ts, v, p=0, target_accuracy=1e-13):
                                             sigma, t, v) for t in ts]
     elif p == 0 and op.symmetry == "hermitian" and complex(sigma).real == 0.0:
         return oracle_chebyshev(op, sigma, ts, v, target_accuracy)
-    elif p == 0:
-        rows = [oracle_series(op, sigma, t, v, target_accuracy) for t in ts]
     else:
         rows = [oracle_phi(op, sigma, t, v, p, target_accuracy) for t in ts]
     return np.array(rows)

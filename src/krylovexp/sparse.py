@@ -32,6 +32,13 @@ def validate_time(t):
     return t
 
 
+def validate_phi_index(p):
+    """p, the index of phi_p, checked >= 0 (phi_0 = exp)."""
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p!r}")
+    return p
+
+
 class SparseOperator:
     """Square complex sparse matrix in CSR form with a bit of metadata.
 

@@ -251,7 +251,7 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
             raise RuntimeError("unbounded step in a fixed-step run (breakdown)")
         if dt <= 0.0 or t + dt == t:
             raise RuntimeError(f"controller stagnated: dt = {dt} at t = {t}")
-        est = evaluate(estimator_kind, dec, s, dt, 0)
+        est = evaluate(estimator_kind, dec, s, dt)
         w = beta * Approximant(dec, s, corrected=corrected).apply(dt)
         step_matvecs = dec.matvecs_used
         scaled = ErrorEstimate(est.kind, beta * est.value,

@@ -1,5 +1,6 @@
 """End-to-end runs of the krylovexp command line driver."""
 
+import csv
 import json
 
 import numpy as np
@@ -355,9 +356,16 @@ def test_sweep_phi_and_corrected_modes(tmp_path):
     })
     out = tmp_path / "phi"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    lines = (out / "estimates_long.csv").read_text().splitlines()
-    assert any(",era_corrected," in l for l in lines[1:])
-    assert any(",err1_corrected," in l for l in lines[1:])
+    # the quadratures are the exponential's: at p = 1 only era and err1 report
+    with open(out / "estimates_long.csv") as fh:
+        kinds = [r["estimator"] for r in csv.DictReader(fh)]
+    assert sorted(set(kinds)) == ["era_corrected", "err1_corrected"]
+    assert len(kinds) == 4
+    with open(out / "sweep_heat_m6.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    quads = ("HermiteQuad", "ImprovedHermiteQuad", "TrapezoidQuad", "EffectiveOrderQuad")
+    assert len(rows) == 2 and all(r[c] == "nan" for r in rows for c in quads)
+    assert all(float(r["Era"]) > 0.0 and float(r["Err1"]) > 0.0 for r in rows)
 
 
 def test_write_bench_csv_deterministic(tmp_path):

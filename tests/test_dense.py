@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import krylovexp as kx
 from krylovexp.dense import expm_dense, phi_dense, phi_scalar, symtrid_eig
 
 
@@ -56,6 +57,24 @@ def test_expm_large_norm_scaling_path():
     assert np.linalg.norm(expm_dense(A) - ref) < 1e-10 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("m, qs", [(10, (0, 1, 2)), (20, (0, 1, 2)), (25, (0, 1, 2)),
+                                   (27, (0,))])
+def test_pade_keeps_the_tiny_corner(m, qs):
+    """The reason expm_dense exists: the defect and err1 read the corner
+    e_m^T phi_q(zT) e_1 ~ gamma z^{m-1} / (m-1+q)!, which a low Pade
+    degree (scipy.linalg.expm's choice at small norm) loses.  On default
+    convection-diffusion (Arnoldi, real T, sigma = 1) at ||zT||_1 = 1e-6
+    the fixed degree 13 keeps the leading term wherever m - 1 + q <= 26."""
+    spec = kx.ProblemSpec("convection_diffusion")
+    op, sigma = spec.build()
+    dec = kx.build_krylov(op, kx.starting_vector(spec), kx.KrylovConfig(m_max=m))
+    assert dec.mode == "arnoldi" and sigma == 1.0 and not np.iscomplexobj(dec.T)
+    z = 1e-6 / np.linalg.norm(dec.T, 1)
+    for q in qs:
+        lead = math.exp(dec.log_gamma + (m - 1) * math.log(z) - math.lgamma(m + q))
+        assert abs(dec.corner(sigma, q, z) / lead - 1.0) < 1e-5, q
+
+
 def test_expm_zero_matrix():
     assert np.array_equal(expm_dense(np.zeros((3, 3))), np.eye(3))
 
@@ -96,6 +115,10 @@ def test_phi_dense_rejects_bad_input():
         phi_dense(np.ones((2, 2)), 1.0, -1)
     with pytest.raises(ValueError):
         phi_dense(np.ones(4), 1.0, 1)
+    # phi_{-1} does not exist, at any |z|: neither e^z nor a factorial error
+    for z in ([2.0], [0.5]):
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            phi_scalar(z, -1)
 
 
 def test_phi_scalar_closed_forms():

@@ -43,7 +43,7 @@ def test_era_formula_literal(hermitian_dec):
                 got = era(dec, sigma, t, p)
                 assert got.value == pytest.approx(expected, rel=1e-12)
                 assert got.extra_matvecs == 0
-                assert got.kind == ("era" if p == 0 else "era_phi")
+                assert got.kind == "era"
 
 
 def test_era_at_t_zero_and_validation(hermitian_dec):
@@ -51,6 +51,23 @@ def test_era_at_t_zero_and_validation(hermitian_dec):
     assert era(dec, -1j, 0.0).value == 0.0
     with pytest.raises(ValueError):
         era(dec, -1j, -1.0)
+
+
+def test_p_is_a_phi_index_of_era_and_err1_alone(hermitian_dec):
+    """era, err1 and log_era_factor bound a phi_p approximant and reject
+    p < 0 (which would read phi_{-1}); the quadratures and evaluate are the
+    exponential's and take no p at all."""
+    _, dec = hermitian_dec
+    for corrected in (False, True):
+        for call in (era, err1):
+            with pytest.raises(ValueError, match="p must be >= 0"):
+                call(dec, -1j, 1.0, -1, corrected)
+    with pytest.raises(ValueError, match="p must be >= 0"):
+        kx.estimators.log_era_factor(dec, dec.m, -1, False)
+    with pytest.raises(TypeError):
+        quad_estimates(dec, -1j, 1.0, 1)
+    with pytest.raises(TypeError):
+        evaluate("era", dec, -1j, 1.0, 1)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -105,16 +122,17 @@ def test_era_on_breakdown_is_zero():
         op = SparseOperator(sp.diags(lam).tocsr(), symmetry="hermitian")
         dec = build_krylov(op, v, KrylovConfig(m_max=3))
         assert dec.breakdown and dec.m == m
-        assert era(dec, -1.0, 5.0).value == 0.0
-        assert era(dec, -1.0, 5.0, corrected=True).value == 0.0
         for p in (0, 1):
-            for kind in ESTIMATORS:
-                est = evaluate(kind, dec, -1.0, 5.0, p)
-                assert (est.value, est.extra_matvecs) == (0.0, 0), (m, kind)
-            quads = quad_estimates(dec, -1.0, 5.0, p)
-            assert sorted(e.kind for e in quads) == sorted(
-                k for k in ESTIMATORS if k.endswith("_quad"))
-            assert all(e.value == 0.0 for e in quads)
+            for corrected in (False, True):
+                for est in (era(dec, -1.0, 5.0, p, corrected), err1(dec, -1.0, 5.0, p, corrected)):
+                    assert (est.value, est.extra_matvecs) == (0.0, 0), (m, p, est.kind)
+        for kind in ESTIMATORS:
+            est = evaluate(kind, dec, -1.0, 5.0)
+            assert (est.value, est.extra_matvecs) == (0.0, 0), (m, kind)
+        quads = quad_estimates(dec, -1.0, 5.0)
+        assert sorted(e.kind for e in quads) == sorted(
+            k for k in ESTIMATORS if k.endswith("_quad"))
+        assert all(e.value == 0.0 for e in quads)
 
 
 def test_err1_formula_via_dense_augmented_corner(hermitian_dec):
@@ -328,13 +346,15 @@ class CountingOperator(SparseOperator):
         return super().matvec(x)
 
 
-def _same_kind_reference(kind, dec, sigma, t, p):
-    """The estimate of `kind` as the per-family entry points report it."""
+def _same_kind_reference(kind, dec, sigma, t, p=0):
+    """The estimate of `kind` as the per-family entry points report it:
+    era and err1 at phi index p, the quadratures (the exponential's)
+    without one."""
     if kind in ("era", "era_corrected"):
         return era(dec, sigma, t, p, corrected=kind == "era_corrected")
     if kind in ("err1", "err1_corrected"):
         return err1(dec, sigma, t, p, corrected=kind == "err1_corrected")
-    quads = {e.kind: e for e in quad_estimates(dec, sigma, t, p)}
+    quads = {e.kind: e for e in quad_estimates(dec, sigma, t)}
     if kind == "effective_order_quad" and kind not in quads:
         return quads["trapezoid_quad"]  # evaluate's documented fallback
     return quads[kind]
@@ -363,16 +383,25 @@ def test_evaluate_matches_family_and_reports_its_cost(seed, hermitian, n, m,
                                                       sigma, kind, t, p):
     """evaluate(kind) returns exactly what era / err1 / quad_estimates
     report for that kind, and a fresh decomposition spends exactly the
-    reported extra matvecs on it, counted in dec.matvecs_used."""
+    reported extra matvecs on it, counted in dec.matvecs_used: through
+    evaluate, and for era and err1 through those functions at phi index p."""
     op, dec = _random_dec(seed, hermitian, n, m)
     assume(not dec.breakdown)
     built = op.calls
-    got = evaluate(kind, dec, sigma, t, p)
+    got = evaluate(kind, dec, sigma, t)
     assert op.calls - built == got.extra_matvecs
     assert dec.matvecs_used == op.calls
 
     _, fresh = _random_dec(seed, hermitian, n, m)
-    assert got == _same_kind_reference(kind, fresh, sigma, t, p)
+    assert got == _same_kind_reference(kind, fresh, sigma, t)
+
+    if not kind.endswith("_quad"):
+        op, fresh = _random_dec(seed, hermitian, n, m)
+        built = op.calls
+        est = _same_kind_reference(kind, fresh, sigma, t, p)
+        assert (est.kind, est.extra_matvecs) == (kind, got.extra_matvecs)
+        assert op.calls - built == est.extra_matvecs
+        assert fresh.matvecs_used == op.calls
 
 
 @settings(max_examples=150, deadline=None)
@@ -413,13 +442,30 @@ def test_proven_flag_is_a_true_statement(seed, cls, n, m, sigma, shift, t, p):
     aug[:n, :n] = sigma * t * A
     aug[:n, n] = v
     E = scipy.linalg.expm(aug)
-    exact = E[:n, n] if p else E[:n, :n] @ v
-    for kind, corrected in (("era", False), ("era_corrected", True),
-                            ("err1", False), ("trapezoid_quad", False)):
-        est = evaluate(kind, dec, sigma, t, p)
+    exact = (E[:n, :n] @ v, E[:n, n])
+    # era and err1 at phi index p; the trapezoid rule is the exponential's
+    for est, corrected, q in ((era(dec, sigma, t, p), False, p),
+                              (era(dec, sigma, t, p, corrected=True), True, p),
+                              (err1(dec, sigma, t, p), False, p),
+                              (evaluate("trapezoid_quad", dec, sigma, t), False, 0)):
         if est.is_proven_upper_bound:
-            err = np.linalg.norm(Approximant(dec, sigma, p, corrected=corrected).apply(t) - exact)
-            assert err <= est.value * (1 + 1e-9) + 1e-12, (kind, err, est.value)
+            err = np.linalg.norm(Approximant(dec, sigma, q, corrected=corrected).apply(t)
+                                 - exact[q])
+            assert err <= est.value * (1 + 1e-9) + 1e-12, (est.kind, err, est.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), hermitian=st.booleans(),
+       n=st.integers(6, 12), m=st.integers(2, 5), sigma=SIGMAS,
+       t=st.floats(1e-3, 5.0), p=st.integers(0, 2), corrected=st.booleans())
+def test_every_estimate_kind_is_a_table_key(seed, hermitian, n, m, sigma, t, p, corrected):
+    """Every ErrorEstimate names its ESTIMATORS row, at any phi index p:
+    the long CSV's p column records p, so the kind carries no p of its own."""
+    _, dec = _random_dec(seed, hermitian, n, m)
+    ests = [era(dec, sigma, t, p, corrected), err1(dec, sigma, t, p, corrected)]
+    ests += quad_estimates(dec, sigma, t)
+    ests += [evaluate(kind, dec, sigma, t) for kind in ESTIMATORS]
+    assert all(e.kind in ESTIMATORS for e in ests), [e.kind for e in ests]
 
 
 def test_expokit_first_step_formula():
