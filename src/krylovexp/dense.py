@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .sparse import validate_phi_index
 
@@ -28,25 +29,41 @@ _PADE13_B = (
 _PADE13_THETA = 5.371920351148152
 
 
+# rows: X_U, Y_U, X_V, Y_V as combinations of [I, M^2, M^4, M^6], so that
+# U = M (M^6 X_U + Y_U) and V = M^6 X_V + Y_V
+_PADE13_C = np.array([
+    [0.0, _PADE13_B[9], _PADE13_B[11], _PADE13_B[13]],
+    [_PADE13_B[1], _PADE13_B[3], _PADE13_B[5], _PADE13_B[7]],
+    [0.0, _PADE13_B[8], _PADE13_B[10], _PADE13_B[12]],
+    [_PADE13_B[0], _PADE13_B[2], _PADE13_B[4], _PADE13_B[6]],
+])
+
+
 def _pade13(M):
-    b = _PADE13_B
+    """(V - U)^{-1} (V + U), the degree-13 diagonal Pade approximant of e^M."""
     n = M.shape[0]
-    ident = np.eye(n, dtype=M.dtype)
-    M2 = M @ M
-    M4 = M2 @ M2
-    M6 = M2 @ M4
-    U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2)
-             + b[7] * M6 + b[5] * M4 + b[3] * M2 + b[1] * ident)
-    V = (M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2)
-         + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * ident)
-    return np.linalg.solve(V - U, V + U)
+    powers = np.empty((4, n, n), dtype=M.dtype)
+    powers[0] = np.eye(n)
+    np.matmul(M, M, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[1], powers[2], out=powers[3])
+    XU, YU, XV, YV = (_PADE13_C @ powers.reshape(4, -1)).reshape(4, n, n)
+    M6 = powers[3]
+    U = M @ (M6 @ XU + YU)
+    V = M6 @ XV + YV
+    gesv = get_lapack_funcs("gesv", (V,))
+    _, _, E, info = gesv(V - U, V + U)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"expm_dense: Pade denominator solve failed (info = {info})")
+    return E
 
 
-# Why not scipy.linalg.expm: accuracy, not speed (scipy is faster, about 160
-# against 215 us on the real m = 30 T of default convection-diffusion, on a
-# 2-core x86 VM).  At small norm scipy picks a low Pade degree and loses the
-# tiny corner e_m^T e^{zT} e_1 ~ gamma z^{m-1}/(m-1)! that the defect and err1
-# read: at ||zT||_1 = 1e-6 its corner is off by +1.9 (relative) at m = 10 and by
+# Why not scipy.linalg.expm: accuracy, not speed (scipy is faster, about 71
+# against 86 us on the real m = 30 T of default convection-diffusion at
+# z = 0.02, ||zT||_1 = 73.5, with one BLAS thread on a 2-core x86 VM).  At
+# small norm scipy picks a low Pade degree and loses the tiny corner
+# e_m^T e^{zT} e_1 ~ gamma z^{m-1}/(m-1)! that the defect and err1 read: at
+# ||zT||_1 = 1e-6 its corner is off by +1.9 (relative) at m = 10 and by
 # 5.3e12 at m = 30.  Degree 13 matches Taylor through order 26, so the corner
 # holds wherever m - 1 + q <= 26; past that it too loses digits until
 # ||zT||_1 exceeds _PADE13_THETA and scaling starts.
@@ -65,7 +82,7 @@ def expm_dense(T, z=1.0):
     if not np.all(np.isfinite(T)) or not np.isfinite(z):
         raise ValueError("expm_dense: non-finite input")
     M = np.asarray(z * T, dtype=np.result_type(z, T, float))
-    nrm = np.linalg.norm(M, 1)
+    nrm = abs(M).sum(axis=0).max()
     if nrm == 0.0:
         return np.eye(M.shape[0], dtype=M.dtype)
     s = 0

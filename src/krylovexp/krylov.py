@@ -2,7 +2,7 @@
 
 The operator picks the algorithm: Lanczos when it is flagged hermitian,
 Arnoldi otherwise.  Both orthogonalize each new column against the whole
-basis by classical Gram-Schmidt run twice, two matrix-vector products
+basis by classical Gram-Schmidt run twice, two in-place BLAS gemv calls
 per pass, whatever m_max is.  Nothing else is configurable.
 
 The decomposition object carries everything the approximants and error
@@ -40,6 +40,7 @@ is bitwise identical to a build of dimension m+k from scratch.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
 
 from .dense import phi_dense, phi_scalar, symtrid_eig
 from .sparse import validate_time
@@ -196,28 +197,30 @@ def _grow(op, basis, hess, m, amax, steps):
     """
     n = basis.shape[1]
     lanczos = op.symmetry == "hermitian"
-    real = not np.iscomplexobj(basis)
+    gemv, nrm2 = get_blas_funcs(("gemv", "nrm2"), (basis,))
+    # V^* w: transposed (1) on a real basis, conjugate-transposed (2) on a complex one
+    adjoint = 2 if np.iscomplexobj(basis) else 1
     for j in range(m, m + steps):
         w = op.matvec(basis[j])
-        amax = max(amax, float(np.linalg.norm(w)))
-        Vj = basis[:j + 1]
+        amax = max(amax, nrm2(w))
+        # the first j+1 basis rows as the columns of a Fortran-ordered n x (j+1) view
+        Vj = basis.T[:, :j + 1]
         h = 0.0
         for _ in range(2):
-            # conj(Vj @ conj(w)) = Vj^* w without copying the conjugated basis
-            c = Vj @ w if real else np.conj(Vj @ np.conj(w))
-            w = w - c @ Vj
+            c = gemv(1.0, Vj, w, trans=adjoint)
+            w = gemv(-1.0, Vj, c, beta=1.0, y=w, overwrite_y=True)
             h = h + c
         if lanczos:
             hess[j, j] = h[j].real
         else:
             hess[:j + 1, j] = h
-        tau = float(np.linalg.norm(w))
+        tau = nrm2(w)
         if tau <= n * _EPS * amax:
             return KrylovDecomposition(op, basis, hess, j + 1, 0.0, amax)
         hess[j + 1, j] = tau
         if lanczos and j + 1 < hess.shape[1]:
             hess[j, j + 1] = tau
-        basis[j + 1] = w / tau
+        np.divide(w, tau, out=basis[j + 1])
     return KrylovDecomposition(op, basis, hess, m + steps, tau, amax)
 
 
@@ -229,7 +232,7 @@ def build_krylov(op, v, cfg, steps=None):
     bitwise identical to a single full build.  The store is float64 when
     op.is_real and v has no nonzero imaginary part, complex otherwise.
     """
-    v = np.asarray(v, dtype=complex)
+    v = np.asarray(v)
     if v.shape != (op.n,):
         raise ValueError("start vector has wrong length")
     if abs(np.linalg.norm(v) - 1.0) > 1e-12:
@@ -238,13 +241,9 @@ def build_krylov(op, v, cfg, steps=None):
         steps = cfg.m_max
     if not 1 <= steps <= cfg.m_max:
         raise ValueError("steps must lie in [1, m_max]")
-    if op.is_real and not np.any(v.imag):
-        field = float
-        v = v.real
-    else:
-        field = complex
+    field = float if op.is_real and not np.any(v.imag) else complex
     basis = np.zeros((cfg.m_max + 1, op.n), dtype=field)
-    basis[0] = v
+    basis[0] = v.real if field is float else v
     hess = np.zeros((cfg.m_max + 1, cfg.m_max),
                     dtype=float if op.symmetry == "hermitian" else field)
     return _grow(op, basis, hess, 0, 0.0, steps)

@@ -2,9 +2,11 @@
 
 The operator keeps its matrix as complex128 CSR; the norms, the log-norm
 bound and Matrix Market I/O read it.  When no entry has a nonzero
-imaginary part it also keeps a float64 copy of the values on the same
-index arrays, and matvec sends a real vector through that copy, so a real
-problem runs in real arithmetic.
+imaginary part it also keeps the values in float64, and matvec sends a
+real vector through them, so a real problem runs in real arithmetic.
+A banded matrix (its stored diagonals hold at most 1.25 times its
+entries, as on the stencil problems) keeps them in DIA form, anything
+else in CSR on the complex matrix's own index arrays.
 """
 
 import math
@@ -39,6 +41,26 @@ def validate_phi_index(p):
     return p
 
 
+def _real_storage(csr):
+    """The float64 values of a real complex128 CSR matrix, kept apart from
+    it, since scipy would upcast a float64-only matrix on every complex
+    product.  DIA when its stored diagonals hold at most 1.25 nnz values,
+    so a banded matrix skips CSR's index reads; CSR on csr's own index
+    arrays otherwise.  The offsets ascend, so each row of a DIA product
+    sums in the column order of a canonical CSR one, to the same bits."""
+    real = sp.csr_matrix((np.ascontiguousarray(csr.data.real), csr.indices, csr.indptr),
+                         shape=csr.shape)
+    n = csr.shape[0]
+    coo = real.tocoo()
+    coo.sum_duplicates()
+    offsets, diag = np.unique(coo.col - coo.row, return_inverse=True)
+    if offsets.size * n > 1.25 * csr.nnz:
+        return real
+    data = np.zeros((offsets.size, n))
+    data[diag, coo.col] = coo.data
+    return sp.dia_matrix((data, offsets), shape=csr.shape)
+
+
 class SparseOperator:
     """Square complex sparse matrix in CSR form with a bit of metadata.
 
@@ -48,7 +70,8 @@ class SparseOperator:
     it to decide whether a bound is proven for that (operator, sigma) pair.
     is_real is True when every entry has a zero imaginary part (by value,
     whatever dtype the matrix came in); matvec then multiplies a real
-    vector in float64 and returns a float64 vector.
+    vector in float64, through DIA storage when the matrix is banded, and
+    returns a float64 vector.
     """
 
     def __init__(self, matrix, symmetry="general"):
@@ -64,10 +87,7 @@ class SparseOperator:
             if dev.nnz and dev.max() > 1e-12:
                 raise ValueError("matrix declared hermitian deviates from A == A* by more than 1e-12")
         self.csr = csr
-        # float64 values on csr's own index arrays: scipy would upcast a
-        # float64-only matrix on every complex product
-        self._csr_real = None if np.any(csr.data.imag) else sp.csr_matrix(
-            (np.ascontiguousarray(csr.data.real), csr.indices, csr.indptr), shape=csr.shape)
+        self._real = None if np.any(csr.data.imag) else _real_storage(csr)
         self.symmetry = symmetry
         self._norm_1 = None
         self._norm_inf = None
@@ -79,7 +99,7 @@ class SparseOperator:
 
     @property
     def is_real(self):
-        return self._csr_real is not None
+        return self._real is not None
 
     @property
     def nnz(self):
@@ -124,8 +144,8 @@ class SparseOperator:
         x = np.asarray(x)
         if x.shape != (self.n,):
             raise ValueError(f"matvec: expected vector of length {self.n}, got shape {x.shape}")
-        if self._csr_real is not None and not np.iscomplexobj(x):
-            return self._csr_real @ x
+        if self._real is not None and not np.iscomplexobj(x):
+            return self._real @ x
         return self.csr @ x
 
     def to_matrix_market(self, path):

@@ -213,7 +213,8 @@ def _raw_step(dec, sigma, ctrl, estimator_kind, corrected, j, prev_dt, prev_est)
 
 def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
     s = validate_prefactor(sigma)
-    w = np.asarray(v, dtype=complex).copy()
+    v = np.asarray(v)
+    w = v.astype(complex) if np.any(v.imag) else v.real.astype(float)
     if abs(np.linalg.norm(w) - 1.0) > 1e-12:
         raise ValueError("start vector must have unit 2-norm")
     corrected = estimator_kind in ("era_corrected", "err1_corrected")
@@ -236,7 +237,8 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
             # them below ~1e-162): scale by an exact power of two first; that
             # also avoids complex division by a subnormal beta, which overflows
             e = int(np.frexp(max(np.abs(w.real).max(), np.abs(w.imag).max()))[1])
-            w = np.ldexp(w.real, -e) + 1j * np.ldexp(w.imag, -e)
+            w = (np.ldexp(w.real, -e) + 1j * np.ldexp(w.imag, -e)
+                 if np.iscomplexobj(w) else np.ldexp(w, -e))
             beta = float(np.linalg.norm(w))
         if beta == 0.0:
             raise RuntimeError("propagated vector vanished")

@@ -43,19 +43,35 @@ def test_operator_matvec():
         op.matvec(np.ones(3))
 
 
-def test_real_operator_multiplies_real_vectors_in_float64():
+def test_real_operator_multiplies_real_vectors_in_float64(hubbard_op):
     """is_real goes by value, so a complex-typed Laplacian counts as real;
-    csr stays complex128, and the float64 copy shares its index arrays."""
-    op, _ = kx.build_heat(6)
-    assert op.is_real and op.csr.dtype == np.complex128
-    x = random_unit(6, seed=5, complex_=False)
-    y = op.matvec(x)
-    assert y.dtype == np.float64
-    assert np.array_equal(y, (op.csr @ x).real)
-    assert op.matvec(x + 0j).dtype == np.complex128
-    hub = SparseOperator(sp.csr_matrix(np.array([[1.0, 1j], [-1j, 2.0]])), symmetry="hermitian")
-    assert not hub.is_real
-    assert hub.matvec(np.ones(2)).dtype == np.complex128
+    csr stays complex128.  The float64 values are stored as DIA where the
+    stored diagonals hold at most 1.25 nnz values (the stencil problems)
+    and as CSR otherwise, and either way a real matvec gives the bits of
+    the complex CSR product's real part."""
+    cd, _ = kx.ProblemSpec("convection_diffusion").build()
+    heat, _ = kx.build_heat(6)
+    scattered = SparseOperator(sp.random(300, 300, density=0.05, random_state=3))
+    for op, storage in ((cd, sp.dia_matrix), (heat, sp.dia_matrix),
+                        (scattered, sp.csr_matrix)):
+        assert op.is_real and op.csr.dtype == np.complex128
+        assert type(op._real) is storage
+        x = random_unit(op.n, seed=5, complex_=False)
+        y = op.matvec(x)
+        assert y.dtype == np.float64
+        assert np.array_equal(y, (op.csr @ x).real)
+        assert op.matvec(x + 0j).dtype == np.complex128
+    for op in (cd, heat):
+        assert op._real.data.size <= 1.25 * op.nnz
+    coo = scattered.csr.tocoo()
+    assert np.unique(coo.col - coo.row).size > 100
+    for op in (hubbard_op, SparseOperator(sp.csr_matrix(np.array([[1.0, 1j], [-1j, 2.0]])),
+                                          symmetry="hermitian")):
+        assert not op.is_real
+        x = random_unit(op.n, seed=5, complex_=False)
+        y = op.matvec(x)
+        assert y.dtype == np.complex128
+        assert np.array_equal(y, op.csr @ x)
 
 
 def test_operator_rejects_bad_matrices():
