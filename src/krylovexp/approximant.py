@@ -9,13 +9,17 @@ the augmented matrix Tbar = [[T, 0], [tau e_m^*, 0]] along v_next,
 
     V phi_p(sigma t T) e_1 + sigma t tau (e_m^* phi_{p+1}(sigma t T) e_1) v_next,
 
-buying one extra order of accuracy.  Both read the decomposition's own
-phi and corner, so no (m+1)-sized matrix is ever formed.  On a real
-basis with complex coefficients c, V c is taken as V Re c + i V Im c, so
-V is never cast to complex.  The effective order
-rho(t) = t |delta|' / |delta| reads the decomposition's defect, the
-scalar delta(t) = (e^{sigma t T})_{m,1} and its exact time derivative,
-and is NaN where |delta| sits below the round-off floor.
+buying one extra order of accuracy as t -> 0.  At p = 0 on a dissipative
+problem its error settles instead at tau |e_m^* T^{-1} e_1|, the limit of
+the added term: 1.2802 at m = 10 and 0.02107 at m = 30 on the default
+convection-diffusion problem for t >= 0.1, where the standard error is
+below 1e-56 from t = 1 on; era_corrected still bounds it.  Both read phi
+and corner of the decomposition, so no (m+1)-sized matrix is ever formed.
+On a real basis with complex coefficients c, V c is taken as
+V Re c + i V Im c, so V is never cast to complex.  The effective order
+rho(t) = t |delta|' / |delta| reads the defect delta(t) = (e^{sigma t T})_{m,1}
+of the decomposition and its exact time derivative, and is NaN where
+|delta| sits below the round-off floor.
 """
 
 import math

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .approximant import Approximant, effective_order
-from .estimators import ESTIMATORS, era, err1, quad_estimates
+from .estimators import CORRECTED_KINDS, ESTIMATORS, era, err1, quad_estimates
 from .krylov import KrylovConfig, build_krylov
 from .oracle import MIN_TARGET_ACCURACY, oracle_reference
 from .problems import ProblemSpec, starting_vector
@@ -42,12 +42,12 @@ class ConfigError(Exception):
     pass
 
 
-WIDE_COLUMNS = ("t", "oracle_error", "Era", "Err1", "HermiteQuad",
-                "ImprovedHermiteQuad", "TrapezoidQuad", "EffectiveOrderQuad",
-                "rho")
-# the wide column of each quadrature kind, NaN where the kind has no value
-_QUAD_COLUMNS = (("HermiteQuad", "hermite_quad"), ("ImprovedHermiteQuad", "improved_hermite_quad"),
-                 ("TrapezoidQuad", "trapezoid_quad"), ("EffectiveOrderQuad", "effective_order_quad"))
+# the wide column of each standard kind, which its corrected row shares;
+# NaN where the kind has no value
+_ESTIMATE_COLUMNS = {"Era": "era", "Err1": "err1", "HermiteQuad": "hermite_quad",
+                     "ImprovedHermiteQuad": "improved_hermite_quad", "TrapezoidQuad": "trapezoid_quad",
+                     "EffectiveOrderQuad": "effective_order_quad"}
+WIDE_COLUMNS = ("t", "oracle_error", *_ESTIMATE_COLUMNS, "rho")
 LONG_COLUMNS = ("problem", "m", "sigma", "p", "t", "estimator", "value",
                 "extra_matvecs", "oracle_error")
 LONG_KEY = ("problem", "m", "p", "t", "estimator")
@@ -136,7 +136,7 @@ def _t_grid(section):
 
 
 def _sweep_cell(spec, m, ts, p, corrected, accuracy):
-    """All estimator evaluations for one (problem, m) pair; quadratures at p = 0 only."""
+    """All estimator evaluations for one (problem, m) pair."""
     op, sigma = spec.build()
     v = starting_vector(spec)
     dec = build_krylov(op, v, KrylovConfig(m_max=m))
@@ -145,16 +145,15 @@ def _sweep_cell(spec, m, ts, p, corrected, accuracy):
     refs = oracle_reference(spec, op, sigma, ts, v, p, accuracy)
     for t, ref in zip(ts, refs):
         err = float(np.linalg.norm(appr.apply(t) - ref))
-        e_era = era(dec, sigma, t, p, corrected)
-        e_err1 = err1(dec, sigma, t, p, corrected)
-        quad_list = quad_estimates(dec, sigma, t) if p == 0 else []
-        quads = {e.kind: e.value for e in quad_list}
-        wide_rows.append({
-            "t": t, "oracle_error": err, "Era": e_era.value, "Err1": e_err1.value,
-            **{col: quads.get(kind, math.nan) for col, kind in _QUAD_COLUMNS},
-            "rho": effective_order(dec, sigma, t),
-        })
-        for est in [e_era, e_err1] + quad_list:
+        ests = [era(dec, sigma, t, p, corrected), err1(dec, sigma, t, p, corrected)]
+        # the quadratures estimate the standard exponential approximant's error
+        if p == 0 and not corrected:
+            ests += quad_estimates(dec, sigma, t)
+        values = {CORRECTED_KINDS.get(e.kind, e.kind): e.value for e in ests}
+        wide_rows.append({"t": t, "oracle_error": err, "rho": effective_order(dec, sigma, t),
+                          **{col: values.get(kind, math.nan)
+                             for col, kind in _ESTIMATE_COLUMNS.items()}})
+        for est in ests:
             long_rows.append({
                 "problem": spec.kind, "m": m, "sigma": sigma, "p": p,
                 "t": t, "estimator": est.kind, "value": est.value,
@@ -210,8 +209,7 @@ for name in FILES:
         rows = list(csv.DictReader(fh))
     t = [float(r["t"]) for r in rows]
     fig, ax = plt.subplots(figsize=(6, 4.5))
-    for col in ("oracle_error", "Era", "Err1", "HermiteQuad",
-                "ImprovedHermiteQuad", "TrapezoidQuad", "EffectiveOrderQuad"):
+    for col in {columns!r}:
         y = [float(r[col]) for r in rows]
         if all(math.isnan(v) for v in y):
             continue
@@ -262,7 +260,8 @@ def cmd_sweep(config, out_dir, threads=1, seed_override=None):
         all_long.extend(long_rows)
         violated = violated or violation
     _write_csv(out_dir / "estimates_long.csv", LONG_COLUMNS, all_long, LONG_KEY)
-    (out_dir / "plot_sweeps.py").write_text(_PLOT_SCRIPT.format(files=sorted(files)))
+    (out_dir / "plot_sweeps.py").write_text(_PLOT_SCRIPT.format(
+        files=sorted(files), columns=("oracle_error", *_ESTIMATE_COLUMNS)))
     return 1 if violated else 0
 
 

@@ -5,8 +5,8 @@ m <= a few hundred), not on the large sparse operator: the matrix
 exponential via diagonal Pade with scaling and squaring, phi-function
 actions on the first unit vector through an augmented matrix, scalar
 phi evaluation, and the symmetric tridiagonal eigensolve used by the
-Lanczos fast path.  expm_dense and phi_dense compute in the field of zT:
-float64 when T and z are both real, complex128 otherwise.
+Lanczos fast path.  expm_dense and phi_dense compute in the field of zT,
+phi_scalar in that of z: float64 when real, complex128 otherwise.
 """
 
 import math
@@ -128,7 +128,7 @@ def phi_dense(T, z, p):
 
 
 def phi_scalar(z, p):
-    """Scalar phi_p evaluated elementwise on a complex array.
+    """Scalar phi_p evaluated elementwise on a real or complex array.
 
     phi_p(z) = sum_k z^k / (k+p)!.  Small arguments (|z| < 1) use the
     Taylor sum directly; larger ones walk the recurrence
@@ -136,7 +136,7 @@ def phi_scalar(z, p):
     the cancellation is harmless.
     """
     validate_phi_index(p)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = np.atleast_1d(np.asarray(z, dtype=complex if np.iscomplexobj(z) else float))
     if p == 0:
         return np.exp(z)
     out = np.empty_like(z)

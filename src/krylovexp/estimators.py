@@ -16,9 +16,10 @@ couple hundred cannot overflow or underflow):
 Every estimator takes dec, sigma and t and reads phi, corner and the
 defect pair (delta, delta') = dec.defect(sigma, t) from dec alone; era and
 err1 also take the phi index p >= 0, and the quadratures and evaluate are
-the exponential's.  The plain quadratures are tau * (t/w) * |delta(t)| with
-w = m, 2 and rho(t)+1.  era and err1 return the corrected rows with
-corrected=True.  After a breakdown every kind is 0.0 (the projection is exact).
+the exponential's, the quadratures the standard approximant's.  The plain
+quadratures are tau * (t/w) * |delta(t)| with w = m, 2 and rho(t)+1.  era
+and err1 return their CORRECTED_KINDS rows with corrected=True.  After a
+breakdown every kind is 0.0 (the projection is exact).
 
 ESTIMATORS holds one row per kind: the function computing the value, the
 extra matvecs it costs a fresh decomposition (the cached A v_next), and
@@ -157,6 +158,10 @@ ESTIMATORS = {
 }
 
 _QUAD_KINDS = tuple(k for k in ESTIMATORS if k.endswith("_quad"))
+# the one record of which approximant a kind bounds: each kind of the
+# corrected approximant -> the kind it corrects; every other kind, the
+# quadratures included, bounds or estimates the standard approximant's error
+CORRECTED_KINDS = {k: k.removesuffix("_corrected") for k in ESTIMATORS if k.endswith("_corrected")}
 
 
 def _estimate(kind, dec, sigma, t, *p):
@@ -196,7 +201,7 @@ def err1(dec, sigma, t, p=0, corrected=False):
 
 
 def quad_estimates(dec, sigma, t):
-    """Quadrature-style estimates of the defect integral at time t (p = 0).
+    """Defect quadratures at t of the standard exponential approximant's error (p = 0).
 
     Returns hermite_quad, improved_hermite_quad (it costs the one extra,
     cached matvec) and trapezoid_quad always, and effective_order_quad

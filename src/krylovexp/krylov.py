@@ -136,22 +136,22 @@ class KrylovDecomposition:
 
     def phi(self, sigma, q, t):
         """phi_q(sigma t T) e_1 as a read-only length-m vector (q = 0 gives
-        e^{sigma t T} e_1), cached per (sigma, q, t).  Complex, except on an
-        Arnoldi decomposition with real T and real sigma, where it is float64."""
+        e^{sigma t T} e_1), cached per (sigma, q, t).  float64 when sigma t
+        and T are real, for Lanczos and Arnoldi alike, and complex otherwise."""
         key = (sigma, q, t)
         hit = self._phi.get(key)
         if hit is not None:
             return hit
+        z = sigma * t
+        if z.imag == 0.0 and not np.iscomplexobj(self._T):
+            z = z.real
         if self.mode == "lanczos":
             if self._eigh is None:
                 # T = Q diag(lam) Q^T, computed once for every sigma, q and t
                 self._eigh = symtrid_eig(np.diagonal(self._T), self.subdiag)
             lam, Q = self._eigh
-            val = Q @ (phi_scalar(sigma * t * lam, q) * Q[0])
+            val = Q @ (phi_scalar(z * lam, q) * Q[0])
         else:
-            z = sigma * t
-            if z.imag == 0.0 and not np.iscomplexobj(self._T):
-                z = z.real
             val = phi_dense(self._T, z, q)
         if len(self._phi) > 256:
             self._phi.clear()

@@ -56,27 +56,24 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.special
 
+from .sparse import validate_phi_index, validate_time
+
 _TERM_CAP = 400
 MIN_TARGET_ACCURACY = 1e-14
-
-
-def _check_time(t):
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
 
 
 def _check_grid(ts):
     if np.ndim(ts) != 1 or len(ts) == 0:
         raise ValueError("ts must be a nonempty list of t values")
     for t in ts:
-        _check_time(t)
+        validate_time(t)
 
 
 def oracle_laplacian(n, sigma, t, v):
     """exp(sigma t H) v for H = (1/4) tridiag(-1, 2, -1) via the type-I
     discrete sine transform (orthonormal, self-inverse).  Eigenvalues are
     sin^2(k pi / (2(n+1)))."""
-    _check_time(t)
+    validate_time(t)
     v = np.asarray(v, dtype=complex)
     if v.shape != (n,):
         raise ValueError("vector length does not match n")
@@ -98,7 +95,7 @@ def oracle_convection_diffusion(n, mu1, mu2, sigma, t, v):
     2009), so nothing is shared with the package's Pade path, and the cost
     does not grow with t.  Entry i n^2 + j n + k of v is entry (i, j, k)
     of the grid, and B acts on axis i."""
-    _check_time(t)
+    validate_time(t)
     v = np.asarray(v, dtype=complex)
     if v.shape != (n ** 3,):
         raise ValueError("vector length does not match n^3")
@@ -229,7 +226,7 @@ def oracle_series(op, sigma, t, v, target_accuracy=1e-13):
     """e^{sigma t A} v by s equal substeps of scaled Taylor summation."""
     if target_accuracy < MIN_TARGET_ACCURACY:
         raise ValueError(f"target_accuracy must be >= {MIN_TARGET_ACCURACY}")
-    _check_time(t)
+    validate_time(t)
     v = np.asarray(v, dtype=complex)
     if t == 0.0:
         return v.copy()
@@ -306,11 +303,10 @@ def oracle_phi(op, sigma, t, v, p, target_accuracy=1e-13):
     n <= 500, the substepped integral recurrence above.  The two routes
     cross-check each other in the tests.
     """
-    if p < 0:
-        raise ValueError("p must be >= 0")
+    validate_phi_index(p)
     if target_accuracy < MIN_TARGET_ACCURACY:
         raise ValueError(f"target_accuracy must be >= {MIN_TARGET_ACCURACY}")
-    _check_time(t)
+    validate_time(t)
     v = np.asarray(v, dtype=complex)
     if p == 0:
         return oracle_series(op, sigma, t, v, target_accuracy)

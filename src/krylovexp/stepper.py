@@ -19,8 +19,8 @@ Controllers, each a kind and a tolerance (ControllerSpec(kind, tol)):
   expokit_first_step_only  the classical a-priori first step
                          (expokit_first_step), then the heuristic update
 
-The estimator picks the approximant: era_corrected and err1_corrected
-propagate the corrected one, every other estimator the standard one, and
+The estimator table decides which approximant is propagated: a kind in
+CORRECTED_KINDS the corrected one, every other kind the standard one, and
 both direct kinds invert the era bound of the approximant propagated.
 
 After a Krylov breakdown the projection is exact, so every kind takes
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .approximant import Approximant
-from .estimators import ErrorEstimate, era, evaluate, log_era_factor
+from .estimators import CORRECTED_KINDS, ErrorEstimate, era, evaluate, log_era_factor
 from .krylov import KrylovConfig, build_krylov, extend_krylov
 from .sparse import validate_prefactor, validate_time
 
@@ -217,7 +217,7 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
     w = v.astype(complex) if np.any(v.imag) else v.real.astype(float)
     if abs(np.linalg.norm(w) - 1.0) > 1e-12:
         raise ValueError("start vector must have unit 2-norm")
-    corrected = estimator_kind in ("era_corrected", "err1_corrected")
+    corrected = estimator_kind in CORRECTED_KINDS
     records = []
     accumulated = 0.0
     total_matvecs = 0

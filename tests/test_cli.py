@@ -349,23 +349,25 @@ def test_sweep_linear_and_log_grids(tmp_path):
 
 
 def test_sweep_phi_and_corrected_modes(tmp_path):
-    cfg = write_config(tmp_path, {
-        "problems": [{"kind": "heat", "params": {"n": 30}}],
-        "sweep": {"m": [6], "t_grid": {"values": [0.2, 0.6]},
-                  "p": 1, "corrected": True},
-    })
-    out = tmp_path / "phi"
-    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    # the quadratures are the exponential's: at p = 1 only era and err1 report
-    with open(out / "estimates_long.csv") as fh:
-        kinds = [r["estimator"] for r in csv.DictReader(fh)]
-    assert sorted(set(kinds)) == ["era_corrected", "err1_corrected"]
-    assert len(kinds) == 4
-    with open(out / "sweep_heat_m6.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    quads = ("HermiteQuad", "ImprovedHermiteQuad", "TrapezoidQuad", "EffectiveOrderQuad")
-    assert len(rows) == 2 and all(r[c] == "nan" for r in rows for c in quads)
-    assert all(float(r["Era"]) > 0.0 and float(r["Err1"]) > 0.0 for r in rows)
+    # the quadratures are the standard exponential approximant's: with the
+    # corrected approximant, at p = 0 as at p = 1, only era and err1 report
+    for p in (0, 1):
+        cfg = write_config(tmp_path, {
+            "problems": [{"kind": "heat", "params": {"n": 30}}],
+            "sweep": {"m": [6], "t_grid": {"values": [0.2, 0.6]},
+                      "p": p, "corrected": True},
+        }, f"p{p}.json")
+        out = tmp_path / f"p{p}"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "estimates_long.csv") as fh:
+            kinds = [r["estimator"] for r in csv.DictReader(fh)]
+        assert sorted(set(kinds)) == ["era_corrected", "err1_corrected"]
+        assert len(kinds) == 4
+        with open(out / "sweep_heat_m6.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        quads = ("HermiteQuad", "ImprovedHermiteQuad", "TrapezoidQuad", "EffectiveOrderQuad")
+        assert len(rows) == 2 and all(r[c] == "nan" for r in rows for c in quads)
+        assert all(float(r["Era"]) > 0.0 and float(r["Err1"]) > 0.0 for r in rows)
 
 
 def test_write_bench_csv_deterministic(tmp_path):

@@ -304,9 +304,10 @@ def test_defect_is_the_corner_and_its_derivative(seed, kind, m, sigma, t):
 
 def test_the_arithmetic_follows_the_inputs(hubbard_op, hubbard_vec, heat_pair):
     """Convection-diffusion (real operator, real all-ones start vector)
-    builds a float64 Arnoldi store and propagates a float64 vector;
-    Hubbard (complex entries) and heat from its complex start vector stay
-    complex, and a Lanczos T is real in both fields."""
+    builds a float64 Arnoldi store and propagates a float64 vector, and so
+    does heat's Lanczos from a real start vector; Hubbard (complex entries)
+    and heat from its complex start vector stay complex, and a Lanczos T is
+    real in both fields."""
     spec = ProblemSpec("convection_diffusion")
     op, sigma = spec.build()
     v = starting_vector(spec)
@@ -319,10 +320,17 @@ def test_the_arithmetic_follows_the_inputs(hubbard_op, hubbard_vec, heat_pair):
     assert res.w_final.dtype == np.float64
     hub = build_krylov(hubbard_op, hubbard_vec, KrylovConfig(m_max=5))
     assert (hub.V.dtype, hub.T.dtype, hub.mode) == (np.complex128, np.float64, "lanczos")
-    heat_op, _, heat_v = heat_pair
+    heat_op, heat_sigma, heat_v = heat_pair
     assert heat_op.is_real
     heat = build_krylov(heat_op, heat_v, KrylovConfig(m_max=5))
     assert (heat.V.dtype, heat.T.dtype, heat.mode) == (np.complex128, np.float64, "lanczos")
+    real_v = random_unit(heat_op.n, seed=9, complex_=False)
+    heat = build_krylov(heat_op, real_v, KrylovConfig(m_max=10))
+    assert (heat.V.dtype, heat.T.dtype, heat.mode) == (np.float64, np.float64, "lanczos")
+    assert kx.Approximant(heat, heat_sigma).apply(0.5).dtype == np.float64
+    res = kx.propagate(heat_op, heat_sigma, real_v, 0.5, KrylovConfig(m_max=10),
+                       kx.ControllerSpec("direct_era_local", 1e-8))
+    assert res.w_final.dtype == np.float64
 
 
 def test_a_real_arnoldi_store_never_takes_the_eigen_route(monkeypatch):

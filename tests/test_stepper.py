@@ -21,6 +21,8 @@ from krylovexp import (ControllerSpec, KrylovConfig, SparseOperator,
                        step_size_heuristic, step_size_iterated,
                        early_stop_dimension)
 
+from krylovexp.estimators import CORRECTED_KINDS, ESTIMATORS
+
 from conftest import as_general, random_unit
 
 
@@ -180,6 +182,22 @@ def test_direct_kinds_invert_the_corrected_bound_of_a_corrected_run(heat_pair, k
                                                  corrected=True)
     assert res.records[0].estimate.kind == "era_corrected"
     assert res.records[0].estimate.is_proven_upper_bound
+
+
+@pytest.mark.parametrize("kind", ESTIMATORS)
+def test_the_estimator_table_picks_the_propagated_approximant(heat_pair, kind):
+    """One step with any estimator kind propagates the approximant that
+    CORRECTED_KINDS assigns to it, and not the other one."""
+    op, sigma, v = heat_pair
+    res = propagate_fixed_steps(op, sigma, v, 1, KrylovConfig(m_max=10),
+                                ControllerSpec("direct_era_local", 1e-3), kind)
+    dec = build_krylov(op, v, KrylovConfig(m_max=10))
+    corrected = kind in CORRECTED_KINDS
+    dt = res.records[0].dt
+    own = kx.Approximant(dec, sigma, corrected=corrected).apply(dt)
+    other = kx.Approximant(dec, sigma, corrected=not corrected).apply(dt)
+    assert np.linalg.norm(res.w_final - own) <= 1e-13 * np.linalg.norm(own)
+    assert np.linalg.norm(res.w_final - other) > 1e-10 * np.linalg.norm(own)
 
 
 def test_propagate_reaches_t_final_exactly(heat_pair):
