@@ -79,6 +79,31 @@ def _number(value, what, low, integer=False):
     return value if integer else float(value)
 
 
+# the keys each config object takes; any other key is an error, so no
+# setting is silently ignored
+_KEYS = {
+    "config": {"problems", "sweep", "bench"},
+    "problem": {"kind", "params", "seed"},
+    "sweep": {"m", "t_grid", "p", "corrected", "oracle_accuracy"},
+    "t_grid": {"values", "start", "stop", "points", "scale"},
+    "bench": {"runs", "oracle_accuracy"},
+    "bench run": {"problem", "controller", "estimator", "m", "tol", "n_steps", "t_final"},
+}
+
+
+def _checked(obj, what):
+    """obj, when it is an object whose keys _KEYS[what] all allows."""
+    _require(isinstance(obj, dict), f"{what} must be an object, got {obj!r}")
+    _require(obj.keys() <= _KEYS[what], f"unknown {what} keys {sorted(obj.keys() - _KEYS[what])}")
+    return obj
+
+
+def _distinct(values, what):
+    """values, when no two are equal."""
+    _require(len(set(values)) == len(values), f"a {what} is listed twice; its outputs would collide")
+    return values
+
+
 def _accuracy(section):
     return _number(section.get("oracle_accuracy", 1e-13), "oracle_accuracy", MIN_TARGET_ACCURACY)
 
@@ -94,14 +119,13 @@ def _load_config(path):
 
 
 def _problem_specs(config, seed_override=None):
-    entries = config.get("problems")
+    # every command reads the problems first, so the top level is checked here
+    entries = _checked(config, "config").get("problems")
     _require(isinstance(entries, list) and entries, "config needs a nonempty 'problems' list")
     specs = []
     for e in entries:
-        _require(isinstance(e, dict) and "kind" in e, "each problem needs a 'kind'")
+        _require("kind" in _checked(e, "problem"), "each problem needs a 'kind'")
         kind, params = e["kind"], e.get("params", {})
-        _require(all(s.kind != kind for s in specs),
-                 f"problem kind {kind!r} is listed twice; its output files would collide")
         _require(isinstance(params, dict), f"{kind} 'params' must be an object")
         seed = seed_override if seed_override is not None else _number(
             e.get("seed", 0), f"{kind} seed", 0, True)
@@ -112,18 +136,19 @@ def _problem_specs(config, seed_override=None):
         for key, value in spec.params.items():
             _number(value, f"{kind} parameter {key!r}", 2 if key == "n" else -math.inf, key == "n")
         specs.append(spec)
+    _distinct([s.kind for s in specs], "problem kind")
     return specs
 
 
 def _t_grid(section):
-    grid = section.get("t_grid")
-    _require(isinstance(grid, dict), "sweep needs a 't_grid' object")
+    grid = _checked(section.get("t_grid"), "t_grid")
     if "values" in grid:
+        _require(len(grid) == 1, "t_grid takes 'values' or 'start'/'stop'/'points'/'scale', not both")
         values = grid["values"]
         _require(isinstance(values, list) and values, "t_grid.values must be a nonempty list")
         values = [_number(x, "t value", 0.0) for x in values]
         _require(all(x > 0 for x in values), "t values must be > 0")
-        return sorted(values)
+        return _distinct(sorted(values), "t")
     for key in ("start", "stop", "points"):
         _require(key in grid, f"t_grid needs '{key}' (or explicit 'values')")
     start, stop = (_number(grid[key], f"t_grid.{key}", 0.0) for key in ("start", "stop"))
@@ -132,7 +157,7 @@ def _t_grid(section):
     scale = grid.get("scale", "log")
     _require(scale in ("log", "linear"), f"t_grid.scale must be 'log' or 'linear', got {scale!r}")
     space = np.geomspace if scale == "log" else np.linspace
-    return list(space(start, stop, points))
+    return _distinct(list(space(start, stop, points)), "t")
 
 
 def _sweep_cell(spec, m, ts, p, corrected, accuracy):
@@ -231,11 +256,10 @@ for name in FILES:
 
 def cmd_sweep(config, out_dir, threads=1, seed_override=None):
     specs = _problem_specs(config, seed_override)
-    section = config.get("sweep")
-    _require(isinstance(section, dict), "config needs a 'sweep' section")
+    section = _checked(config.get("sweep"), "sweep")
     ms = section.get("m")
     _require(isinstance(ms, list) and ms, "sweep needs a nonempty 'm' list")
-    ms = [_number(m, "sweep m", 2, True) for m in ms]
+    ms = _distinct([_number(m, "sweep m", 2, True) for m in ms], "sweep m")
     ts = _t_grid(section)
     p = _number(section.get("p", 0), "sweep p", 0, True)
     corrected = section.get("corrected", False)
@@ -265,17 +289,10 @@ def cmd_sweep(config, out_dir, threads=1, seed_override=None):
     return 1 if violated else 0
 
 
-_BENCH_RUN_KEYS = frozenset({"problem", "controller", "estimator", "m", "tol",
-                             "n_steps", "t_final"})
-
-
 def _bench_run(run, specs):
     """(spec, m, ctrl, estimator, n_steps, t_final) of one bench run, with
-    n_steps None for a run to t_final and t_final None otherwise.  A key
-    outside _BENCH_RUN_KEYS is an error, so no setting is silently ignored."""
-    _require(isinstance(run, dict), "each bench run must be an object")
-    unknown = sorted(set(run) - _BENCH_RUN_KEYS)
-    _require(not unknown, f"unknown bench run keys {unknown}")
+    n_steps None for a run to t_final and t_final None otherwise."""
+    _checked(run, "bench run")
     kind, estimator = run.get("problem"), run.get("estimator", "era")
     _require(isinstance(kind, str) and kind in specs, f"unknown bench problem {kind!r}")
     _require(isinstance(estimator, str) and estimator in ESTIMATORS,
@@ -296,8 +313,7 @@ def _bench_run(run, specs):
 
 def cmd_bench(config, out_dir, seed_override=None):
     specs = {s.kind: s for s in _problem_specs(config, seed_override)}
-    section = config.get("bench")
-    _require(isinstance(section, dict), "config needs a 'bench' section")
+    section = _checked(config.get("bench"), "bench")
     runs = section.get("runs")
     _require(isinstance(runs, list) and runs, "bench needs a nonempty 'runs' list")
     accuracy = _accuracy(section)

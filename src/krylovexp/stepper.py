@@ -2,10 +2,10 @@
 
 Each substep builds a fresh Krylov decomposition from the current vector
 (the dimension m stays fixed for the whole run), picks dt_j by one of the
-controllers below, records the chosen error estimate, and accumulates the
-per-substep estimates into a running budget.  With a proven upper bound
-and the per-unit-step error model the accumulated budget is <= tol * t by
-construction.
+controllers below and records the step.  The records are a run's only
+state: its time, matvecs and accumulated bound (the estimates summed in
+step order) are read from them.  With a proven upper bound and the
+per-unit-step error model that bound is <= tol * t by construction.
 
 Controllers, each a kind and a tolerance (ControllerSpec(kind, tol)):
 
@@ -33,9 +33,11 @@ global_budget for direct_era_global, per_unit_step for every other kind.
 The stepper returns records only; the CLI owns every output format.
 """
 
+import functools
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,29 +89,39 @@ class StepRecord:
     controller_iterations: int = 0
 
 
+def _in_order_sum(values):
+    # left to right, as the steps were taken (builtins.sum compensates
+    # from Python 3.12 on, which would move the last bits)
+    return functools.reduce(operator.add, values, 0.0)
+
+
 @dataclass(frozen=True)
 class PropagationResult:
     w_final: np.ndarray
     records: tuple
-    accumulated_bound: float
-    total_matvecs: int
 
     @property
     def total_time(self):
-        return float(sum(r.dt for r in self.records))
+        return _in_order_sum(r.dt for r in self.records)
+
+    @property
+    def accumulated_bound(self):
+        return _in_order_sum(r.estimate.value for r in self.records)
+
+    @property
+    def total_matvecs(self):
+        return sum(r.matvecs for r in self.records)
 
 
-def step_size_direct(dec, sigma, tol, m=None, model="global_budget",
-                     corrected=False):
+def step_size_direct(dec, tol, *, m=None, model="global_budget", corrected=False):
     """Invert the era bound of the exponential (or its corrected variant)
     at dimension m <= dec.m (default dec.m) for the step size.
 
     Global model solves era(dt) = tol; per-unit-step solves
     era(dt) = dt * tol, both through estimators.log_era_factor, the
-    formula the era estimators evaluate.  Where the bound vanishes
-    identically (breakdown) the step is unbounded: +inf is returned.
+    sigma-free formula the era estimators evaluate.  Where the bound
+    vanishes identically (breakdown) the step is unbounded: +inf.
     """
-    validate_prefactor(sigma)
     if model not in ERROR_MODELS:
         raise ValueError(f"unknown error model: {model!r}")
     if not tol > 0.0:
@@ -166,7 +178,7 @@ def step_size_iterated(dec, sigma, tol, estimator):
     Lanczos mode keeps re-evaluation cheap; with Arnoldi every pass
     re-exponentiates the Hessenberg matrix.
     """
-    start = dt = step_size_direct(dec, sigma, tol, model="per_unit_step")
+    start = dt = step_size_direct(dec, tol, model="per_unit_step")
     if not math.isfinite(dt):
         return dt, 0
     changes = []
@@ -189,26 +201,25 @@ def step_size_iterated(dec, sigma, tol, estimator):
     return dt, l
 
 
-def _raw_step(dec, sigma, ctrl, estimator_kind, corrected, j, prev_dt, prev_est):
-    """One controller decision: (dt before clipping, iterations) for
-    substep j; the direct kinds invert the era bound of the approximant
-    propagated (corrected or standard).  After a breakdown the projection
-    is exact, so every kind takes the unbounded step."""
+def _raw_step(dec, sigma, ctrl, estimator_kind, corrected, prev):
+    """One controller decision: (dt before clipping, iterations), given
+    prev, the previous step's (dt, unscaled estimate), or None at the first
+    step; the direct kinds invert the era bound of the approximant
+    propagated.  After a breakdown every kind takes the unbounded step."""
     if dec.breakdown:
         return math.inf, 0
     kind = ctrl.kind
     if kind.startswith("direct_era"):
-        return step_size_direct(dec, sigma, ctrl.tol, model=ctrl.error_model,
-                                corrected=corrected), 0
+        return step_size_direct(dec, ctrl.tol, model=ctrl.error_model, corrected=corrected), 0
     if kind == "heuristic_iterated":
         dt, iters = step_size_iterated(dec, sigma, ctrl.tol, estimator_kind)
         return _SAFETY * dt, iters
     # heuristic and expokit_first_step_only differ only in the first step
-    if j == 0:
+    if prev is None:
         if kind == "expokit_first_step_only":
             return expokit_first_step(dec.op.norm_inf, dec.m, ctrl.tol), 0
-        return _SAFETY * step_size_direct(dec, sigma, ctrl.tol, model=ctrl.error_model), 0
-    return step_size_heuristic(prev_dt, prev_est, ctrl.tol, dec.m, safety=_SAFETY), 0
+        return _SAFETY * step_size_direct(dec, ctrl.tol, model=ctrl.error_model), 0
+    return step_size_heuristic(*prev, ctrl.tol, dec.m, safety=_SAFETY), 0
 
 
 def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
@@ -219,18 +230,13 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
         raise ValueError("start vector must have unit 2-norm")
     corrected = estimator_kind in CORRECTED_KINDS
     records = []
-    accumulated = 0.0
-    total_matvecs = 0
     t = 0.0
-    prev_dt = prev_est = None
-    j = 0
-    while True:
-        if t_final is not None and t >= t_final:
-            break
-        if n_steps is not None and j >= n_steps:
-            break
-        if j >= _MAX_SUBSTEPS:
-            raise RuntimeError(f"controller stagnated: {j} substeps, t = {t}")
+    # the last estimate before the norm factor: the heuristic reads it, the
+    # record holds it scaled
+    est = None
+    while (t_final is None or t < t_final) and (n_steps is None or len(records) < n_steps):
+        if len(records) >= _MAX_SUBSTEPS:
+            raise RuntimeError(f"controller stagnated: {len(records)} substeps, t = {t}")
         beta, e = float(np.linalg.norm(w)), 0
         if beta < 1e-150:
             # the norm squares the entries, losing digits below ~1e-150 (all of
@@ -244,7 +250,8 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
             raise RuntimeError("propagated vector vanished")
         dec = build_krylov(op, w / beta, cfg)
         beta = math.ldexp(beta, e)
-        dt, iters = _raw_step(dec, s, ctrl, estimator_kind, corrected, j, prev_dt, prev_est)
+        prev = (records[-1].dt, est.value) if records else None
+        dt, iters = _raw_step(dec, s, ctrl, estimator_kind, corrected, prev)
         clipped = False
         if t_final is not None and (not math.isfinite(dt) or t + dt >= t_final):
             dt = t_final - t
@@ -255,20 +262,11 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
             raise RuntimeError(f"controller stagnated: dt = {dt} at t = {t}")
         est = evaluate(estimator_kind, dec, s, dt)
         w = beta * Approximant(dec, s, corrected=corrected).apply(dt)
-        step_matvecs = dec.matvecs_used
-        scaled = ErrorEstimate(est.kind, beta * est.value,
-                               est.is_proven_upper_bound, est.extra_matvecs)
-        records.append(StepRecord(j=j, t_start=t, dt=dt, m_used=dec.m,
-                                  estimate=scaled, matvecs=step_matvecs,
-                                  controller_iterations=iters))
-        accumulated += scaled.value
-        total_matvecs += step_matvecs
-        prev_dt, prev_est = dt, est.value
+        records.append(StepRecord(j=len(records), t_start=t, dt=dt, m_used=dec.m,
+                                  estimate=replace(est, value=beta * est.value),
+                                  matvecs=dec.matvecs_used, controller_iterations=iters))
         t = t_final if clipped else t + dt
-        j += 1
-    return PropagationResult(w_final=w, records=tuple(records),
-                             accumulated_bound=accumulated,
-                             total_matvecs=total_matvecs)
+    return PropagationResult(w_final=w, records=tuple(records))
 
 
 def propagate(op, sigma, v, t_final, cfg, ctrl, estimator_kind="era"):

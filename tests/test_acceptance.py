@@ -44,8 +44,8 @@ def certified(err, bound):
 def inverted_grid(dec, sigma, points=20, tol_lo=1e-11, tol_hi=0.5):
     """Log grid between the steps where the bound predicts tol_lo and
     tol_hi, so every panel is probed over the same estimate range."""
-    lo = step_size_direct(dec, sigma, tol_lo)
-    hi = step_size_direct(dec, sigma, tol_hi)
+    lo = step_size_direct(dec, tol_lo)
+    hi = step_size_direct(dec, tol_hi)
     return np.geomspace(lo, hi, points)
 
 
@@ -97,8 +97,8 @@ def tightness_panel(kind, m=10, p=0, corrected=False):
     # era for phi_p is m!/(m+p)! times era for the exponential, so the
     # phi_p inversion at tol is the exponential's at tol * (m+p)!/m!
     scale = math.perm(m + p, p)
-    lo = step_size_direct(dec, sigma, 1e-10 * scale, corrected=corrected)
-    hi = step_size_direct(dec, sigma, 1e-5 * scale, corrected=corrected)
+    lo = step_size_direct(dec, 1e-10 * scale, corrected=corrected)
+    hi = step_size_direct(dec, 1e-5 * scale, corrected=corrected)
     pts = []
     ts = np.geomspace(lo, hi, 20)
     for t, ref in zip(ts, oracle_reference(spec, op, sigma, ts, v, p)):

@@ -141,6 +141,52 @@ def test_repeated_problem_kind_exits_2(tmp_path, capsys, command):
     assert not any(out.iterdir())
 
 
+_FULL_CFG = {"problems": SWEEP_CFG["problems"], "sweep": SWEEP_CFG["sweep"],
+             "bench": {"runs": [BENCH_CFG["bench"]["runs"][0]]}}
+
+
+@pytest.mark.parametrize("command, where, key", [
+    ("build", (), "sweeps"),
+    ("sweep", ("problems", 0), "sed"),
+    ("sweep", ("sweep",), "corected"),
+    ("sweep", ("sweep",), "P"),
+    ("sweep", ("sweep", "t_grid"), "value"),
+    ("bench", ("bench",), "oracle_acuracy"),
+    ("bench", ("bench", "runs", 0), "tolerance"),
+], ids=["config", "problem", "sweep", "sweep-p", "t_grid", "bench", "bench-run"])
+def test_misspelled_config_key_exits_2_and_names_it(tmp_path, capsys, command, where, key):
+    """Every config object rejects a key it does not know, so a misspelled
+    setting is never silently ignored."""
+    payload = json.loads(json.dumps(_FULL_CFG))
+    obj = payload
+    for step in where:
+        obj = obj[step]
+    obj[key] = 1
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("sweep", [
+    {"m": [6, 6], "t_grid": {"values": [0.5, 1.0]}},
+    {"m": [6], "t_grid": {"start": 1.0, "stop": 1.0, "points": 3}},
+    {"m": [6], "t_grid": {"start": 1.0, "stop": 1.0, "points": 3, "scale": "linear"}},
+    {"m": [6], "t_grid": {"values": [0.5, 0.5]}},
+    # a grid is its values or a range, as a bench run ends at n_steps or t_final
+    {"m": [6], "t_grid": {"values": [0.5], "start": 0.1, "stop": 1.0, "points": 3}},
+], ids=["m", "log-range", "linear-range", "values", "values-and-range"])
+def test_sweep_repeats_and_mixed_grids_exit_2(tmp_path, capsys, sweep):
+    """A repeated m or t would write its rows twice, and a grid with both
+    'values' and a range would ignore one of them."""
+    cfg = write_config(tmp_path, {"problems": SWEEP_CFG["problems"], "sweep": sweep})
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_build_writes_matrix_and_metadata(tmp_path):
     cfg = write_config(tmp_path, {
         "problems": [{"kind": "heat", "params": {"n": 30}},

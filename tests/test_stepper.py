@@ -37,7 +37,7 @@ def test_direct_inversion_round_trip(heat_pair, mode, model, corrected):
                        KrylovConfig(m_max=10))
     assert dec.mode == mode
     tol = 1e-8
-    dt = step_size_direct(dec, sigma, tol, model=model, corrected=corrected)
+    dt = step_size_direct(dec, tol, model=model, corrected=corrected)
     bound = era(dec, sigma, dt, corrected=corrected).value
     target = tol if model == "global_budget" else dt * tol
     assert bound == pytest.approx(target, rel=1e-12)
@@ -48,8 +48,8 @@ def test_direct_inversion_tol_scaling(heat_pair):
     op, sigma, v = heat_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
     tol = 1e-9
-    dt1 = step_size_direct(dec, sigma, tol, model="global_budget")
-    dt2 = step_size_direct(dec, sigma, tol * 2.0 ** dec.m, model="global_budget")
+    dt1 = step_size_direct(dec, tol, model="global_budget")
+    dt2 = step_size_direct(dec, tol * 2.0 ** dec.m, model="global_budget")
     assert dt2 == pytest.approx(2.0 * dt1, rel=1e-13)
 
 
@@ -60,8 +60,8 @@ def test_direct_inversion_smaller_m_prefix(heat_pair):
     dec = build_krylov(op, v, KrylovConfig(m_max=12))
     small = build_krylov(op, v, KrylovConfig(m_max=7))
     tol = 1e-7
-    a = step_size_direct(dec, sigma, tol, m=7, model="global_budget")
-    b = step_size_direct(small, sigma, tol, model="global_budget")
+    a = step_size_direct(dec, tol, m=7, model="global_budget")
+    b = step_size_direct(small, tol, model="global_budget")
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -71,21 +71,30 @@ def test_direct_inversion_breakdown_is_unbounded():
     v = np.array([0.6, 0.8, 0.0])
     dec = build_krylov(op, v, KrylovConfig(m_max=3))
     assert dec.breakdown
-    assert step_size_direct(dec, -1.0, 1e-8) == math.inf
+    assert step_size_direct(dec, 1e-8) == math.inf
+
+
+def test_direct_inversion_takes_no_sigma(heat_pair):
+    """The era bound does not depend on sigma, so the inversion takes none,
+    and a call that still passes one raises instead of reading it as tol."""
+    op, sigma, v = heat_pair
+    dec = build_krylov(op, v, KrylovConfig(m_max=5))
+    with pytest.raises(TypeError):
+        step_size_direct(dec, 1.0, 1e-8)
 
 
 def test_direct_inversion_validation(heat_pair):
     op, sigma, v = heat_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=5))
     with pytest.raises(ValueError):
-        step_size_direct(dec, sigma, 0.0)
+        step_size_direct(dec, 0.0)
     with pytest.raises(ValueError):
-        step_size_direct(dec, sigma, 1e-8, m=9)
+        step_size_direct(dec, 1e-8, m=9)
     with pytest.raises(ValueError):
-        step_size_direct(dec, sigma, 1e-8, m=3, corrected=True)
+        step_size_direct(dec, 1e-8, m=3, corrected=True)
     one = build_krylov(op, v, KrylovConfig(m_max=1))
     with pytest.raises(ValueError):
-        step_size_direct(one, sigma, 1e-8, model="per_unit_step")
+        step_size_direct(one, 1e-8, model="per_unit_step")
 
 
 def test_heuristic_update_rule():
@@ -115,7 +124,7 @@ def test_iterated_with_era_estimator_converges_immediately(heat_pair):
     tol = 1e-8
     dt, iters = step_size_iterated(dec, sigma, tol, "era")
     assert iters == 1
-    direct = step_size_direct(dec, sigma, tol, model="per_unit_step")
+    direct = step_size_direct(dec, tol, model="per_unit_step")
     assert dt == pytest.approx(direct, rel=1e-12)
 
 
@@ -141,7 +150,7 @@ def test_iterated_returns_its_start_on_a_vanishing_estimate(heat_pair, monkeypat
     from, without inverting a second time."""
     op, sigma, v = heat_pair
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
-    direct = step_size_direct(dec, sigma, 1e-8, model="per_unit_step")
+    direct = step_size_direct(dec, 1e-8, model="per_unit_step")
     calls = []
     monkeypatch.setattr(stepper, "step_size_direct",
                         lambda *a, **k: calls.append(1) or step_size_direct(*a, **k))
@@ -178,7 +187,7 @@ def test_direct_kinds_invert_the_corrected_bound_of_a_corrected_run(heat_pair, k
     res = propagate_fixed_steps(op, sigma, v, 1, KrylovConfig(m_max=10), ctrl,
                                 "era_corrected")
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
-    assert res.records[0].dt == step_size_direct(dec, sigma, tol, model=ctrl.error_model,
+    assert res.records[0].dt == step_size_direct(dec, tol, model=ctrl.error_model,
                                                  corrected=True)
     assert res.records[0].estimate.kind == "era_corrected"
     assert res.records[0].estimate.is_proven_upper_bound
@@ -251,10 +260,16 @@ def test_propagate_single_clipped_step(heat_pair):
 def test_propagate_matvec_accounting(heat_pair):
     op, sigma, v = heat_pair
     m = 12
-    ctrl = ControllerSpec("direct_era_local", 1e-7)
-    res = propagate(op, sigma, v, 0.5, KrylovConfig(m_max=m), ctrl)
-    assert all(r.matvecs == m for r in res.records)
-    assert res.total_matvecs == m * len(res.records)
+    for kind in stepper.CONTROLLER_KINDS:
+        ctrl = ControllerSpec(kind, 1e-7)
+        res = propagate(op, sigma, v, 0.5, KrylovConfig(m_max=m), ctrl)
+        assert all(r.matvecs == m for r in res.records)
+        assert res.total_matvecs == m * len(res.records)
+        # the certificate is the recorded estimates summed in step order, bit for bit
+        total = 0.0
+        for r in res.records:
+            total += r.estimate.value
+        assert res.accumulated_bound.hex() == total.hex()
 
 
 def test_corrected_controller_costs_one_extra_matvec(heat_pair):
@@ -359,7 +374,7 @@ def test_heuristic_controller_first_step_is_direct(heat_pair):
     res = propagate_fixed_steps(op, sigma, v, 3, KrylovConfig(m_max=10), ctrl)
     dec = build_krylov(op, v, KrylovConfig(m_max=10))
     # the heuristic kinds take 0.9 of the direct inversion
-    expected_first = 0.9 * step_size_direct(dec, sigma, tol, model="per_unit_step")
+    expected_first = 0.9 * step_size_direct(dec, tol, model="per_unit_step")
     assert res.records[0].dt == pytest.approx(expected_first, rel=1e-12)
 
 
