@@ -33,7 +33,7 @@ import numpy as np
 from .approximant import Approximant, effective_order
 from .estimators import CORRECTED_KINDS, ESTIMATORS, era, err1, quad_estimates
 from .krylov import KrylovConfig, build_krylov
-from .oracle import MIN_TARGET_ACCURACY, oracle_reference
+from .oracle import oracle_reference
 from .problems import ProblemSpec, starting_vector
 from .stepper import ControllerSpec, propagate, propagate_fixed_steps
 
@@ -51,18 +51,16 @@ WIDE_COLUMNS = ("t", "oracle_error", *_ESTIMATE_COLUMNS, "rho")
 LONG_COLUMNS = ("problem", "m", "sigma", "p", "t", "estimator", "value",
                 "extra_matvecs", "oracle_error")
 LONG_KEY = ("problem", "m", "p", "t", "estimator")
-BENCH_COLUMNS = ("controller", "estimator", "m", "tol", "N", "total_t",
+BENCH_COLUMNS = ("problem", "controller", "estimator", "m", "tol", "N", "total_t",
                  "total_matvecs", "accumulated_bound", "oracle_error_per_unit_t")
-BENCH_KEY = ("controller", "estimator", "m", "tol")
-
-_BOUND_SLACK_REL = 1e-9
+BENCH_KEY = ("problem", "controller", "estimator", "m", "tol")
 
 
-def _breaks_bound(err, bound, accuracy):
+def _breaks_bound(err, bound):
     """True when an oracle error err exceeds a proven bound by more than
-    the slack: 1e-9 relative to the bound, plus ten times the accuracy the
-    oracle was asked for."""
-    return err > bound * (1.0 + _BOUND_SLACK_REL) + 10.0 * accuracy
+    the slack: 1e-9 relative to the bound, plus 1e-12, ten times the
+    oracle's default target accuracy."""
+    return err > bound * (1.0 + 1e-9) + 1e-12
 
 
 def _require(cond, msg):
@@ -84,9 +82,9 @@ def _number(value, what, low, integer=False):
 _KEYS = {
     "config": {"problems", "sweep", "bench"},
     "problem": {"kind", "params", "seed"},
-    "sweep": {"m", "t_grid", "p", "corrected", "oracle_accuracy"},
+    "sweep": {"m", "t_grid", "p", "corrected"},
     "t_grid": {"values", "start", "stop", "points", "scale"},
-    "bench": {"runs", "oracle_accuracy"},
+    "bench": {"runs"},
     "bench run": {"problem", "controller", "estimator", "m", "tol", "n_steps", "t_final"},
 }
 
@@ -102,10 +100,6 @@ def _distinct(values, what):
     """values, when no two are equal."""
     _require(len(set(values)) == len(values), f"a {what} is listed twice; its outputs would collide")
     return values
-
-
-def _accuracy(section):
-    return _number(section.get("oracle_accuracy", 1e-13), "oracle_accuracy", MIN_TARGET_ACCURACY)
 
 
 def _load_config(path):
@@ -160,14 +154,14 @@ def _t_grid(section):
     return _distinct(list(space(start, stop, points)), "t")
 
 
-def _sweep_cell(spec, m, ts, p, corrected, accuracy):
+def _sweep_cell(spec, m, ts, p, corrected):
     """All estimator evaluations for one (problem, m) pair."""
     op, sigma = spec.build()
     v = starting_vector(spec)
     dec = build_krylov(op, v, KrylovConfig(m_max=m))
     appr = Approximant(dec, sigma, p, corrected=corrected)
     wide_rows, long_rows, violation = [], [], False
-    refs = oracle_reference(spec, op, sigma, ts, v, p, accuracy)
+    refs = oracle_reference(spec, op, sigma, ts, v, p)
     for t, ref in zip(ts, refs):
         err = float(np.linalg.norm(appr.apply(t) - ref))
         ests = [era(dec, sigma, t, p, corrected), err1(dec, sigma, t, p, corrected)]
@@ -185,7 +179,7 @@ def _sweep_cell(spec, m, ts, p, corrected, accuracy):
                 "extra_matvecs": est.extra_matvecs, "oracle_error": err,
             })
             violation = violation or (est.is_proven_upper_bound
-                                      and _breaks_bound(err, est.value, accuracy))
+                                      and _breaks_bound(err, est.value))
     return wide_rows, long_rows, violation
 
 
@@ -264,15 +258,14 @@ def cmd_sweep(config, out_dir, threads=1, seed_override=None):
     p = _number(section.get("p", 0), "sweep p", 0, True)
     corrected = section.get("corrected", False)
     _require(isinstance(corrected, bool), f"sweep 'corrected' must be a bool, got {corrected!r}")
-    accuracy = _accuracy(section)
 
     cells = [(spec, m) for spec in specs for m in ms]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(
-                lambda c: _sweep_cell(c[0], c[1], ts, p, corrected, accuracy), cells))
+                lambda c: _sweep_cell(c[0], c[1], ts, p, corrected), cells))
     else:
-        results = [_sweep_cell(spec, m, ts, p, corrected, accuracy) for spec, m in cells]
+        results = [_sweep_cell(spec, m, ts, p, corrected) for spec, m in cells]
 
     all_long = []
     files = []
@@ -316,7 +309,6 @@ def cmd_bench(config, out_dir, seed_override=None):
     section = _checked(config.get("bench"), "bench")
     runs = section.get("runs")
     _require(isinstance(runs, list) and runs, "bench needs a nonempty 'runs' list")
-    accuracy = _accuracy(section)
     parsed = [_bench_run(run, specs) for run in runs]
 
     rows = []
@@ -333,10 +325,10 @@ def cmd_bench(config, out_dir, seed_override=None):
         except RuntimeError as exc:
             raise ConfigError(f"bench run {spec.kind}, {ctrl.kind}, m = {m}: {exc}") from exc
         total_t = result.total_time
-        ref = oracle_reference(spec, op, sigma, [total_t], v, 0, accuracy)[0]
+        ref = oracle_reference(spec, op, sigma, [total_t], v)[0]
         err = float(np.linalg.norm(result.w_final - ref))
         rows.append({
-            "controller": ctrl.kind, "estimator": estimator, "m": m,
+            "problem": spec.kind, "controller": ctrl.kind, "estimator": estimator, "m": m,
             "tol": ctrl.tol, "N": len(result.records), "total_t": total_t,
             "total_matvecs": result.total_matvecs,
             "accumulated_bound": result.accumulated_bound,
@@ -344,9 +336,9 @@ def cmd_bench(config, out_dir, seed_override=None):
         })
         if all(r.estimate.is_proven_upper_bound for r in result.records):
             # the accumulated bound, and for per-unit-step runs tol * total_t
-            violated = (violated or _breaks_bound(err, result.accumulated_bound, accuracy)
+            violated = (violated or _breaks_bound(err, result.accumulated_bound)
                         or (ctrl.error_model == "per_unit_step"
-                            and _breaks_bound(err, ctrl.tol * total_t, accuracy)))
+                            and _breaks_bound(err, ctrl.tol * total_t)))
     _write_csv(out_dir / "bench.csv", BENCH_COLUMNS, rows, BENCH_KEY)
     return 1 if violated else 0
 

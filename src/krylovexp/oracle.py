@@ -13,13 +13,14 @@ routes compute the exponential action from scratch:
                                whole grid of t from one Chebyshev
                                recurrence with Bessel coefficients
                                (Tal-Ezer & Kosloff 1984)
-  oracle_series                any operator, by scaled Taylor summation
-                               with a rigorous remainder bound
+  oracle_phi                   any operator and any p >= 0, by substepped
+                               Taylor summation with a rigorous remainder
+                               bound (oracle_series is its p = 0 call)
 
-oracle_phi adds two independent phi-function routes, and oracle_reference
-picks the route for a problem and a grid of t.  The series routes only
-need matvec / norm_1 / norm_inf / n, so any SparseOperator (or compatible
-object) works.
+oracle_reference picks the route for a problem and a grid of t.  The
+series only needs matvec / norm_1 / norm_inf / n, so any SparseOperator
+(or compatible object) works.  Of the package it imports only the
+argument validators in sparse.
 
 The Chebyshev route maps the spectrum interval [a, b] to [-1, 1] with
 centre c and radius r and sums
@@ -53,13 +54,15 @@ import math
 import numpy as np
 import scipy.fft
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.special
 
 from .sparse import validate_phi_index, validate_time
 
 _TERM_CAP = 400
 MIN_TARGET_ACCURACY = 1e-14
+# tiny / eps = 2^-970: from t^p this large on, 1 / t^p is finite and
+# u(t) ~ t^p phi_p v stays clear of gradual underflow
+_SCALE_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def _check_grid(ts):
@@ -215,78 +218,46 @@ def _series_phi_apply(matvec, v, q, tol_abs):
     raise RuntimeError("Taylor series did not converge within the term cap")
 
 
-def _substep_count(sigma, t, norm_1, norm_inf):
-    """Smallest s with ||sigma t A / s|| <= 1 in both the 1- and inf-norm
-    (hence also in the 2-norm)."""
-    scale = abs(sigma) * t * max(norm_1, norm_inf)
-    return max(1, math.ceil(scale))
-
-
 def oracle_series(op, sigma, t, v, target_accuracy=1e-13):
-    """e^{sigma t A} v by s equal substeps of scaled Taylor summation."""
+    """e^{sigma t A} v: oracle_phi at p = 0."""
+    return oracle_phi(op, sigma, t, v, 0, target_accuracy)
+
+
+def oracle_phi(op, sigma, t, v, p, target_accuracy=1e-13):
+    """phi_p(sigma t A) v, independent of the projection code, for any
+    p >= 0.  u' = sigma A u + t^{p-1}/(p-1)! v is advanced in s equal
+    substeps of width h, s the smallest count with ||sigma h A|| <= 1 in
+    both the 1- and inf-norm (hence also in the 2-norm):
+
+        u(t+h) = e^{h sigma A} u(t)
+                 + sum_{k=1..p} t^{p-k} h^k / (p-k)! phi_k(h sigma A) v
+
+    from u(0) = 0, and phi_p(sigma t A) v = u(t) / t^p.  At p = 0 there is
+    no forcing and u(0) = v, so the loop is the plain substepped
+    exponential.  With share = acc ||v|| / (2 (p+1) p!), each
+    phi_k(h sigma A) v series stops at share, and each substep's
+    exponential at share t^p / s.
+    """
+    validate_phi_index(p)
     if target_accuracy < MIN_TARGET_ACCURACY:
         raise ValueError(f"target_accuracy must be >= {MIN_TARGET_ACCURACY}")
     validate_time(t)
     v = np.asarray(v, dtype=complex)
     if t == 0.0:
-        return v.copy()
-    s = _substep_count(sigma, t, op.norm_1, op.norm_inf)
+        return v / math.factorial(p)
+    s = max(1, math.ceil(abs(sigma) * t * max(op.norm_1, op.norm_inf)))
+    h = t / s
     z = sigma * t / s
 
     def matvec(x):
         return z * op.matvec(x)
 
-    w = v.copy()
-    per_tol = target_accuracy * float(np.linalg.norm(v)) / (2.0 * s)
-    for _ in range(s):
-        w = _series_phi_apply(matvec, w, 0, per_tol)
-    return w
-
-
-def _augmented_phi(op, sigma, t, v, p, target_accuracy):
-    """phi_p(sigma t A) v as a block of one big exponential: append p
-    auxiliary rows whose chain feeds v into the system, exponentiate with
-    the substepped series, read off the first n entries."""
-    n = op.n
-    A = op.csr if hasattr(op, "csr") else sp.csr_matrix(op)
-    C = sp.csr_matrix((v, (np.arange(n), np.zeros(n, dtype=int))), shape=(n, p))
-    if p > 1:
-        J = sp.diags([np.ones(p - 1)], [1], shape=(p, p))
-    else:
-        J = sp.csr_matrix((p, p))
-    aug = sp.bmat([[sigma * t * A, C], [None, J]], format="csr")
-    a1 = float(abs(aug).sum(axis=0).max())
-    ainf = float(abs(aug).sum(axis=1).max())
-    s = max(1, math.ceil(max(a1, ainf)))
-    scaled = aug / s
-
-    w = np.zeros(n + p, dtype=complex)
-    w[n + p - 1] = 1.0
-    per_tol = target_accuracy * max(1.0, float(np.linalg.norm(v))) / (3.0 * s)
-    for _ in range(s):
-        w = _series_phi_apply(scaled.dot, w, 0, per_tol)
-    return w[:n]
-
-
-def _recurrence_phi(op, sigma, t, v, p, target_accuracy):
-    """phi_p via u' = sigma A u + t^{p-1}/(p-1)! v, u(0) = 0, advanced in s
-    substeps of width h:
-
-        u(t+h) = e^{h sigma A} u(t)
-                 + sum_{k=1..p} t^{p-k} h^k / (p-k)! phi_k(h sigma A) v
-
-    and finally phi_p(sigma t A) v = u(t) / t^p."""
-    s = _substep_count(sigma, t, op.norm_1, op.norm_inf)
-    h = t / s
-    z = sigma * h
-
-    def matvec(x):
-        return z * op.matvec(x)
-
-    vnorm = float(np.linalg.norm(v))
-    share = target_accuracy * vnorm / (2.0 * (p + 1) * math.factorial(p))
+    share = target_accuracy * float(np.linalg.norm(v)) / (2.0 * (p + 1) * math.factorial(p))
     pieces = [_series_phi_apply(matvec, v, k, share) for k in range(1, p + 1)]
-    u = np.zeros_like(np.asarray(v, dtype=complex))
+    if s == 1 and t ** p < _SCALE_FLOOR:
+        # with one substep u(t) / t^p is the phi_p series itself
+        return pieces[-1]
+    u = v.copy() if p == 0 else np.zeros_like(v)
     exp_tol = share * t ** p / s
     for j in range(s):
         tj = j * h
@@ -294,26 +265,6 @@ def _recurrence_phi(op, sigma, t, v, p, target_accuracy):
         for k in range(1, p + 1):
             u += (tj ** (p - k) * h ** k / math.factorial(p - k)) * pieces[k - 1]
     return u / t ** p
-
-
-def oracle_phi(op, sigma, t, v, p, target_accuracy=1e-13):
-    """phi_p(sigma t A) v, independent of the projection code.
-
-    The size of A picks the route: the augmented-system exponential for
-    n <= 500, the substepped integral recurrence above.  The two routes
-    cross-check each other in the tests.
-    """
-    validate_phi_index(p)
-    if target_accuracy < MIN_TARGET_ACCURACY:
-        raise ValueError(f"target_accuracy must be >= {MIN_TARGET_ACCURACY}")
-    validate_time(t)
-    v = np.asarray(v, dtype=complex)
-    if p == 0:
-        return oracle_series(op, sigma, t, v, target_accuracy)
-    if t == 0.0:
-        return v / math.factorial(p)
-    route = _augmented_phi if op.n <= 500 else _recurrence_phi
-    return route(op, sigma, t, v, p, target_accuracy)
 
 
 def oracle_reference(spec, op, sigma, ts, v, p=0, target_accuracy=1e-13):

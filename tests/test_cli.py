@@ -55,8 +55,9 @@ BENCH_CFG = {
     ([], {**SWEEP_CFG, "sweep": {**SWEEP_CFG["sweep"], "p": -1}}),
     ([], {**SWEEP_CFG, "sweep": {**SWEEP_CFG["sweep"], "m": ["a"]}}),
     ([], {**SWEEP_CFG, "sweep": {**SWEEP_CFG["sweep"], "t_grid": {"values": ["x"]}}}),
+    # the oracle's target accuracy is a constant, not a setting
     ([], {"problems": [{"kind": "hubbard"}],
-          "sweep": {**SWEEP_CFG["sweep"], "oracle_accuracy": 1e-15}}),
+          "sweep": {**SWEEP_CFG["sweep"], "oracle_accuracy": 1e-13}}),
     ([], {**SWEEP_CFG, "problems": [{"kind": "heat", "params": {"n": "x"}}]}),
     ([], {**SWEEP_CFG, "sweep": {**SWEEP_CFG["sweep"], "corrected": "no"}}),
     ([], {"problems": [{"kind": "heat"}],
@@ -279,13 +280,12 @@ def test_bench_outputs(tmp_path):
     out = tmp_path / "bench"
     assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "bench.csv").read_text().splitlines()
-    assert lines[0].startswith("controller,estimator,m,tol,N,")
+    assert lines[0].startswith("problem,controller,estimator,m,tol,N,")
     assert len(lines) == 1 + 2
-    direct = next(l for l in lines[1:] if l.startswith("direct_era_local,"))
-    fields = direct.split(",")
-    assert int(fields[4]) == 3          # n_steps honoured
+    row = dict(zip(BENCH_COLUMNS, next(l for l in lines[1:]
+                                       if l.startswith("heat,direct_era_local,")).split(",")))
+    assert int(row["N"]) == 3           # n_steps honoured
     # per-unit-step budget met by construction
-    row = dict(zip(BENCH_COLUMNS, fields))
     assert float(row["oracle_error_per_unit_t"]) <= 1e-6 * (1 + 1e-9) + 1e-11
 
 
@@ -417,13 +417,15 @@ def test_sweep_phi_and_corrected_modes(tmp_path):
 
 
 def test_write_bench_csv_deterministic(tmp_path):
+    """Two problems run with the same controller, estimator, m and tol
+    give two rows that the leading problem column tells apart and
+    orders."""
     rows = [
-        {"controller": "b", "estimator": "era", "m": 10, "tol": 1e-8, "N": 3,
-         "total_t": 1.0, "total_matvecs": 30, "accumulated_bound": 1e-9,
-         "oracle_error_per_unit_t": 1e-10},
-        {"controller": "a", "estimator": "era", "m": 10, "tol": 1e-8, "N": 2,
-         "total_t": 2.0, "total_matvecs": 20, "accumulated_bound": 2e-9,
-         "oracle_error_per_unit_t": 2e-10},
+        {"problem": problem, "controller": controller, "estimator": "era", "m": 10,
+         "tol": 1e-8, "N": n, "total_t": n / 2.0, "total_matvecs": 10 * n,
+         "accumulated_bound": n * 1e-9, "oracle_error_per_unit_t": n * 1e-10}
+        for problem, controller, n in (("heat", "b", 3), ("heat", "a", 2),
+                                       ("hubbard", "a", 4))
     ]
     p1, p2 = tmp_path / "x.csv", tmp_path / "y.csv"
     _write_csv(p1, BENCH_COLUMNS, rows, BENCH_KEY)
@@ -431,7 +433,9 @@ def test_write_bench_csv_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().splitlines()
     assert lines[0] == ",".join(BENCH_COLUMNS)
-    assert lines[1].startswith("a,")
+    assert lines[0].startswith("problem,")
+    assert [line.split(",", 3)[:3] for line in lines[1:]] == [
+        ["heat", "a", "era"], ["heat", "b", "era"], ["hubbard", "a", "era"]]
 
 
 def test_write_sweep_csv_deterministic_and_sorted(tmp_path):

@@ -18,7 +18,7 @@ from krylovexp import (ProblemSpec, SparseOperator, build_convection_diffusion,
                        oracle_laplacian, oracle_phi, oracle_reference,
                        oracle_series)
 
-from conftest import random_unit
+from conftest import SIGMAS, random_unit
 
 
 def quarter_laplacian_dense(n):
@@ -144,11 +144,15 @@ def test_phi_p_zero_is_plain_exponential():
 
 
 def test_phi_t_zero_closed_form():
-    op = SparseOperator(sp.identity(5, format="csr"))
-    v = random_unit(5, seed=13)
+    """phi_p(0) v = v / p!, and so to round-off is phi_p at a t whose p-th
+    power is subnormal or underflows, where u(t) cannot be scaled by
+    1 / t^p."""
+    op = SparseOperator(sp.identity(600, format="csr"))
+    v = random_unit(600, seed=13)
     for p in (1, 2, 3):
-        out = oracle_phi(op, -1j, 0.0, v, p)
-        assert np.linalg.norm(out - v / math.factorial(p)) < 1e-16
+        for t in (0.0, 5e-324, 1e-160):
+            out = oracle_phi(op, -1j, t, v, p)
+            assert np.linalg.norm(out - v / math.factorial(p)) < 1e-16
 
 
 def test_phi_scalar_closed_forms():
@@ -168,40 +172,72 @@ def test_phi_scalar_closed_forms():
 
 def augmented_dense_phi(A, sigma, t, v, p):
     """phi_p(sigma t A) v read out of one dense scipy expm of the
-    (n+p)-dimensional augmented system."""
+    (n+p)-dimensional augmented system; at p = 0 that system is
+    sigma t A itself, started from v."""
     n = A.shape[0]
     aug = np.zeros((n + p, n + p), dtype=complex)
     aug[:n, :n] = sigma * t * A
-    aug[:n, n] = v
+    start = np.zeros(n + p, dtype=complex)
+    if p == 0:
+        start[:] = v
+    else:
+        aug[:n, n] = v
+        start[n + p - 1] = 1.0
     for k in range(p - 1):
         aug[n + k, n + k + 1] = 1.0
-    start = np.zeros(n + p, dtype=complex)
-    start[n + p - 1] = 1.0
     return (scipy.linalg.expm(aug) @ start)[:n]
 
 
-@pytest.mark.parametrize("p", [1, 2, 3])
-def test_phi_against_dense_augmented_system(p):
-    n = 6
-    A = quarter_laplacian_dense(n)
-    op = SparseOperator(sp.csr_matrix(A), symmetry="hermitian")
-    v = random_unit(n, seed=14)
-    for sigma, t in ((-1j, 0.8), (-1.0, 2.0)):
-        expected = augmented_dense_phi(A, sigma, t, v, p)
-        for route in (oracle._augmented_phi, oracle._recurrence_phi):
-            got = route(op, sigma, t, v, p, 1e-14)
-            assert np.linalg.norm(got - expected) < 1e-12
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       cls=st.sampled_from(["hermitian", "skew", "nonnormal"]),
+       n=st.integers(2, 40), sigma=SIGMAS, t=st.floats(0.0, 3.0))
+def test_phi_against_dense_augmented_system(p, seed, cls, n, sigma, t):
+    """oracle_phi against scipy's expm of the (n+p) system, on random
+    hermitian, skew or non-normal A moved left by its Gershgorin bound, so
+    that sigma A is nonexpansive."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if cls == "hermitian":
+        A = 0.5 * (A + A.conj().T)
+    elif cls == "skew":
+        A = 0.5 * (A - A.conj().T)
+    else:
+        A = A + 3.0 * np.triu(A, 1)
+    A = A / np.linalg.norm(A, 2)
+    mu = SparseOperator(sp.csr_matrix(A)).log_norm_bound(sigma)
+    A = A - np.conj(sigma) * mu * np.eye(n)
+    op = SparseOperator(sp.csr_matrix(A))
+    v = random_unit(n, seed=seed % 2 ** 31)
+    expected = augmented_dense_phi(A, sigma, t, v, p)
+    assert np.linalg.norm(oracle_phi(op, sigma, t, v, p) - expected) < 1e-12
 
 
-def test_phi_two_routes_agree_on_larger_problem():
-    n = 40
-    op = SparseOperator(sp.csr_matrix(quarter_laplacian_dense(n)),
-                        symmetry="hermitian")
+def _phi2_scalar(z):
+    """(e^z - 1 - z) / z^2, by its Taylor series sum_j z^j / (j+2)! where
+    |z| < 1 (the closed form cancels there), else by expm1."""
+    small = np.abs(z) < 1.0
+    zs = np.where(small, z, 0.0)
+    series = sum(zs ** j / math.factorial(j + 2) for j in range(25))
+    zl = np.where(small, 1.0, z)
+    return np.where(small, series, (np.expm1(zl) - zl) / zl ** 2)
+
+
+@pytest.mark.parametrize("t", [0.5, 3.0, 10.0])
+def test_phi_matches_sine_transform_closed_form_above_n_500(t):
+    """heat at n = 600 (sigma = -1): phi_p(sigma t H) v is the sine
+    transform of phi_p(sigma t lam) times the sine-transform coefficients
+    of v, with phi_1(z) = expm1(z) / z and phi_2 from _phi2_scalar."""
+    n = 600
+    op, sigma = ProblemSpec("heat", {"n": n}).build()
     v = random_unit(n, seed=15)
-    for p in (1, 2):
-        a = oracle._augmented_phi(op, -1j, 3.0, v, p, 1e-14)
-        b = oracle._recurrence_phi(op, -1j, 3.0, v, p, 1e-14)
-        assert np.linalg.norm(a - b) < 1e-12
+    lam = np.sin(np.arange(1, n + 1) * np.pi / (2.0 * (n + 1))) ** 2
+    z = sigma * t * lam
+    coeff = scipy.fft.dst(v, type=1, norm="ortho")
+    for p, phi in ((0, np.exp(z)), (1, np.expm1(z) / z), (2, _phi2_scalar(z))):
+        expected = scipy.fft.dst(phi * coeff, type=1, norm="ortho")
+        assert np.linalg.norm(oracle_phi(op, sigma, t, v, p) - expected) < 2e-14
 
 
 def test_phi_rejects_bad_arguments():
