@@ -7,8 +7,9 @@ routes compute the exponential action from scratch:
                                analytic eigen-expansion (orthonormal sine
                                transform)
   oracle_convection_diffusion  the 3D convection-diffusion operator, a
-                               Kronecker sum, as the Kronecker product of
-                               three n x n scipy.linalg.expm factors
+                               Kronecker sum, for a whole grid of t as the
+                               Kronecker products of three stacks of n x n
+                               scipy.linalg.expm factors, one per t
   oracle_chebyshev             a Hermitian operator at sigma = +/-i, for a
                                whole grid of t from one Chebyshev
                                recurrence with Bessel coefficients
@@ -17,10 +18,12 @@ routes compute the exponential action from scratch:
                                Taylor summation with a rigorous remainder
                                bound (oracle_series is its p = 0 call)
 
-oracle_reference picks the route for a problem and a grid of t.  The
-series only needs matvec / norm_1 / norm_inf / n, so any SparseOperator
-(or compatible object) works.  Of the package it imports only the
-argument validators in sparse.
+oracle_reference picks the route for a problem and a grid of t; the
+Kronecker and Chebyshev routes take the grid in one call, and each of
+their rows is the same whatever else is in the grid.  The series only
+needs matvec / norm_1 / norm_inf / n, so any SparseOperator (or
+compatible object) works.  Of the package it imports only the argument
+validators in sparse.
 
 The Chebyshev route maps the spectrum interval [a, b] to [-1, 1] with
 centre c and radius r and sums
@@ -28,10 +31,10 @@ centre c and radius r and sums
     e^{sigma t A} v = e^{sigma t c} sum_k eps_k sigma^k J_k(t r) T_k(A') v,
 
 A' = (A - c I) / r, eps_0 = 1 and eps_k = 2 otherwise.  [a, b] comes from
-the oracle's own Gershgorin pass over op.csr, padded by a relative 1e-12,
-not from SparseOperator.log_norm_bound, so a wrong interval in either
-shows up as a disagreement.  With ||T_k(A')||_2 <= 1 and
-|J_k(x)| <= (x/2)^k / k!, the terms after K sum to at most
+the oracle's own Gershgorin pass over the rows of op.csr, padded by a
+relative 1e-12, not from SparseOperator.log_norm_bound, so a wrong
+interval in either shows up as a disagreement.  With ||T_k(A')||_2 <= 1
+and |J_k(x)| <= (x/2)^k / k!, the terms after K sum to at most
 2 sum_{k>K} (t r / 2)^k / k! ||v||.  Once K + 2 > t r / 2 the ratio of
 consecutive tail terms stays below q = t r / (2 (K + 2)) < 1, so the tail
 is at most its first term over 1 - q.  Each t stops at the first K where
@@ -86,45 +89,54 @@ def oracle_laplacian(n, sigma, t, v):
     return scipy.fft.dst(np.exp(sigma * t * lam) * coeff, type=1, norm="ortho")
 
 
-def oracle_convection_diffusion(n, mu1, mu2, sigma, t, v):
-    """exp(sigma t A) v for the convection-diffusion operator
-    A = B (+) C1 (+) C2 on the n^3 grid, h = 1/(n+1), with
-    B = h^-2 tridiag(1, -2, 1) and C_i = h^-2 tridiag(1 + mu_i, -2, 1 - mu_i)
-    (sub-, main, superdiagonal), through
+def oracle_convection_diffusion(n, mu1, mu2, sigma, ts, v):
+    """exp(sigma t A) v for every t of ts, one row per t, for the
+    convection-diffusion operator A = B (+) C1 (+) C2 on the n^3 grid,
+    h = 1/(n+1), with B = h^-2 tridiag(1, -2, 1) and
+    C_i = h^-2 tridiag(1 + mu_i, -2, 1 - mu_i) (sub-, main, superdiagonal),
+    through
 
         e^{sigma t A} = e^{sigma t B} (x) e^{sigma t C1} (x) e^{sigma t C2}.
 
     Each n x n factor comes from scipy.linalg.expm (Al-Mohy & Higham
     2009), so nothing is shared with the package's Pade path, and the cost
     does not grow with t.  Entry i n^2 + j n + k of v is entry (i, j, k)
-    of the grid, and B acts on axis i."""
-    validate_time(t)
+    of the grid, and B acts on axis i.  The three factor stacks meet v in
+    three batched products over the grid, contracting i, then j, then k,
+    and each row is computed from its own t alone.  A t = 0 row is v."""
+    _check_grid(ts)
     v = np.asarray(v, dtype=complex)
     if v.shape != (n ** 3,):
         raise ValueError("vector length does not match n^3")
-    if t == 0.0:
-        return v.copy()
     h = 1.0 / (n + 1)
     scale = 1.0 / (h * h)
 
-    def factor(lo, hi):
+    def transposed_factors(lo, hi):
         trid = (np.diag(np.full(n - 1, lo * scale), -1)
                 + np.diag(np.full(n, -2.0 * scale))
                 + np.diag(np.full(n - 1, hi * scale), 1))
-        return scipy.linalg.expm(sigma * t * trid)
+        return scipy.linalg.expm(np.stack([sigma * t * trid for t in ts])).transpose(0, 2, 1)
 
-    grid = np.einsum("ai,bj,ck,ijk->abc", factor(1.0, 1.0),
-                     factor(1.0 + mu1, 1.0 - mu1), factor(1.0 + mu2, 1.0 - mu2),
-                     v.reshape(n, n, n), optimize=True)
-    return grid.reshape(-1)
+    count = len(ts)
+    # each product takes the data's last axis against one factor:
+    # [t, jk, i] @ [t, i, a], [t, ak, j] @ [t, j, b], [t, ab, k] @ [t, k, c]
+    grid = v.reshape(n, n * n).T @ transposed_factors(1.0, 1.0)
+    grid = grid.reshape(count, n, n, n).transpose(0, 3, 2, 1).reshape(count, n * n, n)
+    grid = grid @ transposed_factors(1.0 + mu1, 1.0 - mu1)
+    grid = grid.reshape(count, n, n, n).transpose(0, 1, 3, 2).reshape(count, n * n, n)
+    grid = grid @ transposed_factors(1.0 + mu2, 1.0 - mu2)
+    rows = grid.reshape(count, n ** 3)
+    rows[np.asarray(ts) == 0.0] = v
+    return rows
 
 
 def _gershgorin_interval(csr):
     """[a, b] holding every eigenvalue of the Hermitian matrix csr: the
-    real centres of its Gershgorin discs, minus and plus their radii."""
-    coo = csr.tocoo()
-    off = coo.row != coo.col
-    radius = np.bincount(coo.row[off], weights=np.abs(coo.data[off]),
+    real centres of its Gershgorin discs, minus and plus their radii,
+    with the rows of the entries read from indptr."""
+    rows = np.repeat(np.arange(csr.shape[0], dtype=csr.indices.dtype), np.diff(csr.indptr))
+    off = csr.indices != rows
+    radius = np.bincount(rows[off], weights=np.abs(csr.data[off]),
                          minlength=csr.shape[0])
     centre = csr.diagonal().real
     return float(np.min(centre - radius)), float(np.max(centre + radius))
@@ -195,7 +207,8 @@ def oracle_chebyshev(op, sigma, ts, v, target_accuracy=1e-13):
         elif k > 1:
             t_prev, t_cur = t_cur, 2.0 * shifted(t_cur) - t_prev
         live = sum(1 for i in order if terms[i] >= k)
-        acc[:live] += coef[:live, k, None] * t_cur
+        for row in range(live):
+            acc[row] += coef[row, k] * t_cur
     for row, i in enumerate(order):
         out[i] = np.exp(sigma * ts[i] * c) * acc[row]
     return out
@@ -280,8 +293,8 @@ def oracle_reference(spec, op, sigma, ts, v, p=0, target_accuracy=1e-13):
         rows = [oracle_laplacian(op.n, sigma, t, v) for t in ts]
     elif p == 0 and spec.kind == "convection_diffusion":
         params = spec.params
-        rows = [oracle_convection_diffusion(params["n"], params["mu1"], params["mu2"],
-                                            sigma, t, v) for t in ts]
+        return oracle_convection_diffusion(params["n"], params["mu1"], params["mu2"],
+                                           sigma, ts, v)
     elif p == 0 and op.symmetry == "hermitian" and complex(sigma).real == 0.0:
         return oracle_chebyshev(op, sigma, ts, v, target_accuracy)
     else:

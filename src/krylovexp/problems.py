@@ -8,6 +8,10 @@ prefactor where one is canonical):
   hubbard               8-site fermionic chain at half filling, n = 4900
   convection_diffusion  3D centered-difference stencil, sigma = +1
 
+The Hubbard and convection-diffusion builders write their canonical CSR
+arrays directly, each row in ascending column order; a coupling that is
+zero is not stored.
+
 The Laplacian scaling puts spec(H) inside (0, 1), so -iH generates a
 unitary group and -H a contraction semigroup; the convection-diffusion
 operator has negative-definite Hermitian part for any mu, so sigma = +1
@@ -86,18 +90,30 @@ def build_heat(n):
     return SparseOperator(_quarter_laplacian(n), symmetry="hermitian"), -1.0
 
 
+def _kept_slots(keep):
+    """The row and slot of each True entry of the (rows, slots) mask keep,
+    in row-major order, and the CSR row pointer that counts them: a
+    builder whose slots run in ascending column order gets its canonical
+    CSR arrays in that order."""
+    rows, slot = np.divmod(np.flatnonzero(keep), keep.shape[1])
+    indptr = np.zeros(len(keep) + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return rows, slot, indptr
+
+
 _SITES = 8
 _FILL = 4
 
 
 def _hubbard_basis():
     """All occupation states with 4 up and 4 down fermions on 8 sites,
-    encoded as 16-bit integers (bits 0..7 up, bits 8..15 down), in
-    ascending order of the packed integer value: the down byte major, the
-    up byte minor, each byte running through its 4-bit patterns in
-    ascending order."""
-    singles = [x for x in range(1 << _SITES) if x.bit_count() == _FILL]
-    return [u | (d << _SITES) for d in singles for u in singles]
+    encoded as 16-bit integers (bits 0..7 up, bits 8..15 down), as an
+    int32 array in ascending order of the packed integer value: the down
+    byte major, the up byte minor, each byte running through its 4-bit
+    patterns in ascending order."""
+    singles = np.array([x for x in range(1 << _SITES) if x.bit_count() == _FILL],
+                       dtype=np.int32)
+    return ((singles[:, None] << _SITES) | singles).ravel()
 
 
 def build_hubbard(omega, U=5.0):
@@ -113,34 +129,40 @@ def build_hubbard(omega, U=5.0):
     imaginary prefactors (+/-i) this Hamiltonian is propagated with; at
     sigma = +/-1 it is expansive (log_norm_bound 18.5 and 29.5).
     """
-    states = np.array(_hubbard_basis(), dtype=np.int64)
+    states = _hubbard_basis()
     nstates = len(states)
-    cols = np.arange(nstates)
+    index = np.full(1 << (2 * _SITES), -1, dtype=np.int32)
+    index[states] = np.arange(nstates, dtype=np.int32)
     hop = complex(-np.cos(omega) + 1j * np.sin(omega))
     site_pot = np.full(_SITES, -2.0)
     site_pot[0] = site_pot[-1] = -1.75
 
-    occ = (states[:, None] >> np.arange(2 * _SITES)) & 1
+    occ = ((states[:, None] >> np.arange(2 * _SITES, dtype=np.int32)) & 1).astype(np.int8)
     n_up, n_dn = occ[:, :_SITES], occ[:, _SITES:]
     diag = np.zeros(nstates)
     for j in range(_SITES):
         diag += site_pot[j] * (n_up[:, j] + n_dn[:, j])
         diag += np.where(n_up[:, j] & n_dn[:, j], U, 0.0)
 
-    row_parts, col_parts, val_parts = [cols], [cols], [diag.astype(complex)]
-    for base in (0, _SITES):
-        for j in range(_SITES - 1):
-            p = base + j
-            allowed = occ[:, p] != occ[:, p + 1]
-            # the hop towards the lower site carries the amplitude, the
-            # reverse hop its conjugate
-            row_parts.append(np.searchsorted(states, states[allowed] ^ (3 << p)))
-            col_parts.append(cols[allowed])
-            val_parts.append(np.where(occ[allowed, p + 1] == 1, hop, np.conj(hop)))
-    mat = sp.coo_matrix((np.concatenate(val_parts),
-                         (np.concatenate(row_parts), np.concatenate(col_parts))),
-                        shape=(nstates, nstates)).tocsr()
-    mat.eliminate_zeros()
+    # A hop swaps the adjacent bits p, p + 1 of one spin byte.  The states
+    # ascend by packed value, so row x holds its lowering hops (to
+    # x - 2^p, the particle moving from p + 1 to p) by descending p, then
+    # its diagonal where nonzero, then its raising hops (to x + 2^p) by
+    # ascending p: one slot each, in ascending column order.  The hop
+    # towards the lower site carries the amplitude: entry (x, y) is hop
+    # when the column state y has the particle on p + 1, its conjugate
+    # otherwise.
+    p = np.array([base + j for base in (0, _SITES) for j in range(_SITES - 1)])
+    lo, hi = occ[:, p], occ[:, p + 1]
+    keep = np.concatenate([(hi > lo)[:, ::-1], (diag != 0.0)[:, None], lo > hi], axis=1)
+    flips = np.concatenate([3 << p[::-1], [0], 3 << p]).astype(np.int32)
+    amps = np.array([np.conj(hop)] * len(p) + [0.0] + [hop] * len(p))
+    rows, slot, indptr = _kept_slots(keep)
+    data = amps[slot]
+    on_diag = slot == len(p)
+    data[on_diag] = diag[rows[on_diag]]
+    mat = sp.csr_matrix((data, index[states[rows] ^ flips[slot]], indptr),
+                        shape=(nstates, nstates))
     return SparseOperator(mat, symmetry="hermitian")
 
 
@@ -158,19 +180,20 @@ def build_convection_diffusion(n, mu1, mu2):
         raise ValueError("n must be >= 2")
     h = 1.0 / (n + 1)
     scale = 1.0 / (h * h)
-
-    def trid(lo, hi):
-        return sp.diags([np.full(n - 1, lo * scale),
-                         np.full(n, -2.0 * scale),
-                         np.full(n - 1, hi * scale)], [-1, 0, 1])
-
-    B = trid(1.0, 1.0)
-    C1 = trid(1.0 + mu1, 1.0 - mu1)
-    C2 = trid(1.0 + mu2, 1.0 - mu2)
-    eye = sp.identity(n)
-    A = (sp.kron(sp.kron(B, eye), eye)
-         + sp.kron(sp.kron(eye, C1), eye)
-         + sp.kron(sp.kron(eye, eye), C2)).tocsr()
+    # row i n^2 + j n + k couples to its grid neighbours along i (B), j (C1)
+    # and k (C2); the seven slots run in ascending column order, the
+    # diagonal sums the three -2 h^-2 in the order B + C1 + C2, and a zero
+    # coupling (mu = +/-1) is not stored
+    offsets = np.array([-n * n, -n, -1, 0, 1, n, n * n], dtype=np.int32)
+    values = np.array([1.0 * scale, (1.0 + mu1) * scale, (1.0 + mu2) * scale,
+                       (-2.0 * scale + -2.0 * scale) + -2.0 * scale,
+                       (1.0 - mu2) * scale, (1.0 - mu1) * scale, 1.0 * scale])
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
+    keep = np.stack([i > 0, j > 0, k > 0, np.ones_like(k, dtype=bool),
+                     k < n - 1, j < n - 1, i < n - 1], axis=1) & (values != 0.0)
+    rows, slot, indptr = _kept_slots(keep)
+    A = sp.csr_matrix((values[slot], rows.astype(np.int32) + offsets[slot], indptr),
+                      shape=(n ** 3, n ** 3))
     symmetric = mu1 == 0.0 and mu2 == 0.0
     return SparseOperator(A, symmetry="hermitian" if symmetric else "general"), 1.0
 

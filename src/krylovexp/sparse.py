@@ -1,12 +1,15 @@
 """Sparse operator wrapper, Matrix Market round trip, logarithmic norm bound.
 
-The operator keeps its matrix as complex128 CSR; the norms, the log-norm
-bound and Matrix Market I/O read it.  When no entry has a nonzero
-imaginary part it also keeps the values in float64, and matvec sends a
-real vector through them, so a real problem runs in real arithmetic.
-A banded matrix (its stored diagonals hold at most 1.25 times its
-entries, as on the stencil problems) keeps them in DIA form, anything
-else in CSR on the complex matrix's own index arrays.
+The operator keeps its matrix as canonical complex128 CSR (duplicates
+summed at construction, on a copy) and, built once beside it, the CSR of
+its conjugate transpose; the norms, the Hermitian check, the log-norm
+bound and Matrix Market I/O read them, row by row through indptr and
+indices.  When no entry has a nonzero imaginary part it also keeps the
+values in float64, and matvec sends a real vector through them, so a
+real problem runs in real arithmetic.  A banded matrix (its stored
+diagonals hold at most 1.25 times its entries, as on the stencil
+problems) keeps them in DIA form, anything else in CSR on the complex
+matrix's own index arrays.
 """
 
 import math
@@ -41,33 +44,41 @@ def validate_phi_index(p):
     return p
 
 
+def _entry_rows(csr):
+    """The row of each stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(csr.shape[0], dtype=csr.indices.dtype), np.diff(csr.indptr))
+
+
 def _real_storage(csr):
-    """The float64 values of a real complex128 CSR matrix, kept apart from
-    it, since scipy would upcast a float64-only matrix on every complex
-    product.  DIA when its stored diagonals hold at most 1.25 nnz values,
-    so a banded matrix skips CSR's index reads; CSR on csr's own index
-    arrays otherwise.  The offsets ascend, so each row of a DIA product
-    sums in the column order of a canonical CSR one, to the same bits."""
+    """The float64 values of a real canonical complex128 CSR matrix, kept
+    apart from it, since scipy would upcast a float64-only matrix on every
+    complex product.  DIA when its stored diagonals hold at most 1.25 nnz
+    values, so a banded matrix skips CSR's index reads; CSR on csr's own
+    index arrays otherwise.  The offsets ascend, so each row of a DIA
+    product sums in the column order of a canonical CSR one, to the same
+    bits."""
     real = sp.csr_matrix((np.ascontiguousarray(csr.data.real), csr.indices, csr.indptr),
                          shape=csr.shape)
     n = csr.shape[0]
-    coo = real.tocoo()
-    coo.sum_duplicates()
-    offsets, diag = np.unique(coo.col - coo.row, return_inverse=True)
+    offsets, diag = np.unique(csr.indices - _entry_rows(csr), return_inverse=True)
     if offsets.size * n > 1.25 * csr.nnz:
         return real
     data = np.zeros((offsets.size, n))
-    data[diag, coo.col] = coo.data
+    data[diag, csr.indices] = real.data
     return sp.dia_matrix((data, offsets), shape=csr.shape)
 
 
 class SparseOperator:
     """Square complex sparse matrix in CSR form with a bit of metadata.
 
-    symmetry is either "hermitian" or "general"; a hermitian claim is
-    verified elementwise (to 1e-12) at construction.  log_norm_bound(sigma)
-    bounds the logarithmic norm of sigma*A from above; estimators consult
-    it to decide whether a bound is proven for that (operator, sigma) pair.
+    The matrix is summed into canonical form at construction, on a copy
+    when it has duplicates, so the caller's matrix is left as it is, and
+    nnz counts distinct entries.  symmetry is either "hermitian" or
+    "general"; a hermitian claim is verified elementwise (to 1e-12)
+    against the conjugate transpose, which is built once and kept.
+    log_norm_bound(sigma) bounds the logarithmic norm of sigma*A from
+    above; estimators consult it to decide whether a bound is proven for
+    that (operator, sigma) pair.
     is_real is True when every entry has a zero imaginary part (by value,
     whatever dtype the matrix came in); matvec then multiplies a real
     vector in float64, through DIA storage when the matrix is banded, and
@@ -76,17 +87,22 @@ class SparseOperator:
 
     def __init__(self, matrix, symmetry="general"):
         csr = sp.csr_matrix(matrix, dtype=np.complex128)
+        if not csr.has_canonical_format:
+            csr = csr.copy()
+            csr.sum_duplicates()
         if csr.shape[0] != csr.shape[1]:
             raise ValueError("operator must be square")
         if not np.all(np.isfinite(csr.data)):
             raise ValueError("operator entries must be finite")
         if symmetry not in ("hermitian", "general"):
             raise ValueError(f"unknown symmetry flag: {symmetry!r}")
+        adjoint = csr.conj().T.tocsr()
         if symmetry == "hermitian":
-            dev = abs(csr - csr.getH())
+            dev = abs(csr - adjoint)
             if dev.nnz and dev.max() > 1e-12:
                 raise ValueError("matrix declared hermitian deviates from A == A* by more than 1e-12")
         self.csr = csr
+        self._adjoint = adjoint
         self._real = None if np.any(csr.data.imag) else _real_storage(csr)
         self.symmetry = symmetry
         self._norm_1 = None
@@ -124,19 +140,23 @@ class SparseOperator:
         part H = (sigma A + conj(sigma) A^*)/2, and every eigenvalue of H
         lies in a Gershgorin disc, so max_i (Re H_ii + sum_{j != i} |H_ij|)
         bounds it from above.  A value <= 0 certifies that e^{t sigma A}
-        never grows a vector for t >= 0.  One sparse pass, cached per sigma.
+        never grows a vector for t >= 0.  One sparse sum against the kept
+        conjugate transpose, its rows read through indptr, cached per
+        sigma.
         """
         s = validate_prefactor(sigma)
         if s not in self._log_norm_bounds:
-            H = ((0.5 * s) * self.csr + (0.5 * np.conj(s)) * self.csr.getH()).tocoo()
-            H.eliminate_zeros()
+            H = (0.5 * s) * self.csr + (0.5 * np.conj(s)) * self._adjoint
             if H.nnz == 0:
                 bound = 0.0
             else:
-                off = H.row != H.col
-                radius = np.bincount(H.row[off], weights=np.abs(H.data[off]),
+                rows = _entry_rows(H)
+                off = H.indices != rows
+                radius = np.bincount(rows[off], weights=np.abs(H.data[off]),
                                      minlength=self.n)
-                bound = float(np.max(H.diagonal().real + radius))
+                centre = np.zeros(self.n)
+                centre[rows[~off]] = H.data[~off].real
+                bound = float(np.max(centre + radius))
             self._log_norm_bounds[s] = bound
         return self._log_norm_bounds[s]
 

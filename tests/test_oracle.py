@@ -264,7 +264,7 @@ def test_convection_diffusion_kronecker_matches_series(n, mu):
     v = random_unit(n ** 3, seed=16)
     for sigma in CD_SIGMAS:
         for t in (1e-3, 0.05, 0.5):
-            got = oracle_convection_diffusion(n, *mu, sigma, t, v)
+            got = oracle_convection_diffusion(n, *mu, sigma, [t], v)[0]
             expected = oracle_series(op, sigma, t, v, 1e-14)
             scale = max(np.linalg.norm(v), np.linalg.norm(expected))
             assert np.linalg.norm(got - expected) <= 1e-13 * scale
@@ -280,20 +280,46 @@ def test_convection_diffusion_kronecker_matches_dense_expm():
     for sigma in CD_SIGMAS:
         for t in (0.01, 0.2):
             expected = scipy.linalg.expm(sigma * t * A) @ v
-            got = oracle_convection_diffusion(n, mu1, mu2, sigma, t, v)
+            got = oracle_convection_diffusion(n, mu1, mu2, sigma, [t], v)[0]
             scale = max(1.0, np.linalg.norm(expected))
             assert np.linalg.norm(got - expected) < 1e-13 * scale
 
 
 def test_convection_diffusion_kronecker_t_zero_and_bad_arguments():
     v = random_unit(27, seed=18)
-    out = oracle_convection_diffusion(3, 0.9, 1.1, 1.0, 0.0, v)
-    assert np.array_equal(out, v)
-    assert out is not v
+    out = oracle_convection_diffusion(3, 0.9, 1.1, 1.0, [0.0], v)
+    assert out.shape == (1, 27) and np.array_equal(out[0], v)
+    assert not np.shares_memory(out, v)
     with pytest.raises(ValueError):
-        oracle_convection_diffusion(3, 0.9, 1.1, 1.0, 0.1, v[:26])
+        oracle_convection_diffusion(3, 0.9, 1.1, 1.0, [0.1], v[:26])
     with pytest.raises(ValueError):
-        oracle_convection_diffusion(3, 0.9, 1.1, 1.0, -0.1, v)
+        oracle_convection_diffusion(3, 0.9, 1.1, 1.0, [-0.1], v)
+
+
+@pytest.mark.parametrize("sigma", CD_SIGMAS)
+def test_convection_diffusion_kronecker_rows_equal_single_calls(sigma):
+    """Each row of a grid call is the call on its t alone, to the bit:
+    a row's factors and products do not depend on the rest of the grid."""
+    n, mu = 5, (0.9, -0.4)
+    v = random_unit(n ** 3, seed=25)
+    ts = [0.3, 1e-3, 0.0, 0.05, 0.05, 2.0]
+    grid = oracle_convection_diffusion(n, *mu, sigma, ts, v)
+    assert grid.shape == (len(ts), n ** 3)
+    for t, row in zip(ts, grid):
+        alone = oracle_convection_diffusion(n, *mu, sigma, [t], v)[0]
+        assert np.array_equal(row.view(np.uint64), alone.view(np.uint64)), t
+
+
+def test_convection_diffusion_kronecker_t_zero_row_is_v():
+    """A t = 0 row is v itself, signed zeros included, wherever it sits in
+    the grid."""
+    v = random_unit(64, seed=26)
+    v[[3, 17]] = [complex(-0.0, 0.5), complex(0.25, -0.0)]
+    for sigma in CD_SIGMAS:
+        grid = oracle_convection_diffusion(4, 0.9, 1.1, sigma, [0.1, 0.0, 0.2, 0.0], v)
+        for row in (grid[1], grid[3]):
+            assert np.array_equal(row.view(np.uint64), v.view(np.uint64))
+        assert not np.array_equal(grid[0], v)
 
 
 def test_reference_dispatch_picks_the_route_by_problem_kind():
@@ -306,7 +332,7 @@ def test_reference_dispatch_picks_the_route_by_problem_kind():
     op, sigma = cd.build()
     v = random_unit(27, seed=20)
     assert np.array_equal(oracle_reference(cd, op, sigma, [0.02], v),
-                          [oracle_convection_diffusion(3, 0.9, 1.1, sigma, 0.02, v)])
+                          oracle_convection_diffusion(3, 0.9, 1.1, sigma, [0.02], v))
     assert np.array_equal(oracle_reference(cd, op, sigma, [0.02], v, p=1),
                           [oracle_phi(op, sigma, 0.02, v, 1)])
     # with no closed form, the operator and sigma decide, not the name
@@ -349,7 +375,7 @@ def test_closed_forms_reject_negative_and_non_finite_t():
         with pytest.raises(ValueError):
             oracle_laplacian(10, -1.0, t, v)
         with pytest.raises(ValueError):
-            oracle_convection_diffusion(2, 0.9, 1.1, 1.0, t, v[:8])
+            oracle_convection_diffusion(2, 0.9, 1.1, 1.0, [t], v[:8])
 
 
 @settings(max_examples=60, deadline=None)

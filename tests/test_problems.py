@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import krylovexp as kx
 from krylovexp import ProblemSpec, build_convection_diffusion, starting_vector
@@ -86,7 +88,7 @@ def test_hubbard_dimensions(hubbard_op):
 def test_hubbard_columns_match_independent_reconstruction(hubbard_op):
     """Every one of the 4900 columns, rebuilt from occupation lists."""
     from krylovexp.problems import _hubbard_basis
-    states = _hubbard_basis()
+    states = _hubbard_basis().tolist()
     assert states == sorted(states)
     index = {s: i for i, s in enumerate(states)}
     rows, cols, vals = [], [], []
@@ -107,7 +109,7 @@ def test_hubbard_explicit_state():
     """Sites 0..3 doubly occupied: potential 2*(-7.75) plus 4U."""
     op = kx.build_hubbard(0.123, U=5.0)
     from krylovexp.problems import _hubbard_basis
-    states = _hubbard_basis()
+    states = _hubbard_basis().tolist()
     x = 0b00001111 | (0b00001111 << 8)
     a = states.index(x)
     assert op.csr[a, a] == complex(2 * (-1.75 - 2.0 - 2.0 - 2.0) + 4 * 5.0)
@@ -189,6 +191,89 @@ def test_convection_diffusion_nonexpansive_certificate():
     for mu1, mu2 in ((0.9, 1.1), (0.0, 0.0)):
         op, sigma = build_convection_diffusion(5, mu1, mu2)
         assert op.log_norm_bound(sigma) <= 0.0
+
+
+def same_csr_bits(op, expected):
+    """op.csr is canonical and stores expected's index arrays and values
+    bit for bit (expected widened to complex128 first)."""
+    got = op.csr
+    expected = expected.astype(np.complex128)
+    assert got.has_canonical_format
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert np.array_equal(got.data.view(np.uint64), expected.data.view(np.uint64))
+
+
+def kron_chain_convection_diffusion(n, mu1, mu2):
+    """The convection-diffusion matrix as the Kronecker sum of sp.diags
+    tridiagonals, every product and sum taken in CSR."""
+    h = 1.0 / (n + 1)
+    scale = 1.0 / (h * h)
+
+    def trid(lo, hi):
+        return sp.diags([np.full(n - 1, lo * scale), np.full(n, -2.0 * scale),
+                         np.full(n - 1, hi * scale)], [-1, 0, 1], format="csr")
+
+    def kron(a, b):
+        return sp.kron(a, b, format="csr")
+
+    eye = sp.identity(n, format="csr")
+    return (kron(kron(trid(1.0, 1.0), eye), eye)
+            + kron(kron(eye, trid(1.0 + mu1, 1.0 - mu1)), eye)
+            + kron(kron(eye, eye), trid(1.0 + mu2, 1.0 - mu2))).tocsr()
+
+
+MUS = st.one_of(st.sampled_from([0.0, 1.0, -1.0]), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 9), mu1=MUS, mu2=MUS)
+@example(n=4, mu1=0.0, mu2=0.0)
+@example(n=2, mu1=1.0, mu2=-1.0)
+def test_convection_diffusion_csr_is_the_kron_chain(n, mu1, mu2):
+    """The stencil written straight into CSR stores the bits of the
+    sp.kron chain, zero couplings (mu = +/-1) left out, and is flagged
+    hermitian (so run by Lanczos) exactly when mu1 = mu2 = 0."""
+    op, _ = build_convection_diffusion(n, mu1, mu2)
+    same_csr_bits(op, kron_chain_convection_diffusion(n, mu1, mu2))
+    assert op.symmetry == ("hermitian" if mu1 == mu2 == 0.0 else "general")
+
+
+def coo_route_hubbard(omega, U):
+    """The Hubbard matrix assembled as COO triplets (target state found by
+    searchsorted) and converted to CSR with zeros eliminated."""
+    from krylovexp.problems import _hubbard_basis
+    states = _hubbard_basis().astype(np.int64)
+    cols = np.arange(len(states))
+    hop = complex(-np.cos(omega) + 1j * np.sin(omega))
+    site_pot = np.full(8, -2.0)
+    site_pot[0] = site_pot[-1] = -1.75
+    occ = (states[:, None] >> np.arange(16)) & 1
+    n_up, n_dn = occ[:, :8], occ[:, 8:]
+    diag = np.zeros(len(states))
+    for j in range(8):
+        diag += site_pot[j] * (n_up[:, j] + n_dn[:, j])
+        diag += np.where(n_up[:, j] & n_dn[:, j], U, 0.0)
+    rows, cs, vals = [cols], [cols], [diag.astype(complex)]
+    for p in [base + j for base in (0, 8) for j in range(7)]:
+        allowed = occ[:, p] != occ[:, p + 1]
+        rows.append(np.searchsorted(states, states[allowed] ^ (3 << p)))
+        cs.append(cols[allowed])
+        vals.append(np.where(occ[allowed, p + 1] == 1, hop, np.conj(hop)))
+    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cs))),
+                        shape=(len(states),) * 2).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
+@settings(max_examples=25, deadline=None)
+@given(omega=st.one_of(st.just(0.0), st.floats(0.0, 2.0 * math.pi)),
+       U=st.one_of(st.sampled_from([0.0, 7.75, -3.5]), st.floats(-10.0, 10.0)))
+@example(omega=0.0, U=0.0)
+def test_hubbard_csr_is_the_coo_route(omega, U):
+    """The rows written in slot order store the bits of the COO assembly;
+    U = 7.75 zeroes the diagonal of some states, which both leave out."""
+    same_csr_bits(kx.build_hubbard(omega, U), coo_route_hubbard(omega, U))
 
 
 @pytest.mark.parametrize("kind", PROBLEM_KINDS)

@@ -1,14 +1,20 @@
 """Operator wrapper, Matrix Market round trip, logarithmic norm bound."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import krylovexp as kx
 from krylovexp import (KrylovConfig, SparseOperator, build_krylov, era,
                        validate_prefactor)
+from krylovexp.cli import main
 
-from conftest import random_unit
+from conftest import SIGMAS, random_unit
 
 
 def test_validate_prefactor_accepts_unit_modulus():
@@ -147,15 +153,76 @@ def test_log_norm_bound_rejects_expansive_pairs(heat_pair, hubbard_op):
     assert SparseOperator(sp.csr_matrix((3, 3))).log_norm_bound(1.0) == 0.0
 
 
-def test_log_norm_bound_is_cached_per_sigma(monkeypatch):
+def test_log_norm_bound_is_cached_per_sigma():
+    """A repeated sigma returns the stored bound without recomputing it.
+    Once the stored entries are doubled in place, a recomputation at
+    sigma = 1 would give 0.5, not 0.0; a new sigma, computed from the
+    doubled entries, shows that the doubling reaches the bound."""
     op = SparseOperator(sp.csr_matrix(np.array([[-1.0, 2.0], [0.0, -3.0]])))
-    first = op.log_norm_bound(1.0)
-    calls = []
-    original = op.csr.getH
-    monkeypatch.setattr(op.csr, "getH", lambda: calls.append(1) or original())
-    assert op.log_norm_bound(1.0) == first and calls == []
-    op.log_norm_bound(-1.0)
-    assert calls == [1]
+    assert op.log_norm_bound(1.0) == 0.0
+    op.csr.data *= 2.0
+    assert op.log_norm_bound(1.0) == 0.0
+    assert op.log_norm_bound(-1.0) == 5.5   # 4.0 from the original entries
+
+
+def coo_gershgorin_bound(matrix, sigma):
+    """The Gershgorin bound of the hermitian part of sigma*A, through a
+    COO copy of H: the centre of row i is Re H_ii, its radius the sum of
+    |H_ij| over the stored j != i."""
+    A = sp.csr_matrix(matrix, dtype=np.complex128)
+    s = complex(sigma)
+    H = ((0.5 * s) * A + (0.5 * np.conj(s)) * A.getH()).tocoo()
+    H.eliminate_zeros()
+    if H.nnz == 0:
+        return 0.0
+    off = H.row != H.col
+    radius = np.bincount(H.row[off], weights=np.abs(H.data[off]), minlength=A.shape[0])
+    return float(np.max(H.diagonal().real + radius))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30),
+       density=st.floats(0.0, 1.0), kind=st.sampled_from(["complex", "real", "hermitian"]),
+       sigma=SIGMAS)
+def test_log_norm_bound_equals_the_coo_gershgorin_formula(seed, n, density, kind, sigma):
+    """Bit for bit, on random sparse matrices; the general ones may hold
+    explicit zeros."""
+    rng = np.random.default_rng(seed)
+    A = sp.random(n, n, density=density, random_state=rng, dtype=float).tocsr()
+    if kind != "real":
+        A = A + 1j * sp.random(n, n, density=density, random_state=rng).tocsr()
+    A = sp.csr_matrix(A)
+    A.data[rng.random(A.nnz) < 0.1] = 0.0
+    if kind == "hermitian":
+        A = A + A.getH()
+    op = SparseOperator(A, symmetry="hermitian" if kind == "hermitian" else "general")
+    got, expected = op.log_norm_bound(sigma), coo_gershgorin_bound(A, sigma)
+    assert np.array([got]).view(np.uint64) == np.array([expected]).view(np.uint64)
+
+
+def test_duplicate_entries_are_summed_at_construction(tmp_path, monkeypatch):
+    """A CSR matrix with repeated column indices is summed into canonical
+    form on a copy: nnz and the build metadata count distinct entries, the
+    .mtx file holds each once, and the caller's arrays are untouched."""
+    data = np.array([1.0, 2.0, 0.5, -1.0, 3.0])
+    indices = np.array([0, 0, 0, 1, 1], dtype=np.int32)
+    indptr = np.array([0, 2, 5], dtype=np.int32)
+    A = sp.csr_matrix((data, indices, indptr), shape=(2, 2), dtype=np.complex128)
+    assert not A.has_canonical_format
+    before = [x.copy() for x in (A.data, A.indices, A.indptr)]
+    op = SparseOperator(A)
+    assert op.nnz == 3 and op.csr.has_canonical_format
+    assert np.array_equal(op.csr.toarray(), [[3.0, 0.0], [0.5, 2.0]])
+    for now, then in zip((A.data, A.indices, A.indptr), before):
+        assert np.array_equal(now, then)
+    assert op.log_norm_bound(1.0) == coo_gershgorin_bound(op.csr, 1.0) == 3.25
+
+    monkeypatch.setattr(kx.problems, "build_heat", lambda n: (SparseOperator(A), -1.0))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problems": [{"kind": "heat"}]}))
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "ops")]) == 0
+    assert json.loads((tmp_path / "ops" / "heat.meta.json").read_text())["nnz"] == 3
+    assert scipy.io.mmread(tmp_path / "ops" / "heat.mtx").nnz == 3
 
 
 def test_matrix_market_round_trip_keeps_era_proven(tmp_path, heat_pair):
