@@ -13,9 +13,9 @@ from .problems import (ProblemSpec, build_convection_diffusion, build_heat,
                        build_hubbard, build_schrodinger, starting_vector)
 from .sparse import SparseOperator, validate_prefactor
 from .stepper import (ControllerSpec, PropagationResult, StepRecord,
-                      early_stop_dimension, expokit_first_step, propagate,
-                      propagate_fixed_steps, step_size_direct,
-                      step_size_heuristic, step_size_iterated)
+                      expokit_first_step, propagate, propagate_fixed_steps,
+                      step_size_direct, step_size_heuristic,
+                      step_size_iterated)
 
 __version__ = "0.1.0"
 
@@ -24,9 +24,8 @@ __all__ = [
     "KrylovDecomposition", "PropagationResult", "ProblemSpec",
     "SparseOperator", "StepRecord",
     "build_convection_diffusion", "build_heat", "build_hubbard",
-    "build_krylov", "build_schrodinger", "early_stop_dimension",
-    "effective_order", "era", "err1", "expm_dense",
-    "expokit_first_step", "extend_krylov",
+    "build_krylov", "build_schrodinger", "effective_order", "era", "err1",
+    "expm_dense", "expokit_first_step", "extend_krylov",
     "oracle_chebyshev", "oracle_convection_diffusion", "oracle_laplacian",
     "oracle_phi",
     "oracle_reference", "oracle_series", "phi_dense",

@@ -33,7 +33,7 @@ import numpy as np
 from .approximant import Approximant, effective_order
 from .estimators import CORRECTED_KINDS, ESTIMATORS, era, err1, quad_estimates
 from .krylov import KrylovConfig, build_krylov
-from .oracle import oracle_reference
+from .oracle import TARGET_ACCURACY, oracle_reference
 from .problems import ProblemSpec, starting_vector
 from .stepper import ControllerSpec, propagate, propagate_fixed_steps
 
@@ -58,9 +58,9 @@ BENCH_KEY = ("problem", "controller", "estimator", "m", "tol")
 
 def _breaks_bound(err, bound):
     """True when an oracle error err exceeds a proven bound by more than
-    the slack: 1e-9 relative to the bound, plus 1e-12, ten times the
-    oracle's default target accuracy."""
-    return err > bound * (1.0 + 1e-9) + 1e-12
+    the slack: 1e-9 relative to the bound, plus ten times the oracle's
+    target accuracy (1e-12)."""
+    return err > bound * (1.0 + 1e-9) + 10.0 * TARGET_ACCURACY
 
 
 def _require(cond, msg):

@@ -5,8 +5,8 @@ m <= a few hundred), not on the large sparse operator: the matrix
 exponential via diagonal Pade with scaling and squaring, phi-function
 actions on the first unit vector through an augmented matrix, scalar
 phi evaluation, and the symmetric tridiagonal eigensolve used by the
-Lanczos fast path.  expm_dense and phi_dense compute in the field of zT,
-phi_scalar in that of z: float64 when real, complex128 otherwise.
+Lanczos fast path.  expm_dense computes in the field of M, phi_dense in
+that of zT, phi_scalar in that of z: float64 when real, else complex128.
 """
 
 import math
@@ -67,21 +67,20 @@ def _pade13(M):
 # 5.3e12 at m = 30.  Degree 13 matches Taylor through order 26, so the corner
 # holds wherever m - 1 + q <= 26; past that it too loses digits until
 # ||zT||_1 exceeds _PADE13_THETA and scaling starts.
-def expm_dense(T, z=1.0):
-    """Compute e^{zT} for a small dense matrix T.
+def expm_dense(M):
+    """Compute e^M for a small dense matrix M.
 
     Degree-13 diagonal Pade with scaling chosen so the scaled 1-norm stays
-    below 5.4, followed by repeated squaring, in the field of zT (float64
-    or complex128).  zT = 0 returns exactly I, which Pade would miss by an
+    below 5.4, followed by repeated squaring, in the field of M (float64
+    or complex128).  M = 0 returns exactly I, which Pade would miss by an
     ulp.  (Lanczos decompositions reach e^{zT} through their tridiagonal
     eigendecomposition instead; see KrylovDecomposition.phi.)
     """
-    T = np.asarray(T)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
+    M = np.asarray(M, dtype=np.result_type(np.asarray(M), float))
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expm_dense needs a square matrix")
-    if not np.all(np.isfinite(T)) or not np.isfinite(z):
+    if not np.all(np.isfinite(M)):
         raise ValueError("expm_dense: non-finite input")
-    M = np.asarray(z * T, dtype=np.result_type(z, T, float))
     nrm = abs(M).sum(axis=0).max()
     if nrm == 0.0:
         return np.eye(M.shape[0], dtype=M.dtype)
@@ -116,9 +115,9 @@ def phi_dense(T, z, p):
         raise ValueError("phi_dense needs a square matrix")
     validate_phi_index(p)
     m = T.shape[0]
-    if p == 0:
-        return expm_dense(T, z)[:, 0]
     zT = np.asarray(z * T, dtype=np.result_type(z, T, float))
+    if p == 0:
+        return expm_dense(zT)[:, 0]
     aug = np.zeros((m + p, m + p), dtype=zT.dtype)
     aug[:m, :m] = zT
     aug[0, m] = 1.0

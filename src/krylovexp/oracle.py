@@ -20,7 +20,9 @@ routes compute the exponential action from scratch:
 
 oracle_reference picks the route for a problem and a grid of t; the
 Kronecker and Chebyshev routes take the grid in one call, and each of
-their rows is the same whatever else is in the grid.  The series only
+their rows is the same whatever else is in the grid.  The Chebyshev and
+series routes aim at TARGET_ACCURACY = 1e-13 relative to ||v||; only
+oracle_phi and oracle_series take another.  The series only
 needs matvec / norm_1 / norm_inf / n, so any SparseOperator (or
 compatible object) works.  Of the package it imports only the argument
 validators in sparse.
@@ -38,7 +40,7 @@ and |J_k(x)| <= (x/2)^k / k!, the terms after K sum to at most
 2 sum_{k>K} (t r / 2)^k / k! ||v||.  Once K + 2 > t r / 2 the ratio of
 consecutive tail terms stays below q = t r / (2 (K + 2)) < 1, so the tail
 is at most its first term over 1 - q.  Each t stops at the first K where
-that bound, taken in log space, is at most half the target times ||v||,
+that bound, taken in log space, is at most TARGET_ACCURACY ||v|| / 2,
 and its coefficients past K are zero, so a row does not depend on the
 rest of the grid.  The round-off of the recurrence is not in the bound.
 The vectors T_k(A') v do not depend on t, so the grid shares one
@@ -62,6 +64,7 @@ import scipy.special
 from .sparse import validate_phi_index, validate_time
 
 _TERM_CAP = 400
+TARGET_ACCURACY = 1e-13
 MIN_TARGET_ACCURACY = 1e-14
 # tiny / eps = 2^-970: from t^p this large on, 1 / t^p is finite and
 # u(t) ~ t^p phi_p v stays clear of gradual underflow
@@ -158,13 +161,11 @@ def _chebyshev_terms(x, target):
         K += 1
 
 
-def oracle_chebyshev(op, sigma, ts, v, target_accuracy=1e-13):
+def oracle_chebyshev(op, sigma, ts, v):
     """e^{sigma t A} v for every t of ts, one row per t, for a Hermitian
     operator and Re sigma = 0, from one Chebyshev recurrence (see the
     module docstring).  Each row stops at its own K(t), so it is the same
     whatever else is in ts.  Every matvec goes through op.matvec."""
-    if target_accuracy < MIN_TARGET_ACCURACY:
-        raise ValueError(f"target_accuracy must be >= {MIN_TARGET_ACCURACY}")
     if op.symmetry != "hermitian":
         raise ValueError("the Chebyshev oracle needs a hermitian operator")
     sigma = complex(sigma)
@@ -188,7 +189,7 @@ def oracle_chebyshev(op, sigma, ts, v, target_accuracy=1e-13):
     unit = 1j if sigma.imag >= 0.0 else -1j
     powers = np.array([1.0, unit, -1.0, -unit])
     xs = [abs(sigma.imag) * t * r for t in ts]
-    terms = [_chebyshev_terms(x, target_accuracy) for x in xs]
+    terms = [_chebyshev_terms(x, TARGET_ACCURACY) for x in xs]
     order = sorted(range(len(ts)), key=lambda i: -terms[i])
     coef = np.zeros((len(ts), max(terms) + 1), dtype=complex)
     for row, i in enumerate(order):
@@ -231,12 +232,12 @@ def _series_phi_apply(matvec, v, q, tol_abs):
     raise RuntimeError("Taylor series did not converge within the term cap")
 
 
-def oracle_series(op, sigma, t, v, target_accuracy=1e-13):
+def oracle_series(op, sigma, t, v, target_accuracy=TARGET_ACCURACY):
     """e^{sigma t A} v: oracle_phi at p = 0."""
     return oracle_phi(op, sigma, t, v, 0, target_accuracy)
 
 
-def oracle_phi(op, sigma, t, v, p, target_accuracy=1e-13):
+def oracle_phi(op, sigma, t, v, p, target_accuracy=TARGET_ACCURACY):
     """phi_p(sigma t A) v, independent of the projection code, for any
     p >= 0.  u' = sigma A u + t^{p-1}/(p-1)! v is advanced in s equal
     substeps of width h, s the smallest count with ||sigma h A|| <= 1 in
@@ -280,14 +281,14 @@ def oracle_phi(op, sigma, t, v, p, target_accuracy=1e-13):
     return u / t ** p
 
 
-def oracle_reference(spec, op, sigma, ts, v, p=0, target_accuracy=1e-13):
+def oracle_reference(spec, op, sigma, ts, v, p=0):
     """phi_p(sigma t A) v for each t of the grid ts, one row per t, for
     the operator op built from spec, by the fastest independent route:
     the sine transform for the Laplacian problems, the Kronecker product
     for convection-diffusion, one Chebyshev recurrence for a hermitian
     operator at Re sigma = 0 (all three p = 0 only), else oracle_phi (the
-    series at p = 0).  target_accuracy reaches the Chebyshev and series
-    routes.  ts must be a nonempty sequence of finite values >= 0."""
+    series at p = 0), each at TARGET_ACCURACY.  ts must be a nonempty
+    sequence of finite values >= 0."""
     _check_grid(ts)
     if p == 0 and spec.kind in ("schrodinger_free", "heat"):
         rows = [oracle_laplacian(op.n, sigma, t, v) for t in ts]
@@ -296,7 +297,7 @@ def oracle_reference(spec, op, sigma, ts, v, p=0, target_accuracy=1e-13):
         return oracle_convection_diffusion(params["n"], params["mu1"], params["mu2"],
                                            sigma, ts, v)
     elif p == 0 and op.symmetry == "hermitian" and complex(sigma).real == 0.0:
-        return oracle_chebyshev(op, sigma, ts, v, target_accuracy)
+        return oracle_chebyshev(op, sigma, ts, v)
     else:
-        rows = [oracle_phi(op, sigma, t, v, p, target_accuracy) for t in ts]
+        rows = [oracle_phi(op, sigma, t, v, p) for t in ts]
     return np.array(rows)

@@ -38,10 +38,10 @@ def validate_time(t):
 
 
 def validate_phi_index(p):
-    """p, the index of phi_p, checked >= 0 (phi_0 = exp)."""
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p!r}")
-    return p
+    """p, the index of phi_p (phi_0 = exp), as an int >= 0; no bool."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 0:
+        raise ValueError(f"p must be >= 0 and an integer, got {p!r}")
+    return int(p)
 
 
 def _entry_rows(csr):

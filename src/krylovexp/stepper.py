@@ -4,8 +4,12 @@ Each substep builds a fresh Krylov decomposition from the current vector
 (the dimension m stays fixed for the whole run), picks dt_j by one of the
 controllers below and records the step.  The records are a run's only
 state: its time, matvecs and accumulated bound (the estimates summed in
-step order) are read from them.  With a proven upper bound and the
+step order) are read from them, as is a step's start time, the in-order
+sum of the dts before it.  With a proven upper bound and the
 per-unit-step error model that bound is <= tol * t by construction.
+
+Growing m at a fixed t is the caller's loop: extend_krylov one column at
+a time until era meets the target (demos/05_early_stopping.py).
 
 Controllers, each a kind and a tolerance (ControllerSpec(kind, tol)):
 
@@ -42,9 +46,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .approximant import Approximant
-from .estimators import CORRECTED_KINDS, ErrorEstimate, era, evaluate, log_era_factor
-from .krylov import KrylovConfig, build_krylov, extend_krylov
-from .sparse import validate_prefactor, validate_time
+from .estimators import CORRECTED_KINDS, ErrorEstimate, evaluate, log_era_factor
+from .krylov import build_krylov
+from .sparse import validate_prefactor
 
 CONTROLLER_KINDS = ("direct_era_global", "direct_era_local", "heuristic",
                     "heuristic_iterated", "expokit_first_step_only")
@@ -80,8 +84,6 @@ class ControllerSpec:
 
 @dataclass(frozen=True)
 class StepRecord:
-    j: int
-    t_start: float
     dt: float
     m_used: int
     estimate: ErrorEstimate
@@ -262,7 +264,7 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
             raise RuntimeError(f"controller stagnated: dt = {dt} at t = {t}")
         est = evaluate(estimator_kind, dec, s, dt)
         w = beta * Approximant(dec, s, corrected=corrected).apply(dt)
-        records.append(StepRecord(j=len(records), t_start=t, dt=dt, m_used=dec.m,
+        records.append(StepRecord(dt=dt, m_used=dec.m,
                                   estimate=replace(est, value=beta * est.value),
                                   matvecs=dec.matvecs_used, controller_iterations=iters))
         t = t_final if clipped else t + dt
@@ -289,23 +291,3 @@ def propagate_fixed_steps(op, sigma, v, n_steps, cfg, ctrl, estimator_kind="era"
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     return _run(op, sigma, v, cfg, ctrl, estimator_kind, n_steps=n_steps)
-
-
-def early_stop_dimension(op, v, t, tol, m_max, sigma):
-    """Grow the Krylov space one column at a time until the era bound
-    satisfies era(m, t) <= tol * t, then stop.
-
-    Returns the decomposition at the smallest such m, or at m_max (or a
-    breakdown) when the tolerance was not met; era(dec, sigma, t).value
-    <= tol * t tells the two apart.  Costs exactly m matvecs.
-    """
-    s = validate_prefactor(sigma)
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    validate_time(t)
-    cfg = KrylovConfig(m_max=m_max)
-    dec = build_krylov(op, v, cfg, steps=1)
-    while not (era(dec, s, t).value <= tol * t or dec.breakdown or dec.m >= m_max):
-        dec = extend_krylov(dec, 1)
-    return dec
-

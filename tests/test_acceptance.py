@@ -18,8 +18,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from krylovexp import (Approximant, ControllerSpec, KrylovConfig, ProblemSpec,
-                       build_hubbard, build_krylov, early_stop_dimension,
-                       effective_order, propagate_fixed_steps, quad_estimates,
+                       build_hubbard, build_krylov, effective_order,
+                       extend_krylov, propagate_fixed_steps, quad_estimates,
                        starting_vector, step_size_direct, step_size_iterated)
 from krylovexp.estimators import era, err1
 from krylovexp.oracle import oracle_laplacian, oracle_reference
@@ -259,7 +259,11 @@ def test_controllers_meet_per_step_budget(hubbard_op, hubbard_vec, m):
 
 
 def test_early_stopping_picks_small_dimension(hubbard_op, hubbard_vec):
-    dec = early_stop_dimension(hubbard_op, hubbard_vec, 0.3, 1e-8, 30, -1j)
+    """The loop of demos/05_early_stopping.py: extend one column at a
+    time until era meets tol * t, capped at m = 30."""
+    dec = build_krylov(hubbard_op, hubbard_vec, KrylovConfig(m_max=30), steps=2)
+    while not (era(dec, -1j, 0.3).value <= 1e-8 * 0.3 or dec.m == 30 or dec.breakdown):
+        dec = extend_krylov(dec, 1)
     assert 13 <= dec.m <= 21
     assert dec.matvecs_used <= 30
     w = Approximant(dec, -1j).apply(0.3)

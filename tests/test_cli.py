@@ -9,7 +9,9 @@ import scipy.io
 
 from krylovexp.estimators import ESTIMATORS
 from krylovexp.cli import (BENCH_COLUMNS, BENCH_KEY, LONG_COLUMNS, LONG_KEY,
-                           WIDE_COLUMNS, _write_csv, fmt_cell, fmt_sigma, main)
+                           WIDE_COLUMNS, _breaks_bound, _write_csv, fmt_cell,
+                           fmt_sigma, main)
+from krylovexp.oracle import TARGET_ACCURACY
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -259,6 +261,15 @@ def test_seed_override_changes_starting_vector(tmp_path):
     a = (out1 / "sweep_heat_m4.csv").read_bytes()
     b = (out2 / "sweep_heat_m4.csv").read_bytes()
     assert a != b
+
+
+def test_bound_check_slack_is_ten_oracle_targets():
+    """The absolute slack of the proven-bound check is 10 * TARGET_ACCURACY,
+    exactly 1e-12: an error of 1e-12 over a zero bound passes, and the
+    next float above it breaks the bound."""
+    assert 10.0 * TARGET_ACCURACY == 1e-12
+    assert not _breaks_bound(1e-12, 0.0)
+    assert _breaks_bound(np.nextafter(1e-12, 1.0), 0.0)
 
 
 def test_sweep_detects_bound_violation(tmp_path, monkeypatch):

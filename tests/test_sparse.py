@@ -30,6 +30,44 @@ def test_validate_prefactor_rejects_others():
             validate_prefactor(s)
 
 
+# every public entry point that takes the phi index p, called on a heat
+# problem (op, sigma, v, its m = 6 decomposition dec) at t = 0.1
+PHI_INDEX_ENTRY_POINTS = {
+    "era": lambda op, sigma, v, dec, p: era(dec, sigma, 0.1, p=p),
+    "err1": lambda op, sigma, v, dec, p: kx.err1(dec, sigma, 0.1, p=p),
+    "Approximant": lambda op, sigma, v, dec, p: kx.Approximant(dec, sigma, p).apply(0.1),
+    "phi_dense": lambda op, sigma, v, dec, p: kx.phi_dense(np.diag([-1.0, -2.0]), 0.5, p),
+    "phi_scalar": lambda op, sigma, v, dec, p: kx.phi_scalar(0.5, p),
+    "oracle_phi": lambda op, sigma, v, dec, p: kx.oracle_phi(op, sigma, 0.1, v, p),
+    "oracle_reference": lambda op, sigma, v, dec, p: kx.oracle_reference(
+        kx.ProblemSpec("heat", {"n": op.n}), op, sigma, [0.1], v, p),
+}
+
+
+@pytest.fixture(scope="module")
+def phi_index_args(heat_pair):
+    op, sigma, v = heat_pair
+    return op, sigma, v, build_krylov(op, v, KrylovConfig(m_max=6))
+
+
+@pytest.mark.parametrize("entry", PHI_INDEX_ENTRY_POINTS)
+@pytest.mark.parametrize("p", [0.5, 1.0, True, "1"], ids=repr)
+def test_phi_index_must_be_an_integer(phi_index_args, entry, p):
+    """A float, a bool or a string is not a phi index, even where it
+    equals one, and every entry point raises ValueError (p = 0.5 once
+    gave era a proven value through lgamma, and the others a TypeError
+    from math.factorial)."""
+    with pytest.raises(ValueError, match="integer"):
+        PHI_INDEX_ENTRY_POINTS[entry](*phi_index_args, p)
+
+
+@pytest.mark.parametrize("entry", PHI_INDEX_ENTRY_POINTS)
+def test_phi_index_accepts_numpy_integers(phi_index_args, entry):
+    call = PHI_INDEX_ENTRY_POINTS[entry]
+    got, want = call(*phi_index_args, np.int64(1)), call(*phi_index_args, 1)
+    assert np.array_equal(getattr(got, "value", got), getattr(want, "value", want))
+
+
 def test_operator_basic_properties():
     A = sp.csr_matrix(np.array([[1.0, -2.0], [0.0, 3.0]]))
     op = SparseOperator(A)

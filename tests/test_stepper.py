@@ -1,7 +1,6 @@
 """Step-size control: the direct inversions and their round trips, the
 heuristic update rule on paper examples, the iterated controller, the
-propagation loop accounting, the certificate of a whole trajectory, and
-early stopping."""
+propagation loop accounting and the certificate of a whole trajectory."""
 
 import dataclasses
 import math
@@ -18,8 +17,7 @@ from krylovexp import stepper
 from krylovexp import (ControllerSpec, KrylovConfig, SparseOperator,
                        build_krylov, era, expokit_first_step,
                        propagate, propagate_fixed_steps, step_size_direct,
-                       step_size_heuristic, step_size_iterated,
-                       early_stop_dimension)
+                       step_size_heuristic, step_size_iterated)
 
 from krylovexp.estimators import CORRECTED_KINDS, ESTIMATORS
 
@@ -214,11 +212,6 @@ def test_propagate_reaches_t_final_exactly(heat_pair):
     ctrl = ControllerSpec("direct_era_local", 1e-6)
     res = propagate(op, sigma, v, 1.0, KrylovConfig(m_max=30), ctrl)
     assert res.total_time == pytest.approx(1.0, rel=1e-14)
-    # steps tile [0, 1] without gaps
-    t = 0.0
-    for r in res.records:
-        assert r.t_start == pytest.approx(t, rel=1e-13, abs=1e-15)
-        t += r.dt
 
 
 def test_propagate_heat_matches_transform_oracle(heat_pair):
@@ -417,40 +410,3 @@ def test_propagate_input_validation(heat_pair):
         propagate(op, sigma, v, 0.0, cfg, ctrl)
     with pytest.raises(ValueError):
         propagate_fixed_steps(op, sigma, v, 0, cfg, ctrl)
-
-
-def test_early_stop_trivial_operator():
-    """A scalar multiple of the identity saturates at m = 1."""
-    op = SparseOperator(sp.identity(8, format="csr") * 0.3,
-                        symmetry="hermitian")
-    v = random_unit(8, seed=80)
-    dec = early_stop_dimension(op, v, 1.0, 1e-10, 20, -1.0)
-    assert dec.m == 1
-    assert dec.breakdown
-    assert era(dec, -1.0, 1.0).value <= 1e-10 * 1.0
-
-
-def test_early_stop_loose_tolerance_stops_at_one(heat_pair):
-    op, sigma, v = heat_pair
-    dec = early_stop_dimension(op, v, 1e-3, 1e6, 20, sigma)
-    assert dec.m == 1
-    assert era(dec, sigma, 1e-3).value <= 1e6 * 1e-3
-
-
-def test_early_stop_unreachable_tolerance_reports_failure(heat_pair):
-    op, sigma, v = heat_pair
-    dec = early_stop_dimension(op, v, 50.0, 1e-14, 5, sigma)
-    assert dec.m == 5
-    assert not era(dec, sigma, 50.0).value <= 1e-14 * 50.0
-
-
-def test_early_stop_matches_fresh_build_of_same_size(heat_pair):
-    """Growing one column at a time reproduces a fresh build of the
-    dimension it stops at, bit for bit."""
-    op, sigma, v = heat_pair
-    dec = early_stop_dimension(op, v, 1.0, 1e-8, 30, sigma)
-    fresh = build_krylov(op, v, KrylovConfig(m_max=dec.m))
-    assert np.array_equal(dec.T, fresh.T)
-    assert np.array_equal(dec.V, fresh.V)
-    assert dec.matvecs_used == dec.m
-
