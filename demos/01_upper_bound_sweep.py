@@ -21,8 +21,8 @@ appr = Approximant(dec, sigma)
 
 print(f"n = {op.n}, m = {dec.m}, sigma = {sigma}")
 print(f"{'t':>10s} {'error':>12s} {'bound':>12s} {'bound/error':>12s}")
-for t in np.geomspace(0.05, 50.0, 16):
-    exact = oracle_laplacian(op.n, sigma, t, v)
+ts = np.geomspace(0.05, 50.0, 16)
+for t, exact in zip(ts, oracle_laplacian(op.n, sigma, ts, v)):
     err = np.linalg.norm(appr.apply(t) - exact)
     bound = era(dec, sigma, t).value
     ratio = bound / err if err > 0 else float("inf")

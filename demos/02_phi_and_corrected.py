@@ -23,19 +23,19 @@ phi1 = Approximant(dec, sigma, p=1)
 corrected = Approximant(dec, sigma, corrected=True)
 
 print(f"{'t':>8s} {'exp error':>12s} {'phi_1 error':>12s} {'corrected':>12s}")
-for t in np.geomspace(0.2, 3.0, 10):
-    e_plain = np.linalg.norm(plain.apply(t)
-                             - oracle_laplacian(op.n, sigma, t, v))
+ts = np.geomspace(0.2, 3.0, 10)
+for t, exact in zip(ts, oracle_laplacian(op.n, sigma, ts, v)):
+    e_plain = np.linalg.norm(plain.apply(t) - exact)
     e_phi = np.linalg.norm(phi1.apply(t) - oracle_phi(op, sigma, t, v, 1))
-    e_corr = np.linalg.norm(corrected.apply(t)
-                            - oracle_laplacian(op.n, sigma, t, v))
+    e_corr = np.linalg.norm(corrected.apply(t) - exact)
     print(f"{t:8.3f} {e_plain:12.4e} {e_phi:12.4e} {e_corr:12.4e}")
 
 # successive error ratios reveal the order: halving t divides the plain
 # error by roughly 2**10 and the corrected one by roughly 2**11 (the
 # ratios sit a bit below those powers this far from the t -> 0 limit)
 t = 3.0
+exact, exact_half = oracle_laplacian(op.n, sigma, [t, t / 2], v)
 for label, appr in (("plain", plain), ("corrected", corrected)):
-    e1 = np.linalg.norm(appr.apply(t) - oracle_laplacian(op.n, sigma, t, v))
-    e2 = np.linalg.norm(appr.apply(t / 2) - oracle_laplacian(op.n, sigma, t / 2, v))
+    e1 = np.linalg.norm(appr.apply(t) - exact)
+    e2 = np.linalg.norm(appr.apply(t / 2) - exact_half)
     print(f"{label}: error(t)/error(t/2) = {e1 / e2:.0f}")

@@ -16,6 +16,15 @@ wide CSV per (problem, m) with the classic column set, one long-format
 CSV covering every estimator evaluation, and a standalone matplotlib
 script that renders the log-log overlay figures.
 
+A sweep pays once per problem and once per t-grid.  Each problem is
+built once, with one start vector, one call for its reference rows over
+the grid (they do not depend on m) and one Krylov store sized for the
+largest m, whose decomposition at each m is bitwise a fresh build of that
+dimension.  A cell then asks its decomposition for the phi rows every t
+reads, over the whole grid at once, before its per-t loop.  --threads
+runs the problems, and then the cells, on that many threads; the outputs
+do not depend on it.
+
 This module owns every output format: the column tuples below, the cell
 formatter fmt_cell and the one CSV writer _write_csv.  The estimators and
 the stepper return numbers and records only.
@@ -32,7 +41,7 @@ import numpy as np
 
 from .approximant import Approximant, effective_order
 from .estimators import CORRECTED_KINDS, ESTIMATORS, era, err1, quad_estimates
-from .krylov import KrylovConfig, build_krylov
+from .krylov import KrylovConfig, build_krylov, extend_krylov
 from .oracle import TARGET_ACCURACY, oracle_reference
 from .problems import ProblemSpec, starting_vector
 from .stepper import ControllerSpec, propagate, propagate_fixed_steps
@@ -154,14 +163,35 @@ def _t_grid(section):
     return _distinct(list(space(start, stop, points)), "t")
 
 
-def _sweep_cell(spec, m, ts, p, corrected):
-    """All estimator evaluations for one (problem, m) pair."""
+def _sweep_problem(spec, ms, ts, p):
+    """What the cells of one problem share: sigma, the reference rows over
+    ts (they do not depend on m) and the decomposition of each m of ms,
+    all read from one store sized for the largest.  Each is
+    build_krylov(steps=smallest m) grown by extend_krylov, so it is bitwise
+    a fresh build of its dimension; a breakdown ends the chain, as it ends
+    a fresh build of any larger m."""
     op, sigma = spec.build()
     v = starting_vector(spec)
-    dec = build_krylov(op, v, KrylovConfig(m_max=m))
-    appr = Approximant(dec, sigma, p, corrected=corrected)
-    wide_rows, long_rows, violation = [], [], False
     refs = oracle_reference(spec, op, sigma, ts, v, p)
+    ms = sorted(ms)
+    dec = build_krylov(op, v, KrylovConfig(m_max=ms[-1]), steps=ms[0])
+    decs = {}
+    for m in ms:
+        if not dec.breakdown:
+            dec = extend_krylov(dec, m - dec.m)
+        decs[m] = dec
+    return sigma, refs, decs
+
+
+def _sweep_cell(spec, m, sigma, dec, refs, ts, p, corrected):
+    """All estimator evaluations for one (problem, m) pair, from the
+    problem's reference rows and the decomposition of dimension m."""
+    appr = Approximant(dec, sigma, p, corrected=corrected)
+    # the phi grids that every t reads: the approximant's (with its
+    # correction's corner) and err1's corner
+    for q in range(p, p + 2 + corrected):
+        dec.phi(appr.sigma, q, ts)
+    wide_rows, long_rows, violation = [], [], False
     for t, ref in zip(ts, refs):
         err = float(np.linalg.norm(appr.apply(t) - ref))
         ests = [era(dec, sigma, t, p, corrected), err1(dec, sigma, t, p, corrected)]
@@ -259,18 +289,22 @@ def cmd_sweep(config, out_dir, threads=1, seed_override=None):
     corrected = section.get("corrected", False)
     _require(isinstance(corrected, bool), f"sweep 'corrected' must be a bool, got {corrected!r}")
 
-    cells = [(spec, m) for spec in specs for m in ms]
-    if threads > 1:
+    def each(fn, items):
+        """fn over items, on --threads threads."""
+        if threads == 1:
+            return [fn(x) for x in items]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda c: _sweep_cell(c[0], c[1], ts, p, corrected), cells))
-    else:
-        results = [_sweep_cell(spec, m, ts, p, corrected) for spec, m in cells]
+            return list(pool.map(fn, items))
+
+    shared = each(lambda spec: _sweep_problem(spec, ms, ts, p), specs)
+    cells = [(spec, m, sigma, decs[m], refs)
+             for spec, (sigma, refs, decs) in zip(specs, shared) for m in ms]
+    results = each(lambda cell: _sweep_cell(*cell, ts, p, corrected), cells)
 
     all_long = []
     files = []
     violated = False
-    for (spec, m), (wide, long_rows, violation) in zip(cells, results):
+    for (spec, m, *_), (wide, long_rows, violation) in zip(cells, results):
         name = f"sweep_{spec.kind}_m{m}.csv"
         _write_csv(out_dir / name, WIDE_COLUMNS, wide, ("t",))
         files.append(name)

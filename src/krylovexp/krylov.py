@@ -17,7 +17,9 @@ its last entry corner(sigma, q, t), and the defect(sigma, t) pair
 (delta, delta') that the quadrature estimates and the effective order
 read.  A Lanczos decomposition eigendecomposes T once and serves every
 sigma, q and t from it; an Arnoldi one pays one Pade call per
-(sigma, q, t).
+(sigma, q, t).  phi also takes a grid of t: Lanczos then evaluates the
+scalar phi_q at the Ritz values for the whole grid in one call, and each
+row keeps the bits of a call for its t alone.
 
 One build allocates one store of two arrays, sized for m_max: a row-major
 basis of shape (m_max+1, n) and a Hessenberg matrix of shape
@@ -46,6 +48,8 @@ from .dense import phi_dense, phi_scalar, symtrid_eig
 from .sparse import validate_time
 
 _EPS = float(np.finfo(np.float64).eps)
+# phi rows a decomposition keeps before its cache is cleared
+_PHI_CACHE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -136,27 +140,53 @@ class KrylovDecomposition:
 
     def phi(self, sigma, q, t):
         """phi_q(sigma t T) e_1 as a read-only length-m vector (q = 0 gives
-        e^{sigma t T} e_1), cached per (sigma, q, t).  float64 when sigma t
-        and T are real, for Lanczos and Arnoldi alike, and complex otherwise."""
-        key = (sigma, q, t)
-        hit = self._phi.get(key)
-        if hit is not None:
-            return hit
-        z = sigma * t
-        if z.imag == 0.0 and not np.iscomplexobj(self._T):
-            z = z.real
-        if self.mode == "lanczos":
+        e^{sigma t T} e_1), or for a 1-D grid t the list of those vectors,
+        one per entry of t.  float64 when sigma t and T are real, for
+        Lanczos and Arnoldi alike, and complex otherwise.  Each row is
+        cached per (sigma, q, t) and computed by _fill, a scalar t as the
+        one-row case of a grid, so a row has the same bits whichever way it
+        was asked for."""
+        if np.isscalar(t):
+            hit = self._phi.get((sigma, q, t))
+            return hit if hit is not None else self._fill(sigma, q, [t])[0]
+        rows = [self._phi.get((sigma, q, s)) for s in t]
+        missing = list(dict.fromkeys(s for s, row in zip(t, rows) if row is None))
+        if missing:
+            filled = dict(zip(missing, self._fill(sigma, q, missing)))
+            rows = [filled[s] if row is None else row for s, row in zip(t, rows)]
+        return rows
+
+    def _fill(self, sigma, q, ts):
+        """Compute, cache and return the rows of the distinct times ts.  The
+        cache is cleared first when they would take it past _PHI_CACHE_ROWS,
+        so a call never evicts the rows it fills.
+
+        z = sigma t is taken real where Im z = 0 and T is real.  Arnoldi
+        pays one phi_dense call per t.  Lanczos evaluates phi_q(z lam) for
+        every t of one field in one elementwise phi_scalar call, and keeps
+        the product with Q per t, since a batched product would sum in
+        another order: each row has the bits of a call for its t alone."""
+        real_T = not np.iscomplexobj(self._T)
+        zs = [z.real if real_T and z.imag == 0.0 else z for z in [sigma * s for s in ts]]
+        if self.mode != "lanczos":
+            rows = [phi_dense(self._T, z, q) for z in zs]
+        else:
             if self._eigh is None:
                 # T = Q diag(lam) Q^T, computed once for every sigma, q and t
                 self._eigh = symtrid_eig(np.diagonal(self._T), self.subdiag)
             lam, Q = self._eigh
-            val = Q @ (phi_scalar(z * lam, q) * Q[0])
-        else:
-            val = phi_dense(self._T, z, q)
-        if len(self._phi) > 256:
+            rows = [None] * len(zs)
+            for is_complex in (False, True):
+                idx = [i for i, z in enumerate(zs) if isinstance(z, complex) == is_complex]
+                if idx:
+                    weights = phi_scalar(np.array([zs[i] for i in idx])[:, None] * lam, q) * Q[0]
+                    for i, w in zip(idx, weights):
+                        rows[i] = Q @ w
+        if len(self._phi) + len(ts) > _PHI_CACHE_ROWS:
             self._phi.clear()
-        self._phi[key] = _read_only(val)
-        return val
+        for s, row in zip(ts, rows):
+            self._phi[(sigma, q, s)] = _read_only(row)
+        return rows
 
     def corner(self, sigma, q, t):
         """e_m^* phi_q(sigma t T) e_1: the last entry of phi(sigma, q, t),

@@ -3,9 +3,11 @@
 Nothing here touches the Krylov or small-matrix code paths.  Four
 routes compute the exponential action from scratch:
 
-  oracle_laplacian             the quarter-scaled Laplacian, through its
-                               analytic eigen-expansion (orthonormal sine
-                               transform)
+  oracle_laplacian             the quarter-scaled Laplacian, for a whole
+                               grid of t, through its analytic
+                               eigen-expansion (orthonormal sine
+                               transform): one forward transform of v and
+                               one inverse over the stacked rows
   oracle_convection_diffusion  the 3D convection-diffusion operator, a
                                Kronecker sum, for a whole grid of t as the
                                Kronecker products of three stacks of n x n
@@ -18,9 +20,11 @@ routes compute the exponential action from scratch:
                                Taylor summation with a rigorous remainder
                                bound (oracle_series is its p = 0 call)
 
-oracle_reference picks the route for a problem and a grid of t; the
-Kronecker and Chebyshev routes take the grid in one call, and each of
-their rows is the same whatever else is in the grid.  The Chebyshev and
+oracle_reference picks the route for a problem and a grid of t; each
+closed-form route (sine transform, Kronecker, Chebyshev) takes the grid
+in one call, and each of its rows is the same whatever else is in the
+grid.  scipy.fft and scipy.special are imported by the routes that use
+them, so importing the package loads neither.  The Chebyshev and
 series routes aim at TARGET_ACCURACY = 1e-13 relative to ||v||; only
 oracle_phi and oracle_series take another.  The series only
 needs matvec / norm_1 / norm_inf / n, so any SparseOperator (or
@@ -44,7 +48,8 @@ that bound, taken in log space, is at most TARGET_ACCURACY ||v|| / 2,
 and its coefficients past K are zero, so a row does not depend on the
 rest of the grid.  The round-off of the recurrence is not in the bound.
 The vectors T_k(A') v do not depend on t, so the grid shares one
-recurrence and pays max_t K(t) matvecs.
+recurrence and pays max_t K(t) matvecs; each T_k(A') v is formed in the
+array its matvec returns, and the terms are added row by row.
 
 The series accuracy statements assume ||e^{s sigma A}|| <= 1 over each
 substep, which SparseOperator.log_norm_bound(sigma) <= 0 certifies.  That
@@ -57,9 +62,7 @@ roughly s * eps.
 import math
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
-import scipy.special
 
 from .sparse import validate_phi_index, validate_time
 
@@ -78,18 +81,23 @@ def _check_grid(ts):
         validate_time(t)
 
 
-def oracle_laplacian(n, sigma, t, v):
-    """exp(sigma t H) v for H = (1/4) tridiag(-1, 2, -1) via the type-I
-    discrete sine transform (orthonormal, self-inverse).  Eigenvalues are
-    sin^2(k pi / (2(n+1)))."""
-    validate_time(t)
+def oracle_laplacian(n, sigma, ts, v):
+    """exp(sigma t H) v for every t of ts, one row per t, for
+    H = (1/4) tridiag(-1, 2, -1) via the type-I discrete sine transform
+    (orthonormal, self-inverse): one forward transform of v and one
+    inverse over the stacked rows.  Eigenvalues are
+    sin^2(k pi / (2(n+1))).  Each row is computed from its own t alone."""
+    import scipy.fft
+
+    _check_grid(ts)
     v = np.asarray(v, dtype=complex)
     if v.shape != (n,):
         raise ValueError("vector length does not match n")
     k = np.arange(1, n + 1)
     lam = np.sin(k * np.pi / (2.0 * (n + 1))) ** 2
     coeff = scipy.fft.dst(v, type=1, norm="ortho")
-    return scipy.fft.dst(np.exp(sigma * t * lam) * coeff, type=1, norm="ortho")
+    return scipy.fft.dst(np.stack([np.exp(sigma * t * lam) * coeff for t in ts]),
+                         type=1, norm="ortho")
 
 
 def oracle_convection_diffusion(n, mu1, mu2, sigma, ts, v):
@@ -166,6 +174,8 @@ def oracle_chebyshev(op, sigma, ts, v):
     operator and Re sigma = 0, from one Chebyshev recurrence (see the
     module docstring).  Each row stops at its own K(t), so it is the same
     whatever else is in ts.  Every matvec goes through op.matvec."""
+    import scipy.special
+
     if op.symmetry != "hermitian":
         raise ValueError("the Chebyshev oracle needs a hermitian operator")
     sigma = complex(sigma)
@@ -197,16 +207,25 @@ def oracle_chebyshev(op, sigma, ts, v):
         coef[row, :k.size] = (np.where(k == 0, 1.0, 2.0) * scipy.special.jv(k, xs[i])
                               * powers[k % 4])
 
-    def shifted(x):
-        return (op.matvec(x) - c * x) / r
+    product = np.empty_like(v)
+
+    def recur(x, prev):
+        """2 A' x - prev, or A' x at prev None, in the matvec's own array."""
+        y = op.matvec(x)
+        y -= np.multiply(c, x, out=product)
+        y /= r
+        if prev is not None:
+            y *= 2.0
+            y -= prev
+        return y
 
     acc = np.zeros((len(ts), op.n), dtype=complex)
     t_prev = t_cur = v
     for k in range(coef.shape[1]):
         if k == 1:
-            t_prev, t_cur = v, shifted(v)
+            t_prev, t_cur = v, recur(v, None)
         elif k > 1:
-            t_prev, t_cur = t_cur, 2.0 * shifted(t_cur) - t_prev
+            t_prev, t_cur = t_cur, recur(t_cur, t_prev)
         live = sum(1 for i in order if terms[i] >= k)
         for row in range(live):
             acc[row] += coef[row, k] * t_cur
@@ -291,13 +310,11 @@ def oracle_reference(spec, op, sigma, ts, v, p=0):
     sequence of finite values >= 0."""
     _check_grid(ts)
     if p == 0 and spec.kind in ("schrodinger_free", "heat"):
-        rows = [oracle_laplacian(op.n, sigma, t, v) for t in ts]
-    elif p == 0 and spec.kind == "convection_diffusion":
+        return oracle_laplacian(op.n, sigma, ts, v)
+    if p == 0 and spec.kind == "convection_diffusion":
         params = spec.params
         return oracle_convection_diffusion(params["n"], params["mu1"], params["mu2"],
                                            sigma, ts, v)
-    elif p == 0 and op.symmetry == "hermitian" and complex(sigma).real == 0.0:
+    if p == 0 and op.symmetry == "hermitian" and complex(sigma).real == 0.0:
         return oracle_chebyshev(op, sigma, ts, v)
-    else:
-        rows = [oracle_phi(op, sigma, t, v, p) for t in ts]
-    return np.array(rows)
+    return np.array([oracle_phi(op, sigma, t, v, p) for t in ts])

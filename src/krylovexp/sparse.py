@@ -9,13 +9,13 @@ values in float64, and matvec sends a real vector through them, so a
 real problem runs in real arithmetic.  A banded matrix (its stored
 diagonals hold at most 1.25 times its entries, as on the stencil
 problems) keeps them in DIA form, anything else in CSR on the complex
-matrix's own index arrays.
+matrix's own index arrays.  scipy.io is imported by the Matrix Market
+methods alone.
 """
 
 import math
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 
@@ -169,11 +169,15 @@ class SparseOperator:
         return self.csr @ x
 
     def to_matrix_market(self, path):
+        import scipy.io
+
         sym = "hermitian" if self.symmetry == "hermitian" else "general"
         scipy.io.mmwrite(str(path), self.csr, field="complex", symmetry=sym)
 
     @classmethod
     def from_matrix_market(cls, path):
+        import scipy.io
+
         info = scipy.io.mminfo(str(path))
         symmetry = "hermitian" if info[5] == "hermitian" else "general"
         mat = scipy.io.mmread(str(path))

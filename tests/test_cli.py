@@ -1,5 +1,6 @@
 """End-to-end runs of the krylovexp command line driver."""
 
+import collections
 import csv
 import json
 
@@ -7,11 +8,13 @@ import numpy as np
 import pytest
 import scipy.io
 
+from krylovexp import cli
 from krylovexp.estimators import ESTIMATORS
 from krylovexp.cli import (BENCH_COLUMNS, BENCH_KEY, LONG_COLUMNS, LONG_KEY,
                            WIDE_COLUMNS, _breaks_bound, _write_csv, fmt_cell,
                            fmt_sigma, main)
 from krylovexp.oracle import TARGET_ACCURACY
+from krylovexp.problems import ProblemSpec
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -252,6 +255,52 @@ def test_sweep_is_deterministic_and_thread_invariant(tmp_path):
         assert (out3 / name).read_bytes() == ref
 
 
+# heat at n = 6 breaks down at m = 6, so its m = 8 cell reads the broken chain
+SHARED_CFG = {
+    "problems": [{"kind": "heat", "params": {"n": 6}},
+                 {"kind": "schrodinger_free", "params": {"n": 30}},
+                 {"kind": "convection_diffusion", "params": {"n": 3}}],
+    "sweep": {"m": [8, 4], "t_grid": {"values": [0.01, 0.3, 2.0]}},
+}
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+def test_sweep_shares_each_problems_work_across_m(tmp_path, monkeypatch, corrected):
+    """A sweep over m = [8, 4] writes the wide CSVs of two one-m sweeps
+    byte for byte, and their long rows, while it builds each problem, its
+    start vector, its reference rows and its Krylov store once."""
+    sweep = {**SHARED_CFG["sweep"], "corrected": corrected}
+    lines = {}
+    for m in (4, 8):
+        cfg = write_config(tmp_path, {**SHARED_CFG, "sweep": {**sweep, "m": [m]}}, f"m{m}.json")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / f"m{m}")]) == 0
+        lines[m] = (tmp_path / f"m{m}" / "estimates_long.csv").read_text().splitlines()
+
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ProblemSpec, "build", counted("build", ProblemSpec.build))
+    for name in ("starting_vector", "oracle_reference", "build_krylov"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    cfg = write_config(tmp_path, {**SHARED_CFG, "sweep": sweep}, "both.json")
+    out = tmp_path / "both"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    assert calls == {name: 3 for name in ("build", "starting_vector", "oracle_reference",
+                                          "build_krylov")}
+    for problem in ("heat", "schrodinger_free", "convection_diffusion"):
+        for m in (4, 8):
+            name = f"sweep_{problem}_m{m}.csv"
+            assert (out / name).read_bytes() == (tmp_path / f"m{m}" / name).read_bytes()
+    both = (out / "estimates_long.csv").read_text().splitlines()
+    assert both[0] == lines[4][0] == lines[8][0]
+    assert sorted(both[1:]) == sorted(lines[4][1:] + lines[8][1:])
+
+
 def test_seed_override_changes_starting_vector(tmp_path):
     cfg = write_config(tmp_path, SWEEP_CFG)
     out1, out2 = tmp_path / "s0", tmp_path / "s7"
@@ -276,8 +325,8 @@ def test_sweep_detects_bound_violation(tmp_path, monkeypatch):
     """A broken reference makes the proven-bound check fire: exit 1."""
     import krylovexp.oracle as oracle
 
-    def wrong_reference(n, sigma, t, v):
-        return v * 1e6
+    def wrong_reference(n, sigma, ts, v):
+        return np.array([v * 1e6 for _ in ts])
 
     monkeypatch.setattr(oracle, "oracle_laplacian", wrong_reference)
     cfg = write_config(tmp_path, SWEEP_CFG)
@@ -378,7 +427,7 @@ def test_bench_vanished_vector_exits_2(tmp_path, capsys):
 def test_bench_detects_bound_violation(tmp_path, monkeypatch):
     import krylovexp.oracle as oracle
     monkeypatch.setattr(oracle, "oracle_laplacian",
-                        lambda n, sigma, t, v: v * 1e6)
+                        lambda n, sigma, ts, v: np.array([v * 1e6 for _ in ts]))
     cfg = write_config(tmp_path, BENCH_CFG)
     assert main(["bench", "--config", cfg, "--out", str(tmp_path / "v")]) == 1
 

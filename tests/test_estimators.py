@@ -209,7 +209,7 @@ def test_expansive_pairs_are_not_proven(hermitian_dec, heat_pair, hubbard_op,
     dec = build_krylov(op, v, KrylovConfig(m_max=5))
     t = 20.0
     err = np.linalg.norm(Approximant(dec, 1.0).apply(t)
-                         - kx.oracle_laplacian(op.n, 1.0, t, v))
+                         - kx.oracle_laplacian(op.n, 1.0, [t], v)[0])
     est = era(dec, 1.0, t)
     assert est.value < 1e2 and err > 1e7
     assert not est.is_proven_upper_bound
@@ -239,7 +239,7 @@ def test_trapezoid_is_an_estimate_not_a_bound(heat_pair):
     for m, t in ((2, 1.0), (3, 20.0)):
         dec = build_krylov(op, v, KrylovConfig(m_max=m))
         err = np.linalg.norm(Approximant(dec, sigma).apply(t)
-                             - kx.oracle_laplacian(op.n, sigma, t, v))
+                             - kx.oracle_laplacian(op.n, sigma, [t], v)[0])
         trap = evaluate("trapezoid_quad", dec, sigma, t)
         assert trap.value < err and not trap.is_proven_upper_bound
         bound = err1(dec, sigma, t)

@@ -395,3 +395,43 @@ def test_real_and_complex_fields_agree(seed, hermitian, m, sigma, t, phase):
             continue
         tol = 1e-12 * abs(a.value) + (1e-300 if kind.startswith("era") else floor)
         assert a.kind == b.kind and abs(a.value - b.value) <= tol, (kind, a.value, b.value)
+
+
+# grid entries: t = 0, the smallest subnormal, a larger subnormal, or any t in [0, 3]
+GRID_T = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310]), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), hermitian=st.booleans(), real=st.booleans(),
+       m=st.integers(1, 34), q=st.sampled_from([0, 1, 2]), sigma=SIGMAS,
+       ts=st.lists(GRID_T, min_size=1, max_size=10), data=st.data())
+def test_phi_grid_rows_are_the_scalar_calls(seed, hermitian, real, m, q, sigma, ts, data):
+    """Each row of dec.phi(sigma, q, ts) has the dtype and the bits of the
+    scalar call dec.phi(sigma, q, t) on a fresh decomposition: on Lanczos
+    and Arnoldi, in the float64 store and the complex one, on grids that
+    hold t = 0, subnormal t and repeated t."""
+    ts = ts + data.draw(st.lists(st.sampled_from(ts), max_size=3))
+    n = 40
+    op = (random_hermitian_op if hermitian else random_general_op)(n, seed, real)
+    v = random_unit(n, seed=seed % 2 ** 31, complex_=not real)
+    cfg = KrylovConfig(m_max=m)
+    rows = build_krylov(op, v, cfg).phi(sigma, q, ts)
+    assert len(rows) == len(ts)
+    for t, row in zip(ts, rows):
+        alone = build_krylov(op, v, cfg).phi(sigma, q, t)
+        assert row.dtype == alone.dtype and row.tobytes() == alone.tobytes(), t
+
+
+@pytest.mark.parametrize("make_op", [random_hermitian_op, random_general_op])
+def test_a_grid_is_never_evicted_by_its_own_rows(make_op, monkeypatch):
+    """A 300-point grid is more rows than the cache holds before it is
+    cleared; every row of it stays cached, so asking for any t again
+    returns the same array and evaluates nothing."""
+    dec = build_krylov(make_op(30, 70), random_unit(30, seed=71), KrylovConfig(m_max=8))
+    dec.phi(-1j, 0, 0.5)
+    ts = list(np.linspace(0.01, 3.0, 300))
+    rows = dec.phi(-1j, 1, ts)
+    monkeypatch.setattr(kx.krylov, "phi_scalar", None)
+    monkeypatch.setattr(kx.krylov, "phi_dense", None)
+    assert all(dec.phi(-1j, 1, t) is row for t, row in zip(ts, rows))
+    assert all(a is b for a, b in zip(dec.phi(-1j, 1, ts), rows))

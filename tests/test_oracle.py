@@ -44,7 +44,7 @@ def test_dst_is_self_inverse():
 
 def test_laplacian_t_zero_is_identity():
     v = random_unit(17, seed=2)
-    assert np.linalg.norm(oracle_laplacian(17, -1j, 0.0, v) - v) < 1e-15
+    assert np.linalg.norm(oracle_laplacian(17, -1j, [0.0], v)[0] - v) < 1e-15
 
 
 def test_laplacian_matches_dense_eigendecomposition():
@@ -54,28 +54,46 @@ def test_laplacian_matches_dense_eigendecomposition():
     lam, Q = np.linalg.eigh(H)
     v = random_unit(n, seed=3)
     for sigma in (-1j, -1.0):
-        for t in (0.05, 1.0, 7.0):
+        ts = (0.05, 1.0, 7.0)
+        for t, got in zip(ts, oracle_laplacian(n, sigma, ts, v)):
             expected = Q @ (np.exp(sigma * t * lam) * (Q.conj().T @ v))
-            got = oracle_laplacian(n, sigma, t, v)
             assert np.linalg.norm(got - expected) < 1e-13
 
 
 def test_laplacian_skew_preserves_norm():
     v = random_unit(101, seed=4)
-    for t in (0.1, 2.0, 50.0):
-        assert abs(np.linalg.norm(oracle_laplacian(101, -1j, t, v)) - 1.0) < 1e-13
+    for row in oracle_laplacian(101, -1j, (0.1, 2.0, 50.0), v):
+        assert abs(np.linalg.norm(row) - 1.0) < 1e-13
 
 
 def test_laplacian_heat_norm_decays():
     v = random_unit(64, seed=5)
-    norms = [np.linalg.norm(oracle_laplacian(64, -1.0, t, v))
-             for t in (0.0, 0.5, 1.0, 4.0, 16.0)]
+    norms = [np.linalg.norm(row)
+             for row in oracle_laplacian(64, -1.0, (0.0, 0.5, 1.0, 4.0, 16.0), v)]
     assert all(b <= a + 1e-15 for a, b in zip(norms, norms[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 300), seed=st.integers(0, 2 ** 31 - 1), sigma=SIGMAS,
+       ts=st.lists(st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(0.0, 50.0)),
+                   min_size=1, max_size=12))
+def test_laplacian_grid_rows_are_the_per_t_transform(n, seed, sigma, ts):
+    """Each row of the grid call has the bits of the sine-transform
+    formula at its t alone: the inverse transform over the stacked rows
+    sums each row as a transform of that row would."""
+    v = random_unit(n, seed=seed)
+    lam = np.sin(np.arange(1, n + 1) * np.pi / (2.0 * (n + 1))) ** 2
+    coeff = scipy.fft.dst(v, type=1, norm="ortho")
+    rows = oracle_laplacian(n, sigma, ts, v)
+    assert rows.shape == (len(ts), n)
+    for t, row in zip(ts, rows):
+        alone = scipy.fft.dst(np.exp(sigma * t * lam) * coeff, type=1, norm="ortho")
+        assert row.tobytes() == alone.tobytes(), t
 
 
 def test_laplacian_rejects_wrong_length():
     with pytest.raises(ValueError):
-        oracle_laplacian(10, -1j, 1.0, np.ones(9))
+        oracle_laplacian(10, -1j, [1.0], np.ones(9))
 
 
 def test_series_zero_matrix():
@@ -109,7 +127,7 @@ def test_series_matches_laplacian_oracle():
     for sigma in (-1j, -1.0):
         for t in (0.3, 2.0, 11.0):
             a = oracle_series(op, sigma, t, v)
-            b = oracle_laplacian(n, sigma, t, v)
+            b = oracle_laplacian(n, sigma, [t], v)[0]
             assert np.linalg.norm(a - b) < 1e-12
 
 
@@ -327,7 +345,7 @@ def test_reference_dispatch_picks_the_route_by_problem_kind():
     op, sigma = heat.build()
     v = random_unit(9, seed=19)
     assert np.array_equal(oracle_reference(heat, op, sigma, [0.4, 0.1], v),
-                          [oracle_laplacian(9, sigma, t, v) for t in (0.4, 0.1)])
+                          oracle_laplacian(9, sigma, [0.4, 0.1], v))
     cd = ProblemSpec("convection_diffusion", {"n": 3})
     op, sigma = cd.build()
     v = random_unit(27, seed=20)
@@ -373,7 +391,7 @@ def test_closed_forms_reject_negative_and_non_finite_t():
     v = random_unit(10, seed=24)
     for t in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            oracle_laplacian(10, -1.0, t, v)
+            oracle_laplacian(10, -1.0, [t], v)
         with pytest.raises(ValueError):
             oracle_convection_diffusion(2, 0.9, 1.1, 1.0, [t], v[:8])
 

@@ -219,7 +219,7 @@ def test_propagate_heat_matches_transform_oracle(heat_pair):
     tol = 1e-6
     ctrl = ControllerSpec("direct_era_local", tol)
     res = propagate(op, sigma, v, 1.0, KrylovConfig(m_max=30), ctrl)
-    ref = kx.oracle_laplacian(op.n, sigma, 1.0, v)
+    ref = kx.oracle_laplacian(op.n, sigma, [1.0], v)[0]
     err = float(np.linalg.norm(res.w_final - ref))
     assert err <= tol * 1.0
     # proven bounds all the way down, so the budget inequality is exact
