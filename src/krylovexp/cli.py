@@ -20,10 +20,13 @@ A sweep pays once per problem and once per t-grid.  Each problem is
 built once, with one start vector, one call for its reference rows over
 the grid (they do not depend on m) and one Krylov store sized for the
 largest m, whose decomposition at each m is bitwise a fresh build of that
-dimension.  A cell then asks its decomposition for the phi rows every t
-reads, over the whole grid at once, before its per-t loop.  --threads
-runs the problems, and then the cells, on that many threads; the outputs
-do not depend on it.
+dimension.  A cell then fills every phi grid its per-t loop reads, one
+call per grid, before the loop: q = 0, p, p + 1 (and p + 2 when
+corrected) at each t, and at p = 0 uncorrected q = 0 at t/2 and 3t/4,
+where effective_order_quad samples rho.  So an Arnoldi cell runs one
+stacked Pade per grid, a Lanczos cell one phi_scalar call per grid, and
+each distinct row is computed once.  --threads runs the problems, and
+then the cells, on that many threads; the outputs do not depend on it.
 
 This module owns every output format: the column tuples below, the cell
 formatter fmt_cell and the one CSV writer _write_csv.  The estimators and
@@ -40,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .approximant import Approximant, effective_order
-from .estimators import CORRECTED_KINDS, ESTIMATORS, era, err1, quad_estimates
+from .estimators import CORRECTED_KINDS, ESTIMATORS, ORDER_SAMPLES, era, err1, quad_estimates
 from .krylov import KrylovConfig, build_krylov, extend_krylov
 from .oracle import TARGET_ACCURACY, oracle_reference
 from .problems import ProblemSpec, starting_vector
@@ -185,12 +188,21 @@ def _sweep_problem(spec, ms, ts, p):
 
 def _sweep_cell(spec, m, sigma, dec, refs, ts, p, corrected):
     """All estimator evaluations for one (problem, m) pair, from the
-    problem's reference rows and the decomposition of dimension m."""
+    problem's reference rows and the decomposition of dimension m.
+
+    Every phi grid the per-t loop reads is filled first, one call each:
+    q = p for the approximant, p + 1 for err1 (and the correction's
+    corner), p + 2 for corrected err1, q = 0 for rho, and at p = 0
+    uncorrected the q = 0 grids at the fractions ORDER_SAMPLES of each t
+    where effective_order_quad samples rho.  A grid call never clears
+    the decomposition's cache, so the loop reads only cached rows, and each
+    distinct (sigma, q, t) row is computed once, at any grid length."""
     appr = Approximant(dec, sigma, p, corrected=corrected)
-    # the phi grids that every t reads: the approximant's (with its
-    # correction's corner) and err1's corner
-    for q in range(p, p + 2 + corrected):
-        dec.phi(appr.sigma, q, ts)
+    grids = [(q, ts) for q in sorted({0, *range(p, p + 2 + corrected)})]
+    if p == 0 and not corrected and not dec.breakdown:
+        grids += [(0, [t * f for t in ts]) for f in ORDER_SAMPLES if f != 1.0]
+    for q, grid in grids:
+        dec.phi(appr.sigma, q, grid)
     wide_rows, long_rows, violation = [], [], False
     for t, ref in zip(ts, refs):
         err = float(np.linalg.norm(appr.apply(t) - ref))

@@ -123,8 +123,12 @@ def _improved_hermite(dec, sigma, t):
     return float(np.linalg.norm(vec))
 
 
+# the fractions of t at which effective_order_quad samples rho
+ORDER_SAMPLES = (0.5, 0.75, 1.0)
+
+
 def _order_weight(dec, sigma, t):
-    """rho(t) + 1 from rho sampled at t/2, 3t/4 and t, or None
+    """rho(t) + 1 from rho sampled at t/2, 3t/4 and t (ORDER_SAMPLES), or None
     where rho(t) is NaN or below 1, or the resolved samples are not
     nonincreasing (outside the rule's assumptions).
 
@@ -135,7 +139,7 @@ def _order_weight(dec, sigma, t):
     """
     if t * 0.5 == 0.0:
         return None
-    rhos = [effective_order(dec, sigma, t * f) for f in (0.5, 0.75, 1.0)]
+    rhos = [effective_order(dec, sigma, t * f) for f in ORDER_SAMPLES]
     resolved = [r for r in rhos if not math.isnan(r)]
     if not rhos[-1] >= 1.0 - 1e-12 or any(
             b > a + 1e-9 * (1.0 + abs(a)) for a, b in zip(resolved, resolved[1:])):

@@ -16,10 +16,15 @@ approximant and estimator reads: phi(sigma, q, t) = phi_q(sigma t T) e_1,
 its last entry corner(sigma, q, t), and the defect(sigma, t) pair
 (delta, delta') that the quadrature estimates and the effective order
 read.  A Lanczos decomposition eigendecomposes T once and serves every
-sigma, q and t from it; an Arnoldi one pays one Pade call per
-(sigma, q, t).  phi also takes a grid of t: Lanczos then evaluates the
-scalar phi_q at the Ritz values for the whole grid in one call, and each
-row keeps the bits of a call for its t alone.
+sigma, q and t from it; an Arnoldi one runs the Pade route.  phi also
+takes a grid of t, and its kernel work is one call per grid and field:
+Lanczos evaluates the scalar phi_q at the Ritz values for the whole grid,
+Arnoldi runs one stacked Pade over the grid's matrices (a single t stays
+on the 2-D Pade), and each row keeps the bits, and the memory order, of a
+call for its t alone.  Rows are cached per (sigma, q, t), and defect
+pairs per (sigma, t); a grid's rows stay cached until a single-t miss
+finds 256 rows cached and clears them.  A t that is not finite and >= 0
+raises ValueError before anything is computed or cached.
 
 One build allocates one store of two arrays, sized for m_max: a row-major
 basis of shape (m_max+1, n) and a Hessenberg matrix of shape
@@ -110,6 +115,7 @@ class KrylovDecomposition:
         self._a_v_next = None
         self._eigh = None
         self._phi = {}
+        self._defect = {}
 
     @property
     def subdiag(self):
@@ -142,13 +148,26 @@ class KrylovDecomposition:
         """phi_q(sigma t T) e_1 as a read-only length-m vector (q = 0 gives
         e^{sigma t T} e_1), or for a 1-D grid t the list of those vectors,
         one per entry of t.  float64 when sigma t and T are real, for
-        Lanczos and Arnoldi alike, and complex otherwise.  Each row is
-        cached per (sigma, q, t) and computed by _fill, a scalar t as the
-        one-row case of a grid, so a row has the same bits whichever way it
-        was asked for."""
+        Lanczos and Arnoldi alike, and complex otherwise.  Every t must be
+        finite and >= 0 (ValueError before anything is computed).  Each
+        row is cached per (sigma, q, t) and computed by _fill, a scalar t
+        as the one-row case of a grid, so a row has the same bits whichever
+        way it was asked for.
+
+        A scalar miss clears the cache first once it holds _PHI_CACHE_ROWS
+        rows; a grid call never clears it, so the rows of every grid asked
+        for since (a sweep cell's four, say) stay cached together."""
         if np.isscalar(t):
             hit = self._phi.get((sigma, q, t))
-            return hit if hit is not None else self._fill(sigma, q, [t])[0]
+            if hit is not None:
+                return hit
+            validate_time(t)
+            if len(self._phi) >= _PHI_CACHE_ROWS:
+                self._phi.clear()
+                self._defect.clear()
+            return self._fill(sigma, q, [t])[0]
+        for s in t:
+            validate_time(s)
         rows = [self._phi.get((sigma, q, s)) for s in t]
         missing = list(dict.fromkeys(s for s, row in zip(t, rows) if row is None))
         if missing:
@@ -157,33 +176,36 @@ class KrylovDecomposition:
         return rows
 
     def _fill(self, sigma, q, ts):
-        """Compute, cache and return the rows of the distinct times ts.  The
-        cache is cleared first when they would take it past _PHI_CACHE_ROWS,
-        so a call never evicts the rows it fills.
+        """Compute, cache and return the rows of the distinct times ts.
 
-        z = sigma t is taken real where Im z = 0 and T is real.  Arnoldi
-        pays one phi_dense call per t.  Lanczos evaluates phi_q(z lam) for
-        every t of one field in one elementwise phi_scalar call, and keeps
+        z = sigma t is taken real where Im z = 0 and T is real, and the z of
+        each field go through one kernel call.  Lanczos evaluates
+        phi_q(z lam) for them in one elementwise phi_scalar call, and keeps
         the product with Q per t, since a batched product would sum in
-        another order: each row has the bits of a call for its t alone."""
-        real_T = not np.iscomplexobj(self._T)
+        another order.  Arnoldi sends them to phi_dense as one stack, one
+        Pade for the whole grid, or as a scalar when there is one, since a
+        one-matrix stack costs more than the 2-D call.  Each row has the
+        bits, and the memory order, of a call for its t alone."""
+        real_T = self._T.dtype.kind != "c"
         zs = [z.real if real_T and z.imag == 0.0 else z for z in [sigma * s for s in ts]]
-        if self.mode != "lanczos":
-            rows = [phi_dense(self._T, z, q) for z in zs]
-        else:
-            if self._eigh is None:
-                # T = Q diag(lam) Q^T, computed once for every sigma, q and t
-                self._eigh = symtrid_eig(np.diagonal(self._T), self.subdiag)
-            lam, Q = self._eigh
-            rows = [None] * len(zs)
-            for is_complex in (False, True):
-                idx = [i for i, z in enumerate(zs) if isinstance(z, complex) == is_complex]
-                if idx:
-                    weights = phi_scalar(np.array([zs[i] for i in idx])[:, None] * lam, q) * Q[0]
-                    for i, w in zip(idx, weights):
-                        rows[i] = Q @ w
-        if len(self._phi) + len(ts) > _PHI_CACHE_ROWS:
-            self._phi.clear()
+        rows = [None] * len(zs)
+        fields = [isinstance(z, complex) for z in zs]
+        for field in set(fields):
+            idx = [i for i, f in enumerate(fields) if f == field]
+            group = [zs[i] for i in idx]
+            if self.mode == "lanczos":
+                if self._eigh is None:
+                    # T = Q diag(lam) Q^T, computed once for every sigma, q and t
+                    self._eigh = symtrid_eig(np.diagonal(self._T), self.subdiag)
+                lam, Q = self._eigh
+                weights = phi_scalar(np.array(group)[:, None] * lam, q) * Q[0]
+                group_rows = [Q @ w for w in weights]
+            elif len(group) == 1:
+                group_rows = [phi_dense(self._T, group[0], q)]
+            else:
+                group_rows = phi_dense(self._T, group, q)
+            for i, row in zip(idx, group_rows):
+                rows[i] = row
         for s, row in zip(ts, rows):
             self._phi[(sigma, q, s)] = _read_only(row)
         return rows
@@ -199,15 +221,20 @@ class KrylovDecomposition:
         delta(t) = e_m^* e^{sigma t T} e_1, read from phi(sigma, 0, t) like
         corner, and its exact t-derivative
         sigma (T[m-1, m-1] u_m + T[m-1, m-2] u_{m-1}) with u = phi(sigma, 0, t),
-        which holds for any upper Hessenberg T."""
-        validate_time(t)
+        which holds for any upper Hessenberg T.  Each pair is computed once
+        per (sigma, t) and kept until phi's cache is next cleared, since
+        every quadrature and each rho sample reads it."""
+        pair = self._defect.get((sigma, t))
+        if pair is not None:
+            return pair
         m = self.m
         if m < 2:
             raise ValueError("defect needs m >= 2 (the derivative uses the last two rows of T)")
         u = self.phi(sigma, 0, t)
         T = self.T
         delta_prime = sigma * (T[m - 1, m - 1] * u[m - 1] + T[m - 1, m - 2] * u[m - 2])
-        return complex(u[m - 1]), complex(delta_prime)
+        pair = self._defect[(sigma, t)] = complex(u[m - 1]), complex(delta_prime)
+        return pair
 
 
 def _grow(op, basis, hess, m, amax, steps):

@@ -10,6 +10,7 @@ import scipy.io
 
 from krylovexp import cli
 from krylovexp.estimators import ESTIMATORS
+from krylovexp.krylov import KrylovDecomposition
 from krylovexp.cli import (BENCH_COLUMNS, BENCH_KEY, LONG_COLUMNS, LONG_KEY,
                            WIDE_COLUMNS, _breaks_bound, _write_csv, fmt_cell,
                            fmt_sigma, main)
@@ -299,6 +300,30 @@ def test_sweep_shares_each_problems_work_across_m(tmp_path, monkeypatch, correct
     both = (out / "estimates_long.csv").read_text().splitlines()
     assert both[0] == lines[4][0] == lines[8][0]
     assert sorted(both[1:]) == sorted(lines[4][1:] + lines[8][1:])
+
+
+@pytest.mark.parametrize("points", [65, 200])
+@pytest.mark.parametrize("kind", ["convection_diffusion", "heat"])
+def test_sweep_cell_computes_each_phi_row_once(monkeypatch, kind, points):
+    """A p = 0 cell reads four phi grids (q = 0 and q = 1 at each t, and
+    q = 0 at t/2 and 3t/4 for the effective order), 4 x points distinct
+    rows, more than the cache keeps before a scalar call clears it; each
+    is computed exactly once, on Arnoldi (convection-diffusion) and Lanczos
+    (heat) alike."""
+    computed = []
+    fill = KrylovDecomposition._fill
+
+    def counted(self, sigma, q, ts):
+        computed.extend((sigma, q, t) for t in ts)
+        return fill(self, sigma, q, ts)
+
+    spec = ProblemSpec(kind)
+    ts = list(np.geomspace(1e-3, 10.0, points))
+    sigma, refs, decs = cli._sweep_problem(spec, [10], ts, 0)
+    monkeypatch.setattr(KrylovDecomposition, "_fill", counted)
+    wide, _, _ = cli._sweep_cell(spec, 10, sigma, decs[10], refs, ts, 0, False)
+    assert len(wide) == points
+    assert len(computed) == len(set(computed)) == 4 * points
 
 
 def test_seed_override_changes_starting_vector(tmp_path):

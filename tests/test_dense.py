@@ -113,6 +113,87 @@ def test_pade_keeps_the_tiny_corner(m, qs):
         assert abs(dec.corner(sigma, q, z) / lead - 1.0) < 1e-5, q
 
 
+def same_array(a, b):
+    """Equal dtype, shape, bits and memory order."""
+    return (a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
+            and a.tobytes() == b.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 34), complex_=st.booleans(),
+       norms=st.lists(st.sampled_from([0.0, 1e-6, 0.3, 5.0, 5.4, 6.0, 40.0, 700.0]),
+                      min_size=1, max_size=8))
+def test_stacked_expm_is_each_matrix_alone(seed, n, complex_, norms):
+    """On a stack that mixes zero, unscaled and scaled matrices (1-norms
+    on both sides of theta_13 = 5.37, some owing 8 squarings and some 1),
+    expm_dense returns for each matrix the array of its own 2-D call: the
+    same bits and the same memory order.  The zero matrix gives exactly
+    the identity."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for nrm in norms:
+        A = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0)
+        stack.append(A * (nrm / np.abs(A).sum(axis=0).max()))
+    got = expm_dense(np.array(stack))
+    assert len(got) == len(stack)
+    for M, E in zip(stack, got):
+        assert same_array(E, expm_dense(M))
+        if not M.any():
+            assert np.array_equal(E, np.eye(n))
+
+
+def test_stacked_phi_dense_is_each_z_alone():
+    """phi_dense over a list of z of one field returns each z's column with
+    the bits and memory order of its own call; fields may not mix."""
+    T = random_matrix(12, 9, complex_=False)
+    for zs in ([0.0, 1e-3, 0.4, 2.0, -3.0], [0.5j, -0.2 + 0.1j, 4.0 + 0j]):
+        for p in (0, 1, 3):
+            for z, col in zip(zs, phi_dense(T, zs, p), strict=True):
+                assert same_array(col, phi_dense(T, z, p)), (z, p)
+    with pytest.raises(ValueError, match="one field"):
+        phi_dense(T, [0.5, 0.5j], 1)
+    for zs in ([], [[0.5]]):
+        with pytest.raises(ValueError, match="nonempty 1-D sequence"):
+            phi_dense(T, zs, 1)
+
+
+def test_stacked_expm_guards():
+    """One non-finite matrix makes the stack raise ValueError and one
+    overflowing matrix OverflowError, as each would alone."""
+    ok = random_matrix(3, 10)
+    with pytest.raises(ValueError, match="non-finite"):
+        expm_dense(np.array([ok, np.full((3, 3), np.nan), ok]))
+    big = np.diag([2000.0, 0.0, 0.0]) + 0j
+    with pytest.raises(OverflowError):
+        expm_dense(big)
+    with pytest.raises(OverflowError):
+        expm_dense(np.array([ok, big]))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_singular_pade_denominator_raises(stacked, monkeypatch):
+    """A Pade denominator that LAPACK reports singular raises LinAlgError,
+    from the 2-D call and from a stack where one solve of three fails.  (Scaling keeps the 1-norm below theta_13 = 5.37, and every zero
+    of the degree-13 denominator lies beyond 17, so a finite input never
+    meets one: the solver is made to report it.)"""
+    real_get = kx.dense.get_lapack_funcs
+    solves = []
+
+    def get_lapack_funcs(names, arrays):
+        gesv = real_get(names, arrays)
+
+        def failing_gesv(a, b):
+            solves.append(1)
+            lu, piv, x, info = gesv(a, b)
+            return lu, piv, x, (1 if len(solves) == 3 or not stacked else info)
+        return failing_gesv
+
+    monkeypatch.setattr(kx.dense, "get_lapack_funcs", get_lapack_funcs)
+    M = random_matrix(4, 11)
+    with pytest.raises(np.linalg.LinAlgError, match="denominator"):
+        expm_dense(np.array([M, 0.5 * M, 0.1 * M]) if stacked else M)
+
+
 def test_expm_zero_matrix():
     assert np.array_equal(expm_dense(np.zeros((3, 3))), np.eye(3))
 

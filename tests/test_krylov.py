@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import krylovexp as kx
 from krylovexp import KrylovConfig, SparseOperator, build_krylov, extend_krylov
+from krylovexp.dense import _PADE13_THETA
 from krylovexp.estimators import ESTIMATORS, evaluate
 from krylovexp.problems import ProblemSpec, starting_vector
 
@@ -409,17 +410,52 @@ def test_phi_grid_rows_are_the_scalar_calls(seed, hermitian, real, m, q, sigma, 
     """Each row of dec.phi(sigma, q, ts) has the dtype and the bits of the
     scalar call dec.phi(sigma, q, t) on a fresh decomposition: on Lanczos
     and Arnoldi, in the float64 store and the complex one, on grids that
-    hold t = 0, subnormal t and repeated t."""
-    ts = ts + data.draw(st.lists(st.sampled_from(ts), max_size=3))
+    hold t = 0, subnormal t and repeated t, and ||zT||_1 on both sides of
+    the norm where Pade starts squaring.  Approximant.apply(t) then gives
+    the bits of the scalar-filled one too: V @ c can take another BLAS
+    path when a row has another memory order, which tobytes() ignores."""
     n = 40
     op = (random_hermitian_op if hermitian else random_general_op)(n, seed, real)
     v = random_unit(n, seed=seed % 2 ** 31, complex_=not real)
     cfg = KrylovConfig(m_max=m)
-    rows = build_krylov(op, v, cfg).phi(sigma, q, ts)
+    dec = build_krylov(op, v, cfg)
+    # t where ||sigma t T||_1 is a fraction or a multiple of theta_13
+    norm = float(np.abs(dec.T).sum(axis=0).max())
+    if norm > 0.0:
+        ts = ts + [f * _PADE13_THETA / norm for f in (0.5, 0.99, 1.01, 3.0)]
+    ts = ts + data.draw(st.lists(st.sampled_from(ts), max_size=3))
+    rows = dec.phi(sigma, q, ts)
     assert len(rows) == len(ts)
     for t, row in zip(ts, rows):
-        alone = build_krylov(op, v, cfg).phi(sigma, q, t)
-        assert row.dtype == alone.dtype and row.tobytes() == alone.tobytes(), t
+        alone = build_krylov(op, v, cfg)
+        single = alone.phi(sigma, q, t)
+        assert row.dtype == single.dtype and row.tobytes() == single.tobytes(), t
+        a = kx.Approximant(dec, sigma, q).apply(t)
+        b = kx.Approximant(alone, sigma, q).apply(t)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), t
+
+
+@pytest.mark.parametrize("make_op", [random_hermitian_op, random_general_op])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_phi_and_corner_reject_bad_times(make_op, bad, monkeypatch):
+    """A t that is not finite and >= 0 raises ValueError from phi and
+    corner, as a scalar and inside a grid, before any row is computed or
+    cached: the bad t raises again, and the good t of a grid is computed
+    when it is asked for next."""
+    dec = build_krylov(make_op(30, 72), random_unit(30, seed=73), KrylovConfig(m_max=8))
+    kernels = []
+    for name in ("phi_scalar", "phi_dense"):
+        monkeypatch.setattr(kx.krylov, name, lambda *args, name=name: kernels.append(name))
+    for _ in range(2):
+        for call in (lambda: dec.phi(-1j, 1, bad), lambda: dec.corner(-1j, 0, bad),
+                     lambda: dec.phi(-1j, 1, [0.1, bad]), lambda: dec.phi(-1j, 0, [bad, 0.2])):
+            with pytest.raises(ValueError, match="t must be finite"):
+                call()
+    assert kernels == []
+    monkeypatch.undo()
+    for q, t in ((1, 0.1), (0, 0.2)):
+        fresh = build_krylov(make_op(30, 72), random_unit(30, seed=73), KrylovConfig(m_max=8))
+        assert dec.phi(-1j, q, t).tobytes() == fresh.phi(-1j, q, t).tobytes()
 
 
 @pytest.mark.parametrize("make_op", [random_hermitian_op, random_general_op])
