@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .sparse import validate_phi_index, validate_prefactor, validate_time
+from .sparse import is_time_grid, validate_phi_index, validate_prefactor, validate_time
 
 _ROUNDOFF_FLOOR = 1e3 * float(np.finfo(np.float64).eps)
 
@@ -68,11 +68,28 @@ def effective_order(dec, sigma, t):
     delta' from dec.defect is exact for any upper Hessenberg T, so this
     holds for Lanczos and Arnoldi and every sigma.  Tends to m-1 as t -> 0+
     and decreases from there.  NaN when |delta| is too close to the
-    round-off floor to differentiate meaningfully; t = 0 raises ValueError.
+    round-off floor to differentiate meaningfully, and at m = 1 (a
+    breakdown at the first column), where the defect's derivative does
+    not exist; t = 0 raises ValueError.  A 1-D grid t gives the list of
+    rho at each t, with sigma and the times validated once.
     """
-    if validate_time(t) == 0.0:
-        raise ValueError("effective_order needs t > 0")
-    delta, delta_prime = dec.defect(validate_prefactor(sigma), t)
+    if not is_time_grid(t):
+        if validate_time(t) == 0.0:
+            raise ValueError("effective_order needs t > 0")
+        return rho_at(dec, validate_prefactor(sigma), t)
+    s = validate_prefactor(sigma)
+    for x in t:
+        if validate_time(x) == 0.0:
+            raise ValueError("effective_order needs t > 0")
+    return [rho_at(dec, s, x) for x in t]
+
+
+def rho_at(dec, sigma, t):
+    """effective_order at one t > 0 for a sigma already validated, with no
+    checks: the estimators read it at the samples of a validated t."""
+    if dec.m < 2:
+        return math.nan
+    delta, delta_prime = dec.defect(sigma, t)
     # |delta(t)| is an entry of u(t) = e^{sigma t T} e_1, and the round-off in
     # u is relative to ||u(0)|| = ||e_1|| = 1, not to ||u(t)||, which
     # underflows on dissipative problems.

@@ -11,9 +11,12 @@ that of zT, phi_scalar in that of z: float64 when real, else complex128.
 expm_dense(M) also takes a (k, n, n) stack and phi_dense(T, z, p) a 1-D
 sequence of z of one field; each then returns a list, one entry per
 matrix or z, with the bits and the memory order of the call for that
-matrix or z alone.  The Pade products and the squarings run as stacked
-matmuls, with each matrix's own scaling, and the solve stays one LAPACK
-gesv per matrix.
+matrix or z alone.  Each matrix keeps its own scaling, and the stack
+runs one Pade per distinct scaled matrix: M / 2^s and (M / 2) / 2^(s-1)
+are equal bit for bit, so a matrix and its half share one Pade and one
+squaring chain, the half reading it one squaring earlier.  The Pade
+products and the squarings run as stacked matmuls, and the solve stays
+one LAPACK gesv per distinct matrix.
 """
 
 import math
@@ -108,12 +111,13 @@ def expm_dense(M):
     eigendecomposition instead; see KrylovDecomposition.phi.)
 
     A stack returns the list of its k exponentials.  Each matrix keeps its
-    own scaling, the Pade products and the squarings run on the stack
-    (the squarings on the matrices that still owe some), and each result
-    is the array its own 2-D call returns, bits and memory order alike:
-    Fortran order where nothing was squared, C order otherwise.  A
-    product with it can take another BLAS path in either order, so the
-    order is part of the result.
+    own scaling, matrices whose scaled forms are equal share one Pade and
+    one squaring chain, the Pade products and the squarings run on the
+    stack (the squarings on the chains that still owe some), and each
+    result is its own array, the one its own 2-D call returns, bits and
+    memory order alike: Fortran order where nothing was squared, C order
+    otherwise.  A product with it can take another BLAS path in either
+    order, so the order is part of the result.
     """
     M = np.asarray(M, dtype=np.result_type(np.asarray(M), float))
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
@@ -138,35 +142,61 @@ def expm_dense(M):
 
 
 def _expm_stack(M):
-    """expm_dense of a checked, finite (k, n, n) stack, as a list."""
+    """expm_dense of a checked, finite (k, n, n) stack, as a list.
+
+    One Pade per distinct scaled matrix (compared by bytes): M / 2^s and
+    (M / 2) / 2^(s-1) are equal bit for bit, so the exponential of M / 2
+    is an intermediate of M's squaring chain, and each matrix takes the
+    chain of its scaled matrix after its own s squarings.  An intermediate
+    is copied before the next squaring overwrites it, and every entry is
+    its own array, in the memory order of its 2-D call."""
     n = M.shape[-1]
     norms = abs(M).sum(axis=1).max(axis=1).tolist()
     out = [np.eye(n, dtype=M.dtype) if nrm == 0.0 else None for nrm in norms]
     s = [_squarings(nrm) for nrm in norms]
-    # the nonzero matrices, those owing the most squarings first, so that
-    # the ones still owing some are always a leading block of the stack
-    live = sorted((i for i, nrm in enumerate(norms) if nrm != 0.0), key=lambda i: -s[i])
+    live = [i for i, nrm in enumerate(norms) if nrm != 0.0]
     if not live:
         return out
-    scale = np.array([2.0 ** s[i] for i in live])
-    E = _pade13(M[live] / scale[:, None, None])
-    owed = [s[i] for i in live if s[i]]
-    if owed:
+    scaled = M[live] / np.array([2.0 ** s[i] for i in live])[:, None, None]
+    chains = {}  # scaled bytes -> (position in scaled, matrices reading its chain)
+    for j, i in enumerate(live):
+        chains.setdefault(scaled[j].tobytes(), (j, []))[1].append(i)
+    # one entry per chain, those owing the most squarings first, so that
+    # the ones still owing some are always a leading block of the stack
+    chains = sorted(chains.values(), key=lambda c: -max(s[i] for i in c[1]))
+    owed = [max(s[i] for i in readers) for _, readers in chains]
+    E = _pade13(scaled[[j for j, _ in chains]])
+
+    def hand_out(k, r, e):
+        """e, chain k after r squarings, to the matrices that read it
+        there: the first gets e itself unless a later squaring overwrites
+        it, every other one a copy in e's memory order."""
+        kept = r == 0 or r == owed[k]  # a Pade result, or the chain's last row
+        for i in chains[k][1]:
+            if s[i] == r:
+                out[i] = e if kept else e.copy(order="K")
+                kept = False
+
+    for k, e in enumerate(E):
+        hand_out(k, 0, e)
+    squared = sum(1 for c in owed if c)
+    if squared:
         # the first squaring multiplies Fortran-ordered copies, as the 2-D
         # call squares gesv's result (C-ordered ones give other bits); its
         # product, like every later one, is C-ordered
-        F = np.empty((len(owed), n, n), dtype=M.dtype).transpose(0, 2, 1)
-        for j, e in enumerate(E[:len(owed)]):
-            F[j] = e
-        S = np.empty((len(owed), n, n), dtype=M.dtype)
+        F = np.empty((squared, n, n), dtype=M.dtype).transpose(0, 2, 1)
+        for k, e in enumerate(E[:squared]):
+            F[k] = e
+        S = np.empty((squared, n, n), dtype=M.dtype)
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             np.matmul(F, F, out=S)
-            for r in range(1, owed[0]):
-                k = sum(1 for c in owed if c > r)
-                S[:k] = S[:k] @ S[:k]
-        E[:len(owed)] = list(S)
-    for i, e in zip(live, E):
-        out[i] = e
+            for r in range(1, owed[0] + 1):
+                if r > 1:
+                    k = sum(1 for c in owed if c >= r)
+                    S[:k] = S[:k] @ S[:k]
+                for k in range(squared):
+                    if owed[k] >= r:
+                        hand_out(k, r, S[k])
     if not all(np.isfinite(e).all() for e in out):
         raise OverflowError("expm_dense: result overflowed")
     return out

@@ -21,6 +21,12 @@ quadratures are tau * (t/w) * |delta(t)| with w = m, 2 and rho(t)+1.  era
 and err1 return their CORRECTED_KINDS rows with corrected=True.  After a
 breakdown every kind is 0.0 (the projection is exact).
 
+estimate, era, err1 and quad_estimates also take a 1-D grid of t and then
+return one result per t, each exactly what the call for that t alone
+returns: a grid call validates sigma, p and the times once and decides
+the proven flag once per kind.  evaluate, the controller's path, stays
+scalar.
+
 ESTIMATORS holds one row per kind: the function computing the value, the
 extra matvecs it costs a fresh decomposition (the cached A v_next), and
 the rule deciding is_proven_upper_bound.  That flag is set exactly when
@@ -40,8 +46,8 @@ from functools import partial
 
 import numpy as np
 
-from .approximant import effective_order
-from .sparse import validate_phi_index, validate_prefactor, validate_time
+from .approximant import rho_at
+from .sparse import is_time_grid, validate_phi_index, validate_prefactor, validate_time
 
 
 @dataclass(frozen=True)
@@ -139,7 +145,7 @@ def _order_weight(dec, sigma, t):
     """
     if t * 0.5 == 0.0:
         return None
-    rhos = [effective_order(dec, sigma, t * f) for f in ORDER_SAMPLES]
+    rhos = [rho_at(dec, sigma, t * f) for f in ORDER_SAMPLES]
     resolved = [r for r in rhos if not math.isnan(r)]
     if not rhos[-1] >= 1.0 - 1e-12 or any(
             b > a + 1e-9 * (1.0 + abs(a)) for a, b in zip(resolved, resolved[1:])):
@@ -161,7 +167,7 @@ ESTIMATORS = {
     "effective_order_quad": (partial(_quad, _order_weight), 0, None),
 }
 
-_QUAD_KINDS = tuple(k for k in ESTIMATORS if k.endswith("_quad"))
+QUAD_KINDS = tuple(k for k in ESTIMATORS if k.endswith("_quad"))
 # the one record of which approximant a kind bounds: each kind of the
 # corrected approximant -> the kind it corrects; every other kind, the
 # quadratures included, bounds or estimates the standard approximant's error
@@ -183,14 +189,35 @@ def _estimate(kind, dec, sigma, t, *p):
                          0 if dec.breakdown else extra)
 
 
+def estimate(kind, dec, sigma, t, *p):
+    """The ESTIMATORS row for kind at t, at the phi index p of era and
+    err1, or None where it is unavailable; for a 1-D grid t the list of
+    those results, one per t, with sigma, p and the times validated once
+    and the proven flag decided once."""
+    if not is_time_grid(t):
+        return _estimate(kind, dec, sigma, t, *p)
+    p = [validate_phi_index(q) for q in p]
+    s = validate_prefactor(sigma)
+    for x in t:
+        validate_time(x)
+    fn, extra, rule = ESTIMATORS[kind]
+    if dec.breakdown:
+        values, extra = [0.0] * len(t), 0
+    else:
+        values = [fn(dec, s, x, *p) for x in t]
+    proven = _proven(rule, dec, s)
+    return [None if value is None else ErrorEstimate(kind, value, proven, extra)
+            for value in values]
+
+
 def era(dec, sigma, t, p=0, corrected=False):
     """Proven error bound tau*gamma*t^m/(m+p)! for the standard approximant.
 
     Corrected: ||A v_next|| * tau*gamma*t^(m+1)/(m+p+1)! for the corrected
     approximant (one extra matvec the first time, cached on the
-    decomposition).
+    decomposition).  A 1-D grid t gives the list of the estimates at each t.
     """
-    return _estimate("era_corrected" if corrected else "era", dec, sigma, t, p)
+    return estimate("era_corrected" if corrected else "era", dec, sigma, t, p)
 
 
 def err1(dec, sigma, t, p=0, corrected=False):
@@ -199,9 +226,10 @@ def err1(dec, sigma, t, p=0, corrected=False):
     Standard: tau*t*|e_m^* phi_{p+1}(sigma t T) e_1|.  Corrected:
     ||A v_next|| * tau*t^2*|e_m^* phi_{p+2}(sigma t T) e_1| (one cached
     extra matvec).  A proven upper bound only in the hermitian
-    nonexpansive case with real sigma (and only uncorrected).
+    nonexpansive case with real sigma (and only uncorrected).  A 1-D grid
+    t gives the list of the estimates at each t.
     """
-    return _estimate("err1_corrected" if corrected else "err1", dec, sigma, t, p)
+    return estimate("err1_corrected" if corrected else "err1", dec, sigma, t, p)
 
 
 def quad_estimates(dec, sigma, t):
@@ -210,9 +238,13 @@ def quad_estimates(dec, sigma, t):
     Returns hermite_quad, improved_hermite_quad (it costs the one extra,
     cached matvec) and trapezoid_quad always, and effective_order_quad
     only when the sampled rho is reliable, nonincreasing, and at least 1.
+    A 1-D grid t gives the list of those lists, one per t, from one
+    estimate call per kind.
     """
-    out = [_estimate(kind, dec, sigma, t) for kind in _QUAD_KINDS]
-    return [e for e in out if e is not None]
+    out = [estimate(kind, dec, sigma, t) for kind in QUAD_KINDS]
+    if not is_time_grid(t):
+        return [e for e in out if e is not None]
+    return [[e for e in row if e is not None] for row in zip(*out)]
 
 
 def evaluate(kind, dec, sigma, t):

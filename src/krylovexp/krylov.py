@@ -19,12 +19,14 @@ read.  A Lanczos decomposition eigendecomposes T once and serves every
 sigma, q and t from it; an Arnoldi one runs the Pade route.  phi also
 takes a grid of t, and its kernel work is one call per grid and field:
 Lanczos evaluates the scalar phi_q at the Ritz values for the whole grid,
-Arnoldi runs one stacked Pade over the grid's matrices (a single t stays
-on the 2-D Pade), and each row keeps the bits, and the memory order, of a
-call for its t alone.  Rows are cached per (sigma, q, t), and defect
-pairs per (sigma, t); a grid's rows stay cached until a single-t miss
-finds 256 rows cached and clears them.  A t that is not finite and >= 0
-raises ValueError before anything is computed or cached.
+Arnoldi runs one stacked Pade over the grid's distinct scaled matrices (a
+single t stays on the 2-D Pade), so a grid holding t and t/2 pays for one
+Pade and one squaring chain where t owes a squaring, and each row keeps
+the bits, and the memory order, of a call for its t alone.  Rows are
+cached per (sigma, q, t), and defect pairs per (sigma, t); a grid's rows
+stay cached until a single-t miss finds 256 rows cached and clears them.
+A t that is not finite and >= 0 raises ValueError before anything is
+computed or cached.
 
 One build allocates one store of two arrays, sized for m_max: a row-major
 basis of shape (m_max+1, n) and a Hessenberg matrix of shape
@@ -182,10 +184,12 @@ class KrylovDecomposition:
         each field go through one kernel call.  Lanczos evaluates
         phi_q(z lam) for them in one elementwise phi_scalar call, and keeps
         the product with Q per t, since a batched product would sum in
-        another order.  Arnoldi sends them to phi_dense as one stack, one
-        Pade for the whole grid, or as a scalar when there is one, since a
-        one-matrix stack costs more than the 2-D call.  Each row has the
-        bits, and the memory order, of a call for its t alone."""
+        another order.  Arnoldi sends them to phi_dense as one stack, or as
+        a scalar when there is one, since a one-matrix stack costs more
+        than the 2-D call; the stack runs one Pade per distinct scaled
+        matrix, so at q = 0 a t/2 whose scaling is one squaring short of
+        t's reads t's squaring chain.  Each row has the bits, and the
+        memory order, of a call for its t alone."""
         real_T = self._T.dtype.kind != "c"
         zs = [z.real if real_T and z.imag == 0.0 else z for z in [sigma * s for s in ts]]
         rows = [None] * len(zs)

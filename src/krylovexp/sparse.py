@@ -4,9 +4,13 @@ The operator keeps its matrix as canonical complex128 CSR (duplicates
 summed at construction, on a copy) and, built once beside it, the CSR of
 its conjugate transpose; the norms, the Hermitian check, the log-norm
 bound and Matrix Market I/O read them, row by row through indptr and
-indices.  When no entry has a nonzero imaginary part it also keeps the
-values in float64, and matvec sends a real vector through them, so a
-real problem runs in real arithmetic.  A banded matrix (its stored
+indices.  When the two share one pattern (equal indptr and indices, as
+on every structurally symmetric matrix), the Hermitian check and the
+log-norm bound combine their data arrays entry by entry; otherwise they
+go through scipy's sparse sum, which gives the same values.  When no
+entry has a nonzero imaginary part it also keeps the values in float64,
+and matvec sends a real vector through them, so a real problem runs in
+real arithmetic.  A banded matrix (its stored
 diagonals hold at most 1.25 times its entries, as on the stencil
 problems) keeps them in DIA form, anything else in CSR on the complex
 matrix's own index arrays.  scipy.io is imported by the Matrix Market
@@ -35,6 +39,12 @@ def validate_time(t):
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     return t
+
+
+def is_time_grid(t):
+    """True for a 1-D sequence of times, False for one time; a float
+    (np.float64 too) is told apart by one isinstance."""
+    return not isinstance(t, float) and np.ndim(t) == 1
 
 
 def validate_phi_index(p):
@@ -97,12 +107,16 @@ class SparseOperator:
         if symmetry not in ("hermitian", "general"):
             raise ValueError(f"unknown symmetry flag: {symmetry!r}")
         adjoint = csr.conj().T.tocsr()
+        # one pattern: the entries of A and A^* pair up slot by slot
+        aligned = (np.array_equal(csr.indptr, adjoint.indptr)
+                   and np.array_equal(csr.indices, adjoint.indices))
         if symmetry == "hermitian":
-            dev = abs(csr - adjoint)
-            if dev.nnz and dev.max() > 1e-12:
+            dev = np.abs(csr.data - adjoint.data) if aligned else abs(csr - adjoint).data
+            if dev.size and dev.max() > 1e-12:
                 raise ValueError("matrix declared hermitian deviates from A == A* by more than 1e-12")
         self.csr = csr
         self._adjoint = adjoint
+        self._aligned = aligned
         self._real = None if np.any(csr.data.imag) else _real_storage(csr)
         self.symmetry = symmetry
         self._norm_1 = None
@@ -140,22 +154,31 @@ class SparseOperator:
         part H = (sigma A + conj(sigma) A^*)/2, and every eigenvalue of H
         lies in a Gershgorin disc, so max_i (Re H_ii + sum_{j != i} |H_ij|)
         bounds it from above.  A value <= 0 certifies that e^{t sigma A}
-        never grows a vector for t >= 0.  One sparse sum against the kept
-        conjugate transpose, its rows read through indptr, cached per
-        sigma.
+        never grows a vector for t >= 0.  H is formed against the kept
+        conjugate transpose, its rows read through indptr, and the value
+        cached per sigma.  On one pattern H's data is the entrywise sum of
+        the two data arrays, with no sparse sum; its explicit zeros, which
+        the sum would prune, add 0 to a radius and leave a centre at 0,
+        so both routes give the same bits.
         """
         s = validate_prefactor(sigma)
         if s not in self._log_norm_bounds:
-            H = (0.5 * s) * self.csr + (0.5 * np.conj(s)) * self._adjoint
-            if H.nnz == 0:
+            if self._aligned:
+                # the products scipy's scalar multiplication forms, summed slot by slot
+                H = self.csr
+                data = H.data * (0.5 * s) + self._adjoint.data * (0.5 * np.conj(s))
+            else:
+                H = (0.5 * s) * self.csr + (0.5 * np.conj(s)) * self._adjoint
+                data = H.data
+            if not data.any():  # H = 0, as where sigma*A is skew-hermitian
                 bound = 0.0
             else:
                 rows = _entry_rows(H)
                 off = H.indices != rows
-                radius = np.bincount(rows[off], weights=np.abs(H.data[off]),
+                radius = np.bincount(rows[off], weights=np.abs(data[off]),
                                      minlength=self.n)
                 centre = np.zeros(self.n)
-                centre[rows[~off]] = H.data[~off].real
+                centre[rows[~off]] = data[~off].real
                 bound = float(np.max(centre + radius))
             self._log_norm_bounds[s] = bound
         return self._log_norm_bounds[s]

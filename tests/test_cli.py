@@ -409,6 +409,38 @@ def test_bench_through_a_breakdown_exits_0(tmp_path):
         assert (row["N"], row["accumulated_bound"]) == ("1", "0.0")
 
 
+@pytest.mark.parametrize("sweep", [{}, {"corrected": True}, {"p": 1}],
+                         ids=["plain", "corrected", "p1"])
+def test_sweep_through_a_breakdown_at_dimension_one_exits_0(tmp_path, sweep):
+    """On convection-diffusion at n = 2 without convection the ones start
+    vector is an eigenvector, so the Krylov build breaks down at m = 1.
+    The projection is exact: the sweep writes every row, each estimate
+    0.0 and rho nan (the defect has no derivative at m = 1), and exits 0,
+    instead of dying with exit 1, which means a bound was exceeded."""
+    ts = [0.01, 0.3, 2.0]
+    cfg = write_config(tmp_path, {
+        "problems": [{"kind": "convection_diffusion",
+                      "params": {"n": 2, "mu1": 0.0, "mu2": 0.0}}],
+        "sweep": {"m": [2, 3], "t_grid": {"values": ts}, **sweep}})
+    out = tmp_path / "breakdown"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    quads = not sweep
+    for m in (2, 3):
+        with open(out / f"sweep_convection_diffusion_m{m}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["t"]) for r in rows] == ts
+        for row in rows:
+            assert row["rho"] == "nan"
+            assert float(row["oracle_error"]) < 1e-14
+            for col in ("Era", "Err1", "HermiteQuad", "ImprovedHermiteQuad",
+                        "TrapezoidQuad", "EffectiveOrderQuad"):
+                assert row[col] == ("0.0" if quads or col in ("Era", "Err1") else "nan"), col
+    with open(out / "estimates_long.csv") as fh:
+        long_rows = list(csv.DictReader(fh))
+    assert len(long_rows) == 2 * len(ts) * (6 if quads else 2)
+    assert {(r["value"], r["extra_matvecs"]) for r in long_rows} == {("0.0", "0")}
+
+
 def test_bench_fixed_steps_through_a_breakdown_exits_2(tmp_path, capsys):
     """A fixed-step run cannot take the unbounded step a breakdown allows:
     the run is reported as one error line naming it (exit 2), since exit 1

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import krylovexp as kx
-from krylovexp.dense import (_PADE13_B, _PADE13_THETA, expm_dense, phi_dense, phi_scalar,
-                             symtrid_eig)
+from krylovexp.dense import (_PADE13_B, _PADE13_THETA, _squarings, expm_dense, phi_dense,
+                             phi_scalar, symtrid_eig)
 
 
 def random_matrix(m, seed, complex_=True):
@@ -142,6 +142,45 @@ def test_stacked_expm_is_each_matrix_alone(seed, n, complex_, norms):
             assert np.array_equal(E, np.eye(n))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 20), complex_=st.booleans(),
+       norm=st.sampled_from([1.0, 5.0, 5.4, 6.0, 10.7, 10.8, 40.0, 700.0]),
+       halvings=st.integers(1, 7), data=st.data())
+def test_stacked_expm_shares_the_chain_of_exact_halves(seed, n, complex_, norm, halvings, data):
+    """A stack of M, M/2, ..., M/2^h (halves across the squaring
+    boundaries, down to halves that owe none), the zero matrix, M again
+    and 3M/4 runs one Pade solve per distinct scaled matrix, since
+    M / 2^s and (M / 2) / 2^(s-1) are equal bit for bit, and still returns
+    for each matrix its own array with the bits and strides of its 2-D
+    call: a half reads the chain of M after its own squarings."""
+    A = random_matrix(n, seed % 2 ** 31, complex_)
+    M = A * (norm / np.abs(A).sum(axis=0).max())
+    stack = [M / 2.0 ** k for k in range(halvings + 1)] + [0.0 * M, M, 0.75 * M]
+    stack = data.draw(st.permutations(stack))
+    scaled = {(X / 2.0 ** _squarings(np.abs(X).sum(axis=0).max())).tobytes()
+              for X in stack if X.any()}
+    real_get = kx.dense.get_lapack_funcs
+    solves = []
+
+    def get_lapack_funcs(names, arrays):
+        gesv = real_get(names, arrays)
+
+        def counted(a, b):
+            solves.append(1)
+            return gesv(a, b)
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kx.dense, "get_lapack_funcs", get_lapack_funcs)
+        got = expm_dense(np.array(stack))
+    assert len(solves) == len(scaled) < len(stack) - 1
+    assert len(got) == len(stack)
+    for M_i, E in zip(stack, got):
+        assert same_array(E, expm_dense(M_i))
+    for i, E in enumerate(got):
+        assert not any(np.shares_memory(E, F) for F in got[i + 1:])
+
+
 def test_stacked_phi_dense_is_each_z_alone():
     """phi_dense over a list of z of one field returns each z's column with
     the bits and memory order of its own call; fields may not mix."""
@@ -190,8 +229,11 @@ def test_singular_pade_denominator_raises(stacked, monkeypatch):
 
     monkeypatch.setattr(kx.dense, "get_lapack_funcs", get_lapack_funcs)
     M = random_matrix(4, 11)
+    # three distinct scaled matrices, so three solves: M owes one squaring
+    # (||M||_1 = 5.45), and 0.5 M would scale to M's own scaled matrix
     with pytest.raises(np.linalg.LinAlgError, match="denominator"):
-        expm_dense(np.array([M, 0.5 * M, 0.1 * M]) if stacked else M)
+        expm_dense(np.array([M, 0.3 * M, 0.1 * M]) if stacked else M)
+    assert len(solves) == (3 if stacked else 1)
 
 
 def test_expm_zero_matrix():

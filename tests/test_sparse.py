@@ -238,6 +238,70 @@ def test_log_norm_bound_equals_the_coo_gershgorin_formula(seed, n, density, kind
     assert np.array([got]).view(np.uint64) == np.array([expected]).view(np.uint64)
 
 
+def sparse_sum_certificates(csr, sigma):
+    """The log-norm bound and the Hermitian verdict through scipy's sparse
+    sum of A and its conjugate transpose (which prunes the zeros it forms),
+    the route an operator takes when the two patterns differ."""
+    n = csr.shape[0]
+    adjoint = csr.conj().T.tocsr()
+    s = complex(sigma)
+    H = (0.5 * s) * csr + (0.5 * np.conj(s)) * adjoint
+    if H.nnz == 0:
+        bound = 0.0
+    else:
+        rows = np.repeat(np.arange(n, dtype=H.indices.dtype), np.diff(H.indptr))
+        off = H.indices != rows
+        radius = np.bincount(rows[off], weights=np.abs(H.data[off]), minlength=n)
+        centre = np.zeros(n)
+        centre[rows[~off]] = H.data[~off].real
+        bound = float(np.max(centre + radius))
+    dev = abs(csr - adjoint)
+    return bound, not (dev.nnz and dev.max() > 1e-12)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 25),
+       density=st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]), symmetric_pattern=st.booleans(),
+       real=st.booleans(), zeros=st.sampled_from([0.0, 0.1, 0.4]),
+       noise=st.sampled_from([0.0, 5e-13, 1e-12, 1.5e-12, 1e-9]), lone=st.booleans(),
+       sigma=SIGMAS)
+def test_one_pattern_certificates_equal_the_sparse_sum(seed, n, density, symmetric_pattern,
+                                                       real, zeros, noise, lone, sigma):
+    """Where A and A^* share one pattern the operator forms H and the
+    Hermitian deviation from the data arrays, entry by entry; elsewhere it
+    takes the sparse sum.  Either way the log-norm bound has the bits, and
+    the Hermitian claim the verdict, of the sparse-sum route: on random
+    Hermitian-or-nearly matrices (deviations on both sides of 1e-12, on a
+    fifth of the entries or on the first stored one alone), with explicit
+    zeros on and off the diagonal, and on patterns that are not
+    symmetric."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    if symmetric_pattern:
+        mask |= mask.T
+    rows, cols = np.nonzero(mask)
+    B = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
+    A = (0.5 * (B + B.conj().T)).astype(complex)
+    if lone and rows.size:
+        A[rows[0], cols[0]] += 1j * noise  # alone where it sits on the diagonal
+    else:
+        A = A + noise * np.where(rng.random((n, n)) < 0.2, 1.0, 0.0)
+    A = sp.csr_matrix((A[rows, cols], (rows, cols)), shape=(n, n), dtype=np.complex128)
+    A.data[rng.random(A.nnz) < zeros] = 0.0  # explicit zeros, kept stored
+    adjoint = A.conj().T.tocsr()
+    aligned = (np.array_equal(A.indptr, adjoint.indptr)
+               and np.array_equal(A.indices, adjoint.indices))
+    assert aligned or not symmetric_pattern
+    bound, hermitian = sparse_sum_certificates(A, sigma)
+    op = SparseOperator(A)
+    assert np.array([op.log_norm_bound(sigma)]).view(np.uint64) == np.array([bound]).view(np.uint64)
+    if hermitian:
+        SparseOperator(A, symmetry="hermitian")
+    else:
+        with pytest.raises(ValueError, match="deviates"):
+            SparseOperator(A, symmetry="hermitian")
+
+
 def test_duplicate_entries_are_summed_at_construction(tmp_path, monkeypatch):
     """A CSR matrix with repeated column indices is summed into canonical
     form on a copy: nnz and the build metadata count distinct entries, the
