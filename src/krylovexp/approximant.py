@@ -45,7 +45,7 @@ class Approximant:
         """Evaluate the approximant at a finite time t >= 0; returns a
         length-n vector, float64 when the basis is real and sigma t T
         is too."""
-        validate_time(t)
+        t = validate_time(t)
         dec = self.dec
         V, c = dec.V, dec.phi(self.sigma, self.p, t)
         if np.iscomplexobj(c) and not np.iscomplexobj(V):
@@ -73,15 +73,13 @@ def effective_order(dec, sigma, t):
     not exist; t = 0 raises ValueError.  A 1-D grid t gives the list of
     rho at each t, with sigma and the times validated once.
     """
-    if not is_time_grid(t):
-        if validate_time(t) == 0.0:
-            raise ValueError("effective_order needs t > 0")
-        return rho_at(dec, validate_prefactor(sigma), t)
+    grid = is_time_grid(t)
+    ts = [validate_time(x) for x in (t if grid else [t])]
+    if 0.0 in ts:
+        raise ValueError("effective_order needs t > 0")
     s = validate_prefactor(sigma)
-    for x in t:
-        if validate_time(x) == 0.0:
-            raise ValueError("effective_order needs t > 0")
-    return [rho_at(dec, s, x) for x in t]
+    rhos = [rho_at(dec, s, x) for x in ts]
+    return rhos if grid else rhos[0]
 
 
 def rho_at(dec, sigma, t):

@@ -24,13 +24,12 @@ dimension.  A cell then fills every phi grid its per-t loop reads, one
 call per grid, before the loop: q = 0, p, p + 1 (and p + 2 when
 corrected) at each t, the q = 0 grid joined at p = 0 uncorrected by t/2
 and 3t/4, where effective_order_quad samples rho.  So an Arnoldi cell
-runs one stacked Pade per grid, in which t and t/2 share one Pade and
-one squaring chain wherever t owes a squaring, a Lanczos cell one
-phi_scalar call per grid, and each distinct row is computed once.  The
-estimates are one grid call per kind (era, err1 and each quadrature),
-each validating its inputs and deciding its proven flag once; the rho
-column is effective_order at each t.  --threads runs the problems, and
-then the cells, on that many threads; the outputs do not depend on it.
+runs one Pade per distinct row, a Lanczos cell one phi_scalar call per
+grid, and each distinct row is computed once.  The estimates are one
+grid call per kind (era, err1 and each quadrature), each validating its
+inputs and deciding its proven flag once; the rho column is
+effective_order at each t.  --threads runs the problems, and then the
+cells, on that many threads; the outputs do not depend on it.
 
 This module owns every output format: the column tuples below, the cell
 formatter fmt_cell and the one CSV writer _write_csv.  The estimators and
@@ -199,10 +198,9 @@ def _sweep_cell(spec, m, sigma, dec, refs, ts, p, corrected):
     q = p for the approximant, p + 1 for err1 (and the correction's
     corner), p + 2 for corrected err1, and q = 0 for rho, joined at p = 0
     uncorrected by the fractions ORDER_SAMPLES of each t where
-    effective_order_quad samples rho, so that an Arnoldi t/2 reads the
-    squaring chain of t.  A grid call never clears the decomposition's
-    cache, so the loop reads only cached rows, and each distinct
-    (sigma, q, t) row is computed once, at any grid length.  The
+    effective_order_quad samples rho.  A grid call never clears the
+    decomposition's cache, so the loop reads only cached rows, and each
+    distinct (sigma, q, t) row is computed once, at any grid length.  The
     estimates are then one grid call per kind: era, err1 and each
     quadrature."""
     appr = Approximant(dec, sigma, p, corrected=corrected)

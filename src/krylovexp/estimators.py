@@ -180,7 +180,7 @@ def _estimate(kind, dec, sigma, t, *p):
     exact: every kind is 0.0 there and costs no matvec."""
     p = [validate_phi_index(q) for q in p]
     s = validate_prefactor(sigma)
-    validate_time(t)
+    t = validate_time(t)
     fn, extra, rule = ESTIMATORS[kind]
     value = 0.0 if dec.breakdown else fn(dec, s, t, *p)
     if value is None:
@@ -198,8 +198,7 @@ def estimate(kind, dec, sigma, t, *p):
         return _estimate(kind, dec, sigma, t, *p)
     p = [validate_phi_index(q) for q in p]
     s = validate_prefactor(sigma)
-    for x in t:
-        validate_time(x)
+    t = [validate_time(x) for x in t]
     fn, extra, rule = ESTIMATORS[kind]
     if dec.breakdown:
         values, extra = [0.0] * len(t), 0

@@ -17,16 +17,14 @@ its last entry corner(sigma, q, t), and the defect(sigma, t) pair
 (delta, delta') that the quadrature estimates and the effective order
 read.  A Lanczos decomposition eigendecomposes T once and serves every
 sigma, q and t from it; an Arnoldi one runs the Pade route.  phi also
-takes a grid of t, and its kernel work is one call per grid and field:
-Lanczos evaluates the scalar phi_q at the Ritz values for the whole grid,
-Arnoldi runs one stacked Pade over the grid's distinct scaled matrices (a
-single t stays on the 2-D Pade), so a grid holding t and t/2 pays for one
-Pade and one squaring chain where t owes a squaring, and each row keeps
-the bits, and the memory order, of a call for its t alone.  Rows are
-cached per (sigma, q, t), and defect pairs per (sigma, t); a grid's rows
-stay cached until a single-t miss finds 256 rows cached and clears them.
-A t that is not finite and >= 0 raises ValueError before anything is
-computed or cached.
+takes a grid of t: Lanczos evaluates the scalar phi_q at the Ritz values
+for the whole grid in one call per field, and Arnoldi runs one Pade per
+t, so each row has the bits, and the memory order, of a call for its t
+alone.  Rows are cached per (sigma, q, t), and defect pairs per
+(sigma, t); a grid's rows stay cached until a single-t miss finds 256
+rows cached and clears them.  A t that is not finite and >= 0 raises
+ValueError before anything is computed or cached, and a 0-d array t is
+the float it holds.
 
 One build allocates one store of two arrays, sized for m_max: a row-major
 basis of shape (m_max+1, n) and a Hessenberg matrix of shape
@@ -52,7 +50,7 @@ import numpy as np
 from scipy.linalg.blas import get_blas_funcs
 
 from .dense import phi_dense, phi_scalar, symtrid_eig
-from .sparse import validate_time
+from .sparse import is_time_grid, validate_time
 
 _EPS = float(np.finfo(np.float64).eps)
 # phi rows a decomposition keeps before its cache is cleared
@@ -159,7 +157,9 @@ class KrylovDecomposition:
         A scalar miss clears the cache first once it holds _PHI_CACHE_ROWS
         rows; a grid call never clears it, so the rows of every grid asked
         for since (a sweep cell's four, say) stay cached together."""
-        if np.isscalar(t):
+        if not is_time_grid(t):
+            if not isinstance(t, float):
+                t = validate_time(t)
             hit = self._phi.get((sigma, q, t))
             if hit is not None:
                 return hit
@@ -168,8 +168,7 @@ class KrylovDecomposition:
                 self._phi.clear()
                 self._defect.clear()
             return self._fill(sigma, q, [t])[0]
-        for s in t:
-            validate_time(s)
+        t = [validate_time(s) for s in t]
         rows = [self._phi.get((sigma, q, s)) for s in t]
         missing = list(dict.fromkeys(s for s, row in zip(t, rows) if row is None))
         if missing:
@@ -180,36 +179,27 @@ class KrylovDecomposition:
     def _fill(self, sigma, q, ts):
         """Compute, cache and return the rows of the distinct times ts.
 
-        z = sigma t is taken real where Im z = 0 and T is real, and the z of
-        each field go through one kernel call.  Lanczos evaluates
-        phi_q(z lam) for them in one elementwise phi_scalar call, and keeps
+        z = sigma t is taken real where Im z = 0 and T is real.  Arnoldi
+        pays one phi_dense call per t.  Lanczos evaluates phi_q(z lam) for
+        the z of each field in one elementwise phi_scalar call, and keeps
         the product with Q per t, since a batched product would sum in
-        another order.  Arnoldi sends them to phi_dense as one stack, or as
-        a scalar when there is one, since a one-matrix stack costs more
-        than the 2-D call; the stack runs one Pade per distinct scaled
-        matrix, so at q = 0 a t/2 whose scaling is one squaring short of
-        t's reads t's squaring chain.  Each row has the bits, and the
-        memory order, of a call for its t alone."""
+        another order: each row has the bits of a call for its t alone."""
         real_T = self._T.dtype.kind != "c"
         zs = [z.real if real_T and z.imag == 0.0 else z for z in [sigma * s for s in ts]]
-        rows = [None] * len(zs)
-        fields = [isinstance(z, complex) for z in zs]
-        for field in set(fields):
-            idx = [i for i, f in enumerate(fields) if f == field]
-            group = [zs[i] for i in idx]
-            if self.mode == "lanczos":
-                if self._eigh is None:
-                    # T = Q diag(lam) Q^T, computed once for every sigma, q and t
-                    self._eigh = symtrid_eig(np.diagonal(self._T), self.subdiag)
-                lam, Q = self._eigh
-                weights = phi_scalar(np.array(group)[:, None] * lam, q) * Q[0]
-                group_rows = [Q @ w for w in weights]
-            elif len(group) == 1:
-                group_rows = [phi_dense(self._T, group[0], q)]
-            else:
-                group_rows = phi_dense(self._T, group, q)
-            for i, row in zip(idx, group_rows):
-                rows[i] = row
+        if self.mode == "arnoldi":
+            rows = [phi_dense(self._T, z, q) for z in zs]
+        else:
+            if self._eigh is None:
+                # T = Q diag(lam) Q^T, computed once for every sigma, q and t
+                self._eigh = symtrid_eig(np.diagonal(self._T), self.subdiag)
+            lam, Q = self._eigh
+            rows = [None] * len(zs)
+            fields = [isinstance(z, complex) for z in zs]
+            for field in set(fields):
+                idx = [i for i, f in enumerate(fields) if f == field]
+                weights = phi_scalar(np.array([zs[i] for i in idx])[:, None] * lam, q) * Q[0]
+                for i, w in zip(idx, weights):
+                    rows[i] = Q @ w
         for s, row in zip(ts, rows):
             self._phi[(sigma, q, s)] = _read_only(row)
         return rows
@@ -228,6 +218,8 @@ class KrylovDecomposition:
         which holds for any upper Hessenberg T.  Each pair is computed once
         per (sigma, t) and kept until phi's cache is next cleared, since
         every quadrature and each rho sample reads it."""
+        if not isinstance(t, float):
+            t = validate_time(t)
         pair = self._defect.get((sigma, t))
         if pair is not None:
             return pair

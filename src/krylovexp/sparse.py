@@ -34,8 +34,10 @@ def validate_prefactor(sigma):
 
 
 def validate_time(t):
-    """t as a float, checked finite and >= 0."""
-    t = float(t)
+    """t as a float, checked finite and >= 0: a float (np.float64 too)
+    itself, anything else (an int, a 0-d array) as float(t)."""
+    if not isinstance(t, float):
+        t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     return t

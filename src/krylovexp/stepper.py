@@ -48,7 +48,7 @@ import numpy as np
 from .approximant import Approximant
 from .estimators import CORRECTED_KINDS, ErrorEstimate, evaluate, log_era_factor
 from .krylov import build_krylov
-from .sparse import validate_prefactor
+from .sparse import validate_prefactor, validate_time
 
 CONTROLLER_KINDS = ("direct_era_global", "direct_era_local", "heuristic",
                     "heuristic_iterated", "expokit_first_step_only")
@@ -280,7 +280,8 @@ def propagate(op, sigma, v, t_final, cfg, ctrl, estimator_kind="era"):
     vector that underflows to 0 raises RuntimeError) and the recorded
     estimates carry the norm factor.
     """
-    if not t_final > 0.0:
+    t_final = validate_time(t_final)
+    if t_final == 0.0:
         raise ValueError("t_final must be > 0")
     return _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=t_final)
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import krylovexp as kx
-from krylovexp.dense import (_PADE13_B, _PADE13_THETA, _squarings, expm_dense, phi_dense,
-                             phi_scalar, symtrid_eig)
+from krylovexp.dense import (_PADE13_B, _PADE13_THETA, expm_dense, phi_dense, phi_scalar,
+                             symtrid_eig)
 
 
 def random_matrix(m, seed, complex_=True):
@@ -42,7 +42,7 @@ def test_expm_matches_scipy(A):
 
 def nested_pade13(M):
     """Degree-13 Pade of e^M as U and V nested around M^6, solved by
-    np.linalg.solve: the reference for expm_dense's stacked form."""
+    np.linalg.solve: the reference for expm_dense's Pade step."""
     b = _PADE13_B
     n = M.shape[0]
     ident = np.eye(n, dtype=M.dtype)
@@ -113,108 +113,11 @@ def test_pade_keeps_the_tiny_corner(m, qs):
         assert abs(dec.corner(sigma, q, z) / lead - 1.0) < 1e-5, q
 
 
-def same_array(a, b):
-    """Equal dtype, shape, bits and memory order."""
-    return (a.dtype == b.dtype and a.shape == b.shape and a.strides == b.strides
-            and a.tobytes() == b.tobytes())
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 34), complex_=st.booleans(),
-       norms=st.lists(st.sampled_from([0.0, 1e-6, 0.3, 5.0, 5.4, 6.0, 40.0, 700.0]),
-                      min_size=1, max_size=8))
-def test_stacked_expm_is_each_matrix_alone(seed, n, complex_, norms):
-    """On a stack that mixes zero, unscaled and scaled matrices (1-norms
-    on both sides of theta_13 = 5.37, some owing 8 squarings and some 1),
-    expm_dense returns for each matrix the array of its own 2-D call: the
-    same bits and the same memory order.  The zero matrix gives exactly
-    the identity."""
-    rng = np.random.default_rng(seed)
-    stack = []
-    for nrm in norms:
-        A = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0)
-        stack.append(A * (nrm / np.abs(A).sum(axis=0).max()))
-    got = expm_dense(np.array(stack))
-    assert len(got) == len(stack)
-    for M, E in zip(stack, got):
-        assert same_array(E, expm_dense(M))
-        if not M.any():
-            assert np.array_equal(E, np.eye(n))
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 20), complex_=st.booleans(),
-       norm=st.sampled_from([1.0, 5.0, 5.4, 6.0, 10.7, 10.8, 40.0, 700.0]),
-       halvings=st.integers(1, 7), data=st.data())
-def test_stacked_expm_shares_the_chain_of_exact_halves(seed, n, complex_, norm, halvings, data):
-    """A stack of M, M/2, ..., M/2^h (halves across the squaring
-    boundaries, down to halves that owe none), the zero matrix, M again
-    and 3M/4 runs one Pade solve per distinct scaled matrix, since
-    M / 2^s and (M / 2) / 2^(s-1) are equal bit for bit, and still returns
-    for each matrix its own array with the bits and strides of its 2-D
-    call: a half reads the chain of M after its own squarings."""
-    A = random_matrix(n, seed % 2 ** 31, complex_)
-    M = A * (norm / np.abs(A).sum(axis=0).max())
-    stack = [M / 2.0 ** k for k in range(halvings + 1)] + [0.0 * M, M, 0.75 * M]
-    stack = data.draw(st.permutations(stack))
-    scaled = {(X / 2.0 ** _squarings(np.abs(X).sum(axis=0).max())).tobytes()
-              for X in stack if X.any()}
-    real_get = kx.dense.get_lapack_funcs
-    solves = []
-
-    def get_lapack_funcs(names, arrays):
-        gesv = real_get(names, arrays)
-
-        def counted(a, b):
-            solves.append(1)
-            return gesv(a, b)
-        return counted
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kx.dense, "get_lapack_funcs", get_lapack_funcs)
-        got = expm_dense(np.array(stack))
-    assert len(solves) == len(scaled) < len(stack) - 1
-    assert len(got) == len(stack)
-    for M_i, E in zip(stack, got):
-        assert same_array(E, expm_dense(M_i))
-    for i, E in enumerate(got):
-        assert not any(np.shares_memory(E, F) for F in got[i + 1:])
-
-
-def test_stacked_phi_dense_is_each_z_alone():
-    """phi_dense over a list of z of one field returns each z's column with
-    the bits and memory order of its own call; fields may not mix."""
-    T = random_matrix(12, 9, complex_=False)
-    for zs in ([0.0, 1e-3, 0.4, 2.0, -3.0], [0.5j, -0.2 + 0.1j, 4.0 + 0j]):
-        for p in (0, 1, 3):
-            for z, col in zip(zs, phi_dense(T, zs, p), strict=True):
-                assert same_array(col, phi_dense(T, z, p)), (z, p)
-    with pytest.raises(ValueError, match="one field"):
-        phi_dense(T, [0.5, 0.5j], 1)
-    for zs in ([], [[0.5]]):
-        with pytest.raises(ValueError, match="nonempty 1-D sequence"):
-            phi_dense(T, zs, 1)
-
-
-def test_stacked_expm_guards():
-    """One non-finite matrix makes the stack raise ValueError and one
-    overflowing matrix OverflowError, as each would alone."""
-    ok = random_matrix(3, 10)
-    with pytest.raises(ValueError, match="non-finite"):
-        expm_dense(np.array([ok, np.full((3, 3), np.nan), ok]))
-    big = np.diag([2000.0, 0.0, 0.0]) + 0j
-    with pytest.raises(OverflowError):
-        expm_dense(big)
-    with pytest.raises(OverflowError):
-        expm_dense(np.array([ok, big]))
-
-
-@pytest.mark.parametrize("stacked", [False, True])
-def test_singular_pade_denominator_raises(stacked, monkeypatch):
-    """A Pade denominator that LAPACK reports singular raises LinAlgError,
-    from the 2-D call and from a stack where one solve of three fails.  (Scaling keeps the 1-norm below theta_13 = 5.37, and every zero
-    of the degree-13 denominator lies beyond 17, so a finite input never
-    meets one: the solver is made to report it.)"""
+def test_singular_pade_denominator_raises(monkeypatch):
+    """A Pade denominator that LAPACK reports singular raises LinAlgError.
+    (Scaling keeps the 1-norm below theta_13 = 5.37, and every zero of the
+    degree-13 denominator lies beyond 17, so a finite input never meets
+    one: the solver is made to report it.)"""
     real_get = kx.dense.get_lapack_funcs
     solves = []
 
@@ -224,16 +127,13 @@ def test_singular_pade_denominator_raises(stacked, monkeypatch):
         def failing_gesv(a, b):
             solves.append(1)
             lu, piv, x, info = gesv(a, b)
-            return lu, piv, x, (1 if len(solves) == 3 or not stacked else info)
+            return lu, piv, x, 1
         return failing_gesv
 
     monkeypatch.setattr(kx.dense, "get_lapack_funcs", get_lapack_funcs)
-    M = random_matrix(4, 11)
-    # three distinct scaled matrices, so three solves: M owes one squaring
-    # (||M||_1 = 5.45), and 0.5 M would scale to M's own scaled matrix
     with pytest.raises(np.linalg.LinAlgError, match="denominator"):
-        expm_dense(np.array([M, 0.3 * M, 0.1 * M]) if stacked else M)
-    assert len(solves) == (3 if stacked else 1)
+        expm_dense(random_matrix(4, 11))
+    assert len(solves) == 1
 
 
 def test_expm_zero_matrix():
@@ -243,6 +143,8 @@ def test_expm_zero_matrix():
 def test_expm_rejects_bad_input():
     with pytest.raises(ValueError):
         expm_dense(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square matrix"):
+        expm_dense(np.zeros((2, 3, 3)))
     with pytest.raises(ValueError):
         expm_dense(np.array([[np.nan]]))
     with pytest.raises(OverflowError):
@@ -275,6 +177,11 @@ def test_phi_dense_rejects_bad_input():
         phi_dense(np.ones((2, 2)), 1.0, -1)
     with pytest.raises(ValueError):
         phi_dense(np.ones(4), 1.0, 1)
+    # z * T would broadcast a sequence of z across T's columns
+    for z in ([0.5, 0.25], np.array([0.5, 0.25]), [0.5], [], [[0.5]]):
+        for p in (0, 1):
+            with pytest.raises(ValueError, match="scalar z"):
+                phi_dense(np.eye(2), z, p)
     # phi_{-1} does not exist, at any |z|: neither e^z nor a factorial error
     for z in ([2.0], [0.5]):
         with pytest.raises(ValueError, match="p must be >= 0"):

@@ -568,3 +568,49 @@ def test_grid_calls_validate_every_t_and_sigma(hermitian_dec):
     with pytest.raises(ValueError, match="modulus"):
         era(dec, 2.0, [0.5])
     assert era(dec, -1j, []) == [] and quad_estimates(dec, -1j, []) == []
+
+
+def _bits(x):
+    """x as comparable bits: the type and bytes of a number or array, the
+    fields of an ErrorEstimate or PropagationResult, entry by entry."""
+    if isinstance(x, (list, tuple)):
+        return [_bits(e) for e in x]
+    if isinstance(x, kx.ErrorEstimate):
+        return [x.kind, _bits(x.value), x.is_proven_upper_bound, x.extra_matvecs]
+    if isinstance(x, kx.PropagationResult):
+        return [_bits(x.w_final), [[_bits(r.dt), r.m_used, _bits(r.estimate), r.matvecs]
+                                   for r in x.records]]
+    return [type(x), np.asarray(x).dtype, np.asarray(x).tobytes()]
+
+
+# every public call that takes a time, as (dec, sigma, t) -> result
+TIME_CALLS = {
+    "era": lambda dec, s, t: era(dec, s, t),
+    "era_corrected": lambda dec, s, t: era(dec, s, t, 1, corrected=True),
+    "err1": lambda dec, s, t: err1(dec, s, t, 1),
+    "err1_corrected": lambda dec, s, t: err1(dec, s, t, corrected=True),
+    "estimate": lambda dec, s, t: kx.estimators.estimate("hermite_quad", dec, s, t),
+    "quad_estimates": lambda dec, s, t: quad_estimates(dec, s, t),
+    "evaluate": lambda dec, s, t: evaluate("effective_order_quad", dec, s, t),
+    "effective_order": lambda dec, s, t: effective_order(dec, s, t),
+    "phi": lambda dec, s, t: dec.phi(s, 2, t),
+    "corner": lambda dec, s, t: dec.corner(s, 1, t),
+    "defect": lambda dec, s, t: dec.defect(s, t),
+    "apply": lambda dec, s, t: Approximant(dec, s, 1).apply(t),
+    "apply_corrected": lambda dec, s, t: Approximant(dec, s, corrected=True).apply(t),
+    "oracle_phi": lambda dec, s, t: kx.oracle_phi(dec.op, s, t, dec.V[:, 0], 1),
+    "propagate": lambda dec, s, t: kx.propagate(dec.op, s, dec.V[:, 0], t, KrylovConfig(m_max=4),
+                                                kx.ControllerSpec("direct_era_local", 1e-6)),
+}
+
+
+@pytest.mark.parametrize("hermitian", [True, False], ids=["lanczos", "arnoldi"])
+@pytest.mark.parametrize("name", TIME_CALLS)
+def test_a_0d_time_is_the_float_it_holds(name, hermitian):
+    """Every public call that takes a time gives for a 0-d array t what it
+    gives for the float t holds, on a fresh decomposition each: the same
+    types and bits."""
+    fresh = _grid_dec(72, hermitian, False, 10, 6, 0)
+    call = TIME_CALLS[name]
+    for t in (0.3, np.float64(0.7)):
+        assert _bits(call(fresh(), -1j, np.asarray(t))) == _bits(call(fresh(), -1j, float(t)))
