@@ -37,12 +37,18 @@ def test_a_file_moved_by_one_ulp_fails_until_listed(tmp_path, capsys):
     for listed in ("sweep_cfg/sweep_heat_m10.csv", "sweep_cfg/*.csv"):
         allow.write_text(f"# moved on purpose\n{listed}\n")
         assert outputs.main(["diff", str(base), str(moved), "--allow", str(allow)]) == 0
+        # a line naming no moved file is stale: it would let a later
+        # change move that file unseen
+        assert outputs.main(["diff", str(base), str(same), "--allow", str(allow)]) == 1
+        assert "stale    " + listed in capsys.readouterr().out
+    allow.write_text("sweep_cfg/*.csv\ndemos/*.stdout\n")
+    assert outputs.main(["diff", str(base), str(moved), "--allow", str(allow)]) == 1
+    allow.write_text("sweep_cfg/*.csv\n")
     # a file that appears or goes away counts as moved too
     (moved / "demos" / "02.stdout").write_text("new\n")
     outputs.write_manifest(moved)
     assert outputs.main(["diff", str(base), str(moved), "--allow", str(allow)]) == 1
     assert outputs.main(["diff", str(moved), str(base), "--allow", str(allow)]) == 1
-    assert outputs.main(["diff", str(base), str(moved)]) == 1
 
 
 def test_committed_output_changes_and_configs(tmp_path):
@@ -50,7 +56,7 @@ def test_committed_output_changes_and_configs(tmp_path):
     written from the README: its JSON block verbatim, and one config per
     run of the manifest."""
     outputs.allowed_patterns(ROOT / "OUTPUT_CHANGES")
-    outputs.main(["configs", "--readme", str(ROOT / "README.md"), "--dir", str(tmp_path)])
+    outputs.write_configs(ROOT / "README.md", tmp_path)
     readme = json.loads((tmp_path / "readme_cfg.json").read_text())
     assert (tmp_path / "readme_example.py").read_text()
     for _, command, cfg in outputs.RUNS:

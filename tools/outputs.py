@@ -1,22 +1,24 @@
 """Write every output CI checks, under one directory with a sha256
 manifest, and compare two such manifests.
 
-    python tools/outputs.py configs [--dir DIR]
+    python tools/outputs.py configs
         Write the CLI configs CI runs, derived from README.md's JSON block,
-        and the README's library example as readme_example.py, into DIR
-        (default: the working directory).
-    python tools/outputs.py run --root CHECKOUT --out DIR [--threads N]
+        and the README's library example as readme_example.py, into the
+        working directory.
+    python tools/outputs.py run --root CHECKOUT --out DIR
         Run CHECKOUT's src on the configs of CHECKOUT's README: the
         example, build, the three benches and every sweep but the p = 1
-        one (minutes of series oracle), with --threads N (default 1), then
+        one (minutes of series oracle), each on one thread, then
         CHECKOUT's demos.  Every output file, and each script's stdout,
         lands under DIR, listed in DIR/MANIFEST.sha256.  Any command that
         exits nonzero stops the run.
-    python tools/outputs.py diff BASE HEAD [--allow OUTPUT_CHANGES]
+    python tools/outputs.py diff BASE HEAD --allow OUTPUT_CHANGES
         Compare the manifests of two run directories.  Exit 1 when a file
         was added, removed or changed and no line of the allow file (a path
         or a glob, relative to the run directory; blank lines and lines
-        starting with # are skipped) names it.
+        starting with # are skipped) names it, or when a line of the allow
+        file names no moved file, so a stale entry cannot let later
+        changes through.
 
 CI runs this script against a change and against its parent on one
 runner and one BLAS thread count, so any moved byte is the code's doing.
@@ -149,24 +151,28 @@ def moved_files(base, head):
 
 
 def allowed_patterns(path):
-    if path is None or not Path(path).exists():
-        return []
     lines = (line.strip() for line in Path(path).read_text().splitlines())
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def diff(base, head, allow=None):
-    """Print every moved file and whether the allow file lists it; return
-    the exit code: 1 when some moved file is not listed, else 0."""
+def diff(base, head, allow):
+    """Print every moved file and whether the allow file lists it, and
+    every allow line that names no moved file; return the exit code: 1
+    when some moved file is not listed or some allow line is stale, else 0."""
     patterns = allowed_patterns(allow)
+    moved = moved_files(base, head)
     unlisted = 0
-    for path, status in moved_files(base, head):
+    for path, status in moved:
         listed = any(fnmatch.fnmatchcase(path, pattern) for pattern in patterns)
         unlisted += not listed
         print(f"{status:8s} {path}" + ("  (listed)" if listed else ""))
+    stale = [pattern for pattern in patterns
+             if not any(fnmatch.fnmatchcase(path, pattern) for path, _ in moved)]
+    for pattern in stale:
+        print(f"stale    {pattern}  (listed, but no file moved)")
     total = len(read_manifest(head))
-    print(f"{unlisted} unlisted moved file(s) of {total}")
-    return 1 if unlisted else 0
+    print(f"{unlisted} unlisted moved file(s) of {total}, {len(stale)} stale allow line(s)")
+    return 1 if unlisted or stale else 0
 
 
 def _python(script_args, root, cwd, stdout_path=None):
@@ -182,7 +188,7 @@ def _python(script_args, root, cwd, stdout_path=None):
     return done.stdout
 
 
-def run(root, out, threads=1):
+def run(root, out):
     """Write every output of CHECKOUT under OUT and its manifest."""
     root, out = Path(root).resolve(), Path(out).resolve()
     out.mkdir(parents=True, exist_ok=True)
@@ -195,11 +201,8 @@ def run(root, out, threads=1):
         write_configs(root / "README.md", work)
         _python(["readme_example.py"], root, work, out / "readme_example.stdout")
         for name, command, cfg in RUNS:
-            args = ["-m", "krylovexp.cli", command, "--config", f"{cfg}.json",
-                    "--out", str(out / name)]
-            if command == "sweep":
-                args += ["--threads", str(threads)]
-            _python(args, root, work)
+            _python(["-m", "krylovexp.cli", command, "--config", f"{cfg}.json",
+                     "--out", str(out / name)], root, work)
         for demo in sorted((root / "demos").glob("*.py")):
             _python([str(demo)], root, work, out / "demos" / f"{demo.stem}.stdout")
     write_manifest(out)
@@ -208,22 +211,19 @@ def run(root, out, threads=1):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    configs = sub.add_parser("configs", help="write the CLI configs CI runs")
-    configs.add_argument("--readme", default="README.md")
-    configs.add_argument("--dir", default=".")
+    sub.add_parser("configs", help="write the CLI configs CI runs")
     runner = sub.add_parser("run", help="write a checkout's outputs and manifest")
     runner.add_argument("--root", required=True)
     runner.add_argument("--out", required=True)
-    runner.add_argument("--threads", type=int, default=1)
     differ = sub.add_parser("diff", help="compare two run directories")
     differ.add_argument("base")
     differ.add_argument("head")
-    differ.add_argument("--allow", default=None)
+    differ.add_argument("--allow", required=True)
     args = parser.parse_args(argv)
     if args.command == "configs":
-        write_configs(args.readme, args.dir)
+        write_configs("README.md", ".")
     elif args.command == "run":
-        run(args.root, args.out, args.threads)
+        run(args.root, args.out)
     else:
         return diff(args.base, args.head, args.allow)
     return 0
