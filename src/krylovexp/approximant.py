@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .sparse import is_time_grid, validate_phi_index, validate_prefactor, validate_time
+from .sparse import validate_phi_index, validate_prefactor, validate_time
 
 _ROUNDOFF_FLOOR = 1e3 * float(np.finfo(np.float64).eps)
 
@@ -70,16 +70,12 @@ def effective_order(dec, sigma, t):
     and decreases from there.  NaN when |delta| is too close to the
     round-off floor to differentiate meaningfully, and at m = 1 (a
     breakdown at the first column), where the defect's derivative does
-    not exist; t = 0 raises ValueError.  A 1-D grid t gives the list of
-    rho at each t, with sigma and the times validated once.
+    not exist; t = 0 raises ValueError.
     """
-    grid = is_time_grid(t)
-    ts = [validate_time(x) for x in (t if grid else [t])]
-    if 0.0 in ts:
+    t = validate_time(t)
+    if t == 0.0:
         raise ValueError("effective_order needs t > 0")
-    s = validate_prefactor(sigma)
-    rhos = [rho_at(dec, s, x) for x in ts]
-    return rhos if grid else rhos[0]
+    return rho_at(dec, validate_prefactor(sigma), t)
 
 
 def rho_at(dec, sigma, t):

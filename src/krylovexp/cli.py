@@ -25,11 +25,10 @@ call per grid, before the loop: q = 0, p, p + 1 (and p + 2 when
 corrected) at each t, the q = 0 grid joined at p = 0 uncorrected by t/2
 and 3t/4, where effective_order_quad samples rho.  So an Arnoldi cell
 runs one Pade per distinct row, a Lanczos cell one phi_scalar call per
-grid, and each distinct row is computed once.  The estimates are one
-grid call per kind (era, err1 and each quadrature), each validating its
-inputs and deciding its proven flag once; the rho column is
-effective_order at each t.  --threads runs the problems, and then the
-cells, on that many threads; the outputs do not depend on it.
+grid, and each distinct row is computed once.  The estimators and
+effective_order (the rho column) take one t and read only cached rows.
+--threads runs the problems, and then the cells, on that many threads;
+the outputs do not depend on it.
 
 This module owns every output format: the column tuples below, the cell
 formatter fmt_cell and the one CSV writer _write_csv.  The estimators and
@@ -46,8 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .approximant import Approximant, effective_order
-from .estimators import (CORRECTED_KINDS, ESTIMATORS, ORDER_SAMPLES, QUAD_KINDS, era, err1,
-                         estimate)
+from .estimators import CORRECTED_KINDS, ESTIMATORS, ORDER_SAMPLES, era, err1, quad_estimates
 from .krylov import KrylovConfig, build_krylov, extend_krylov
 from .oracle import TARGET_ACCURACY, oracle_reference
 from .problems import ProblemSpec, starting_vector
@@ -199,27 +197,21 @@ def _sweep_cell(spec, m, sigma, dec, refs, ts, p, corrected):
     corner), p + 2 for corrected err1, and q = 0 for rho, joined at p = 0
     uncorrected by the fractions ORDER_SAMPLES of each t where
     effective_order_quad samples rho.  A grid call never clears the
-    decomposition's cache, so the loop reads only cached rows, and each
-    distinct (sigma, q, t) row is computed once, at any grid length.  The
-    estimates are then one grid call per kind: era, err1 and each
-    quadrature."""
+    decomposition's cache, so the per-t calls of era, err1, the
+    quadratures and effective_order read only cached rows, and each
+    distinct (sigma, q, t) row is computed once, at any grid length."""
     appr = Approximant(dec, sigma, p, corrected=corrected)
     quads = p == 0 and not corrected
     samples = [t * f for f in ORDER_SAMPLES if f != 1.0 for t in ts] \
         if quads and not dec.breakdown else []
     for q in sorted({0, *range(p, p + 2 + corrected)}):
         dec.phi(appr.sigma, q, ts + samples if q == 0 else ts)
-    # the quadratures estimate the standard exponential approximant's error.
-    # Each grid call returns one flat list, as perfbench's span notes read
-    # an estimator's result; quad_estimates' list of lists and a list from
-    # effective_order would break them, so the quadratures go one kind at a
-    # time and rho one t at a time.
-    grids = [era(dec, sigma, ts, p, corrected), err1(dec, sigma, ts, p, corrected),
-             *(estimate(kind, dec, sigma, ts) for kind in QUAD_KINDS if quads)]
     wide_rows, long_rows, violation = [], [], False
-    for i, (t, ref) in enumerate(zip(ts, refs)):
+    for t, ref in zip(ts, refs):
         err = float(np.linalg.norm(appr.apply(t) - ref))
-        ests = [grid[i] for grid in grids if grid[i] is not None]
+        ests = [era(dec, sigma, t, p, corrected), err1(dec, sigma, t, p, corrected)]
+        if quads:  # the quadratures estimate the standard exponential approximant's error
+            ests += quad_estimates(dec, sigma, t)
         values = {CORRECTED_KINDS.get(e.kind, e.kind): e.value for e in ests}
         wide_rows.append({"t": t, "oracle_error": err, "rho": effective_order(dec, sigma, t),
                           **{col: values.get(kind, math.nan)

@@ -13,19 +13,14 @@ couple hundred cannot overflow or underflow):
   trapezoid_quad      tau * (t/2) * |delta(t)|
   effective_order_quad   tau * (t/(rho(t)+1)) * |delta(t)|  (guarded)
 
-Every estimator takes dec, sigma and t and reads phi, corner and the
+Every estimator takes dec, sigma and one t (KrylovDecomposition.phi, which
+caches each row, is what takes a grid of t) and reads phi, corner and the
 defect pair (delta, delta') = dec.defect(sigma, t) from dec alone; era and
 err1 also take the phi index p >= 0, and the quadratures and evaluate are
 the exponential's, the quadratures the standard approximant's.  The plain
 quadratures are tau * (t/w) * |delta(t)| with w = m, 2 and rho(t)+1.  era
 and err1 return their CORRECTED_KINDS rows with corrected=True.  After a
 breakdown every kind is 0.0 (the projection is exact).
-
-estimate, era, err1 and quad_estimates also take a 1-D grid of t and then
-return one result per t, each exactly what the call for that t alone
-returns: a grid call validates sigma, p and the times once and decides
-the proven flag once per kind.  evaluate, the controller's path, stays
-scalar.
 
 ESTIMATORS holds one row per kind: the function computing the value, the
 extra matvecs it costs a fresh decomposition (the cached A v_next), and
@@ -47,7 +42,7 @@ from functools import partial
 import numpy as np
 
 from .approximant import rho_at
-from .sparse import is_time_grid, validate_phi_index, validate_prefactor, validate_time
+from .sparse import validate_phi_index, validate_prefactor, validate_time
 
 
 @dataclass(frozen=True)
@@ -174,10 +169,13 @@ QUAD_KINDS = tuple(k for k in ESTIMATORS if k.endswith("_quad"))
 CORRECTED_KINDS = {k: k.removesuffix("_corrected") for k in ESTIMATORS if k.endswith("_corrected")}
 
 
-def _estimate(kind, dec, sigma, t, *p):
-    """The ESTIMATORS row for kind, evaluated at the phi index p of era and
-    err1; None when it is unavailable.  After a breakdown the projection is
-    exact: every kind is 0.0 there and costs no matvec."""
+def estimate(kind, dec, sigma, t, *p):
+    """The ESTIMATORS row for kind at t, evaluated at the phi index p of
+    era and err1; None when it is unavailable.  After a breakdown the
+    projection is exact: every kind is 0.0 there and costs no matvec.  An
+    unknown kind raises ValueError."""
+    if kind not in ESTIMATORS:
+        raise ValueError(f"unknown estimator kind: {kind!r}")
     p = [validate_phi_index(q) for q in p]
     s = validate_prefactor(sigma)
     t = validate_time(t)
@@ -189,32 +187,12 @@ def _estimate(kind, dec, sigma, t, *p):
                          0 if dec.breakdown else extra)
 
 
-def estimate(kind, dec, sigma, t, *p):
-    """The ESTIMATORS row for kind at t, at the phi index p of era and
-    err1, or None where it is unavailable; for a 1-D grid t the list of
-    those results, one per t, with sigma, p and the times validated once
-    and the proven flag decided once."""
-    if not is_time_grid(t):
-        return _estimate(kind, dec, sigma, t, *p)
-    p = [validate_phi_index(q) for q in p]
-    s = validate_prefactor(sigma)
-    t = [validate_time(x) for x in t]
-    fn, extra, rule = ESTIMATORS[kind]
-    if dec.breakdown:
-        values, extra = [0.0] * len(t), 0
-    else:
-        values = [fn(dec, s, x, *p) for x in t]
-    proven = _proven(rule, dec, s)
-    return [None if value is None else ErrorEstimate(kind, value, proven, extra)
-            for value in values]
-
-
 def era(dec, sigma, t, p=0, corrected=False):
     """Proven error bound tau*gamma*t^m/(m+p)! for the standard approximant.
 
     Corrected: ||A v_next|| * tau*gamma*t^(m+1)/(m+p+1)! for the corrected
     approximant (one extra matvec the first time, cached on the
-    decomposition).  A 1-D grid t gives the list of the estimates at each t.
+    decomposition).
     """
     return estimate("era_corrected" if corrected else "era", dec, sigma, t, p)
 
@@ -225,8 +203,7 @@ def err1(dec, sigma, t, p=0, corrected=False):
     Standard: tau*t*|e_m^* phi_{p+1}(sigma t T) e_1|.  Corrected:
     ||A v_next|| * tau*t^2*|e_m^* phi_{p+2}(sigma t T) e_1| (one cached
     extra matvec).  A proven upper bound only in the hermitian
-    nonexpansive case with real sigma (and only uncorrected).  A 1-D grid
-    t gives the list of the estimates at each t.
+    nonexpansive case with real sigma (and only uncorrected).
     """
     return estimate("err1_corrected" if corrected else "err1", dec, sigma, t, p)
 
@@ -237,13 +214,9 @@ def quad_estimates(dec, sigma, t):
     Returns hermite_quad, improved_hermite_quad (it costs the one extra,
     cached matvec) and trapezoid_quad always, and effective_order_quad
     only when the sampled rho is reliable, nonincreasing, and at least 1.
-    A 1-D grid t gives the list of those lists, one per t, from one
-    estimate call per kind.
     """
     out = [estimate(kind, dec, sigma, t) for kind in QUAD_KINDS]
-    if not is_time_grid(t):
-        return [e for e in out if e is not None]
-    return [[e for e in row if e is not None] for row in zip(*out)]
+    return [e for e in out if e is not None]
 
 
 def evaluate(kind, dec, sigma, t):
@@ -255,10 +228,8 @@ def evaluate(kind, dec, sigma, t):
     (which dominates it) is returned under the same request so the
     controller always gets a usable number.
     """
-    if kind not in ESTIMATORS:
-        raise ValueError(f"unknown estimator kind: {kind!r}")
-    est = _estimate(kind, dec, sigma, t)
+    est = estimate(kind, dec, sigma, t)
     if est is None:  # only effective_order_quad is ever unavailable
-        est = _estimate("trapezoid_quad", dec, sigma, t)
+        est = estimate("trapezoid_quad", dec, sigma, t)
     return est
 

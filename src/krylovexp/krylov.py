@@ -17,14 +17,14 @@ its last entry corner(sigma, q, t), and the defect(sigma, t) pair
 (delta, delta') that the quadrature estimates and the effective order
 read.  A Lanczos decomposition eigendecomposes T once and serves every
 sigma, q and t from it; an Arnoldi one runs the Pade route.  phi also
-takes a grid of t: Lanczos evaluates the scalar phi_q at the Ritz values
-for the whole grid in one call per field, and Arnoldi runs one Pade per
-t, so each row has the bits, and the memory order, of a call for its t
-alone.  Rows are cached per (sigma, q, t), and defect pairs per
-(sigma, t); a grid's rows stay cached until a single-t miss finds 256
-rows cached and clears them.  A t that is not finite and >= 0 raises
-ValueError before anything is computed or cached, and a 0-d array t is
-the float it holds.
+takes a grid of t (the estimators take one t): Lanczos evaluates the
+scalar phi_q at the Ritz values for the whole grid in one call per field,
+and Arnoldi runs one Pade per t, so each row has the bits, and the memory
+order, of a call for its t alone.  Rows are cached per (sigma, q, t),
+and defect pairs per (sigma, t); a grid's rows stay cached until a
+single-t miss finds 256 rows cached and clears them.  A t that is not a
+finite real number >= 0 raises ValueError before anything is computed or
+cached, and a 0-d array t is the float it holds.
 
 One build allocates one store of two arrays, sized for m_max: a row-major
 basis of shape (m_max+1, n) and a Hessenberg matrix of shape
@@ -50,7 +50,7 @@ import numpy as np
 from scipy.linalg.blas import get_blas_funcs
 
 from .dense import phi_dense, phi_scalar, symtrid_eig
-from .sparse import is_time_grid, validate_time
+from .sparse import validate_time
 
 _EPS = float(np.finfo(np.float64).eps)
 # phi rows a decomposition keeps before its cache is cleared
@@ -149,15 +149,15 @@ class KrylovDecomposition:
         e^{sigma t T} e_1), or for a 1-D grid t the list of those vectors,
         one per entry of t.  float64 when sigma t and T are real, for
         Lanczos and Arnoldi alike, and complex otherwise.  Every t must be
-        finite and >= 0 (ValueError before anything is computed).  Each
-        row is cached per (sigma, q, t) and computed by _fill, a scalar t
-        as the one-row case of a grid, so a row has the same bits whichever
-        way it was asked for.
+        a finite real number >= 0 (ValueError before anything is
+        computed).  Each row is cached per (sigma, q, t) and computed by
+        _fill, a scalar t as the one-row case of a grid, so a row has the
+        same bits whichever way it was asked for.
 
         A scalar miss clears the cache first once it holds _PHI_CACHE_ROWS
         rows; a grid call never clears it, so the rows of every grid asked
         for since (a sweep cell's four, say) stay cached together."""
-        if not is_time_grid(t):
+        if isinstance(t, float) or np.ndim(t) != 1:
             if not isinstance(t, float):
                 t = validate_time(t)
             hit = self._phi.get((sigma, q, t))

@@ -274,7 +274,7 @@ def oracle_phi(op, sigma, t, v, p, target_accuracy=TARGET_ACCURACY):
     validate_phi_index(p)
     if target_accuracy < MIN_TARGET_ACCURACY:
         raise ValueError(f"target_accuracy must be >= {MIN_TARGET_ACCURACY}")
-    validate_time(t)
+    t = validate_time(t)
     v = np.asarray(v, dtype=complex)
     if t == 0.0:
         return v / math.factorial(p)

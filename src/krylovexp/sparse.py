@@ -18,6 +18,7 @@ methods alone.
 """
 
 import math
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,19 +35,18 @@ def validate_prefactor(sigma):
 
 
 def validate_time(t):
-    """t as a float, checked finite and >= 0: a float (np.float64 too)
-    itself, anything else (an int, a 0-d array) as float(t)."""
+    """t, a real number, as a float checked finite and >= 0: a float
+    (np.float64 too) itself, any other real number (an int, a numpy real
+    scalar, a 0-d integer or float array) as float(t); no bool."""
     if not isinstance(t, float):
+        if isinstance(t, bool) or not (
+                isinstance(t, numbers.Real)
+                or isinstance(t, np.ndarray) and t.shape == () and t.dtype.kind in "iuf"):
+            raise ValueError(f"t must be a finite real number >= 0, got {t!r}")
         t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     return t
-
-
-def is_time_grid(t):
-    """True for a 1-D sequence of times, False for one time; a float
-    (np.float64 too) is told apart by one isinstance."""
-    return not isinstance(t, float) and np.ndim(t) == 1
 
 
 def validate_phi_index(p):

@@ -51,6 +51,9 @@ def test_era_at_t_zero_and_validation(hermitian_dec):
     assert era(dec, -1j, 0.0).value == 0.0
     with pytest.raises(ValueError):
         era(dec, -1j, -1.0)
+    for call in (era, err1, quad_estimates, effective_order):
+        with pytest.raises(ValueError, match="modulus"):
+            call(dec, 2.0, 0.5)
 
 
 def test_p_is_a_phi_index_of_era_and_err1_alone(hermitian_dec):
@@ -70,12 +73,15 @@ def test_p_is_a_phi_index_of_era_and_err1_alone(hermitian_dec):
         evaluate("era", dec, -1j, 1.0, 1)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "0.5", True, 0.5 + 0j,
+                               [0.5, 1.0], np.array([0.5])])
 @pytest.mark.parametrize("mode", ["lanczos", "arnoldi"])
 def test_non_finite_t_is_rejected(hermitian_dec, mode, t):
     """Every estimator kind, the quadrature family, the approximant and
-    the defect diagnostics raise on a time that is not finite, rather than
-    return NaN (flagged proven, for era) or a warning."""
+    the defect diagnostics raise on a time that is not a finite real
+    number, rather than return NaN (flagged proven, for era) or a warning,
+    or read a str, a bool or a complex number as a time, or a list or a
+    1-D array as a grid."""
     op, lan = hermitian_dec
     dec = lan if mode == "lanczos" else build_krylov(as_general(op), lan.V[:, 0],
                                                      KrylovConfig(m_max=lan.m))
@@ -85,7 +91,10 @@ def test_non_finite_t_is_rejected(hermitian_dec, mode, t):
               lambda: err1(dec, -1j, t), lambda: err1(dec, -1j, t, corrected=True),
               lambda: quad_estimates(dec, -1j, t), lambda: Approximant(dec, -1j).apply(t),
               lambda: Approximant(dec, -1j, 1, corrected=True).apply(t),
-              lambda: dec.defect(-1j, t), lambda: effective_order(dec, -1j, t)]
+              lambda: dec.defect(-1j, t), lambda: effective_order(dec, -1j, t),
+              lambda: kx.oracle_phi(op, -1j, t, lan.V[:, 0], 1)]
+    if np.ndim(t) == 0:  # corner, like phi, reads a 1-D t as a grid
+        calls.append(lambda: dec.corner(-1j, 0, t))
     for call in calls:
         with pytest.raises(ValueError, match="finite"):
             call()
@@ -315,6 +324,8 @@ def test_evaluate_dispatch(heat_pair):
     assert evaluate("trapezoid_quad", dec, sigma, t).value == quads["trapezoid_quad"]
     with pytest.raises(ValueError):
         evaluate("magic", dec, sigma, t)
+    with pytest.raises(ValueError, match="unknown estimator kind"):
+        kx.estimators.estimate("magic", dec, sigma, t)
 
 
 def test_evaluate_effective_order_falls_back_to_trapezoid(heat_pair):
@@ -478,96 +489,16 @@ def test_expokit_first_step_formula():
     assert expokit_first_step(anorm, m, 1e-10) < expokit_first_step(anorm, m, 1e-6)
 
 
-
-def _grid_dec(seed, hermitian, real, n, m, breakdown):
-    """A random operator's decomposition, or with breakdown=k one that
-    breaks down at dimension k: a diagonal operator with k distinct
-    eigenvalues."""
-    rng = np.random.default_rng(seed)
-    if breakdown:
-        lam = rng.standard_normal(breakdown)[np.arange(n) % breakdown]
-        op = SparseOperator(sp.diags(lam).tocsr(), symmetry="hermitian" if hermitian else "general")
-    else:
-        A = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
-        A = 0.5 * (A + A.conj().T) if hermitian else A + 3.0 * np.triu(A, 1)
-        op = SparseOperator(sp.csr_matrix(A / np.linalg.norm(A, 2)),
-                            symmetry="hermitian" if hermitian else "general")
-    v = random_unit(n, seed=seed % 2 ** 31, complex_=not real)
-    return lambda: build_krylov(op, v, KrylovConfig(m_max=m))
-
-
-def _same(a, b):
-    """Two ErrorEstimates (or None) with equal kinds, value bits and types,
-    flags and extra matvecs."""
-    if a is None or b is None:
-        return a is b
-    return (a.kind == b.kind and type(a.value) is type(b.value)
-            and np.float64(a.value).tobytes() == np.float64(b.value).tobytes()
-            and a.is_proven_upper_bound == b.is_proven_upper_bound
-            and a.extra_matvecs == b.extra_matvecs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), hermitian=st.booleans(), real=st.booleans(),
-       n=st.integers(4, 12), m=st.integers(2, 6), breakdown=st.sampled_from([0, 0, 1, 2]),
-       sigma=st.one_of(SIGMAS, st.sampled_from([1.0, -1.0])),
-       ts=st.lists(st.one_of(st.floats(0.0, 6.0), st.sampled_from([0.0, 5e-324, 1e-310, 1e-3])),
-                   min_size=1, max_size=8),
-       data=st.data())
-def test_grid_estimates_are_the_scalar_calls(seed, hermitian, real, n, m, breakdown,
-                                             sigma, ts, data):
-    """era, err1, estimate (every kind), quad_estimates and effective_order
-    over a 1-D grid return at each t what the call for that t alone
-    returns on a fresh decomposition: the value's bits and type, the
-    proven flag and the extra matvecs, for p in {0, 1, 2}, corrected or
-    not, on Lanczos and Arnoldi, in float64 and complex stores, after a
-    breakdown at m = 1 or 2, and on grids with repeats, t = 0 and
-    subnormal t, given as a list or as a numpy array."""
-    fresh = _grid_dec(seed, hermitian, real, n, m, breakdown)
-    ts = ts + data.draw(st.lists(st.sampled_from(ts), max_size=3))
-    grid = np.array(ts) if data.draw(st.booleans()) else ts
-    dec, alone = fresh(), fresh()
-    if breakdown:
-        assert dec.breakdown and dec.m == breakdown
-    for p in (0, 1, 2):
-        for corrected in (False, True):
-            for call in (era, err1):
-                got = call(dec, sigma, grid, p, corrected)
-                assert len(got) == len(ts)
-                for t, est in zip(grid, got):
-                    assert _same(est, call(alone, sigma, t, p, corrected)), (call, t, p)
-    for kind in ESTIMATORS:
-        p = (1,) if kind.startswith(("era", "err1")) else ()
-        for t, est in zip(grid, kx.estimators.estimate(kind, dec, sigma, grid, *p)):
-            assert _same(est, kx.estimators.estimate(kind, alone, sigma, t, *p)), (kind, t)
-    for t, row in zip(grid, quad_estimates(dec, sigma, grid)):
-        single = quad_estimates(alone, sigma, t)
-        assert len(row) == len(single) and all(map(_same, row, single)), t
-    positive = [t for t in grid if t > 0.0]
-    rhos = effective_order(dec, sigma, positive)
-    assert len(rhos) == len(positive)
-    for t, rho in zip(positive, rhos):
-        single = effective_order(alone, sigma, t)
-        assert type(rho) is type(single) and np.float64(rho).tobytes() == np.float64(single).tobytes()
-    if dec.m < 2:
-        assert all(math.isnan(r) for r in rhos)
-
-
-def test_grid_calls_validate_every_t_and_sigma(hermitian_dec):
-    """A grid raises where any of its times, or sigma, would raise alone;
-    effective_order also rejects a grid holding t = 0."""
-    _, dec = hermitian_dec
-    for bad in (-1.0, math.nan, math.inf):
-        for call in (lambda: era(dec, -1j, [0.1, bad]), lambda: err1(dec, -1j, [bad]),
-                     lambda: quad_estimates(dec, -1j, [0.2, bad]),
-                     lambda: effective_order(dec, -1j, [0.3, bad])):
-            with pytest.raises(ValueError, match="finite"):
-                call()
-    with pytest.raises(ValueError, match="t > 0"):
-        effective_order(dec, -1j, [0.5, 0.0])
-    with pytest.raises(ValueError, match="modulus"):
-        era(dec, 2.0, [0.5])
-    assert era(dec, -1j, []) == [] and quad_estimates(dec, -1j, []) == []
+def _fresh(hermitian):
+    """A builder of fresh decompositions (m = 6) of one random complex
+    operator of order 10, hermitian or general, scaled to 2-norm 1."""
+    rng = np.random.default_rng(72)
+    A = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+    A = 0.5 * (A + A.conj().T) if hermitian else A + 3.0 * np.triu(A, 1)
+    op = SparseOperator(sp.csr_matrix(A / np.linalg.norm(A, 2)),
+                        symmetry="hermitian" if hermitian else "general")
+    v = random_unit(10, seed=72, complex_=True)
+    return lambda: build_krylov(op, v, KrylovConfig(m_max=6))
 
 
 def _bits(x):
@@ -610,7 +541,7 @@ def test_a_0d_time_is_the_float_it_holds(name, hermitian):
     """Every public call that takes a time gives for a 0-d array t what it
     gives for the float t holds, on a fresh decomposition each: the same
     types and bits."""
-    fresh = _grid_dec(72, hermitian, False, 10, 6, 0)
+    fresh = _fresh(hermitian)
     call = TIME_CALLS[name]
     for t in (0.3, np.float64(0.7)):
         assert _bits(call(fresh(), -1j, np.asarray(t))) == _bits(call(fresh(), -1j, float(t)))
