@@ -20,11 +20,11 @@ sigma, q and t from it; an Arnoldi one runs the Pade route.  phi also
 takes a grid of t (the estimators take one t): Lanczos evaluates the
 scalar phi_q at the Ritz values for the whole grid in one call per field,
 and Arnoldi runs one Pade per t, so each row has the bits, and the memory
-order, of a call for its t alone.  Rows are cached per (sigma, q, t),
-and defect pairs per (sigma, t); a grid's rows stay cached until a
-single-t miss finds 256 rows cached and clears them.  A t that is not a
-finite real number >= 0 raises ValueError before anything is computed or
-cached, and a 0-d array t is the float it holds.
+order, of a call for its t alone.  Rows are cached per (sigma, q, t); a
+grid's rows stay cached until a single-t miss finds 256 rows cached and
+clears them.  A q that is not an int >= 0, a t that is not a finite real
+number >= 0 (a 0-d array t is the float it holds) or a sigma off the unit
+circle raises ValueError before anything is computed or cached.
 
 One build allocates one store of two arrays, sized for m_max: a row-major
 basis of shape (m_max+1, n) and a Hessenberg matrix of shape
@@ -50,7 +50,7 @@ import numpy as np
 from scipy.linalg.blas import get_blas_funcs
 
 from .dense import phi_dense, phi_scalar, symtrid_eig
-from .sparse import validate_time
+from .sparse import validate_phi_index, validate_prefactor, validate_time
 
 _EPS = float(np.finfo(np.float64).eps)
 # phi rows a decomposition keeps before its cache is cleared
@@ -115,7 +115,6 @@ class KrylovDecomposition:
         self._a_v_next = None
         self._eigh = None
         self._phi = {}
-        self._defect = {}
 
     @property
     def subdiag(self):
@@ -148,33 +147,33 @@ class KrylovDecomposition:
         """phi_q(sigma t T) e_1 as a read-only length-m vector (q = 0 gives
         e^{sigma t T} e_1), or for a 1-D grid t the list of those vectors,
         one per entry of t.  float64 when sigma t and T are real, for
-        Lanczos and Arnoldi alike, and complex otherwise.  Every t must be
-        a finite real number >= 0 (ValueError before anything is
-        computed).  Each row is cached per (sigma, q, t) and computed by
-        _fill, a scalar t as the one-row case of a grid, so a row has the
-        same bits whichever way it was asked for.
-
-        A scalar miss clears the cache first once it holds _PHI_CACHE_ROWS
-        rows; a grid call never clears it, so the rows of every grid asked
-        for since (a sweep cell's four, say) stay cached together."""
+        Lanczos and Arnoldi alike, and complex otherwise.  Each row is
+        cached per (sigma, q, t) and computed by _fill, a scalar t as the
+        one-row case of a grid, so a row has the same bits whichever way
+        it was asked for.  A grid call never clears the cache, so the rows
+        of every grid asked for since (a sweep cell's four, say) stay
+        cached together."""
         if isinstance(t, float) or np.ndim(t) != 1:
-            if not isinstance(t, float):
-                t = validate_time(t)
-            hit = self._phi.get((sigma, q, t))
-            if hit is not None:
-                return hit
-            validate_time(t)
+            return self._row(sigma, q, t)
+        q = validate_phi_index(q)
+        t = [validate_time(s) for s in t]
+        missing = [s for s in dict.fromkeys(t) if (sigma, q, s) not in self._phi]
+        if missing:
+            self._fill(sigma, q, missing)
+        return [self._phi[(sigma, q, s)] for s in t]
+
+    def _row(self, sigma, q, t):
+        """The row at one t, the read behind phi, corner and defect: q and t
+        are checked before the lookup, and a miss first clears the cache
+        once it holds _PHI_CACHE_ROWS rows."""
+        q = validate_phi_index(q)
+        t = validate_time(t)
+        row = self._phi.get((sigma, q, t))
+        if row is None:
             if len(self._phi) >= _PHI_CACHE_ROWS:
                 self._phi.clear()
-                self._defect.clear()
-            return self._fill(sigma, q, [t])[0]
-        t = [validate_time(s) for s in t]
-        rows = [self._phi.get((sigma, q, s)) for s in t]
-        missing = list(dict.fromkeys(s for s, row in zip(t, rows) if row is None))
-        if missing:
-            filled = dict(zip(missing, self._fill(sigma, q, missing)))
-            rows = [filled[s] if row is None else row for s, row in zip(t, rows)]
-        return rows
+            row = self._fill(sigma, q, [t])[0]
+        return row
 
     def _fill(self, sigma, q, ts):
         """Compute, cache and return the rows of the distinct times ts.
@@ -184,6 +183,8 @@ class KrylovDecomposition:
         the z of each field in one elementwise phi_scalar call, and keeps
         the product with Q per t, since a batched product would sum in
         another order: each row has the bits of a call for its t alone."""
+        # only a checked sigma becomes a key, so a cache hit needs no check
+        validate_prefactor(sigma)
         real_T = self._T.dtype.kind != "c"
         zs = [z.real if real_T and z.imag == 0.0 else z for z in [sigma * s for s in ts]]
         if self.mode == "arnoldi":
@@ -205,32 +206,24 @@ class KrylovDecomposition:
         return rows
 
     def corner(self, sigma, q, t):
-        """e_m^* phi_q(sigma t T) e_1: the last entry of phi(sigma, q, t),
-        for both algorithms and every q, so it shares phi's cache and its
-        rounding."""
-        return complex(self.phi(sigma, q, t)[self.m - 1])
+        """e_m^* phi_q(sigma t T) e_1 at one t: the last entry of
+        phi(sigma, q, t), for both algorithms and every q, so it shares
+        phi's cache and its rounding."""
+        return complex(self._row(sigma, q, t)[self.m - 1])
 
     def defect(self, sigma, t):
-        """(delta, delta_prime) at a finite time t >= 0: the corner entry
+        """(delta, delta_prime) at one finite time t >= 0: the corner entry
         delta(t) = e_m^* e^{sigma t T} e_1, read from phi(sigma, 0, t) like
         corner, and its exact t-derivative
         sigma (T[m-1, m-1] u_m + T[m-1, m-2] u_{m-1}) with u = phi(sigma, 0, t),
-        which holds for any upper Hessenberg T.  Each pair is computed once
-        per (sigma, t) and kept until phi's cache is next cleared, since
-        every quadrature and each rho sample reads it."""
-        if not isinstance(t, float):
-            t = validate_time(t)
-        pair = self._defect.get((sigma, t))
-        if pair is not None:
-            return pair
+        which holds for any upper Hessenberg T."""
         m = self.m
         if m < 2:
             raise ValueError("defect needs m >= 2 (the derivative uses the last two rows of T)")
-        u = self.phi(sigma, 0, t)
+        u = self._row(sigma, 0, t)
         T = self.T
         delta_prime = sigma * (T[m - 1, m - 1] * u[m - 1] + T[m - 1, m - 2] * u[m - 2])
-        pair = self._defect[(sigma, t)] = complex(u[m - 1]), complex(delta_prime)
-        return pair
+        return complex(u[m - 1]), complex(delta_prime)
 
 
 def _grow(op, basis, hess, m, amax, steps):

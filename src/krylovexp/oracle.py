@@ -45,8 +45,8 @@ and |J_k(x)| <= (x/2)^k / k!, the terms after K sum to at most
 consecutive tail terms stays below q = t r / (2 (K + 2)) < 1, so the tail
 is at most its first term over 1 - q.  Each t stops at the first K where
 that bound, taken in log space, is at most TARGET_ACCURACY ||v|| / 2,
-and its coefficients past K are zero, so a row does not depend on the
-rest of the grid.  The round-off of the recurrence is not in the bound.
+and its row adds no term past K, so a row does not depend on the rest
+of the grid.  The round-off of the recurrence is not in the bound.
 The vectors T_k(A') v do not depend on t, so the grid shares one
 recurrence and pays max_t K(t) matvecs; each T_k(A') v is formed in the
 array its matvec returns, and the terms are added row by row.
@@ -185,27 +185,21 @@ def oracle_chebyshev(op, sigma, ts, v):
     v = np.asarray(v, dtype=complex)
     if v.shape != (op.n,):
         raise ValueError("vector length does not match n")
-    out = np.empty((len(ts), op.n), dtype=complex)
     a, b = _gershgorin_interval(op.csr)
     if a == b:
         # every disc is the point a: A = a I
-        for i, t in enumerate(ts):
-            out[i] = np.exp(sigma * t * a) * v
-        return out
+        return np.array([np.exp(sigma * t * a) * v for t in ts])
     pad = 1e-12 * max(abs(a), abs(b))
     a, b = a - pad, b + pad
     c, r = 0.5 * (a + b), 0.5 * (b - a)
     # e^{i w t r x} = sum_k eps_k (i sgn w)^k J_k(|w| t r) T_k(x), w = Im sigma
     unit = 1j if sigma.imag >= 0.0 else -1j
     powers = np.array([1.0, unit, -1.0, -unit])
-    xs = [abs(sigma.imag) * t * r for t in ts]
-    terms = [_chebyshev_terms(x, TARGET_ACCURACY) for x in xs]
-    order = sorted(range(len(ts)), key=lambda i: -terms[i])
-    coef = np.zeros((len(ts), max(terms) + 1), dtype=complex)
-    for row, i in enumerate(order):
-        k = np.arange(terms[i] + 1)
-        coef[row, :k.size] = (np.where(k == 0, 1.0, 2.0) * scipy.special.jv(k, xs[i])
-                              * powers[k % 4])
+    coefs = []
+    for t in ts:
+        x = abs(sigma.imag) * t * r
+        k = np.arange(_chebyshev_terms(x, TARGET_ACCURACY) + 1)
+        coefs.append(np.where(k == 0, 1.0, 2.0) * scipy.special.jv(k, x) * powers[k % 4])
 
     product = np.empty_like(v)
 
@@ -221,17 +215,18 @@ def oracle_chebyshev(op, sigma, ts, v):
 
     acc = np.zeros((len(ts), op.n), dtype=complex)
     t_prev = t_cur = v
-    for k in range(coef.shape[1]):
+    for k in range(max(coef.size for coef in coefs)):
         if k == 1:
             t_prev, t_cur = v, recur(v, None)
         elif k > 1:
             t_prev, t_cur = t_cur, recur(t_cur, t_prev)
-        live = sum(1 for i in order if terms[i] >= k)
-        for row in range(live):
-            acc[row] += coef[row, k] * t_cur
-    for row, i in enumerate(order):
-        out[i] = np.exp(sigma * ts[i] * c) * acc[row]
-    return out
+        for row, coef in zip(acc, coefs):
+            if k < coef.size:
+                row += coef[k] * t_cur
+    for t, row in zip(ts, acc):
+        # scalar first, the bits of e^{sigma t c} * row (row *= ... rounds otherwise)
+        np.multiply(np.exp(sigma * t * c), row, out=row)
+    return acc
 
 
 def _series_phi_apply(matvec, v, q, tol_abs):

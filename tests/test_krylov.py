@@ -441,21 +441,39 @@ def test_phi_and_corner_reject_bad_times(make_op, bad, monkeypatch):
     """A t that is not finite and >= 0 raises ValueError from phi and
     corner, as a scalar and inside a grid, before any row is computed or
     cached: the bad t raises again, and the good t of a grid is computed
-    when it is asked for next."""
+    when it is asked for next.  corner and defect take one t, so a grid
+    raises there.  A q that is not an int >= 0 and a sigma off the unit
+    circle raise too, also once the rows of the same t are cached."""
     dec = build_krylov(make_op(30, 72), random_unit(30, seed=73), KrylovConfig(m_max=8))
     kernels = []
     for name in ("phi_scalar", "phi_dense"):
         monkeypatch.setattr(kx.krylov, name, lambda *args, name=name: kernels.append(name))
+    grids = [0.1, 0.2], list(np.linspace(0.1, 0.8, dec.m))
     for _ in range(2):
         for call in (lambda: dec.phi(-1j, 1, bad), lambda: dec.corner(-1j, 0, bad),
                      lambda: dec.phi(-1j, 1, [0.1, bad]), lambda: dec.phi(-1j, 0, [bad, 0.2])):
             with pytest.raises(ValueError, match="t must be finite"):
                 call()
+        for grid in grids:
+            for call in (lambda: dec.corner(-1j, 0, grid), lambda: dec.defect(-1j, grid)):
+                with pytest.raises(ValueError, match="t must be a finite real number"):
+                    call()
     assert kernels == []
     monkeypatch.undo()
     for q, t in ((1, 0.1), (0, 0.2)):
         fresh = build_krylov(make_op(30, 72), random_unit(30, seed=73), KrylovConfig(m_max=8))
         assert dec.phi(-1j, q, t).tobytes() == fresh.phi(-1j, q, t).tobytes()
+    # True and 1.0 hash like the cached q = 1, 2.0 and nan are never cached
+    for call, match in ((lambda: dec.corner(-1j, True, 0.1), "p must be"),
+                        (lambda: dec.corner(-1j, 1.0, 0.1), "p must be"),
+                        (lambda: dec.phi(-1j, True, [0.1]), "p must be"),
+                        (lambda: dec.phi(2.0, 0, 0.2), "prefactor must have modulus 1"),
+                        (lambda: dec.phi(2.0, 0, [0.2]), "prefactor must have modulus 1"),
+                        (lambda: dec.defect(5.0, 0.2), "prefactor must have modulus 1"),
+                        (lambda: dec.corner(math.nan, 0, 0.2), "prefactor must be finite")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                call()
 
 
 @pytest.mark.parametrize("make_op", [random_hermitian_op, random_general_op])
