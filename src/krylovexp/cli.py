@@ -49,6 +49,7 @@ from .estimators import CORRECTED_KINDS, ESTIMATORS, ORDER_SAMPLES, era, err1, q
 from .krylov import KrylovConfig, build_krylov, extend_krylov
 from .oracle import TARGET_ACCURACY, oracle_reference
 from .problems import ProblemSpec, starting_vector
+from .sparse import norm2
 from .stepper import ControllerSpec, propagate, propagate_fixed_steps
 
 
@@ -196,10 +197,10 @@ def _sweep_cell(spec, m, sigma, dec, refs, ts, p, corrected):
     q = p for the approximant, p + 1 for err1 (and the correction's
     corner), p + 2 for corrected err1, and q = 0 for rho, joined at p = 0
     uncorrected by the fractions ORDER_SAMPLES of each t where
-    effective_order_quad samples rho.  A grid call never clears the
-    decomposition's cache, so the per-t calls of era, err1, the
-    quadratures and effective_order read only cached rows, and each
-    distinct (sigma, q, t) row is computed once, at any grid length."""
+    effective_order_quad samples rho.  The decomposition keeps every row
+    it computes, so the per-t calls of era, err1, the quadratures and
+    effective_order read only cached rows, and each distinct (sigma, q, t)
+    row is computed once, at any grid length."""
     appr = Approximant(dec, sigma, p, corrected=corrected)
     quads = p == 0 and not corrected
     samples = [t * f for f in ORDER_SAMPLES if f != 1.0 for t in ts] \
@@ -208,7 +209,7 @@ def _sweep_cell(spec, m, sigma, dec, refs, ts, p, corrected):
         dec.phi(appr.sigma, q, ts + samples if q == 0 else ts)
     wide_rows, long_rows, violation = [], [], False
     for t, ref in zip(ts, refs):
-        err = float(np.linalg.norm(appr.apply(t) - ref))
+        err = norm2(appr.apply(t) - ref)
         ests = [era(dec, sigma, t, p, corrected), err1(dec, sigma, t, p, corrected)]
         if quads:  # the quadratures estimate the standard exponential approximant's error
             ests += quad_estimates(dec, sigma, t)
@@ -374,7 +375,7 @@ def cmd_bench(config, out_dir, seed_override=None):
             raise ConfigError(f"bench run {spec.kind}, {ctrl.kind}, m = {m}: {exc}") from exc
         total_t = result.total_time
         ref = oracle_reference(spec, op, sigma, [total_t], v)[0]
-        err = float(np.linalg.norm(result.w_final - ref))
+        err = norm2(result.w_final - ref)
         rows.append({
             "problem": spec.kind, "controller": ctrl.kind, "estimator": estimator, "m": m,
             "tol": ctrl.tol, "N": len(result.records), "total_t": total_t,

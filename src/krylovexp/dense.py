@@ -167,8 +167,6 @@ def symtrid_eig(diag, offdiag):
     offdiag = np.asarray(offdiag, dtype=float)
     if diag.ndim != 1 or offdiag.shape != (max(diag.size - 1, 0),):
         raise ValueError("symtrid_eig: need diagonal of length m and off-diagonal of length m-1")
-    if diag.size == 1:
-        return diag.copy(), np.ones((1, 1))
     try:
         lam, Q = scipy.linalg.eigh_tridiagonal(diag, offdiag)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path

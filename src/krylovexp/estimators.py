@@ -42,7 +42,7 @@ from functools import partial
 import numpy as np
 
 from .approximant import rho_at
-from .sparse import validate_phi_index, validate_prefactor, validate_time
+from .sparse import norm2, validate_phi_index, validate_prefactor, validate_time
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def _improved_hermite(dec, sigma, t):
     ddot = np.conj(sigma) * delta_prime  # T[m-1,m-1]u_m + T[m-1,m-2]u_{m-1}
     vec = (sigma * tau * (2.0 * t / (m + 1)) * delta) * dec.v_next \
         - (sigma * sigma * tau * (t * t / (m * (m + 1)))) * (ddot * dec.v_next - delta * av)
-    return float(np.linalg.norm(vec))
+    return norm2(vec)
 
 
 # the fractions of t at which effective_order_quad samples rho

@@ -18,13 +18,13 @@ its last entry corner(sigma, q, t), and the defect(sigma, t) pair
 read.  A Lanczos decomposition eigendecomposes T once and serves every
 sigma, q and t from it; an Arnoldi one runs the Pade route.  phi also
 takes a grid of t (the estimators take one t): Lanczos evaluates the
-scalar phi_q at the Ritz values for the whole grid in one call per field,
-and Arnoldi runs one Pade per t, so each row has the bits, and the memory
-order, of a call for its t alone.  Rows are cached per (sigma, q, t); a
-grid's rows stay cached until a single-t miss finds 256 rows cached and
-clears them.  A q that is not an int >= 0, a t that is not a finite real
-number >= 0 (a 0-d array t is the float it holds) or a sigma off the unit
-circle raises ValueError before anything is computed or cached.
+scalar phi_q at the Ritz values for the whole grid in one call, and
+Arnoldi runs one Pade per t, so each row has the bits, and the memory
+order, of a call for its t alone.  Rows are cached per (sigma, q, t) for
+the life of the decomposition, like its eigendecomposition and A v_next.
+A q that is not an int >= 0, a t that is not a finite real number >= 0
+(a 0-d array t is the float it holds) or a sigma off the unit circle
+raises ValueError before anything is computed or cached.
 
 One build allocates one store of two arrays, sized for m_max: a row-major
 basis of shape (m_max+1, n) and a Hessenberg matrix of shape
@@ -53,8 +53,6 @@ from .dense import phi_dense, phi_scalar, symtrid_eig
 from .sparse import validate_phi_index, validate_prefactor, validate_time
 
 _EPS = float(np.finfo(np.float64).eps)
-# phi rows a decomposition keeps before its cache is cleared
-_PHI_CACHE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -146,13 +144,11 @@ class KrylovDecomposition:
     def phi(self, sigma, q, t):
         """phi_q(sigma t T) e_1 as a read-only length-m vector (q = 0 gives
         e^{sigma t T} e_1), or for a 1-D grid t the list of those vectors,
-        one per entry of t.  float64 when sigma t and T are real, for
+        one per entry of t.  float64 when sigma and T are real, for
         Lanczos and Arnoldi alike, and complex otherwise.  Each row is
-        cached per (sigma, q, t) and computed by _fill, a scalar t as the
-        one-row case of a grid, so a row has the same bits whichever way
-        it was asked for.  A grid call never clears the cache, so the rows
-        of every grid asked for since (a sweep cell's four, say) stay
-        cached together."""
+        computed by _fill, a scalar t as the one-row case of a grid, so a
+        row has the same bits whichever way it was asked for, and cached
+        per (sigma, q, t) for as long as the decomposition lives."""
         if isinstance(t, float) or np.ndim(t) != 1:
             return self._row(sigma, q, t)
         q = validate_phi_index(q)
@@ -164,29 +160,28 @@ class KrylovDecomposition:
 
     def _row(self, sigma, q, t):
         """The row at one t, the read behind phi, corner and defect: q and t
-        are checked before the lookup, and a miss first clears the cache
-        once it holds _PHI_CACHE_ROWS rows."""
+        are checked before the lookup."""
         q = validate_phi_index(q)
         t = validate_time(t)
         row = self._phi.get((sigma, q, t))
         if row is None:
-            if len(self._phi) >= _PHI_CACHE_ROWS:
-                self._phi.clear()
             row = self._fill(sigma, q, [t])[0]
         return row
 
     def _fill(self, sigma, q, ts):
         """Compute, cache and return the rows of the distinct times ts.
 
-        z = sigma t is taken real where Im z = 0 and T is real.  Arnoldi
-        pays one phi_dense call per t.  Lanczos evaluates phi_q(z lam) for
-        the z of each field in one elementwise phi_scalar call, and keeps
-        the product with Q per t, since a batched product would sum in
-        another order: each row has the bits of a call for its t alone."""
+        z = sigma t is real for every t when sigma and T are real, and
+        complex for every t otherwise.  Arnoldi pays one phi_dense call
+        per t.  Lanczos evaluates phi_q(z lam) for every z in one
+        elementwise phi_scalar call, and keeps the product with Q per t,
+        since a batched product would sum in another order: each row has
+        the bits of a call for its t alone."""
         # only a checked sigma becomes a key, so a cache hit needs no check
-        validate_prefactor(sigma)
-        real_T = self._T.dtype.kind != "c"
-        zs = [z.real if real_T and z.imag == 0.0 else z for z in [sigma * s for s in ts]]
+        s = validate_prefactor(sigma)
+        if s.imag == 0.0 and self._T.dtype.kind != "c":
+            s = s.real
+        zs = [s * t for t in ts]
         if self.mode == "arnoldi":
             rows = [phi_dense(self._T, z, q) for z in zs]
         else:
@@ -194,15 +189,9 @@ class KrylovDecomposition:
                 # T = Q diag(lam) Q^T, computed once for every sigma, q and t
                 self._eigh = symtrid_eig(np.diagonal(self._T), self.subdiag)
             lam, Q = self._eigh
-            rows = [None] * len(zs)
-            fields = [isinstance(z, complex) for z in zs]
-            for field in set(fields):
-                idx = [i for i, f in enumerate(fields) if f == field]
-                weights = phi_scalar(np.array([zs[i] for i in idx])[:, None] * lam, q) * Q[0]
-                for i, w in zip(idx, weights):
-                    rows[i] = Q @ w
-        for s, row in zip(ts, rows):
-            self._phi[(sigma, q, s)] = _read_only(row)
+            rows = [Q @ w for w in phi_scalar(np.array(zs)[:, None] * lam, q) * Q[0]]
+        for t, row in zip(ts, rows):
+            self._phi[(sigma, q, t)] = _read_only(row)
         return rows
 
     def corner(self, sigma, q, t):

@@ -56,6 +56,24 @@ def validate_phi_index(p):
     return int(p)
 
 
+def scaled_norm2(x):
+    """(y, beta, e) with x = 2^e y exactly and beta = ||y||_2; y = x where
+    ||x||_2 >= 1e-150, below which squaring the entries loses digits."""
+    beta, e = float(np.linalg.norm(x)), 0
+    if beta < 1e-150:
+        e = int(np.frexp(max(np.abs(x.real).max(), np.abs(x.imag).max()))[1])
+        x = (np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e)
+             if np.iscomplexobj(x) else np.ldexp(x, -e))
+        beta = float(np.linalg.norm(x))
+    return x, beta, e
+
+
+def norm2(x):
+    """||x||_2 without underflow: np.linalg.norm's bits where that is >= 1e-150."""
+    _, beta, e = scaled_norm2(x)
+    return math.ldexp(beta, e)
+
+
 def _entry_rows(csr):
     """The row of each stored entry of a CSR matrix, in storage order."""
     return np.repeat(np.arange(csr.shape[0], dtype=csr.indices.dtype), np.diff(csr.indptr))

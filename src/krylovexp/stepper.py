@@ -48,7 +48,7 @@ import numpy as np
 from .approximant import Approximant
 from .estimators import CORRECTED_KINDS, ErrorEstimate, evaluate, log_era_factor
 from .krylov import build_krylov
-from .sparse import validate_prefactor, validate_time
+from .sparse import scaled_norm2, validate_prefactor, validate_time
 
 CONTROLLER_KINDS = ("direct_era_global", "direct_era_local", "heuristic",
                     "heuristic_iterated", "expokit_first_step_only")
@@ -239,15 +239,9 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
     while (t_final is None or t < t_final) and (n_steps is None or len(records) < n_steps):
         if len(records) >= _MAX_SUBSTEPS:
             raise RuntimeError(f"controller stagnated: {len(records)} substeps, t = {t}")
-        beta, e = float(np.linalg.norm(w)), 0
-        if beta < 1e-150:
-            # the norm squares the entries, losing digits below ~1e-150 (all of
-            # them below ~1e-162): scale by an exact power of two first; that
-            # also avoids complex division by a subnormal beta, which overflows
-            e = int(np.frexp(max(np.abs(w.real).max(), np.abs(w.imag).max()))[1])
-            w = (np.ldexp(w.real, -e) + 1j * np.ldexp(w.imag, -e)
-                 if np.iscomplexobj(w) else np.ldexp(w, -e))
-            beta = float(np.linalg.norm(w))
+        # normalizing the scaled w also avoids complex division by a
+        # subnormal beta, which overflows
+        w, beta, e = scaled_norm2(w)
         if beta == 0.0:
             raise RuntimeError("propagated vector vanished")
         dec = build_krylov(op, w / beta, cfg)

@@ -33,7 +33,10 @@ def test_a_file_moved_by_one_ulp_fails_until_listed(tmp_path, capsys):
     allow.write_text("# nothing moves\n\n")
     assert outputs.main(["diff", str(base), str(same), "--allow", str(allow)]) == 0
     assert outputs.main(["diff", str(base), str(moved), "--allow", str(allow)]) == 1
-    assert "changed  sweep_cfg/sweep_heat_m10.csv\n" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "changed  sweep_cfg/sweep_heat_m10.csv\n" in printed
+    # the moved cell itself, at its line and column
+    assert f"sweep_cfg/sweep_heat_m10.csv:2 Era: {x!r} -> {float(np.nextafter(x, 1.0))!r}\n" in printed
     for listed in ("sweep_cfg/sweep_heat_m10.csv", "sweep_cfg/*.csv"):
         allow.write_text(f"# moved on purpose\n{listed}\n")
         assert outputs.main(["diff", str(base), str(moved), "--allow", str(allow)]) == 0

@@ -1,6 +1,7 @@
 """Operator wrapper, Matrix Market round trip, logarithmic norm bound."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import krylovexp as kx
 from krylovexp import (KrylovConfig, SparseOperator, build_krylov, era,
                        validate_prefactor)
 from krylovexp.cli import main
+from krylovexp.sparse import norm2
 
 from conftest import SIGMAS, random_unit
 
@@ -28,6 +30,19 @@ def test_validate_prefactor_rejects_others():
     for s in (2.0, 0.0, 0.5j, float("nan"), complex("inf")):
         with pytest.raises(ValueError):
             validate_prefactor(s)
+
+
+def test_norm2_survives_underflow():
+    """np.linalg.norm squares entries of 1e-200 into 0; norm2 scales by
+    a power of two first, and keeps np.linalg.norm's bits where that is
+    >= 1e-150."""
+    for x, squares in ((np.full(7, 1e-200), 7), (np.full(7, 1e-200 - 1e-200j), 14)):
+        assert np.linalg.norm(x) == 0.0
+        assert norm2(x) == pytest.approx(math.sqrt(squares) * 1e-200, rel=1e-15)
+    assert norm2(np.zeros(5)) == 0.0 and norm2(np.zeros(5, dtype=complex)) == 0.0
+    x = 3.7 * random_unit(40, seed=5)
+    for y in (x, x.real):
+        assert norm2(y) == np.linalg.norm(y)
 
 
 # every public entry point that takes the phi index p, called on a heat

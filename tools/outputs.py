@@ -18,13 +18,15 @@ manifest, and compare two such manifests.
         or a glob, relative to the run directory; blank lines and lines
         starting with # are skipped) names it, or when a line of the allow
         file names no moved file, so a stale entry cannot let later
-        changes through.
+        changes through.  Under each changed CSV, print every cell that
+        moved as "path:line column: BASE -> HEAD".
 
 CI runs this script against a change and against its parent on one
 runner and one BLAS thread count, so any moved byte is the code's doing.
 """
 
 import argparse
+import csv
 import fnmatch
 import hashlib
 import json
@@ -33,6 +35,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 MANIFEST = "MANIFEST.sha256"
@@ -95,8 +98,8 @@ def readme_configs(text):
         files[f"readme_cfg_{name}.json"] = json.dumps(
             {"problems": problems, "sweep": readme()["sweep"]})
     # the README's heat and convection-diffusion swept over 100 t from
-    # 1e-3 to 10: a cell reads 400 phi rows, more than a decomposition
-    # keeps for single-t calls, on a Lanczos and an Arnoldi problem
+    # 1e-3 to 10: a cell reads 400 phi rows, on a Lanczos and an Arnoldi
+    # problem
     files["readme_cfg_long.json"] = json.dumps(
         {"problems": [p for p in readme()["problems"]
                       if p["kind"] in ("heat", "convection_diffusion")],
@@ -150,15 +153,30 @@ def moved_files(base, head):
     return sorted(status.items())
 
 
+def changed_cells(base, head, path):
+    """One "path:line column: BASE -> HEAD" line per cell of the CSV at
+    path that differs between the two run directories; a row or cell one
+    side lacks reads as empty."""
+    base_rows, head_rows = (list(csv.reader(Path(d, path).read_text().splitlines()))
+                            for d in (base, head))
+    header = head_rows[0] if head_rows else []
+    for line, (a, b) in enumerate(zip_longest(base_rows, head_rows, fillvalue=[]), 1):
+        for col, (x, y) in enumerate(zip_longest(a, b, fillvalue="")):
+            if x != y:
+                name = header[col] if col < len(header) else f"#{col + 1}"
+                yield f"{path}:{line} {name}: {x} -> {y}"
+
+
 def allowed_patterns(path):
     lines = (line.strip() for line in Path(path).read_text().splitlines())
     return [line for line in lines if line and not line.startswith("#")]
 
 
 def diff(base, head, allow):
-    """Print every moved file and whether the allow file lists it, and
-    every allow line that names no moved file; return the exit code: 1
-    when some moved file is not listed or some allow line is stale, else 0."""
+    """Print every moved file and whether the allow file lists it, each
+    changed cell of a moved CSV, and every allow line that names no moved
+    file; return the exit code: 1 when some moved file is not listed or
+    some allow line is stale, else 0."""
     patterns = allowed_patterns(allow)
     moved = moved_files(base, head)
     unlisted = 0
@@ -166,6 +184,9 @@ def diff(base, head, allow):
         listed = any(fnmatch.fnmatchcase(path, pattern) for pattern in patterns)
         unlisted += not listed
         print(f"{status:8s} {path}" + ("  (listed)" if listed else ""))
+        if status == "changed" and path.endswith(".csv"):
+            for cell in changed_cells(base, head, path):
+                print("         " + cell)
     stale = [pattern for pattern in patterns
              if not any(fnmatch.fnmatchcase(path, pattern) for path, _ in moved)]
     for pattern in stale:
