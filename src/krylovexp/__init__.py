@@ -9,8 +9,8 @@ from .krylov import (KrylovConfig, KrylovDecomposition, build_krylov,
 from .oracle import (oracle_chebyshev, oracle_convection_diffusion,
                      oracle_laplacian, oracle_phi, oracle_reference,
                      oracle_series)
-from .problems import (ProblemSpec, build_convection_diffusion, build_heat,
-                       build_hubbard, build_schrodinger, starting_vector)
+from .problems import (ProblemSpec, build_convection_diffusion, build_hubbard,
+                       build_laplacian, starting_vector)
 from .sparse import SparseOperator, validate_prefactor
 from .stepper import (ControllerSpec, PropagationResult, StepRecord,
                       expokit_first_step, propagate, propagate_fixed_steps,
@@ -23,8 +23,8 @@ __all__ = [
     "Approximant", "ControllerSpec", "ErrorEstimate", "KrylovConfig",
     "KrylovDecomposition", "PropagationResult", "ProblemSpec",
     "SparseOperator", "StepRecord",
-    "build_convection_diffusion", "build_heat", "build_hubbard",
-    "build_krylov", "build_schrodinger", "effective_order", "era", "err1",
+    "build_convection_diffusion", "build_hubbard", "build_krylov",
+    "build_laplacian", "effective_order", "era", "err1",
     "expm_dense", "expokit_first_step", "extend_krylov",
     "oracle_chebyshev", "oracle_convection_diffusion", "oracle_laplacian",
     "oracle_phi",

@@ -169,18 +169,23 @@ QUAD_KINDS = tuple(k for k in ESTIMATORS if k.endswith("_quad"))
 CORRECTED_KINDS = {k: k.removesuffix("_corrected") for k in ESTIMATORS if k.endswith("_corrected")}
 
 
-def estimate(kind, dec, sigma, t, *p):
-    """The ESTIMATORS row for kind at t, evaluated at the phi index p of
-    era and err1; None when it is unavailable.  After a breakdown the
-    projection is exact: every kind is 0.0 there and costs no matvec.  An
-    unknown kind raises ValueError."""
+def estimate(kind, dec, sigma, t, p=0):
+    """The ESTIMATORS row for kind at t and phi index p; None when it is
+    unavailable.  After a breakdown the projection is exact: every kind
+    is 0.0 there and costs no matvec.  An unknown kind, and a nonzero p
+    on a quadrature (the exponential's alone), raise ValueError."""
     if kind not in ESTIMATORS:
         raise ValueError(f"unknown estimator kind: {kind!r}")
-    p = [validate_phi_index(q) for q in p]
+    p = validate_phi_index(p)
+    if p and kind in QUAD_KINDS:
+        raise ValueError(f"{kind} takes no phi index, got p = {p}")
     s = validate_prefactor(sigma)
     t = validate_time(t)
     fn, extra, rule = ESTIMATORS[kind]
-    value = 0.0 if dec.breakdown else fn(dec, s, t, *p)
+    if dec.breakdown:
+        value = 0.0
+    else:
+        value = fn(dec, s, t, p) if p else fn(dec, s, t)
     if value is None:
         return None
     return ErrorEstimate(kind, value, _proven(rule, dec, s),

@@ -50,7 +50,8 @@ import numpy as np
 from scipy.linalg.blas import get_blas_funcs
 
 from .dense import phi_dense, phi_scalar, symtrid_eig
-from .sparse import validate_phi_index, validate_prefactor, validate_time
+from .sparse import (validate_integer, validate_phi_index, validate_prefactor,
+                     validate_time)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -64,13 +65,13 @@ class KrylovConfig:
     agrees bit for bit, over its first k columns, with one capped at k.
 
     The build stops with a breakdown once tau <= n * eps * max_j ||A v_j||_2.
+    m_max is a Python or numpy integer >= 1, stored as an int.
     """
 
     m_max: int
 
     def __post_init__(self):
-        if self.m_max < 1:
-            raise ValueError("m_max must be >= 1")
+        object.__setattr__(self, "m_max", validate_integer(self.m_max, "m_max", 1))
 
 
 def _read_only(view):
@@ -262,19 +263,19 @@ def _grow(op, basis, hess, m, amax, steps):
 def build_krylov(op, v, cfg, steps=None):
     """Run the Arnoldi/Lanczos iteration from a unit vector v up to cfg.m_max.
 
-    With steps=k (1 <= k <= cfg.m_max) only the first k columns are
-    produced; the result can be grown later with extend_krylov and is
-    bitwise identical to a single full build.  The store is float64 when
-    op.is_real and v has no nonzero imaginary part, complex otherwise.
+    With steps=k (an integer, 1 <= k <= cfg.m_max) only the first k
+    columns are produced; the result can be grown later with
+    extend_krylov and is bitwise identical to a single full build.  The
+    store is float64 when op.is_real and v has no nonzero imaginary part,
+    complex otherwise.
     """
     v = np.asarray(v)
     if v.shape != (op.n,):
         raise ValueError("start vector has wrong length")
     if abs(np.linalg.norm(v) - 1.0) > 1e-12:
         raise ValueError("start vector must have unit 2-norm")
-    if steps is None:
-        steps = cfg.m_max
-    if not 1 <= steps <= cfg.m_max:
+    steps = cfg.m_max if steps is None else validate_integer(steps, "steps", 1)
+    if steps > cfg.m_max:
         raise ValueError("steps must lie in [1, m_max]")
     field = float if op.is_real and not np.any(v.imag) else complex
     basis = np.zeros((cfg.m_max + 1, op.n), dtype=field)
@@ -285,13 +286,12 @@ def build_krylov(op, v, cfg, steps=None):
 
 
 def extend_krylov(dec, steps):
-    """Grow an existing decomposition by `steps` further columns.
+    """Grow an existing decomposition by `steps` (an integer >= 0) further columns.
 
     The result is bitwise identical to a fresh build of dimension
     dec.m + steps with the same configuration; dec itself is unchanged.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    steps = validate_integer(steps, "steps", 0)
     if steps == 0:
         return dec
     if dec.breakdown:

@@ -1,11 +1,12 @@
 """The four test operators used throughout the experiments.
 
-Each builder returns a SparseOperator (plus the natural propagation
-prefactor where one is canonical):
+_PROBLEMS holds one row per problem kind: the builder, which returns a
+SparseOperator, its default parameters and the canonical propagation
+prefactor sigma:
 
   schrodinger_free      H = (1/4) tridiag(-1, 2, -1), sigma = -i
   heat                  same H, sigma = -1
-  hubbard               8-site fermionic chain at half filling, n = 4900
+  hubbard               8-site chain at half filling, n = 4900, sigma = -i
   convection_diffusion  3D centered-difference stencil, sigma = +1
 
 The Hubbard and convection-diffusion builders write their canonical CSR
@@ -28,66 +29,19 @@ import scipy.sparse as sp
 
 from .sparse import SparseOperator
 
-PROBLEM_KINDS = ("schrodinger_free", "heat", "hubbard", "convection_diffusion")
 
-_DEFAULT_PARAMS = {
-    "schrodinger_free": {"n": 1000},
-    "heat": {"n": 200},
-    "hubbard": {"omega": 0.123, "U": 5.0},
-    "convection_diffusion": {"n": 15, "mu1": 0.9, "mu2": 1.1},
-}
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    kind: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in PROBLEM_KINDS:
-            raise ValueError(f"unknown problem kind: {self.kind!r}")
-        known = _DEFAULT_PARAMS[self.kind]
-        extra = set(self.params) - set(known)
-        if extra:
-            raise ValueError(f"unknown parameters for {self.kind}: {sorted(extra)}")
-        merged = dict(known)
-        merged.update(self.params)
-        object.__setattr__(self, "params", merged)
-
-    def build(self):
-        """Return (operator, prefactor) for this problem."""
-        p = self.params
-        if self.kind == "schrodinger_free":
-            return build_schrodinger(p["n"])
-        if self.kind == "heat":
-            return build_heat(p["n"])
-        if self.kind == "hubbard":
-            return build_hubbard(p["omega"], p["U"]), -1j
-        return build_convection_diffusion(p["n"], p["mu1"], p["mu2"])
-
-
-def _quarter_laplacian(n):
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    main = np.full(n, 0.5)
-    off = np.full(n - 1, -0.25)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr").astype(complex)
-
-
-def build_schrodinger(n):
-    """Free-particle Hamiltonian (1/4) tridiag(-1, 2, -1) with prefactor -i.
+def build_laplacian(n):
+    """The quarter-scaled Laplacian (1/4) tridiag(-1, 2, -1), hermitian.
 
     Eigenvalues are sin^2(k pi / (2(n+1))), all inside (0, 1), so the
     2-norm approaches 1 from below as n grows.
     """
-    return SparseOperator(_quarter_laplacian(n), symmetry="hermitian"), -1j
-
-
-def build_heat(n):
-    """The same quarter-scaled Laplacian driven as a contraction: sigma = -1
-    against a positive-definite matrix."""
-    return SparseOperator(_quarter_laplacian(n), symmetry="hermitian"), -1.0
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    main = np.full(n, 0.5)
+    off = np.full(n - 1, -0.25)
+    return SparseOperator(sp.diags([off, main, off], [-1, 0, 1], format="csr"),
+                          symmetry="hermitian")
 
 
 def _kept_slots(keep):
@@ -174,7 +128,7 @@ def build_convection_diffusion(n, mu1, mu2):
     with B = h^-2 tridiag(1, -2, 1) and
     C_i = h^-2 tridiag(1 + mu_i, -2, 1 - mu_i).  Non-normal whenever some
     mu_i is nonzero, but the Hermitian part stays negative definite, so
-    sigma = +1 is returned as the (nonexpansive) prefactor.
+    sigma = +1 is nonexpansive.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -195,7 +149,40 @@ def build_convection_diffusion(n, mu1, mu2):
     A = sp.csr_matrix((values[slot], rows.astype(np.int32) + offsets[slot], indptr),
                       shape=(n ** 3, n ** 3))
     symmetric = mu1 == 0.0 and mu2 == 0.0
-    return SparseOperator(A, symmetry="hermitian" if symmetric else "general"), 1.0
+    return SparseOperator(A, symmetry="hermitian" if symmetric else "general")
+
+
+# kind -> (builder, default parameters, canonical prefactor sigma)
+_PROBLEMS = {
+    "schrodinger_free": (build_laplacian, {"n": 1000}, -1j),
+    "heat": (build_laplacian, {"n": 200}, -1.0),
+    "hubbard": (build_hubbard, {"omega": 0.123, "U": 5.0}, -1j),
+    "convection_diffusion": (build_convection_diffusion,
+                             {"n": 15, "mu1": 0.9, "mu2": 1.1}, 1.0),
+}
+
+PROBLEM_KINDS = tuple(_PROBLEMS)
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    kind: str
+    params: dict = field(default_factory=dict)
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in _PROBLEMS:
+            raise ValueError(f"unknown problem kind: {self.kind!r}")
+        known = _PROBLEMS[self.kind][1]
+        extra = set(self.params) - set(known)
+        if extra:
+            raise ValueError(f"unknown parameters for {self.kind}: {sorted(extra)}")
+        object.__setattr__(self, "params", {**known, **self.params})
+
+    def build(self):
+        """Return (operator, canonical prefactor sigma) for this problem."""
+        builder, _, sigma = _PROBLEMS[self.kind]
+        return builder(**self.params), sigma
 
 
 def starting_vector(spec):

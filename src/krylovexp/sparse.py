@@ -49,11 +49,16 @@ def validate_time(t):
     return t
 
 
+def validate_integer(k, name, least):
+    """k, a Python or numpy integer >= least, as an int; no bool, no float."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < least:
+        raise ValueError(f"{name} must be >= {least} and an integer, got {k!r}")
+    return int(k)
+
+
 def validate_phi_index(p):
     """p, the index of phi_p (phi_0 = exp), as an int >= 0; no bool."""
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 0:
-        raise ValueError(f"p must be >= 0 and an integer, got {p!r}")
-    return int(p)
+    return validate_integer(p, "p", 0)
 
 
 def scaled_norm2(x):

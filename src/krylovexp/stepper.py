@@ -48,7 +48,7 @@ import numpy as np
 from .approximant import Approximant
 from .estimators import CORRECTED_KINDS, ErrorEstimate, evaluate, log_era_factor
 from .krylov import build_krylov
-from .sparse import scaled_norm2, validate_prefactor, validate_time
+from .sparse import scaled_norm2, validate_integer, validate_prefactor, validate_time
 
 CONTROLLER_KINDS = ("direct_era_global", "direct_era_local", "heuristic",
                     "heuristic_iterated", "expokit_first_step_only")
@@ -117,7 +117,7 @@ class PropagationResult:
 
 def step_size_direct(dec, tol, *, m=None, model="global_budget", corrected=False):
     """Invert the era bound of the exponential (or its corrected variant)
-    at dimension m <= dec.m (default dec.m) for the step size.
+    at dimension m <= dec.m (an integer, default dec.m) for the step size.
 
     Global model solves era(dt) = tol; per-unit-step solves
     era(dt) = dt * tol, both through estimators.log_era_factor, the
@@ -128,9 +128,8 @@ def step_size_direct(dec, tol, *, m=None, model="global_budget", corrected=False
         raise ValueError(f"unknown error model: {model!r}")
     if not tol > 0.0:
         raise ValueError("tol must be > 0")
-    if m is None:
-        m = dec.m
-    if not 1 <= m <= dec.m:
+    m = dec.m if m is None else validate_integer(m, "m", 1)
+    if m > dec.m:
         raise ValueError("m must lie in [1, dec.m]")
     factor = log_era_factor(dec, m, 0, corrected)
     if factor is None:

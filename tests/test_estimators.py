@@ -328,6 +328,27 @@ def test_evaluate_dispatch(heat_pair):
         kx.estimators.estimate("magic", dec, sigma, t)
 
 
+def test_estimate_takes_one_phi_index():
+    """estimate(kind, dec, sigma, t, p) reads one phi index: a second one
+    is no corrected flag that would return another row's value under this
+    kind's name and proven flag, and a quadrature, the exponential's,
+    rejects any p but 0 with ValueError."""
+    spec = kx.ProblemSpec("heat", {"n": 50})
+    op, sigma = spec.build()
+    dec = build_krylov(op, kx.starting_vector(spec), KrylovConfig(m_max=8))
+    estimate = kx.estimators.estimate
+    for kind, fn in (("era", era), ("err1", err1)):
+        with pytest.raises(TypeError):
+            estimate(kind, dec, sigma, 0.3, 0, 1)
+        got = estimate(kind, dec, sigma, 0.3, 1)
+        assert got == fn(dec, sigma, 0.3, p=1) == estimate(kind, dec, sigma, 0.3, p=1)
+        assert got.kind == kind and got.is_proven_upper_bound and got.extra_matvecs == 0
+    for kind in kx.estimators.QUAD_KINDS:
+        with pytest.raises(ValueError, match="takes no phi index"):
+            estimate(kind, dec, sigma, 0.3, 1)
+        assert estimate(kind, dec, sigma, 0.3, 0) == estimate(kind, dec, sigma, 0.3)
+
+
 def test_evaluate_effective_order_falls_back_to_trapezoid(heat_pair):
     """Out of the guarded regime the dispatcher returns the trapezoid
     value so controllers always get a number."""

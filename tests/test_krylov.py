@@ -206,6 +206,33 @@ def test_extend_validation():
         extend_krylov(dec, -1)
 
 
+def test_krylov_dimensions_are_integers():
+    """m_max, steps and step_size_direct's m take a Python or numpy
+    integer, stored as an int; a bool or a float (an integral one too)
+    raises ValueError before any BLAS or numpy call sees it."""
+    op = random_general_op(10, 58)
+    v = random_unit(10, seed=59)
+    for bad in (True, 2.5, 4.0, "4"):
+        with pytest.raises(ValueError, match="m_max must be >= 1 and an integer"):
+            KrylovConfig(m_max=bad)
+    cfg = KrylovConfig(m_max=np.int64(4))
+    assert type(cfg.m_max) is int and cfg.m_max == 4
+    dec = build_krylov(op, v, cfg, steps=np.int32(2))
+    assert type(dec.m) is int and dec.m == 2
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="steps must be >= 1 and an integer"):
+            build_krylov(op, v, cfg, steps=bad)
+        with pytest.raises(ValueError, match="steps must be >= 0 and an integer"):
+            extend_krylov(dec, bad)
+    grown = extend_krylov(dec, np.uint8(2))
+    assert type(grown.m) is int and grown.m == 4
+    assert extend_krylov(dec, np.int64(0)) is dec
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match="m must be >= 1 and an integer"):
+            kx.step_size_direct(grown, 1e-8, m=bad)
+    assert kx.step_size_direct(grown, 1e-8, m=np.int64(3)) == kx.step_size_direct(grown, 1e-8, m=3)
+
+
 def test_extend_after_breakdown_rejected():
     lam = np.array([1.0, 2.0, 3.0, 4.0])
     op = SparseOperator(sp.diags(lam).tocsr(), symmetry="hermitian")

@@ -278,7 +278,7 @@ def test_convection_diffusion_kronecker_matches_series(n, mu):
     propagation expansive (||u|| reaches 7.7e5 at n = 4, t = 0.5), and
     round-off then scales with ||u||, so the tolerance is relative to the
     larger of ||v|| and ||u||."""
-    op, _ = build_convection_diffusion(n, *mu)
+    op = build_convection_diffusion(n, *mu)
     v = random_unit(n ** 3, seed=16)
     for sigma in CD_SIGMAS:
         for t in (1e-3, 0.05, 0.5):
@@ -292,7 +292,7 @@ def test_convection_diffusion_kronecker_matches_dense_expm():
     """Against scipy's expm of the whole assembled 64 x 64 matrix, which
     also pins the index order i n^2 + j n + k with B on axis i."""
     n, mu1, mu2 = 4, 0.9, 1.1
-    op, _ = build_convection_diffusion(n, mu1, mu2)
+    op = build_convection_diffusion(n, mu1, mu2)
     A = op.csr.toarray()
     v = random_unit(n ** 3, seed=17)
     for sigma in CD_SIGMAS:

@@ -129,7 +129,7 @@ def test_hubbard_omega_only_rotates_hopping_phase(hubbard_op):
 def test_convection_diffusion_kronecker_assembly():
     """The sparse assembly against a dense kron built independently."""
     n, mu1, mu2 = 4, 0.9, 1.1
-    op, sigma = build_convection_diffusion(n, mu1, mu2)
+    op, sigma = ProblemSpec("convection_diffusion", {"n": n, "mu1": mu1, "mu2": mu2}).build()
     assert sigma == 1.0
     scale = (n + 1.0) ** 2
 
@@ -158,7 +158,7 @@ def test_convection_diffusion_spectrum_is_sum_of_line_spectra():
     both parameter settings against a dense eigensolve."""
     n = 6
     for mu1, mu2 in ((0.9, 1.1), (0.0, 0.0)):
-        op, _ = build_convection_diffusion(n, mu1, mu2)
+        op = build_convection_diffusion(n, mu1, mu2)
         scale = (n + 1.0) ** 2
         ks = np.arange(1, n + 1)
         cosk = np.cos(ks * np.pi / (n + 1))
@@ -180,16 +180,16 @@ def test_convection_diffusion_spectrum_is_sum_of_line_spectra():
 
 
 def test_convection_diffusion_symmetry_flag():
-    sym, _ = build_convection_diffusion(4, 0.0, 0.0)
+    sym = build_convection_diffusion(4, 0.0, 0.0)
     assert sym.symmetry == "hermitian"
-    gen, _ = build_convection_diffusion(4, 0.5, 0.0)
+    gen = build_convection_diffusion(4, 0.5, 0.0)
     assert gen.symmetry == "general"
 
 
 def test_convection_diffusion_nonexpansive_certificate():
     """log_norm_bound certifies the claimed contraction property."""
     for mu1, mu2 in ((0.9, 1.1), (0.0, 0.0)):
-        op, sigma = build_convection_diffusion(5, mu1, mu2)
+        op, sigma = ProblemSpec("convection_diffusion", {"n": 5, "mu1": mu1, "mu2": mu2}).build()
         assert op.log_norm_bound(sigma) <= 0.0
 
 
@@ -234,7 +234,7 @@ def test_convection_diffusion_csr_is_the_kron_chain(n, mu1, mu2):
     """The stencil written straight into CSR stores the bits of the
     sp.kron chain, zero couplings (mu = +/-1) left out, and is flagged
     hermitian (so run by Lanczos) exactly when mu1 = mu2 = 0."""
-    op, _ = build_convection_diffusion(n, mu1, mu2)
+    op = build_convection_diffusion(n, mu1, mu2)
     same_csr_bits(op, kron_chain_convection_diffusion(n, mu1, mu2))
     assert op.symmetry == ("hermitian" if mu1 == mu2 == 0.0 else "general")
 

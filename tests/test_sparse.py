@@ -109,7 +109,7 @@ def test_real_operator_multiplies_real_vectors_in_float64(hubbard_op):
     and as CSR otherwise, and either way a real matvec gives the bits of
     the complex CSR product's real part."""
     cd, _ = kx.ProblemSpec("convection_diffusion").build()
-    heat, _ = kx.build_heat(6)
+    heat = kx.build_laplacian(6)
     scattered = SparseOperator(sp.random(300, 300, density=0.05, random_state=3))
     for op, storage in ((cd, sp.dia_matrix), (heat, sp.dia_matrix),
                         (scattered, sp.csr_matrix)):
@@ -334,7 +334,8 @@ def test_duplicate_entries_are_summed_at_construction(tmp_path, monkeypatch):
         assert np.array_equal(now, then)
     assert op.log_norm_bound(1.0) == coo_gershgorin_bound(op.csr, 1.0) == 3.25
 
-    monkeypatch.setattr(kx.problems, "build_heat", lambda n: (SparseOperator(A), -1.0))
+    monkeypatch.setitem(kx.problems._PROBLEMS, "heat",
+                        (lambda n: SparseOperator(A), {"n": 200}, -1.0))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"problems": [{"kind": "heat"}]}))
     assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "ops")]) == 0
