@@ -9,9 +9,9 @@ prefactor sigma:
   hubbard               8-site chain at half filling, n = 4900, sigma = -i
   convection_diffusion  3D centered-difference stencil, sigma = +1
 
-The Hubbard and convection-diffusion builders write their canonical CSR
-arrays directly, each row in ascending column order; a coupling that is
-zero is not stored.
+The Hubbard and convection-diffusion builders write the COO triplets of
+their Kronecker structure, no entry twice and no zero coupling, and
+scipy's conversion sorts them into canonical CSR.
 
 The Laplacian scaling puts spec(H) inside (0, 1), so -iH generates a
 unitary group and -H a contraction semigroup; the convection-diffusion
@@ -44,30 +44,8 @@ def build_laplacian(n):
                           symmetry="hermitian")
 
 
-def _kept_slots(keep):
-    """The row and slot of each True entry of the (rows, slots) mask keep,
-    in row-major order, and the CSR row pointer that counts them: a
-    builder whose slots run in ascending column order gets its canonical
-    CSR arrays in that order."""
-    rows, slot = np.divmod(np.flatnonzero(keep), keep.shape[1])
-    indptr = np.zeros(len(keep) + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    return rows, slot, indptr
-
-
 _SITES = 8
 _FILL = 4
-
-
-def _hubbard_basis():
-    """All occupation states with 4 up and 4 down fermions on 8 sites,
-    encoded as 16-bit integers (bits 0..7 up, bits 8..15 down), as an
-    int32 array in ascending order of the packed integer value: the down
-    byte major, the up byte minor, each byte running through its 4-bit
-    patterns in ascending order."""
-    singles = np.array([x for x in range(1 << _SITES) if x.bit_count() == _FILL],
-                       dtype=np.int32)
-    return ((singles[:, None] << _SITES) | singles).ravel()
 
 
 def build_hubbard(omega, U=5.0):
@@ -79,44 +57,39 @@ def build_hubbard(omega, U=5.0):
     over the 16 bit positions; with spin-major bit layout every allowed
     hop swaps adjacent bits, so all string factors are +1.
 
+    State down * 70 + up pairs two of the 70 one-spin patterns (4 of 8
+    bits set, ascending), so the hopping is K (x) I + I (x) K.  Entry
+    (y, x) of K, for y = x with bits p, p + 1 swapped, is hop when x has
+    the particle on p + 1, its conjugate otherwise.
+
     Hermitian, so sigma*A is skew-hermitian and nonexpansive for the
     imaginary prefactors (+/-i) this Hamiltonian is propagated with; at
     sigma = +/-1 it is expansive (log_norm_bound 18.5 and 29.5).
     """
-    states = _hubbard_basis()
-    nstates = len(states)
-    index = np.full(1 << (2 * _SITES), -1, dtype=np.int32)
-    index[states] = np.arange(nstates, dtype=np.int32)
+    singles = np.array([x for x in range(1 << _SITES) if x.bit_count() == _FILL])
+    k = len(singles)
+    occ = (singles[:, None] >> np.arange(_SITES)) & 1
     hop = complex(-np.cos(omega) + 1j * np.sin(omega))
     site_pot = np.full(_SITES, -2.0)
     site_pot[0] = site_pot[-1] = -1.75
 
-    occ = ((states[:, None] >> np.arange(2 * _SITES, dtype=np.int32)) & 1).astype(np.int8)
-    n_up, n_dn = occ[:, :_SITES], occ[:, _SITES:]
-    diag = np.zeros(nstates)
+    n_dn, n_up = occ[:, None, :], occ[None, :, :]
+    diag = np.zeros((k, k))
     for j in range(_SITES):
-        diag += site_pot[j] * (n_up[:, j] + n_dn[:, j])
-        diag += np.where(n_up[:, j] & n_dn[:, j], U, 0.0)
+        diag += site_pot[j] * (n_up[..., j] + n_dn[..., j])
+        diag += np.where(n_up[..., j] & n_dn[..., j], U, 0.0)
+    diag = diag.ravel()
 
-    # A hop swaps the adjacent bits p, p + 1 of one spin byte.  The states
-    # ascend by packed value, so row x holds its lowering hops (to
-    # x - 2^p, the particle moving from p + 1 to p) by descending p, then
-    # its diagonal where nonzero, then its raising hops (to x + 2^p) by
-    # ascending p: one slot each, in ascending column order.  The hop
-    # towards the lower site carries the amplitude: entry (x, y) is hop
-    # when the column state y has the particle on p + 1, its conjugate
-    # otherwise.
-    p = np.array([base + j for base in (0, _SITES) for j in range(_SITES - 1)])
-    lo, hi = occ[:, p], occ[:, p + 1]
-    keep = np.concatenate([(hi > lo)[:, ::-1], (diag != 0.0)[:, None], lo > hi], axis=1)
-    flips = np.concatenate([3 << p[::-1], [0], 3 << p]).astype(np.int32)
-    amps = np.array([np.conj(hop)] * len(p) + [0.0] + [hop] * len(p))
-    rows, slot, indptr = _kept_slots(keep)
-    data = amps[slot]
-    on_diag = slot == len(p)
-    data[on_diag] = diag[rows[on_diag]]
-    mat = sp.csr_matrix((data, index[states[rows] ^ flips[slot]], indptr),
-                        shape=(nstates, nstates))
+    x, p = np.nonzero(occ[:, :-1] != occ[:, 1:])
+    y = np.searchsorted(singles, singles[x] ^ (3 << p))
+    amp = np.where(occ[x, p + 1] == 1, hop, np.conj(hop))
+    other = np.arange(k)
+    on = np.flatnonzero(diag)
+    # K (x) I moves the down pattern, I (x) K the up pattern
+    rows = np.concatenate([(y[:, None] * k + other).ravel(), (other[:, None] * k + y).ravel(), on])
+    cols = np.concatenate([(x[:, None] * k + other).ravel(), (other[:, None] * k + x).ravel(), on])
+    vals = np.concatenate([np.repeat(amp, k), np.tile(amp, k), diag[on]])
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(k * k, k * k))
     return SparseOperator(mat, symmetry="hermitian")
 
 
@@ -134,19 +107,19 @@ def build_convection_diffusion(n, mu1, mu2):
         raise ValueError("n must be >= 2")
     h = 1.0 / (n + 1)
     scale = 1.0 / (h * h)
-    # row i n^2 + j n + k couples to its grid neighbours along i (B), j (C1)
-    # and k (C2); the seven slots run in ascending column order, the
-    # diagonal sums the three -2 h^-2 in the order B + C1 + C2, and a zero
-    # coupling (mu = +/-1) is not stored
-    offsets = np.array([-n * n, -n, -1, 0, 1, n, n * n], dtype=np.int32)
-    values = np.array([1.0 * scale, (1.0 + mu1) * scale, (1.0 + mu2) * scale,
-                       (-2.0 * scale + -2.0 * scale) + -2.0 * scale,
-                       (1.0 - mu2) * scale, (1.0 - mu1) * scale, 1.0 * scale])
-    i, j, k = np.indices((n, n, n)).reshape(3, -1)
-    keep = np.stack([i > 0, j > 0, k > 0, np.ones_like(k, dtype=bool),
-                     k < n - 1, j < n - 1, i < n - 1], axis=1) & (values != 0.0)
-    rows, slot, indptr = _kept_slots(keep)
-    A = sp.csr_matrix((values[slot], rows.astype(np.int32) + offsets[slot], indptr),
+    grid = np.arange(n ** 3).reshape(n, n, n)
+    # the diagonal sums the three -2 h^-2 in the order B + C1 + C2
+    rows, cols = [grid.ravel()], [grid.ravel()]
+    vals = [np.full(n ** 3, (-2.0 * scale + -2.0 * scale) + -2.0 * scale)]
+    for axis, mu in enumerate((0.0, mu1, mu2)):
+        below = grid.take(range(n - 1), axis=axis).ravel()
+        above = grid.take(range(1, n), axis=axis).ravel()
+        for r, c, v in ((above, below, (1.0 + mu) * scale), (below, above, (1.0 - mu) * scale)):
+            if v != 0.0:
+                rows.append(r)
+                cols.append(c)
+                vals.append(np.full(r.size, v))
+    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n ** 3, n ** 3))
     symmetric = mu1 == 0.0 and mu2 == 0.0
     return SparseOperator(A, symmetry="hermitian" if symmetric else "general")

@@ -25,7 +25,14 @@ import scipy.sparse as sp
 
 
 def validate_prefactor(sigma):
-    """Coerce sigma to a unit-modulus complex scalar (checked to 1e-12)."""
+    """sigma, a number (a Python or numpy int, float or complex scalar, or
+    a 0-d numeric array; no bool, no string), as a unit-modulus complex
+    scalar (checked to 1e-12)."""
+    if type(sigma) not in (complex, float, int):
+        if isinstance(sigma, bool) or not (
+                isinstance(sigma, (np.number, numbers.Complex))
+                or isinstance(sigma, np.ndarray) and sigma.shape == () and sigma.dtype.kind in "iufc"):
+            raise ValueError(f"prefactor must be a number, got {sigma!r}")
     s = complex(sigma)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise ValueError("prefactor must be finite")
@@ -34,18 +41,19 @@ def validate_prefactor(sigma):
     return s
 
 
-def validate_time(t):
+def validate_time(t, name="t"):
     """t, a real number, as a float checked finite and >= 0: a float
     (np.float64 too) itself, any other real number (an int, a numpy real
-    scalar, a 0-d integer or float array) as float(t); no bool."""
+    scalar, a 0-d integer or float array) as float(t); no bool.  name
+    labels the errors."""
     if not isinstance(t, float):
         if isinstance(t, bool) or not (
                 isinstance(t, numbers.Real)
                 or isinstance(t, np.ndarray) and t.shape == () and t.dtype.kind in "iuf"):
-            raise ValueError(f"t must be a finite real number >= 0, got {t!r}")
+            raise ValueError(f"{name} must be a finite real number >= 0, got {t!r}")
         t = float(t)
     if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+        raise ValueError(f"{name} must be finite and >= 0, got {t!r}")
     return t
 
 

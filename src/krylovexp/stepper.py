@@ -70,8 +70,7 @@ class ControllerSpec:
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind: {self.kind!r}")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be > 0")
+        _validate_tol(self.tol)
         if self.kind == "expokit_first_step_only" and not self.tol < 1.0:
             raise ValueError("expokit_first_step_only needs tol in (0, 1)")
 
@@ -115,6 +114,12 @@ class PropagationResult:
         return sum(r.matvecs for r in self.records)
 
 
+def _validate_tol(tol):
+    """tol, checked a finite real number > 0; no bool."""
+    if validate_time(tol, "tol") == 0.0:
+        raise ValueError("tol must be > 0")
+
+
 def step_size_direct(dec, tol, *, m=None, model="global_budget", corrected=False):
     """Invert the era bound of the exponential (or its corrected variant)
     at dimension m <= dec.m (an integer, default dec.m) for the step size.
@@ -126,8 +131,7 @@ def step_size_direct(dec, tol, *, m=None, model="global_budget", corrected=False
     """
     if model not in ERROR_MODELS:
         raise ValueError(f"unknown error model: {model!r}")
-    if not tol > 0.0:
-        raise ValueError("tol must be > 0")
+    _validate_tol(tol)
     m = dec.m if m is None else validate_integer(m, "m", 1)
     if m > dec.m:
         raise ValueError("m must lie in [1, dec.m]")
@@ -150,6 +154,7 @@ def expokit_first_step(op_norm_inf, m, tol):
         raise ValueError("op_norm_inf must be > 0")
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must be in (0, 1)")
+    m = validate_integer(m, "m", 1)
     mp1 = m + 1
     inner = (math.log(tol) + mp1 * (math.log(mp1) - 1.0)
              + 0.5 * math.log(2.0 * math.pi * mp1)
@@ -160,6 +165,8 @@ def expokit_first_step(op_norm_inf, m, tol):
 def step_size_heuristic(prev_dt, prev_estimate, tol, m, safety=1.0):
     """dt_j = safety * dt_{j-1} * (dt_{j-1} * tol / est_{j-1})^(1/m), the
     per-unit-step target."""
+    _validate_tol(tol)
+    m = validate_integer(m, "m", 1)
     if not prev_estimate > 0.0:
         raise ValueError("prev_estimate must be > 0")
     if not prev_dt > 0.0:
@@ -282,6 +289,5 @@ def propagate(op, sigma, v, t_final, cfg, ctrl, estimator_kind="era"):
 def propagate_fixed_steps(op, sigma, v, n_steps, cfg, ctrl, estimator_kind="era"):
     """Run exactly n_steps substeps with no target time (the benchmark
     protocol: the reached total time is the figure of merit)."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    n_steps = validate_integer(n_steps, "n_steps", 1)
     return _run(op, sigma, v, cfg, ctrl, estimator_kind, n_steps=n_steps)

@@ -78,6 +78,13 @@ def hubbard_column_by_occupation_lists(x, omega, U):
     return col
 
 
+def packed_hubbard_basis():
+    """The 4900 states as 16-bit integers (bits 0..7 up, 8..15 down),
+    down byte major, each byte ascending through its 4-of-8 patterns."""
+    singles = [x for x in range(256) if bin(x).count("1") == 4]
+    return np.array([(d << 8) | u for d in singles for u in singles], dtype=np.int64)
+
+
 def test_hubbard_dimensions(hubbard_op):
     assert hubbard_op.n == math.comb(8, 4) ** 2 == 4900
     assert hubbard_op.nnz == 43980
@@ -87,8 +94,7 @@ def test_hubbard_dimensions(hubbard_op):
 
 def test_hubbard_columns_match_independent_reconstruction(hubbard_op):
     """Every one of the 4900 columns, rebuilt from occupation lists."""
-    from krylovexp.problems import _hubbard_basis
-    states = _hubbard_basis().tolist()
+    states = packed_hubbard_basis().tolist()
     assert states == sorted(states)
     index = {s: i for i, s in enumerate(states)}
     rows, cols, vals = [], [], []
@@ -108,8 +114,7 @@ def test_hubbard_columns_match_independent_reconstruction(hubbard_op):
 def test_hubbard_explicit_state():
     """Sites 0..3 doubly occupied: potential 2*(-7.75) plus 4U."""
     op = kx.build_hubbard(0.123, U=5.0)
-    from krylovexp.problems import _hubbard_basis
-    states = _hubbard_basis().tolist()
+    states = packed_hubbard_basis().tolist()
     x = 0b00001111 | (0b00001111 << 8)
     a = states.index(x)
     assert op.csr[a, a] == complex(2 * (-1.75 - 2.0 - 2.0 - 2.0) + 4 * 5.0)
@@ -242,8 +247,7 @@ def test_convection_diffusion_csr_is_the_kron_chain(n, mu1, mu2):
 def coo_route_hubbard(omega, U):
     """The Hubbard matrix assembled as COO triplets (target state found by
     searchsorted) and converted to CSR with zeros eliminated."""
-    from krylovexp.problems import _hubbard_basis
-    states = _hubbard_basis().astype(np.int64)
+    states = packed_hubbard_basis()
     cols = np.arange(len(states))
     hop = complex(-np.cos(omega) + 1j * np.sin(omega))
     site_pot = np.full(8, -2.0)
@@ -271,7 +275,7 @@ def coo_route_hubbard(omega, U):
        U=st.one_of(st.sampled_from([0.0, 7.75, -3.5]), st.floats(-10.0, 10.0)))
 @example(omega=0.0, U=0.0)
 def test_hubbard_csr_is_the_coo_route(omega, U):
-    """The rows written in slot order store the bits of the COO assembly;
+    """The Kronecker triplets store the bits of the COO assembly;
     U = 7.75 zeroes the diagonal of some states, which both leave out."""
     same_csr_bits(kx.build_hubbard(omega, U), coo_route_hubbard(omega, U))
 

@@ -32,6 +32,25 @@ def test_validate_prefactor_rejects_others():
             validate_prefactor(s)
 
 
+def test_validate_prefactor_takes_numbers_only(heat_pair):
+    """A Python or numpy int, float or complex scalar, or a 0-d numeric
+    array, is a prefactor; a string, a bool or a sequence is not, though
+    complex() alone reads "-1" as -1 and True as 1."""
+    for s, expected in ((-1, -1.0), (1j, 1j), (np.int64(-1), -1.0), (np.float32(1.0), 1.0),
+                        (np.complex64(-1j), -1j), (np.array(-1j), -1j), (np.array(1), 1.0)):
+        out = validate_prefactor(s)
+        assert type(out) is complex and out == expected
+    for s in ("-1j", "-1", b"1", True, np.True_, np.array(True), [1.0], np.array([1.0]), None):
+        with pytest.raises(ValueError, match="prefactor must be a number"):
+            validate_prefactor(s)
+    op, _, v = heat_pair
+    dec = build_krylov(op, v, KrylovConfig(m_max=6))
+    with pytest.raises(ValueError):
+        era(dec, "-1", 0.1)
+    with pytest.raises(ValueError):
+        kx.Approximant(dec, True)
+
+
 def test_norm2_survives_underflow():
     """np.linalg.norm squares entries of 1e-200 into 0; norm2 scales by
     a power of two first, and keeps np.linalg.norm's bits where that is

@@ -360,6 +360,34 @@ def test_propagate_fixed_steps_runs_exact_count(heat_pair):
     assert res.total_time == pytest.approx(sum(r.dt for r in res.records))
 
 
+def test_counts_and_tolerances_are_checked(heat_pair):
+    """A substep count and a Krylov dimension are integers >= 1 (no bool,
+    no float), and a tolerance is a finite real number > 0 (no bool, no
+    string): n_steps = 2.5 would run 3 substeps, tol = True run at 1.0 and
+    m = 0 divide by zero."""
+    op, sigma, v = heat_pair
+    cfg = KrylovConfig(m_max=6)
+    ctrl = ControllerSpec("direct_era_local", 1e-8)
+    assert len(propagate_fixed_steps(op, sigma, v, np.int64(2), cfg, ctrl).records) == 2
+    for n_steps in (2.5, True, 3.0, "3"):
+        with pytest.raises(ValueError, match="n_steps"):
+            propagate_fixed_steps(op, sigma, v, n_steps, cfg, ctrl)
+    assert ControllerSpec("heuristic", np.float64(1e-8)).tol == 1e-8
+    dec = build_krylov(op, v, cfg)
+    for tol in (True, np.True_, math.inf, math.nan, "1e-8", -1e-8, 0):
+        with pytest.raises(ValueError, match="tol"):
+            ControllerSpec("heuristic", tol)
+        with pytest.raises(ValueError, match="tol"):
+            step_size_direct(dec, tol)
+        with pytest.raises(ValueError, match="tol"):
+            step_size_heuristic(0.5, 1e-8, tol, 6)
+    for m in (0, True, 2.5):
+        with pytest.raises(ValueError, match="m must"):
+            step_size_heuristic(0.5, 1e-8, 1e-8, m)
+        with pytest.raises(ValueError, match="m must"):
+            expokit_first_step(1.0, m, 1e-8)
+
+
 def test_heuristic_controller_first_step_is_direct(heat_pair):
     op, sigma, v = heat_pair
     tol = 1e-7

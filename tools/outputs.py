@@ -7,8 +7,9 @@ manifest, and compare two such manifests.
         working directory.
     python tools/outputs.py run --root CHECKOUT --out DIR
         Run CHECKOUT's src on the configs of CHECKOUT's README: the
-        example, build, the three benches and every sweep but the p = 1
-        one (minutes of series oracle), each on one thread, then
+        example, build (of the README problems and of the non-default
+        operators the sweeps read), the three benches and every sweep but
+        the p = 1 one (minutes of series oracle), each on one thread, then
         CHECKOUT's demos.  Every output file, and each script's stdout,
         lands under DIR, listed in DIR/MANIFEST.sha256.  Any command that
         exits nonzero stops the run.
@@ -43,6 +44,10 @@ MANIFEST = "MANIFEST.sha256"
 # (output directory, CLI command, config) for every CLI run the manifest holds
 RUNS = (
     ("build", "build", "readme_cfg"),
+    # the non-default operators' .mtx and meta.json, compared as built
+    # rather than only through the sweeps that read them
+    ("build_nondefault", "build", "readme_cfg_nondefault"),
+    ("build_cd_mu0", "build", "readme_cfg_cd_mu0"),
     ("bench", "bench", "readme_cfg"),
     ("bench_corrected", "bench", "readme_cfg_bench_corrected"),
     ("bench_cd", "bench", "readme_cfg_bench_cd"),
