@@ -67,20 +67,16 @@ def _proven(rule, dec, sigma):
     return op.log_norm_bound(sigma) <= 0.0
 
 
-def log_era_factor(dec, m, p, corrected):
-    """The one era formula, log(tau_{m+1} gamma_m / (m+p)!) at dimension
-    m <= dec.m, or with corrected (m = dec.m only) log(||A v_next|| tau_{m+1}
-    gamma_m / (m+p+1)!): era(t) = exp(factor + (m + corrected) log t).  The
-    era estimators evaluate it and the step-size controller inverts it.
-    None where era vanishes identically (breakdown at m, or A v_next = 0)."""
+def log_era_factor(dec, p, corrected):
+    """The one era formula at dimension m = dec.m, log(tau_{m+1} gamma_m /
+    (m+p)!), or with corrected log(||A v_next|| tau_{m+1} gamma_m /
+    (m+p+1)!): era(t) = exp(factor + (m + corrected) log t).  The era
+    estimators evaluate it and the step-size controller inverts it.  None
+    where era vanishes identically (breakdown, or A v_next = 0)."""
     validate_phi_index(p)
-    if corrected and m != dec.m:
-        raise ValueError("the corrected bound exists at the built dimension only")
-    tau = dec.tau_next if m == dec.m else float(dec.subdiag[m - 1])
-    log_gamma = dec.log_gamma if m == dec.m else float(np.sum(np.log(dec.subdiag[:m - 1])))
-    if tau <= 0.0:
+    if dec.tau_next <= 0.0:
         return None
-    factor = math.log(tau) + log_gamma - math.lgamma(m + p + 1 + corrected)
+    factor = math.log(dec.tau_next) + dec.log_gamma - math.lgamma(dec.m + p + 1 + corrected)
     if corrected:
         avn = float(np.linalg.norm(dec.a_v_next()))
         if avn <= 0.0:
@@ -90,7 +86,7 @@ def log_era_factor(dec, m, p, corrected):
 
 
 def _era(dec, sigma, t, p=0, corrected=False):
-    factor = log_era_factor(dec, dec.m, p, corrected)
+    factor = log_era_factor(dec, p, corrected)
     if t == 0.0 or factor is None:
         return 0.0
     try:

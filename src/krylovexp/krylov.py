@@ -177,7 +177,8 @@ class KrylovDecomposition:
         per t.  Lanczos evaluates phi_q(z lam) for every z in one
         elementwise phi_scalar call, and keeps the product with Q per t,
         since a batched product would sum in another order: each row has
-        the bits of a call for its t alone."""
+        the bits of a call for its t alone.  Overflow raises OverflowError
+        on both routes, before any row is cached."""
         # only a checked sigma becomes a key, so a cache hit needs no check
         s = validate_prefactor(sigma)
         if s.imag == 0.0 and self._T.dtype.kind != "c":
@@ -190,7 +191,10 @@ class KrylovDecomposition:
                 # T = Q diag(lam) Q^T, computed once for every sigma, q and t
                 self._eigh = symtrid_eig(np.diagonal(self._T), self.subdiag)
             lam, Q = self._eigh
-            rows = [Q @ w for w in phi_scalar(np.array(zs)[:, None] * lam, q) * Q[0]]
+            with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+                rows = [Q @ w for w in phi_scalar(np.array(zs)[:, None] * lam, q) * Q[0]]
+            if not np.isfinite(rows).all():
+                raise OverflowError("phi: result overflowed")
         for t, row in zip(ts, rows):
             self._phi[(sigma, q, t)] = _read_only(row)
         return rows

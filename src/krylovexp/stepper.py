@@ -15,13 +15,14 @@ Controllers, each a kind and a tolerance (ControllerSpec(kind, tol)):
 
   direct_era_global      invert the era bound for era(dt) = tol
   direct_era_local       invert for era(dt) = dt * tol
-  heuristic              first step by direct era inversion, then
+  heuristic              first step, and any after an estimate of 0, by
+                         direct era inversion, then
                          dt_j = 0.9 * dt_{j-1} * (dt_{j-1} tol/est_{j-1})^(1/m)
   heuristic_iterated     fixed-point refinement of dt on the current
                          decomposition using any estimator, at most 5
                          passes
-  expokit_first_step_only  the classical a-priori first step
-                         (expokit_first_step), then the heuristic update
+  expokit_first_step_only  heuristic with the classical a-priori first
+                         step (expokit_first_step) in place of era's
 
 The estimator table decides which approximant is propagated: a kind in
 CORRECTED_KINDS the corrected one, every other kind the standard one, and
@@ -120,9 +121,9 @@ def _validate_tol(tol):
         raise ValueError("tol must be > 0")
 
 
-def step_size_direct(dec, tol, *, m=None, model="global_budget", corrected=False):
+def step_size_direct(dec, tol, *, model="global_budget", corrected=False):
     """Invert the era bound of the exponential (or its corrected variant)
-    at dimension m <= dec.m (an integer, default dec.m) for the step size.
+    at dec.m for the step size (build or extend to k to invert at k).
 
     Global model solves era(dt) = tol; per-unit-step solves
     era(dt) = dt * tol, both through estimators.log_era_factor, the
@@ -132,13 +133,10 @@ def step_size_direct(dec, tol, *, m=None, model="global_budget", corrected=False
     if model not in ERROR_MODELS:
         raise ValueError(f"unknown error model: {model!r}")
     _validate_tol(tol)
-    m = dec.m if m is None else validate_integer(m, "m", 1)
-    if m > dec.m:
-        raise ValueError("m must lie in [1, dec.m]")
-    factor = log_era_factor(dec, m, 0, corrected)
+    factor = log_era_factor(dec, 0, corrected)
     if factor is None:
         return math.inf
-    exponent = m + corrected - (model == "per_unit_step")
+    exponent = dec.m + corrected - (model == "per_unit_step")
     if exponent < 1:
         raise ValueError("per-unit-step inversion needs m >= 2")
     return math.exp((math.log(tol) - factor) / exponent)
@@ -212,7 +210,8 @@ def step_size_iterated(dec, sigma, tol, estimator):
 def _raw_step(dec, sigma, ctrl, estimator_kind, corrected, prev):
     """One controller decision: (dt before clipping, iterations), given
     prev, the previous step's (dt, unscaled estimate), or None at the first
-    step; the direct kinds invert the era bound of the approximant
+    step, whose rule also follows an estimate that is not > 0 (no scale to
+    update from); the direct kinds invert the era bound of the approximant
     propagated.  After a breakdown every kind takes the unbounded step."""
     if dec.breakdown:
         return math.inf, 0
@@ -223,7 +222,7 @@ def _raw_step(dec, sigma, ctrl, estimator_kind, corrected, prev):
         dt, iters = step_size_iterated(dec, sigma, ctrl.tol, estimator_kind)
         return _SAFETY * dt, iters
     # heuristic and expokit_first_step_only differ only in the first step
-    if prev is None:
+    if prev is None or not prev[1] > 0.0:
         if kind == "expokit_first_step_only":
             return expokit_first_step(dec.op.norm_inf, dec.m, ctrl.tol), 0
         return _SAFETY * step_size_direct(dec, ctrl.tol, model=ctrl.error_model), 0

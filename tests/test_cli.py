@@ -470,6 +470,21 @@ def test_bench_below_1e150_exits_0(tmp_path):
     assert row["total_t"] == "0.6"
 
 
+def test_bench_heuristic_kinds_through_a_zero_estimate_exit_0(tmp_path):
+    """At tol 1e-300 on heat the era estimate of a step underflows to 0.0;
+    the heuristic kinds take their first-step rule again and reach t_final
+    (exit 0) instead of raising ValueError (a traceback, exit 1, the code
+    for an exceeded proven bound)."""
+    runs = [{"problem": "heat", "controller": kind, "m": 10, "tol": 1e-300, "t_final": 6e-30}
+            for kind in ("heuristic", "expokit_first_step_only")]
+    cfg = write_config(tmp_path, {"problems": [{"kind": "heat", "params": {"n": 50}}],
+                                  "bench": {"runs": runs}})
+    out = tmp_path / "tiny"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "bench.csv").read_text().splitlines()))
+    assert [r["total_t"] for r in rows] == ["6e-30", "6e-30"]
+
+
 def test_bench_vanished_vector_exits_2(tmp_path, capsys):
     """By t = 2 the convection-diffusion solution underflows to exactly 0:
     one error line naming the run (exit 2), not a traceback."""

@@ -66,7 +66,7 @@ def test_p_is_a_phi_index_of_era_and_err1_alone(hermitian_dec):
             with pytest.raises(ValueError, match="p must be >= 0"):
                 call(dec, -1j, 1.0, -1, corrected)
     with pytest.raises(ValueError, match="p must be >= 0"):
-        kx.estimators.log_era_factor(dec, dec.m, -1, False)
+        kx.estimators.log_era_factor(dec, -1, False)
     with pytest.raises(TypeError):
         quad_estimates(dec, -1j, 1.0, 1)
     with pytest.raises(TypeError):

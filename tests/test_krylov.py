@@ -207,9 +207,9 @@ def test_extend_validation():
 
 
 def test_krylov_dimensions_are_integers():
-    """m_max, steps and step_size_direct's m take a Python or numpy
-    integer, stored as an int; a bool or a float (an integral one too)
-    raises ValueError before any BLAS or numpy call sees it."""
+    """m_max and steps take a Python or numpy integer, stored as an int;
+    a bool or a float (an integral one too) raises ValueError before any
+    BLAS or numpy call sees it."""
     op = random_general_op(10, 58)
     v = random_unit(10, seed=59)
     for bad in (True, 2.5, 4.0, "4"):
@@ -227,10 +227,6 @@ def test_krylov_dimensions_are_integers():
     grown = extend_krylov(dec, np.uint8(2))
     assert type(grown.m) is int and grown.m == 4
     assert extend_krylov(dec, np.int64(0)) is dec
-    for bad in (True, 2.0):
-        with pytest.raises(ValueError, match="m must be >= 1 and an integer"):
-            kx.step_size_direct(grown, 1e-8, m=bad)
-    assert kx.step_size_direct(grown, 1e-8, m=np.int64(3)) == kx.step_size_direct(grown, 1e-8, m=3)
 
 
 def test_extend_after_breakdown_rejected():
@@ -525,3 +521,24 @@ def test_a_grid_is_never_evicted_by_its_own_rows(make_op, monkeypatch):
     assert all(dec.phi(-1j, 1, t) is row for t, row in zip(ts, rows))
     assert all(a is b for a, b in zip(dec.phi(-1j, 1, ts), rows))
     assert all(dec.phi(-1j, 0, t) is row for t, row in zip(singles, single_rows))
+
+
+@pytest.mark.parametrize("mode", ["lanczos", "arnoldi"])
+def test_an_overflowing_row_raises_on_both_routes(mode, monkeypatch):
+    """On heat at sigma = +1 e^{800 T} overflows: Lanczos and Arnoldi
+    both raise OverflowError, with no RuntimeWarning, and cache no row of
+    the call, not even the finite one of a grid."""
+    spec = ProblemSpec("heat", {"n": 50}, seed=0)
+    op, _ = spec.build()
+    dec = build_krylov(op if mode == "lanczos" else as_general(op), starting_vector(spec),
+                       KrylovConfig(m_max=10))
+    assert dec.mode == mode
+    for _ in range(2):
+        with pytest.raises(OverflowError, match="overflowed"):
+            dec.corner(1.0, 0, 800.0)
+        with pytest.raises(OverflowError, match="overflowed"):
+            dec.phi(1.0, 1, [0.5, 800.0])
+    monkeypatch.setattr(kx.krylov, "phi_scalar", None)
+    monkeypatch.setattr(kx.krylov, "phi_dense", None)
+    with pytest.raises(TypeError):
+        dec.phi(1.0, 1, 0.5)

@@ -51,18 +51,6 @@ def test_direct_inversion_tol_scaling(heat_pair):
     assert dt2 == pytest.approx(2.0 * dt1, rel=1e-13)
 
 
-def test_direct_inversion_smaller_m_prefix(heat_pair):
-    """Inverting at a prefix dimension m < dec.m must agree with a fresh
-    build of that dimension."""
-    op, sigma, v = heat_pair
-    dec = build_krylov(op, v, KrylovConfig(m_max=12))
-    small = build_krylov(op, v, KrylovConfig(m_max=7))
-    tol = 1e-7
-    a = step_size_direct(dec, tol, m=7, model="global_budget")
-    b = step_size_direct(small, tol, model="global_budget")
-    assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_direct_inversion_breakdown_is_unbounded():
     lam = np.array([1.0, 2.0, 3.0])
     op = SparseOperator(sp.diags(lam).tocsr(), symmetry="hermitian")
@@ -86,10 +74,9 @@ def test_direct_inversion_validation(heat_pair):
     dec = build_krylov(op, v, KrylovConfig(m_max=5))
     with pytest.raises(ValueError):
         step_size_direct(dec, 0.0)
-    with pytest.raises(ValueError):
-        step_size_direct(dec, 1e-8, m=9)
-    with pytest.raises(ValueError):
-        step_size_direct(dec, 1e-8, m=3, corrected=True)
+    # the inversion is at dec.m: another dimension is another decomposition
+    with pytest.raises(TypeError):
+        step_size_direct(dec, 1e-8, m=3)
     one = build_krylov(op, v, KrylovConfig(m_max=1))
     with pytest.raises(ValueError):
         step_size_direct(one, 1e-8, model="per_unit_step")
@@ -408,6 +395,23 @@ def test_expokit_controller_first_step(heat_pair):
         expokit_first_step(op.norm_inf, 10, tol), rel=1e-12)
     # from the second step onward the plain heuristic takes over
     assert res.records[1].dt != res.records[0].dt
+
+
+@pytest.mark.parametrize("kind", ["heuristic", "expokit_first_step_only"])
+def test_heuristic_kinds_restart_after_a_zero_estimate(kind, monkeypatch):
+    """At tol 1e-300 on heat the era bound of a step underflows to 0.0,
+    which leaves the heuristic update no scale: the next step takes the
+    kind's first-step rule again instead of raising."""
+    spec = kx.ProblemSpec("heat", {"n": 50}, seed=0)
+    op, sigma = spec.build()
+    name = "expokit_first_step" if kind == "expokit_first_step_only" else "step_size_direct"
+    rule, calls = getattr(stepper, name), []
+    monkeypatch.setattr(stepper, name, lambda *a, **k: calls.append(1) or rule(*a, **k))
+    res = propagate_fixed_steps(op, sigma, kx.starting_vector(spec), 3,
+                                KrylovConfig(m_max=10), ControllerSpec(kind, 1e-300))
+    zeros = sum(r.estimate.value == 0.0 for r in res.records[:-1])
+    assert len(res.records) == 3 and zeros >= 1
+    assert len(calls) == 1 + zeros
 
 
 def test_iterated_controller_rejects_global_model():

@@ -8,7 +8,7 @@ manifest, and compare two such manifests.
     python tools/outputs.py run --root CHECKOUT --out DIR
         Run CHECKOUT's src on the configs of CHECKOUT's README: the
         example, build (of the README problems and of the non-default
-        operators the sweeps read), the three benches and every sweep but
+        operators the sweeps read), the four benches and every sweep but
         the p = 1 one (minutes of series oracle), each on one thread, then
         CHECKOUT's demos.  Every output file, and each script's stdout,
         lands under DIR, listed in DIR/MANIFEST.sha256.  Any command that
@@ -51,6 +51,7 @@ RUNS = (
     ("bench", "bench", "readme_cfg"),
     ("bench_corrected", "bench", "readme_cfg_bench_corrected"),
     ("bench_cd", "bench", "readme_cfg_bench_cd"),
+    ("bench_controllers", "bench", "readme_cfg_bench_controllers"),
     ("sweep_cfg", "sweep", "readme_cfg"),
     ("sweep_cfg_corrected", "sweep", "readme_cfg_corrected"),
     ("sweep_cfg_nondefault", "sweep", "readme_cfg_nondefault"),
@@ -90,6 +91,17 @@ def readme_configs(text):
                                "estimator": "trapezoid_quad", "m": 30,
                                "tol": 1e-8, "t_final": 0.1}]}}
     files["readme_cfg_bench_cd.json"] = json.dumps(cfg)
+    # the three controller kinds no other run takes, on the README's
+    # Hubbard over fixed steps and its heat to a final time
+    runs = [{"problem": "hubbard", "controller": kind, "m": 10, "tol": 1e-8, "n_steps": 10}
+            for kind in ("direct_era_global", "heuristic", "expokit_first_step_only")]
+    runs[1]["estimator"] = "trapezoid_quad"
+    runs += [{"problem": "heat", "controller": "heuristic", "m": 10, "tol": 1e-8, "t_final": 5.0},
+             {"problem": "heat", "controller": "expokit_first_step_only",
+              "estimator": "era_corrected", "m": 10, "tol": 1e-8, "t_final": 5.0}]
+    files["readme_cfg_bench_controllers.json"] = json.dumps(
+        {"problems": [p for p in readme()["problems"] if p["kind"] in ("hubbard", "heat")],
+         "bench": {"runs": runs}})
     # the README sweep on non-default operators: a smaller non-normal
     # convection-diffusion, Hubbard with U = 0, the free particle at
     # n = 50, and the symmetric (Lanczos) convection-diffusion
