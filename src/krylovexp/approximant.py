@@ -19,7 +19,8 @@ On a real basis with complex coefficients c, V c is taken as
 V Re c + i V Im c, so V is never cast to complex.  The effective order
 rho(t) = t |delta|' / |delta| reads the defect delta(t) = (e^{sigma t T})_{m,1}
 of the decomposition and its exact time derivative, and is NaN where
-|delta| sits below the round-off floor.
+|delta| sits below the round-off floor.  effective_order is the only rho:
+the CLI's rho column and effective_order_quad's samples both call it.
 """
 
 import math
@@ -75,12 +76,7 @@ def effective_order(dec, sigma, t):
     t = validate_time(t)
     if t == 0.0:
         raise ValueError("effective_order needs t > 0")
-    return rho_at(dec, validate_prefactor(sigma), t)
-
-
-def rho_at(dec, sigma, t):
-    """effective_order at one t > 0 for a sigma already validated, with no
-    checks: the estimators read it at the samples of a validated t."""
+    sigma = validate_prefactor(sigma)
     if dec.m < 2:
         return math.nan
     delta, delta_prime = dec.defect(sigma, t)

@@ -359,6 +359,8 @@ def cmd_bench(config, out_dir, seed_override=None):
     runs = section.get("runs")
     _require(isinstance(runs, list) and runs, "bench needs a nonempty 'runs' list")
     parsed = [_bench_run(run, specs) for run in runs]
+    _distinct([(spec.kind, ctrl.kind, estimator, m, ctrl.tol)
+               for spec, m, ctrl, estimator, *_ in parsed], "bench run key")
 
     rows = []
     violated = False

@@ -18,9 +18,10 @@ caches each row, is what takes a grid of t) and reads phi, corner and the
 defect pair (delta, delta') = dec.defect(sigma, t) from dec alone; era and
 err1 also take the phi index p >= 0, and the quadratures and evaluate are
 the exponential's, the quadratures the standard approximant's.  The plain
-quadratures are tau * (t/w) * |delta(t)| with w = m, 2 and rho(t)+1.  era
-and err1 return their CORRECTED_KINDS rows with corrected=True.  After a
-breakdown every kind is 0.0 (the projection is exact).
+quadratures are tau * (t/w) * |delta(t)| with w = m, 2 and rho(t)+1,
+rho being effective_order.  era and err1 return their CORRECTED_KINDS
+rows with corrected=True.  After a breakdown every kind is 0.0 (the
+projection is exact).
 
 ESTIMATORS holds one row per kind: the function computing the value, the
 extra matvecs it costs a fresh decomposition (the cached A v_next), and
@@ -41,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .approximant import rho_at
+from .approximant import effective_order
 from .sparse import norm2, validate_phi_index, validate_prefactor, validate_time
 
 
@@ -125,9 +126,10 @@ ORDER_SAMPLES = (0.5, 0.75, 1.0)
 
 
 def _order_weight(dec, sigma, t):
-    """rho(t) + 1 from rho sampled at t/2, 3t/4 and t (ORDER_SAMPLES), or None
-    where rho(t) is NaN or below 1, or the resolved samples are not
-    nonincreasing (outside the rule's assumptions).
+    """rho(t) + 1 from effective_order sampled at t/2, 3t/4 and t
+    (ORDER_SAMPLES, all > 0 past the guard below), or None where rho(t)
+    is NaN or below 1, or the resolved samples are not nonincreasing
+    (outside the rule's assumptions).
 
     Samples below the defect round-off floor (NaN) are skipped: there the
     defect is far inside the asymptotic regime and carries no slope
@@ -136,7 +138,7 @@ def _order_weight(dec, sigma, t):
     """
     if t * 0.5 == 0.0:
         return None
-    rhos = [rho_at(dec, sigma, t * f) for f in ORDER_SAMPLES]
+    rhos = [effective_order(dec, sigma, t * f) for f in ORDER_SAMPLES]
     resolved = [r for r in rhos if not math.isnan(r)]
     if not rhos[-1] >= 1.0 - 1e-12 or any(
             b > a + 1e-9 * (1.0 + abs(a)) for a, b in zip(resolved, resolved[1:])):

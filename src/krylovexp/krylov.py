@@ -20,11 +20,13 @@ sigma, q and t from it; an Arnoldi one runs the Pade route.  phi also
 takes a grid of t (the estimators take one t): Lanczos evaluates the
 scalar phi_q at the Ritz values for the whole grid in one call, and
 Arnoldi runs one Pade per t, so each row has the bits, and the memory
-order, of a call for its t alone.  Rows are cached per (sigma, q, t) for
-the life of the decomposition, like its eigendecomposition and A v_next.
-A q that is not an int >= 0, a t that is not a finite real number >= 0
-(a 0-d array t is the float it holds) or a sigma off the unit circle
-raises ValueError before anything is computed or cached.
+order, of a call for its t alone.  Rows are cached for the life of the
+decomposition, like its eigendecomposition and A v_next, keyed on the
+checked (sigma, q, t): every read, a cache hit included, checks all
+three first.  A q that is not an int >= 0, a t that is not a finite real
+number >= 0 or a sigma that is not a number on the unit circle (a bool
+included) raises ValueError before anything is computed or cached; a
+0-d array sigma or t is the number it holds.
 
 One build allocates one store of two arrays, sized for m_max: a row-major
 basis of shape (m_max+1, n) and a Hessenberg matrix of shape
@@ -148,42 +150,39 @@ class KrylovDecomposition:
         one per entry of t.  float64 when sigma and T are real, for
         Lanczos and Arnoldi alike, and complex otherwise.  Each row is
         computed by _fill, a scalar t as the one-row case of a grid, so a
-        row has the same bits whichever way it was asked for, and cached
-        per (sigma, q, t) for as long as the decomposition lives."""
+        row has the same bits whichever way it was asked for.  sigma, q
+        and every t are checked before the cache lookup, and the checked
+        triple is the key."""
         if isinstance(t, float) or np.ndim(t) != 1:
             return self._row(sigma, q, t)
-        q = validate_phi_index(q)
-        t = [validate_time(s) for s in t]
-        missing = [s for s in dict.fromkeys(t) if (sigma, q, s) not in self._phi]
+        s, q = validate_prefactor(sigma), validate_phi_index(q)
+        t = [validate_time(x) for x in t]
+        missing = [x for x in dict.fromkeys(t) if (s, q, x) not in self._phi]
         if missing:
-            self._fill(sigma, q, missing)
-        return [self._phi[(sigma, q, s)] for s in t]
+            self._fill(s, q, missing)
+        return [self._phi[(s, q, x)] for x in t]
 
     def _row(self, sigma, q, t):
-        """The row at one t, the read behind phi, corner and defect: q and t
-        are checked before the lookup."""
-        q = validate_phi_index(q)
-        t = validate_time(t)
-        row = self._phi.get((sigma, q, t))
-        if row is None:
-            row = self._fill(sigma, q, [t])[0]
-        return row
+        """The row at one t, the read behind phi, corner and defect, with
+        phi's checks and key."""
+        s, q, t = validate_prefactor(sigma), validate_phi_index(q), validate_time(t)
+        if (s, q, t) not in self._phi:
+            self._fill(s, q, [t])
+        return self._phi[(s, q, t)]
 
-    def _fill(self, sigma, q, ts):
-        """Compute, cache and return the rows of the distinct times ts.
+    def _fill(self, s, q, ts):
+        """Compute and cache the rows of the distinct times ts for the
+        checked prefactor s (a complex) and phi index q.
 
-        z = sigma t is real for every t when sigma and T are real, and
-        complex for every t otherwise.  Arnoldi pays one phi_dense call
-        per t.  Lanczos evaluates phi_q(z lam) for every z in one
-        elementwise phi_scalar call, and keeps the product with Q per t,
-        since a batched product would sum in another order: each row has
-        the bits of a call for its t alone.  Overflow raises OverflowError
-        on both routes, before any row is cached."""
-        # only a checked sigma becomes a key, so a cache hit needs no check
-        s = validate_prefactor(sigma)
-        if s.imag == 0.0 and self._T.dtype.kind != "c":
-            s = s.real
-        zs = [s * t for t in ts]
+        z = s t is real for every t when s and T are real, and complex
+        for every t otherwise.  Arnoldi pays one phi_dense call per t.
+        Lanczos evaluates phi_q(z lam) for every z in one elementwise
+        phi_scalar call, and keeps the product with Q per t, since a
+        batched product would sum in another order: each row has the bits
+        of a call for its t alone.  Overflow raises OverflowError on both
+        routes, before any row is cached."""
+        scale = s.real if s.imag == 0.0 and self._T.dtype.kind != "c" else s
+        zs = [scale * t for t in ts]
         if self.mode == "arnoldi":
             rows = [phi_dense(self._T, z, q) for z in zs]
         else:
@@ -196,8 +195,7 @@ class KrylovDecomposition:
             if not np.isfinite(rows).all():
                 raise OverflowError("phi: result overflowed")
         for t, row in zip(ts, rows):
-            self._phi[(sigma, q, t)] = _read_only(row)
-        return rows
+            self._phi[(s, q, t)] = _read_only(row)
 
     def corner(self, sigma, q, t):
         """e_m^* phi_q(sigma t T) e_1 at one t: the last entry of

@@ -214,11 +214,9 @@ def oracle_chebyshev(op, sigma, ts, v):
         return y
 
     acc = np.zeros((len(ts), op.n), dtype=complex)
-    t_prev = t_cur = v
+    t_prev, t_cur = None, v
     for k in range(max(coef.size for coef in coefs)):
-        if k == 1:
-            t_prev, t_cur = v, recur(v, None)
-        elif k > 1:
+        if k:
             t_prev, t_cur = t_cur, recur(t_cur, t_prev)
         for row, coef in zip(acc, coefs):
             if k < coef.size:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import SparseOperator
+from .sparse import SparseOperator, validate_integer
 
 
 def build_laplacian(n):
@@ -36,8 +36,7 @@ def build_laplacian(n):
     Eigenvalues are sin^2(k pi / (2(n+1))), all inside (0, 1), so the
     2-norm approaches 1 from below as n grows.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = validate_integer(n, "n", 2)
     main = np.full(n, 0.5)
     off = np.full(n - 1, -0.25)
     return SparseOperator(sp.diags([off, main, off], [-1, 0, 1], format="csr"),
@@ -103,8 +102,7 @@ def build_convection_diffusion(n, mu1, mu2):
     mu_i is nonzero, but the Hermitian part stays negative definite, so
     sigma = +1 is nonexpansive.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    n = validate_integer(n, "n", 2)
     h = 1.0 / (n + 1)
     scale = 1.0 / (h * h)
     grid = np.arange(n ** 3).reshape(n, n, n)

@@ -194,6 +194,20 @@ def test_sweep_repeats_and_mixed_grids_exit_2(tmp_path, capsys, sweep):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("end", [{"n_steps": 5}, {"t_final": 2.0}], ids=["n_steps", "t_final"])
+def test_bench_repeated_key_exits_2(tmp_path, capsys, end):
+    """bench.csv names a row by BENCH_KEY (problem, controller, estimator,
+    m, tol), so two runs that differ only in where they end would write
+    two rows under one key."""
+    run = {"problem": "heat", "controller": "direct_era_local", "m": 8, "tol": 1e-6}
+    cfg = write_config(tmp_path, {"problems": [{"kind": "heat", "params": {"n": 30}}],
+                                  "bench": {"runs": [{**run, "n_steps": 3}, {**run, **end}]}})
+    out = tmp_path / "out"
+    assert main(["bench", "--config", cfg, "--out", str(out)]) == 2
+    assert "bench run key is listed twice" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_build_writes_matrix_and_metadata(tmp_path):
     cfg = write_config(tmp_path, {
         "problems": [{"kind": "heat", "params": {"n": 30}},
@@ -307,9 +321,8 @@ def test_sweep_shares_each_problems_work_across_m(tmp_path, monkeypatch, correct
 def test_sweep_cell_computes_each_phi_row_once(monkeypatch, kind, points):
     """A p = 0 cell reads four phi grids (q = 0 and q = 1 at each t, and
     q = 0 at t/2 and 3t/4 for the effective order), 4 x points distinct
-    rows, more than the cache keeps before a scalar call clears it; each
-    is computed exactly once, on Arnoldi (convection-diffusion) and Lanczos
-    (heat) alike."""
+    rows; each is computed exactly once, on Arnoldi (convection-diffusion)
+    and Lanczos (heat) alike."""
     computed = []
     fill = KrylovDecomposition._fill
 
@@ -528,18 +541,20 @@ def test_sweep_linear_and_log_grids(tmp_path):
 
 def test_sweep_phi_and_corrected_modes(tmp_path):
     # the quadratures are the standard exponential approximant's: with the
-    # corrected approximant, at p = 0 as at p = 1, only era and err1 report
-    for p in (0, 1):
+    # corrected approximant, at p = 0 as at p = 1, and with the standard
+    # phi_1 approximant, only era and err1 (or their corrected rows) report
+    for p, corrected in ((0, True), (1, True), (1, False)):
         cfg = write_config(tmp_path, {
             "problems": [{"kind": "heat", "params": {"n": 30}}],
             "sweep": {"m": [6], "t_grid": {"values": [0.2, 0.6]},
-                      "p": p, "corrected": True},
-        }, f"p{p}.json")
-        out = tmp_path / f"p{p}"
+                      "p": p, "corrected": corrected},
+        }, f"p{p}_{corrected}.json")
+        out = tmp_path / f"p{p}_{corrected}"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         with open(out / "estimates_long.csv") as fh:
             kinds = [r["estimator"] for r in csv.DictReader(fh)]
-        assert sorted(set(kinds)) == ["era_corrected", "err1_corrected"]
+        suffix = "_corrected" if corrected else ""
+        assert sorted(set(kinds)) == [f"era{suffix}", f"err1{suffix}"]
         assert len(kinds) == 4
         with open(out / "sweep_heat_m6.csv") as fh:
             rows = list(csv.DictReader(fh))

@@ -505,6 +505,35 @@ def test_phi_and_corner_reject_bad_times(make_op, bad, monkeypatch):
                 call()
 
 
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("make_op", [random_hermitian_op, random_general_op])
+def test_phi_reads_check_sigma_before_the_cache(make_op, real, monkeypatch):
+    """Every phi read checks sigma before the cache lookup, a hit included.
+    True == 1.0 hashes like the cached sigma = 1 row, yet a bool raises
+    ValueError from phi (scalar and grid), corner and defect.  A 0-d array
+    sigma is the number it holds: it reads that number's cached row, with
+    its bits, and computes nothing."""
+    dec = build_krylov(make_op(30, 74, real), random_unit(30, seed=75, complex_=not real),
+                       KrylovConfig(m_max=8))
+    for sigma in (1.0, -1j):
+        rows = [dec.phi(sigma, q, 0.5) for q in (0, 1)] + dec.phi(sigma, 0, [0.5, 0.6])
+        corner, defect = dec.corner(sigma, 1, 0.5), dec.defect(sigma, 0.5)
+        kernels = []
+        for name in ("phi_scalar", "phi_dense"):
+            monkeypatch.setattr(kx.krylov, name, lambda *args, name=name: kernels.append(name))
+        for bad in (True, np.True_):
+            for call in (lambda: dec.phi(bad, 0, 0.5), lambda: dec.phi(bad, 0, [0.5, 0.6]),
+                         lambda: dec.corner(bad, 1, 0.5), lambda: dec.defect(bad, 0.5)):
+                with pytest.raises(ValueError, match="prefactor must be a number"):
+                    call()
+        s0 = np.array(sigma)
+        again = [dec.phi(s0, q, 0.5) for q in (0, 1)] + dec.phi(s0, 0, [0.5, 0.6])
+        assert [r.tobytes() for r in again] == [r.tobytes() for r in rows]
+        assert dec.corner(s0, 1, 0.5) == corner and dec.defect(s0, 0.5) == defect
+        assert kernels == []
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("make_op", [random_hermitian_op, random_general_op])
 def test_a_grid_is_never_evicted_by_its_own_rows(make_op, monkeypatch):
     """Every row lives as long as its decomposition: after a 300-point

@@ -25,6 +25,22 @@ def test_spec_merges_defaults_and_rejects_unknown():
         ProblemSpec("heat", {"m": 10})
 
 
+@pytest.mark.parametrize("build", [
+    lambda: kx.build_laplacian(5.0),
+    lambda: build_convection_diffusion(3.0, 0.9, 1.1),
+    lambda: ProblemSpec("heat", {"n": 4.5}).build(),
+    lambda: ProblemSpec("convection_diffusion", {"n": True}).build(),
+    lambda: kx.build_laplacian(1),
+    lambda: build_convection_diffusion(np.int64(1), 0.9, 1.1),
+], ids=["laplacian-float", "cd-float", "spec-float", "spec-bool", "laplacian-1", "cd-1"])
+def test_grid_size_is_an_integer_at_least_2(build):
+    """n is a Python or numpy integer >= 2, like a Krylov dimension: a
+    float (5.0 included) or a bool raises ValueError, not numpy's
+    TypeError from inside the assembly."""
+    with pytest.raises(ValueError, match="n must be >= 2 and an integer"):
+        build()
+
+
 def test_schrodinger_matrix_entries():
     op, sigma = ProblemSpec("schrodinger_free", {"n": 5}).build()
     assert sigma == -1j
