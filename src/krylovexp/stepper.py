@@ -28,6 +28,12 @@ The estimator table decides which approximant is propagated: a kind in
 CORRECTED_KINDS the corrected one, every other kind the standard one, and
 both direct kinds invert the era bound of the approximant propagated.
 
+A step lands on t_final (clipped or stretched to t_final - t) once the
+controller's reach gets there: its step before the safety factor, which
+is the step itself for the direct kinds and the a-priori first step.  So
+a heuristic run never ends on a sliver step that its safety factor alone
+left, and a stretched last step is never longer than the controller's
+own target.
 After a Krylov breakdown the projection is exact, so every kind takes
 the unbounded step, clipped to t_final; a fixed-step run has nothing to
 clip it to and raises RuntimeError.
@@ -162,9 +168,11 @@ def expokit_first_step(op_norm_inf, m, tol):
 
 def step_size_heuristic(prev_dt, prev_estimate, tol, m, safety=1.0):
     """dt_j = safety * dt_{j-1} * (dt_{j-1} * tol / est_{j-1})^(1/m), the
-    per-unit-step target."""
+    per-unit-step target; safety is a real number in (0, 1], no bool."""
     _validate_tol(tol)
     m = validate_integer(m, "m", 1)
+    if not 0.0 < validate_time(safety, "safety") <= 1.0:
+        raise ValueError(f"safety must be in (0, 1], got {safety!r}")
     if not prev_estimate > 0.0:
         raise ValueError("prev_estimate must be > 0")
     if not prev_dt > 0.0:
@@ -178,9 +186,10 @@ def step_size_iterated(dec, sigma, tol, estimator):
     per-unit-step update of step_size_heuristic re-applied on one
     decomposition, for the target est(dt) = dt * tol, started from the
     direct era inversion (returned as it is where est(dt) <= 0).
-    Returns (dt, iterations) where iterations counts the updates
-    performed, at most _ITERATION_CAP; convergence means successive
-    relative change <= 1e-3.
+    Returns (dt, iterations) where iterations counts the estimator
+    evaluations, at most _ITERATION_CAP (1 after no update where the
+    first estimate vanishes); convergence means successive relative
+    change <= 1e-3.
     Lanczos mode keeps re-evaluation cheap; with Arnoldi every pass
     re-exponentiates the Hessenberg matrix.
     """
@@ -208,25 +217,32 @@ def step_size_iterated(dec, sigma, tol, estimator):
 
 
 def _raw_step(dec, sigma, ctrl, estimator_kind, corrected, prev):
-    """One controller decision: (dt before clipping, iterations), given
-    prev, the previous step's (dt, unscaled estimate), or None at the first
-    step, whose rule also follows an estimate that is not > 0 (no scale to
-    update from); the direct kinds invert the era bound of the approximant
+    """One controller decision: (dt before landing, reach, iterations),
+    given prev, the previous step's (dt, unscaled estimate), or None at
+    the first step, whose rule also follows an estimate that is not > 0
+    (no scale to update from).  The reach is the step aimed at before the
+    safety factor (dt itself for the direct kinds and the a-priori first
+    step); the direct kinds invert the era bound of the approximant
     propagated.  After a breakdown every kind takes the unbounded step."""
     if dec.breakdown:
-        return math.inf, 0
+        return math.inf, math.inf, 0
     kind = ctrl.kind
     if kind.startswith("direct_era"):
-        return step_size_direct(dec, ctrl.tol, model=ctrl.error_model, corrected=corrected), 0
+        dt = step_size_direct(dec, ctrl.tol, model=ctrl.error_model, corrected=corrected)
+        return dt, dt, 0
     if kind == "heuristic_iterated":
-        dt, iters = step_size_iterated(dec, sigma, ctrl.tol, estimator_kind)
-        return _SAFETY * dt, iters
+        reach, iters = step_size_iterated(dec, sigma, ctrl.tol, estimator_kind)
+        return _SAFETY * reach, reach, iters
     # heuristic and expokit_first_step_only differ only in the first step
     if prev is None or not prev[1] > 0.0:
         if kind == "expokit_first_step_only":
-            return expokit_first_step(dec.op.norm_inf, dec.m, ctrl.tol), 0
-        return _SAFETY * step_size_direct(dec, ctrl.tol, model=ctrl.error_model), 0
-    return step_size_heuristic(*prev, ctrl.tol, dec.m, safety=_SAFETY), 0
+            dt = expokit_first_step(dec.op.norm_inf, dec.m, ctrl.tol)
+            return dt, dt, 0
+        reach = step_size_direct(dec, ctrl.tol, model=ctrl.error_model)
+        return _SAFETY * reach, reach, 0
+    # two calls keep dt's bits: safety * prev_dt * exp(...) rounds in that order
+    return (step_size_heuristic(*prev, ctrl.tol, dec.m, safety=_SAFETY),
+            step_size_heuristic(*prev, ctrl.tol, dec.m), 0)
 
 
 def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
@@ -252,11 +268,10 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
         dec = build_krylov(op, w / beta, cfg)
         beta = math.ldexp(beta, e)
         prev = (records[-1].dt, est.value) if records else None
-        dt, iters = _raw_step(dec, s, ctrl, estimator_kind, corrected, prev)
-        clipped = False
-        if t_final is not None and (not math.isfinite(dt) or t + dt >= t_final):
+        dt, reach, iters = _raw_step(dec, s, ctrl, estimator_kind, corrected, prev)
+        lands = t_final is not None and (not math.isfinite(reach) or t + reach >= t_final)
+        if lands:
             dt = t_final - t
-            clipped = True
         if not math.isfinite(dt):
             raise RuntimeError("unbounded step in a fixed-step run (breakdown)")
         if dt <= 0.0 or t + dt == t:
@@ -266,18 +281,19 @@ def _run(op, sigma, v, cfg, ctrl, estimator_kind, t_final=None, n_steps=None):
         records.append(StepRecord(dt=dt, m_used=dec.m,
                                   estimate=replace(est, value=beta * est.value),
                                   matvecs=dec.matvecs_used, controller_iterations=iters))
-        t = t_final if clipped else t + dt
+        t = t_final if lands else t + dt
     return PropagationResult(w_final=w, records=tuple(records))
 
 
 def propagate(op, sigma, v, t_final, cfg, ctrl, estimator_kind="era"):
     """Propagate v to E(sigma t_final A) v in restarted substeps.
 
-    The last step is clipped to land on t_final exactly and its estimate
-    is evaluated at the clipped size.  The start vector must have unit
-    2-norm; intermediate vectors are re-normalized before each build (a
-    vector that underflows to 0 raises RuntimeError) and the recorded
-    estimates carry the norm factor.
+    The last step is clipped or stretched to land on t_final exactly,
+    once the controller's reach (its step before the safety factor) gets
+    there, and its estimate is evaluated at the size taken.  The start
+    vector must have unit 2-norm; intermediate vectors are re-normalized
+    before each build (a vector that underflows to 0 raises RuntimeError)
+    and the recorded estimates carry the norm factor.
     """
     t_final = validate_time(t_final)
     if t_final == 0.0:

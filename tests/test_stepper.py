@@ -4,6 +4,7 @@ propagation loop accounting and the certificate of a whole trajectory."""
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -99,6 +100,11 @@ def test_heuristic_update_rule():
         step_size_heuristic(0.0, tol, tol, m)
     with pytest.raises(TypeError):
         step_size_heuristic(0.5, tol, tol, m, model="global_budget")
+    # a safety factor is a real number in (0, 1]: no negative, zero, nan,
+    # bool or stretching factor
+    for safety in (-1, 0.0, math.nan, True, 2.0):
+        with pytest.raises(ValueError, match="safety"):
+            step_size_heuristic(0.5, tol, tol, m, safety=safety)
 
 
 def test_iterated_with_era_estimator_converges_immediately(heat_pair):
@@ -301,11 +307,32 @@ def test_propagate_below_1e150_reaches_t_final():
     assert np.linalg.norm(w - ref) <= 1e-2 * np.linalg.norm(ref)
 
 
+# random nonexpansive pairs: Hermitian A at sigma = +/-i, general A at
+# sigma = 1 (complex, or real with a real v)
+FAMILIES = st.sampled_from([("hermitian", 1j), ("hermitian", -1j), ("dissipative", 1.0),
+                            ("real_dissipative", 1.0)])
+
+
+def _nonexpansive_pair(seed, n, family, shift):
+    """(A, op, v) for a FAMILIES draw: A scaled to unit 2-norm and, unless
+    Hermitian, shifted past its Gershgorin log-norm bound at sigma."""
+    structure, sigma = family
+    real = structure == "real_dissipative"
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
+    if structure == "hermitian":
+        A = 0.5 * (A + A.conj().T)
+    A = A / np.linalg.norm(A, 2)
+    if structure != "hermitian":
+        A = A - (SparseOperator(sp.csr_matrix(A)).log_norm_bound(sigma) + shift) * np.eye(n)
+    op = SparseOperator(sp.csr_matrix(A),
+                        symmetry="hermitian" if structure == "hermitian" else "general")
+    return A, op, random_unit(n, seed=seed % 2 ** 31, complex_=not real)
+
+
 @pytest.mark.filterwarnings("ignore:step-size iteration")
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 20),
-       family=st.sampled_from([("hermitian", 1j), ("hermitian", -1j), ("dissipative", 1.0),
-                               ("real_dissipative", 1.0)]),
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 20), family=FAMILIES,
        shift=st.floats(0.01, 1.0),
        kind=st.sampled_from(stepper.CONTROLLER_KINDS),
        estimator=st.sampled_from(["era", "era_corrected"]), m=st.integers(3, 8),
@@ -320,23 +347,75 @@ def test_propagate_certificate_holds(seed, n, family, shift, kind, estimator, m,
     The real_dissipative family draws a real A and a real v, so the whole
     run is in float64."""
     structure, sigma = family
-    real = structure == "real_dissipative"
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n)) + (0 if real else 1j * rng.standard_normal((n, n)))
-    if structure == "hermitian":
-        A = 0.5 * (A + A.conj().T)
-    A = A / np.linalg.norm(A, 2)
-    if structure != "hermitian":
-        A = A - (SparseOperator(sp.csr_matrix(A)).log_norm_bound(sigma) + shift) * np.eye(n)
-    op = SparseOperator(sp.csr_matrix(A),
-                        symmetry="hermitian" if structure == "hermitian" else "general")
-    v = random_unit(n, seed=seed % 2 ** 31, complex_=not real)
+    A, op, v = _nonexpansive_pair(seed, n, family, shift)
     res = propagate(op, sigma, v, t_final, KrylovConfig(m_max=m),
                     ControllerSpec(kind, 10.0 ** log_tol), estimator)
-    assert res.w_final.dtype == (np.float64 if real else np.complex128)
+    assert res.w_final.dtype == (np.float64 if structure == "real_dissipative" else np.complex128)
     assert all(r.estimate.is_proven_upper_bound for r in res.records)
     err = np.linalg.norm(res.w_final - scipy.linalg.expm(sigma * t_final * A) @ v)
     assert err <= res.accumulated_bound * (1 + 1e-9) + 1e-12, (err, res.accumulated_bound)
+
+
+@pytest.mark.filterwarnings("ignore:step-size iteration")
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(10, 30), family=FAMILIES,
+       shift=st.floats(0.01, 1.0),
+       kind=st.sampled_from(stepper.CONTROLLER_KINDS),
+       estimator=st.sampled_from(["era", "era_corrected", "err1", "trapezoid_quad"]),
+       m=st.integers(4, 8), log_tol=st.floats(-8.0, -3.0), t_final=st.floats(0.1, 3.0))
+def test_a_run_lands_on_t_final_within_its_reach(seed, n, family, shift, kind, estimator,
+                                                 m, log_tol, t_final):
+    """A run to t_final takes, bit for bit, the steps of the fixed-step run
+    with the same controller up to its last one.  The last is
+    t_final - t, taken at the first decision whose reach (its step before
+    the safety factor) gets to t_final, and is no longer than that reach
+    but for the rounding of t + reach onto t_final.  A direct kind's
+    reach is its step, so its last step is clipped as it always was and
+    never stretched.  n > m, so no run ends in a breakdown; m >= 4 keeps
+    runs to a few hundred steps."""
+    sigma = family[1]
+    _, op, v = _nonexpansive_pair(seed, n, family, shift)
+    cfg, ctrl = KrylovConfig(m_max=m), ControllerSpec(kind, 10.0 ** log_tol)
+    raw_step, decisions = stepper._raw_step, []
+
+    def recorded(*args):
+        decisions.append(raw_step(*args))
+        return decisions[-1]
+
+    with mock.patch.object(stepper, "_raw_step", recorded):
+        res = propagate(op, sigma, v, t_final, cfg, ctrl, estimator)
+    dts = [r.dt for r in res.records]
+    if len(dts) > 1:
+        fixed = propagate_fixed_steps(op, sigma, v, len(dts) - 1, cfg, ctrl, estimator)
+        assert [r.dt for r in fixed.records] == dts[:-1]
+    starts = [stepper._in_order_sum(dts[:j]) for j in range(len(dts))]
+    assert all(t + reach < t_final for t, (_, reach, _) in zip(starts, decisions[:-1]))
+    (dt, reach, _), t = decisions[-1], starts[-1]
+    assert dts[-1] == t_final - t
+    assert t + reach >= t_final and dts[-1] - reach <= math.ulp(t_final)
+    if kind.startswith("direct_era"):
+        assert all(d == r for d, r, _ in decisions)
+        assert t + dt >= t_final
+
+
+@pytest.mark.filterwarnings("ignore:step-size iteration")
+def test_cd_arnoldi_run_stretches_its_last_step():
+    """The benchmark's convection-diffusion run (m = 30, heuristic_iterated
+    on trapezoid_quad, tol 1e-8, t = 0.1): the 4th step's reach covers the
+    0.068 left, so that step lands on t_final instead of taking 0.9 of the
+    reach and leaving a 5th step of 0.0054."""
+    spec = kx.ProblemSpec("convection_diffusion")
+    op, sigma = spec.build()
+    v = kx.starting_vector(spec)
+    tol, t_final = 1e-8, 0.1
+    res = propagate(op, sigma, v, t_final, KrylovConfig(m_max=30),
+                    ControllerSpec("heuristic_iterated", tol), "trapezoid_quad")
+    assert len(res.records) == 4 and res.total_matvecs == 120
+    assert sum(r.controller_iterations for r in res.records) == 20
+    assert res.total_time == t_final
+    assert res.records[-1].dt == t_final - stepper._in_order_sum(r.dt for r in res.records[:-1])
+    ref = kx.oracle_reference(spec, op, sigma, [t_final], v)[0]
+    assert np.linalg.norm(res.w_final - ref) <= tol * t_final
 
 
 def test_propagate_fixed_steps_runs_exact_count(heat_pair):
